@@ -5,7 +5,8 @@ Run with:  python3 demos/demo_decompose_builtins.py
 """
 
 from g3lr import (BUILTIN_NAMES, builtin, check_gr_simple_A,
-                  check_gr_simple_L, decompose, run_all)
+                  check_gr_simple_L, run_all)
+from g3lr.decompose import decompose
 
 for name in BUILTIN_NAMES:
     alg = builtin(name)

@@ -18,7 +18,7 @@ from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         A_ideal_generated_by, build_A1_class, build_A_ideal,
                         build_I, build_L1_class, check_G_multiplicative,
                         check_gr_simple_A, check_gr_simple_L,
-                        check_maximal_length, check_tight, decompose,
+                        check_maximal_length, check_tight,
                         graded_ideal_generated_by, pair_ideals,
                         structure_ideals, verify_ideal_A, verify_ideal_L,
                         verify_triple_orthogonality)

@@ -12,7 +12,7 @@ spelled out in the docstrings below.
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .linalg import vec_add, vec_scale, vec_sub, is_zero_vec
+from .linalg import vec_add, vec_sub, is_zero_vec
 
 VIOLATION_CAP = 25
 

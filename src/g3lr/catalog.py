@@ -12,7 +12,7 @@ from functools import lru_cache
 from .axioms import run_all
 from .decompose import check_tight
 from .groups import GroupSpec
-from .linalg import is_zero_vec, zero_vec
+from .linalg import zero_vec
 from .model import Algebra3LR, GradedBasis
 
 

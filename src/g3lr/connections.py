@@ -50,13 +50,12 @@ class ConnectionClass:
 
 
 def compute_supports(alg):
-    sigma1 = frozenset(d for d in alg.L.degrees
-                       if not d.is_identity()
-                       and alg.fiber("L", d).dim > 0)
-    lambda1 = frozenset(d for d in alg.A.degrees
-                        if not d.is_identity()
-                        and alg.fiber("A", d).dim > 0)
-    return SupportSets(alg.group, sigma1, lambda1)
+    """The non-identity degrees of the basis vectors; every degree
+    listed there has a nonempty fiber."""
+    return SupportSets(
+        alg.group,
+        frozenset(d for d in alg.L.degrees if not d.is_identity()),
+        frozenset(d for d in alg.A.degrees if not d.is_identity()))
 
 
 def _sigma_search(supports, g):

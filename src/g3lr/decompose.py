@@ -7,6 +7,7 @@ basis vectors, and every claimed containment or equality is checked as
 an exact subspace identity.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
 
@@ -142,28 +143,36 @@ def _rho_rows(alg, g, h, a_deg):
             for ak in alg.fiber_indices("A", a_deg)]
 
 
-def _L1_rows(alg, action_degrees, bracket_pairs):
-    """Rows of the degree-1 part: A_{h^-1} L_h for h in action_degrees
-    and [L_h, L_k, L_{(hk)^-1}] for (h, k) in bracket_pairs."""
-    rows = []
-    for h in action_degrees:
-        rows += _action_rows(alg, h.inv(), h)
-    for h, k in bracket_pairs:
-        rows += _bracket_rows(alg, h, k, h.mul(k).inv())
-    return rows
-
-
-def _A1_rows(alg, mul_degrees, rho_pairs):
-    rows = []
-    for mu in mul_degrees:
-        rows += _amul_rows(alg, mu.inv(), mu)
-    for h, k in rho_pairs:
-        rows += _rho_rows(alg, h, k, h.mul(k).inv())
-    return rows
-
-
 def _sorted_elems(elems):
     return sorted(elems, key=lambda e: e.coords)
+
+
+def _L1_span(alg, degrees, supports):
+    """Degree-1 part of L generated by the given L-degrees: the span of
+    A_{h^-1} L_h over h that also lies in the A-support, plus
+    [L_h, L_k, L_{(hk)^-1}] over pairs h, k."""
+    degrees = _sorted_elems(degrees)
+    rows = []
+    for h in degrees:
+        if h in supports.lambda1:
+            rows += _action_rows(alg, h.inv(), h)
+    for h, k in product(degrees, repeat=2):
+        rows += _bracket_rows(alg, h, k, h.mul(k).inv())
+    return span(rows, alg.dim_L)
+
+
+def _A1_span(alg, degrees, supports):
+    """Degree-1 part of A generated by the given A-degrees: the span of
+    A_{mu^-1} A_mu, plus rho(L_h, L_k)(A_{(hk)^-1}) over pairs h, k that
+    also lie in the L-support."""
+    degrees = _sorted_elems(degrees)
+    rows = []
+    for mu in degrees:
+        rows += _amul_rows(alg, mu.inv(), mu)
+    for h, k in product(degrees, repeat=2):
+        if h in supports.sigma1 and k in supports.sigma1:
+            rows += _rho_rows(alg, h, k, h.mul(k).inv())
+    return span(rows, alg.dim_A)
 
 
 def _check_class(alg, cls, kind):
@@ -181,14 +190,8 @@ def _check_class(alg, cls, kind):
 
 
 def build_L1_class(alg, cls):
-    """Degree-1 part attached to a sigma-class: the span of
-    A_{h^-1} L_h over h in the class that also lies in the A-support,
-    plus [L_h, L_k, L_{(hk)^-1}] over pairs h, k in the class."""
-    supports = _check_class(alg, cls, "sigma")
-    members = _sorted_elems(cls.members)
-    action_degrees = [h for h in members if h in supports.lambda1]
-    bracket_pairs = list(product(members, repeat=2))
-    return span(_L1_rows(alg, action_degrees, bracket_pairs), alg.dim_L)
+    """Degree-1 part attached to a sigma-class (see `_L1_span`)."""
+    return _L1_span(alg, cls.members, _check_class(alg, cls, "sigma"))
 
 
 def build_I(alg, cls):
@@ -202,11 +205,7 @@ def build_I(alg, cls):
 
 
 def build_A1_class(alg, cls):
-    supports = _check_class(alg, cls, "lambda")
-    members = _sorted_elems(cls.members)
-    rho_pairs = [(h, k) for h, k in product(members, repeat=2)
-                 if h in supports.sigma1 and k in supports.sigma1]
-    return span(_A1_rows(alg, members, rho_pairs), alg.dim_A)
+    return _A1_span(alg, cls.members, _check_class(alg, cls, "lambda"))
 
 
 def build_A_ideal(alg, cls):
@@ -218,7 +217,67 @@ def build_A_ideal(alg, cls):
 
 
 # ---------------------------------------------------------------------------
-# ideal verification
+# ideal products: verification and closure
+
+
+def _ideal_products(alg, side, old, new):
+    """The products an ideal spanned by the rows old + new must absorb
+    that involve at least one row of new, each with its certificate tag,
+    in a fixed order: brackets [s, L, L], then the A-action, then the
+    rho-derived actions rho(s1, s2)(A) L.  On the A side: A t."""
+    if side == "A":
+        for t in new:
+            for ai in range(alg.dim_A):
+                yield ("amul", ai, t), alg.eval_amul(alg.A_unit(ai), t)
+        return
+    for s in new:
+        for i, j in combinations(range(alg.dim_L), 2):
+            yield (("bracket", s, i, j),
+                   alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j)))
+    for s in new:
+        for ai in range(alg.dim_A):
+            yield ("action", ai, s), alg.eval_action(alg.A_unit(ai), s)
+    if not alg.rho:
+        return
+    rows = old + new
+    for p, s1 in enumerate(rows):
+        for q, s2 in enumerate(rows):
+            if max(p, q) < len(old):
+                continue
+            for ak in range(alg.dim_A):
+                ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
+                if is_zero_vec(ra):
+                    continue
+                for lj in range(alg.dim_L):
+                    yield (("rho-action", s1, s2, ak, lj),
+                           alg.eval_action(ra, alg.L_unit(lj)))
+
+
+def _verify_ideal(alg, side, S):
+    for tag, v in _ideal_products(alg, side, (), S.basis):
+        if not S.contains(v):
+            return False, tag + (v,)
+    return True, None
+
+
+def _ideal_closure(alg, side, v):
+    """Least ideal containing the homogeneous vector v.  Worklist
+    closure: each round multiplies only the rows added in the round
+    before, so every product is formed once."""
+    degrees = alg.L.degrees if side == "L" else alg.A.degrees
+    if len({degrees[i] for i, c in enumerate(v) if c != 0}) > 1:
+        raise ValueError("vector is not homogeneous")
+    n = alg.dim_L if side == "L" else alg.dim_A
+    S = span([v], n)
+    old, new = (), S.basis
+    while new:
+        added = []
+        for _, w in _ideal_products(alg, side, old, new):
+            if not S.contains(w):
+                S = Subspace(n, S.basis + (w,))
+                added.append(w)
+        old, new = old + new, tuple(added)
+    return S
 
 
 def verify_ideal_L(alg, S):
@@ -226,38 +285,12 @@ def verify_ideal_L(alg, S):
     with L in the remaining slots, under the A-action, and under the
     action of rho(S, S)(A) on L.  Returns (ok, certificate); the
     certificate names the first product escaping S."""
-    for s in S.basis:
-        for i, j in combinations(range(alg.dim_L), 2):
-            v = alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j))
-            if not S.contains(v):
-                return False, ("bracket", s, i, j, v)
-    for s in S.basis:
-        for ai in range(alg.dim_A):
-            v = alg.eval_action(alg.A_unit(ai), s)
-            if not S.contains(v):
-                return False, ("action", ai, s, v)
-    if alg.rho:
-        for s1 in S.basis:
-            for s2 in S.basis:
-                for ak in range(alg.dim_A):
-                    ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
-                    if is_zero_vec(ra):
-                        continue
-                    for lj in range(alg.dim_L):
-                        v = alg.eval_action(ra, alg.L_unit(lj))
-                        if not S.contains(v):
-                            return False, ("rho-action", s1, s2, ak, lj, v)
-    return True, None
+    return _verify_ideal(alg, "L", S)
 
 
 def verify_ideal_A(alg, T):
     """A-side ideal condition: A T inside T."""
-    for t in T.basis:
-        for ai in range(alg.dim_A):
-            v = alg.eval_amul(alg.A_unit(ai), t)
-            if not T.contains(v):
-                return False, ("amul", ai, t, v)
-    return True, None
+    return _verify_ideal(alg, "A", T)
 
 
 def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
@@ -297,66 +330,32 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
 # structural subspaces and predicates
 
 
+def _kernel(maps, dim, out):
+    """Common null space in F^dim of linear maps into F^out, each given
+    by its list of images of the dim basis vectors."""
+    rows = []
+    for cols in maps:
+        rows += [tuple(c[t] for c in cols) for t in range(out)]
+    return solve_homogeneous(rows, dim)
+
+
 def structure_ideals(alg):
     """Center, kernel of the representation and the annihilators, each
     as the null space of stacked basis-level linear constraints."""
     nL, nA = alg.dim_L, alg.dim_A
-
-    rows = []
-    for i, j in combinations(range(nL), 2):
-        cols = [alg.eval_bracket(alg.L_unit(m), alg.L_unit(i), alg.L_unit(j))
-                for m in range(nL)]
-        for t in range(nL):
-            rows.append(tuple(cols[m][t] for m in range(nL)))
-    z_L = solve_homogeneous(rows, nL)
-
-    rows = []
-    if alg.rho:
-        for j in range(nL):
-            for ak in range(nA):
-                cols = [alg.rho_basis(m, j, ak) for m in range(nL)]
-                for t in range(nA):
-                    rows.append(tuple(cols[m][t] for m in range(nL)))
-    ker_rho = solve_homogeneous(rows, nL)
-
-    center = intersect_subspaces(z_L, ker_rho)
-
-    rows = []
-    for j in range(nA):
-        cols = [alg.amul_basis(m, j) for m in range(nA)]
-        for t in range(nA):
-            rows.append(tuple(cols[m][t] for m in range(nA)))
-    ann_A = solve_homogeneous(rows, nA)
-
-    rows = []
-    for ai in range(nA):
-        cols = [alg.action_basis(ai, m) for m in range(nL)]
-        for t in range(nL):
-            rows.append(tuple(cols[m][t] for m in range(nL)))
-    ann_L_A = solve_homogeneous(rows, nL)
-
-    rows = []
-    for lj in range(nL):
-        cols = [alg.action_basis(m, lj) for m in range(nA)]
-        for t in range(nL):
-            rows.append(tuple(cols[m][t] for m in range(nA)))
-    ann_A_on_L = solve_homogeneous(rows, nA)
-
-    return StructureIdeals(z_L, ker_rho, center, ann_A, ann_L_A, ann_A_on_L)
-
-
-def _L1_generation_subspace(alg, supports):
-    s1 = _sorted_elems(supports.sigma1)
-    action_degrees = [g for g in s1 if g in supports.lambda1]
-    return span(_L1_rows(alg, action_degrees, list(product(s1, repeat=2))),
-                alg.dim_L)
-
-
-def _A1_generation_subspace(alg, supports):
-    l1 = _sorted_elems(supports.lambda1)
-    rho_pairs = [(h, k) for h, k in product(l1, repeat=2)
-                 if h in supports.sigma1 and k in supports.sigma1]
-    return span(_A1_rows(alg, l1, rho_pairs), alg.dim_A)
+    rL, rA, e = range(nL), range(nA), alg.L_unit
+    z_L = _kernel(([alg.eval_bracket(e(m), e(i), e(j)) for m in rL]
+                   for i, j in combinations(rL, 2)), nL, nL)
+    ker_rho = _kernel(([alg.rho_basis(m, j, ak) for m in rL]
+                       for j in rL for ak in rA if alg.rho), nL, nA)
+    return StructureIdeals(
+        z_L, ker_rho, intersect_subspaces(z_L, ker_rho),
+        ann_A=_kernel(([alg.amul_basis(m, j) for m in rA] for j in rA),
+                      nA, nA),
+        ann_L_A=_kernel(([alg.action_basis(ai, m) for m in rL]
+                         for ai in rA), nL, nL),
+        ann_A_on_L=_kernel(([alg.action_basis(m, lj) for m in rA]
+                            for lj in rL), nA, nL))
 
 
 def check_tight(alg, structure=None):
@@ -380,9 +379,9 @@ def check_tight(alg, structure=None):
         ann_L_A_zero=structure.ann_L_A.dim == 0,
         AA_eq_A=AA == full_subspace(nA),
         AL_eq_L=AL == full_subspace(nL),
-        L1_generation=_L1_generation_subspace(alg, supports)
+        L1_generation=_L1_span(alg, supports.sigma1, supports)
         == alg.fiber("L", one),
-        A1_generation=_A1_generation_subspace(alg, supports)
+        A1_generation=_A1_span(alg, supports.lambda1, supports)
         == alg.fiber("A", one),
     )
 
@@ -443,57 +442,16 @@ def check_maximal_length(alg):
 # generated ideals and graded simplicity
 
 
-def _degree_of(alg, space, v):
-    degrees = alg.L.degrees if space == "L" else alg.A.degrees
-    found = {degrees[i] for i, c in enumerate(v) if c != 0}
-    if len(found) > 1:
-        raise ValueError("vector is not homogeneous")
-    return next(iter(found)) if found else None
-
-
 def graded_ideal_generated_by(alg, v):
     """Least subspace containing the homogeneous vector v and closed
-    under bracketing with L, the A-action, and rho-derived actions.
-    Fixed-point iteration; the dimension grows strictly each round, so
-    at most dim L rounds are needed."""
-    _degree_of(alg, "L", v)
-    S = span([v], alg.dim_L)
-    while True:
-        rows = list(S.basis)
-        for s in S.basis:
-            for i, j in combinations(range(alg.dim_L), 2):
-                rows.append(alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j)))
-            for ai in range(alg.dim_A):
-                rows.append(alg.eval_action(alg.A_unit(ai), s))
-        if alg.rho:
-            for s1 in S.basis:
-                for s2 in S.basis:
-                    for ak in range(alg.dim_A):
-                        ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
-                        if is_zero_vec(ra):
-                            continue
-                        for lj in range(alg.dim_L):
-                            rows.append(alg.eval_action(ra, alg.L_unit(lj)))
-        nxt = span(rows, alg.dim_L)
-        if nxt == S:
-            return S
-        S = nxt
+    under bracketing with L, the A-action, and rho-derived actions."""
+    return _ideal_closure(alg, "L", v)
 
 
 def A_ideal_generated_by(alg, v):
     """A-side analogue: closure of a homogeneous vector of A under
     multiplication by A."""
-    _degree_of(alg, "A", v)
-    T = span([v], alg.dim_A)
-    while True:
-        rows = list(T.basis)
-        for t in T.basis:
-            for ai in range(alg.dim_A):
-                rows.append(alg.eval_amul(alg.A_unit(ai), t))
-        nxt = span(rows, alg.dim_A)
-        if nxt == T:
-            return T
-        T = nxt
+    return _ideal_closure(alg, "A", v)
 
 
 def _homogeneous_generators(alg, space, C):
@@ -505,6 +463,26 @@ def _homogeneous_generators(alg, space, C):
         B = intersect_subspaces(C, alg.fiber(space, d))
         out.extend((d, row) for row in B.basis)
     return out
+
+
+def _close_generators(alg, side, C, allowed=None):
+    """Close every homogeneous generator of C.  Returns ("no", ideal)
+    for the first proper ideal found inside C other than `allowed`;
+    else "yes", or "undetermined" when a non-identity fiber of C has
+    dimension greater than one, with no witness."""
+    gens = _homogeneous_generators(alg, side, C)
+    for d, v in gens:
+        closure = _ideal_closure(alg, side, v)
+        if closure == C or closure == allowed:
+            continue
+        if C.contains_subspace(closure):
+            return "no", closure
+        # generator escapes: `within` was not an ideal to begin with
+        raise ValueError("subspace is not an ideal, simplicity undefined")
+    fiber_dims = Counter(d for d, v in gens if not d.is_identity())
+    if max(fiber_dims.values(), default=0) > 1:
+        return "undetermined", None
+    return "yes", None
 
 
 def check_gr_simple_L(alg, within=None, structure=None):
@@ -530,24 +508,8 @@ def check_gr_simple_L(alg, within=None, structure=None):
     if bracket_sp.dim == 0:
         return SimplicityVerdict("no", False, AA_nonzero, AL_nonzero,
                                  witness="zero-bracket")
-
-    gens = _homogeneous_generators(alg, "L", C)
-    conclusive = True
-    for d, v in gens:
-        closure = graded_ideal_generated_by(alg, v)
-        if closure == C or closure == ker_part:
-            continue
-        if C.contains_subspace(closure):
-            return SimplicityVerdict("no", True, AA_nonzero, AL_nonzero,
-                                     witness=closure)
-        # generator escapes: `within` was not an ideal to begin with
-        raise ValueError("subspace is not an ideal, simplicity undefined")
-    for d, v in gens:
-        if not d.is_identity() and \
-                intersect_subspaces(C, alg.fiber("L", d)).dim > 1:
-            conclusive = False
-    verdict = "yes" if conclusive else "undetermined"
-    return SimplicityVerdict(verdict, True, AA_nonzero, AL_nonzero)
+    verdict, witness = _close_generators(alg, "L", C, allowed=ker_part)
+    return SimplicityVerdict(verdict, True, AA_nonzero, AL_nonzero, witness)
 
 
 def check_gr_simple_A(alg, within=None):
@@ -557,20 +519,8 @@ def check_gr_simple_A(alg, within=None):
                    alg.dim_A)
     if prod_sp.dim == 0:
         return SimplicityVerdict("no", False, witness="zero-product")
-    gens = _homogeneous_generators(alg, "A", C)
-    conclusive = True
-    for d, v in gens:
-        closure = A_ideal_generated_by(alg, v)
-        if closure == C:
-            continue
-        if C.contains_subspace(closure):
-            return SimplicityVerdict("no", True, witness=closure)
-        raise ValueError("subspace is not an ideal, simplicity undefined")
-    for d, v in gens:
-        if not d.is_identity() and \
-                intersect_subspaces(C, alg.fiber("A", d)).dim > 1:
-            conclusive = False
-    return SimplicityVerdict("yes" if conclusive else "undetermined", True)
+    verdict, witness = _close_generators(alg, "A", C)
+    return SimplicityVerdict(verdict, True, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +580,7 @@ def decompose(alg):
     report.A_ideals = [build_A_ideal(alg, c) for c in report.lambda_classes]
 
     L1_fiber = alg.fiber("L", one)
-    L1_gen = _L1_generation_subspace(alg, supports)
+    L1_gen = _L1_span(alg, supports.sigma1, supports)
     report.U_complement = complement(L1_gen, within=L1_fiber)
     total_L = report.U_complement
     for I in report.L_ideals:
@@ -641,7 +591,7 @@ def decompose(alg):
                        == total_L.dim) and report.L_covers
 
     A1_fiber = alg.fiber("A", one)
-    A1_gen = _A1_generation_subspace(alg, supports)
+    A1_gen = _A1_span(alg, supports.lambda1, supports)
     report.V_complement = complement(A1_gen, within=A1_fiber)
     total_A = report.V_complement
     for J in report.A_ideals:

@@ -20,7 +20,7 @@ so checking an identity on basis tuples proves it for all vectors.
 
 from fractions import Fraction
 
-from .groups import GroupElem, GroupSpec, product_many
+from .groups import GroupElem, GroupSpec
 from .linalg import Subspace, unit_vec, vec, zero_vec
 
 
@@ -280,9 +280,6 @@ class Algebra3LR:
     def fiber_indices(self, space, g):
         basis = self.L if space == "L" else self.A
         return [i for i, d in enumerate(basis.degrees) if d == g]
-
-    def degree_of_product(self, degrees):
-        return product_many(self.group, degrees)
 
     def L_unit(self, i):
         return unit_vec(self.dim_L, i)

@@ -5,10 +5,12 @@ prints a single CRITERION line so the run log shows the verdicts even
 under output capture.
 """
 
+import hashlib
 import io
 import json
 import random
 import sys
+from pathlib import Path
 
 from test_connections import _check_equivalence, _random_supports
 
@@ -198,8 +200,37 @@ def test_criterion_8_closure_oracle():
     _verdict(8, ok and checked == 100)
 
 
+# sha256 of the `g3lr report` bytes for every builtin and every file in
+# docs/examples; a change here is a change of canonical output
+GOLDEN_REPORTS = {
+    "a4": "9dad905c90ac5ac646fe3e6990f6048605b64efe519c89b8619a9c4dc44d219a",
+    "a4-dual-numbers":
+        "b76a8b8ab1b5ee7a8143af87b0400dd05cfd051f3b4232b8e303c5a945866463",
+    "gl2-trace":
+        "12f99cda53e781d467f21f51cbfb24ad8fe3b440e27454fee33561b71d1e9681",
+    "tight-pair":
+        "5ff96546ff2e8e289bf45c14a72da8dbc6a75ab231073111d7da9f63ffc7184c",
+    "trivial":
+        "0b2de5d4fccc9a9f35b737720a00635fed80522fe32ef1f8cdeaa55c0bfab37b",
+    "simple_four_dim.json":
+        "9dad905c90ac5ac646fe3e6990f6048605b64efe519c89b8619a9c4dc44d219a",
+    "trace_induced_gl2.json":
+        "12f99cda53e781d467f21f51cbfb24ad8fe3b440e27454fee33561b71d1e9681",
+    "truncated_polynomials.json":
+        "a96e443b17e804ff9986eb70ac1fe84b6c0d3d002ff42dee9018794de4bf6787",
+}
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def _report_digest(path, out):
+    code = main(["report", str(path), "--out", str(out)], out=io.StringIO())
+    return code, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_criterion_9_cli_determinism(tmp_path):
     ok = True
+    seen = set()
     for name in BUILTIN_NAMES:
         path = tmp_path / ("%s.json" % name)
         code = main(["builtin", name, "--emit", str(path)], out=io.StringIO())
@@ -207,10 +238,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         parsed = json.loads(path.read_text())
         ok = ok and instance_to_dict(instance_from_dict(parsed)) \
             == instance_to_dict(builtin(name))
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        ok = ok and main(["report", str(path), "--out", str(r1)],
-                         out=io.StringIO()) == EXIT_OK
-        ok = ok and main(["report", str(path), "--out", str(r2)],
-                         out=io.StringIO()) == EXIT_OK
-        ok = ok and r1.read_bytes() == r2.read_bytes()
-    _verdict(9, ok)
+        r1 = _report_digest(path, tmp_path / "r1.json")
+        r2 = _report_digest(path, tmp_path / "r2.json")
+        ok = ok and r1 == r2 == (EXIT_OK, GOLDEN_REPORTS[name])
+        seen.add(name)
+    for path in sorted(EXAMPLES.glob("*.json")):
+        got = _report_digest(path, tmp_path / "r.json")
+        ok = ok and got == (EXIT_OK, GOLDEN_REPORTS[path.name])
+        seen.add(path.name)
+    _verdict(9, ok and seen == set(GOLDEN_REPORTS))

@@ -1,3 +1,7 @@
+import random
+from itertools import (combinations, combinations_with_replacement,
+                       product)
+
 import pytest
 
 from g3lr.catalog import builtin, direct_sum
@@ -11,8 +15,8 @@ from g3lr.decompose import (A_ideal_generated_by, build_A1_class,
                             verify_ideal_A, verify_ideal_L,
                             verify_triple_orthogonality)
 from g3lr.groups import GroupSpec
-from g3lr.linalg import (full_subspace, intersect_subspaces, span, unit_vec,
-                         vec, zero_vec)
+from g3lr.linalg import (full_subspace, intersect_subspaces, is_zero_vec,
+                         solve_homogeneous, span, unit_vec, vec, zero_vec)
 from g3lr.model import Algebra3LR, GradedBasis
 
 BUILTINS = ("trivial", "a4", "gl2-trace", "a4-dual-numbers", "tight-pair")
@@ -352,3 +356,193 @@ def test_decompose_truncated_polynomials():
     assert r.A_ideals[0].subspace.dim == 2
     assert r.V_complement.dim == 1
     assert r.A_covers and r.A_direct
+
+
+# ---------------------------------------------------------------------------
+# differential check of the closure engine against a round-based reference
+#
+# The reference below is the round-based closure and the ordered ideal scan
+# that the worklist engine replaced.  The random instances are graded but
+# need not satisfy the axioms: closure and ideal verification are pure
+# linear algebra over the structure tables, and these tables carry a
+# nonzero rho, which no valid tier-1 instance does.
+
+
+def _ref_verify_L(alg, S):
+    for s in S.basis:
+        for i, j in combinations(range(alg.dim_L), 2):
+            v = alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j))
+            if not S.contains(v):
+                return False, ("bracket", s, i, j, v)
+    for s in S.basis:
+        for ai in range(alg.dim_A):
+            v = alg.eval_action(alg.A_unit(ai), s)
+            if not S.contains(v):
+                return False, ("action", ai, s, v)
+    if alg.rho:
+        for s1 in S.basis:
+            for s2 in S.basis:
+                for ak in range(alg.dim_A):
+                    ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
+                    if is_zero_vec(ra):
+                        continue
+                    for lj in range(alg.dim_L):
+                        v = alg.eval_action(ra, alg.L_unit(lj))
+                        if not S.contains(v):
+                            return False, ("rho-action", s1, s2, ak, lj, v)
+    return True, None
+
+
+def _ref_verify_A(alg, T):
+    for t in T.basis:
+        for ai in range(alg.dim_A):
+            v = alg.eval_amul(alg.A_unit(ai), t)
+            if not T.contains(v):
+                return False, ("amul", ai, t, v)
+    return True, None
+
+
+def _ref_closure_L(alg, v):
+    S = span([v], alg.dim_L)
+    while True:
+        rows = list(S.basis)
+        for s in S.basis:
+            for i, j in combinations(range(alg.dim_L), 2):
+                rows.append(alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j)))
+            for ai in range(alg.dim_A):
+                rows.append(alg.eval_action(alg.A_unit(ai), s))
+        if alg.rho:
+            for s1 in S.basis:
+                for s2 in S.basis:
+                    for ak in range(alg.dim_A):
+                        ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
+                        if is_zero_vec(ra):
+                            continue
+                        for lj in range(alg.dim_L):
+                            rows.append(alg.eval_action(ra, alg.L_unit(lj)))
+        nxt = span(rows, alg.dim_L)
+        if nxt == S:
+            return S
+        S = nxt
+
+
+def _ref_closure_A(alg, v):
+    T = span([v], alg.dim_A)
+    while True:
+        rows = list(T.basis)
+        for t in T.basis:
+            for ai in range(alg.dim_A):
+                rows.append(alg.eval_amul(alg.A_unit(ai), t))
+        nxt = span(rows, alg.dim_A)
+        if nxt == T:
+            return T
+        T = nxt
+
+
+def _ref_null(dim, image):
+    """Null space of the linear map x -> image(x) on F^dim, read off the
+    images of the unit vectors."""
+    cols = [image(unit_vec(dim, m)) for m in range(dim)]
+    return solve_homogeneous(
+        [tuple(c[t] for c in cols) for t in range(len(cols[0]))], dim)
+
+
+def _ref_structure(alg):
+    """The six subspaces of `structure_ideals`, each read off the
+    multilinear evaluators instead of the basis tables."""
+    nL, nA = alg.dim_L, alg.dim_A
+    L, A = alg.L_unit, alg.A_unit
+
+    def flat(vectors):
+        return tuple(c for v in vectors for c in v)
+
+    z_L = _ref_null(nL, lambda x: flat(
+        alg.eval_bracket(x, L(i), L(j))
+        for i, j in combinations(range(nL), 2)))
+    ker_rho = _ref_null(nL, lambda x: flat(
+        alg.eval_rho(x, L(j), A(k)) for j in range(nL) for k in range(nA)))
+    return (z_L, ker_rho, intersect_subspaces(z_L, ker_rho),
+            _ref_null(nA, lambda a: flat(alg.eval_amul(a, A(j))
+                                         for j in range(nA))),
+            _ref_null(nL, lambda x: flat(alg.eval_action(A(k), x)
+                                         for k in range(nA))),
+            _ref_null(nA, lambda a: flat(alg.eval_action(a, L(j))
+                                         for j in range(nL))))
+
+
+def _random_graded(rng):
+    """Random graded structure tables over a small cyclic group with a
+    nonzero rho; entries land in the fiber of the product degree."""
+    G = GroupSpec((rng.choice((2, 3, 4)),))
+
+    def basis(prefix, n):
+        return GradedBasis(["%s%d" % (prefix, i) for i in range(n)],
+                           [G.elem((rng.randrange(G.moduli[0]),))
+                            for _ in range(n)])
+
+    L, A = basis("x", rng.randint(2, 5)), basis("a", rng.randint(1, 3))
+    nL, nA, dL, dA = len(L), len(A), L.degrees, A.degrees
+
+    def table(keys, degree, target, density):
+        out = {}
+        for key in keys:
+            fiber = [m for m, d in enumerate(target.degrees) if d == degree(key)]
+            if fiber and rng.random() < density:
+                out[key] = {m: rng.randint(-2, 2) for m in
+                            rng.sample(fiber, rng.randint(1, len(fiber)))}
+        return out
+
+    bracket = table(combinations(range(nL), 3),
+                    lambda k: dL[k[0]].mul(dL[k[1]]).mul(dL[k[2]]),
+                    L, rng.choice((0.0, 0.3, 0.7)))
+    amul = table(combinations_with_replacement(range(nA), 2),
+                 lambda k: dA[k[0]].mul(dA[k[1]]), A, 0.5)
+    action = table(product(range(nA), range(nL)),
+                   lambda k: dA[k[0]].mul(dL[k[1]]), L,
+                   rng.choice((0.2, 0.5)))
+    rho = table(product(range(nL), range(nL), range(nA)),
+                lambda k: dL[k[0]].mul(dL[k[1]]).mul(dA[k[2]]), A, 0.3)
+    if not rho:
+        return _random_graded(rng)
+    return Algebra3LR(G, L, A, bracket, amul, action, rho)
+
+
+def _random_homogeneous(rng, alg, space):
+    basis = alg.L if space == "L" else alg.A
+    d = rng.choice(basis.degrees)
+    return vec(rng.randint(-2, 2) if e == d else 0 for e in basis.degrees)
+
+
+def test_closure_engine_matches_round_based_reference():
+    rng = random.Random(4168)
+    rho_certs = 0
+    for _ in range(60):
+        alg = _random_graded(rng)
+        no_rho = Algebra3LR(alg.group, alg.L, alg.A, alg.bracket, alg.amul,
+                            alg.action, {})
+        nL, nA = alg.dim_L, alg.dim_A
+        L_tests = [span([_random_homogeneous(rng, alg, "L")], nL),
+                   span([_random_homogeneous(rng, alg, "L")
+                         for _ in range(2)], nL)]
+        for _ in range(3):
+            v = _random_homogeneous(rng, alg, "L")
+            closure = graded_ideal_generated_by(alg, v)
+            assert closure == _ref_closure_L(alg, v)
+            # closed under brackets and actions, perhaps not under rho
+            L_tests += [closure, _ref_closure_L(no_rho, v)]
+        A_tests = [span([_random_homogeneous(rng, alg, "A")], nA)]
+        for _ in range(2):
+            v = _random_homogeneous(rng, alg, "A")
+            closure = A_ideal_generated_by(alg, v)
+            assert closure == _ref_closure_A(alg, v)
+            A_tests.append(closure)
+        for S in L_tests:
+            got = verify_ideal_L(alg, S)
+            assert got == _ref_verify_L(alg, S)
+            rho_certs += got[1] is not None and got[1][0] == "rho-action"
+        for T in A_tests:
+            assert verify_ideal_A(alg, T) == _ref_verify_A(alg, T)
+        s = structure_ideals(alg)
+        assert (s.z_L, s.ker_rho, s.center, s.ann_A, s.ann_L_A,
+                s.ann_A_on_L) == _ref_structure(alg)
+    assert rho_certs > 0
