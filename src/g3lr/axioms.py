@@ -1,18 +1,27 @@
-"""Exhaustive axiom checking on basis tuples.
+"""Exhaustive axiom checking on basis tuples, evaluated on the stored
+sparse tables.
 
 Every check enumerates all relevant basis tuples, with no sampling.
-Because every evaluator is multilinear, an identity verified on basis
-tuples holds for all vectors, so a pass is a proof for the instance at
-hand.  Where an identity is alternating or antisymmetric in a group of
-arguments it suffices to enumerate strictly increasing index tuples for
-that group; this reduction is used for the fundamental identity and is
-spelled out in the docstrings below.
+Because every structure map is multilinear, an identity verified on
+basis tuples holds for all vectors, so a pass is a proof for the
+instance at hand.  Where an identity is alternating or antisymmetric in
+a group of arguments it suffices to enumerate strictly increasing index
+tuples for that group; this reduction is used for the fundamental
+identity and is spelled out in the docstrings below.
+
+Each side of an identity is built as a sparse {index: Fraction} vector
+from the nonzero entries of the tables `alg.bracket/amul/action/rho`,
+read through the signed lookups of `Algebra3LR`.  The left side of the
+fundamental identity on (i, j, k, l, m), for instance, is the sum of
+c_p [p, l, m] over the entries c_p of [i, j, k], so empty products cost
+nothing.  The two sides are compared with their zero coefficients
+dropped, and dense `lhs`/`rhs` tuples are built only for a recorded
+Violation.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, product
-
-from .linalg import vec_add, vec_sub, is_zero_vec
 
 VIOLATION_CAP = 25
 
@@ -55,6 +64,61 @@ class AxiomReport:
                 for axiom, vs in self.violations.items()}
 
 
+# ---- sparse vectors: {index: Fraction}, absent means zero ----
+
+
+def _add(acc, coeff, entry):
+    """acc += coeff * entry."""
+    for t, c in entry.items():
+        acc[t] = acc.get(t, 0) + coeff * c
+
+
+def _apply(acc, coeff, v, images):
+    """acc += coeff * f(v) for the linear map f with basis images
+    `images`."""
+    for q, c in v.items():
+        _add(acc, coeff * c, images[q])
+
+
+def _dense(v, dim):
+    return tuple(Fraction(v.get(t, 0)) for t in range(dim))
+
+
+def _check(out, axiom, witness, lhs, rhs, dim):
+    """Record a Violation when the two sparse sides differ."""
+    if lhs == rhs:
+        return
+    lhs = {t: c for t, c in lhs.items() if c}
+    rhs = {t: c for t, c in rhs.items() if c}
+    if lhs != rhs:
+        out.append(Violation(axiom, witness, _dense(lhs, dim),
+                             _dense(rhs, dim)))
+
+
+def _bracket_images(alg):
+    """ad[x][y][p] = [p, x, y], which also equals [x, y, p]."""
+    r = range(alg.dim_L)
+    return [[[alg.bracket_entry(p, x, y) for p in r] for y in r] for x in r]
+
+
+def _rho_images(alg):
+    """rho[x][y][a] = rho(x, y)(a)."""
+    rL, rA = range(alg.dim_L), range(alg.dim_A)
+    return [[[alg.rho_entry(x, y, a) for a in rA] for y in rL] for x in rL]
+
+
+def _action_images(alg):
+    """act[a][x] = a x."""
+    return [[alg.action_entry(a, x) for x in range(alg.dim_L)]
+            for a in range(alg.dim_A)]
+
+
+def _amul_images(alg):
+    """mul[a][b] = a b."""
+    rA = range(alg.dim_A)
+    return [[alg.amul_entry(a, b) for b in rA] for a in rA]
+
+
 def check_fundamental_identity(alg):
     """[[x1,x2,x3],y1,y2] = [[x1,y1,y2],x2,x3] + [[x2,y1,y2],x3,x1]
     + [[x3,y1,y2],x1,x2] on all basis 5-tuples.  Both sides are
@@ -62,23 +126,22 @@ def check_fundamental_identity(alg):
     index tuples cover everything."""
     out = []
     n = alg.dim_L
+    ad = _bracket_images(alg)
+    pairs = [(l, m, ad[l][m]) for l, m in combinations(range(n), 2)]
     for i, j, k in combinations(range(n), 3):
-        b_ijk = alg.bracket_basis(i, j, k)
-        for l, m in combinations(range(n), 2):
-            lhs = alg.eval_bracket(b_ijk, alg.L_unit(l), alg.L_unit(m))
-            rhs = alg.eval_bracket(alg.bracket_basis(i, l, m),
-                                   alg.L_unit(j), alg.L_unit(k))
-            rhs = vec_add(rhs, alg.eval_bracket(alg.bracket_basis(j, l, m),
-                                                alg.L_unit(k), alg.L_unit(i)))
-            rhs = vec_add(rhs, alg.eval_bracket(alg.bracket_basis(k, l, m),
-                                                alg.L_unit(i), alg.L_unit(j)))
-            if lhs != rhs:
-                out.append(Violation(FUNDAMENTAL, (i, j, k, l, m), lhs, rhs))
+        b_ijk = alg.bracket_entry(i, j, k)
+        jk, ki, ij = ad[j][k], ad[k][i], ad[i][j]
+        for l, m, lm in pairs:
+            b_ilm, b_jlm, b_klm = lm[i], lm[j], lm[k]
+            if not (b_ijk or b_ilm or b_jlm or b_klm):
+                continue
+            lhs, rhs = {}, {}
+            _apply(lhs, 1, b_ijk, lm)
+            _apply(rhs, 1, b_ilm, jk)
+            _apply(rhs, 1, b_jlm, ki)
+            _apply(rhs, 1, b_klm, ij)
+            _check(out, FUNDAMENTAL, (i, j, k, l, m), lhs, rhs, n)
     return out
-
-
-def _rho_op(alg, i, j, a_vec):
-    return alg.eval_rho(alg.L_unit(i), alg.L_unit(j), a_vec)
 
 
 def check_representation(alg):
@@ -95,33 +158,31 @@ def check_representation(alg):
     if not alg.rho:
         # every operator is zero and so is rho applied to any bracket
         return out
-    n = alg.dim_L
+    n, nA = alg.dim_L, alg.dim_A
+    rho = _rho_images(alg)
     for x1, x2, x3, x4 in product(range(n), repeat=4):
-        b123 = alg.bracket_basis(x1, x2, x3)
-        b124 = alg.bracket_basis(x1, x2, x4)
-        b231 = alg.bracket_basis(x2, x3, x1)
-        for ak in range(alg.dim_A):
-            a = alg.A_unit(ak)
-            r34a = _rho_op(alg, x3, x4, a)
-            r12a = _rho_op(alg, x1, x2, a)
-            commutator = vec_sub(_rho_op(alg, x1, x2, r34a),
-                                 _rho_op(alg, x3, x4, r12a))
-            rho_b123_x4 = alg.eval_rho(b123, alg.L_unit(x4), a)
-            rho_b124_x3 = alg.eval_rho(b124, alg.L_unit(x3), a)
-            lhs_i = commutator
-            rhs_i = vec_sub(rho_b123_x4, rho_b124_x3)
-            if lhs_i != rhs_i:
-                out.append(Violation(REPRESENTATION,
-                                     ("i", x1, x2, x3, x4, ak), lhs_i, rhs_i))
-            r14a = _rho_op(alg, x1, x4, a)
-            r24a = _rho_op(alg, x2, x4, a)
-            rhs_ii = _rho_op(alg, x1, x2, r34a)
-            rhs_ii = vec_add(rhs_ii, _rho_op(alg, x2, x3, r14a))
-            rhs_ii = vec_add(rhs_ii, _rho_op(alg, x3, x1, r24a))
-            if rho_b123_x4 != rhs_ii:
-                out.append(Violation(REPRESENTATION,
-                                     ("ii", x1, x2, x3, x4, ak),
-                                     rho_b123_x4, rhs_ii))
+        b123 = alg.bracket_entry(x1, x2, x3)
+        b124 = alg.bracket_entry(x1, x2, x4)
+        r12, r34, r23, r31 = rho[x1][x2], rho[x3][x4], rho[x2][x3], rho[x3][x1]
+        r14, r24 = rho[x1][x4], rho[x2][x4]
+        for ak in range(nA):
+            commutator = {}
+            _apply(commutator, 1, r34[ak], r12)
+            _apply(commutator, -1, r12[ak], r34)
+            rho_b123_x4 = {}
+            for p, c in b123.items():
+                _add(rho_b123_x4, c, rho[p][x4][ak])
+            rhs_i = dict(rho_b123_x4)
+            for p, c in b124.items():
+                _add(rhs_i, -c, rho[p][x3][ak])
+            _check(out, REPRESENTATION, ("i", x1, x2, x3, x4, ak),
+                   commutator, rhs_i, nA)
+            rhs_ii = {}
+            _apply(rhs_ii, 1, r34[ak], r12)
+            _apply(rhs_ii, 1, r14[ak], r23)
+            _apply(rhs_ii, 1, r24[ak], r31)
+            _check(out, REPRESENTATION, ("ii", x1, x2, x3, x4, ak),
+                   rho_b123_x4, rhs_ii, nA)
     return out
 
 
@@ -130,36 +191,32 @@ def check_rinehart_compat(alg):
     rho(a x, y) = rho(x, a y) = a rho(x, y)  on all basis tuples."""
     out = []
     nL, nA = alg.dim_L, alg.dim_A
+    ad, rho = _bracket_images(alg), _rho_images(alg)
+    act, mul = _action_images(alg), _amul_images(alg)
     for x, y, z in product(range(nL), repeat=3):
-        bxyz = alg.bracket_basis(x, y, z)
+        bxy = ad[x][y]
+        bxyz = bxy[z]
         for ak in range(nA):
-            a = alg.A_unit(ak)
-            az = alg.action_basis(ak, z)
-            lhs = alg.eval_bracket(alg.L_unit(x), alg.L_unit(y), az)
-            rhs = alg.eval_action(a, bxyz)
-            rho_a = _rho_op(alg, x, y, a)
-            rhs = vec_add(rhs, alg.eval_action(rho_a, alg.L_unit(z)))
-            if lhs != rhs:
-                out.append(Violation(RINEHART, ("bracket", x, y, z, ak),
-                                     lhs, rhs))
+            lhs, rhs = {}, {}
+            _apply(lhs, 1, act[ak][z], bxy)
+            _apply(rhs, 1, bxyz, act[ak])
+            for q, c in rho[x][y][ak].items():
+                _add(rhs, c, act[q][z])
+            _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs, nL)
     for x, y in product(range(nL), repeat=2):
         for ak in range(nA):
-            a = alg.A_unit(ak)
-            ax = alg.action_basis(ak, x)
-            ay = alg.action_basis(ak, y)
+            ax, ay = act[ak][x], act[ak][y]
             for bk in range(nA):
-                b = alg.A_unit(bk)
-                left = alg.eval_rho(ax, alg.L_unit(y), b)
-                mid = alg.eval_rho(alg.L_unit(x), ay, b)
-                scaled = alg.eval_amul(a, _rho_op(alg, x, y, b))
-                if left != scaled:
-                    out.append(Violation(RINEHART,
-                                         ("rho-left", x, y, ak, bk),
-                                         left, scaled))
-                if mid != scaled:
-                    out.append(Violation(RINEHART,
-                                         ("rho-right", x, y, ak, bk),
-                                         mid, scaled))
+                left, mid, scaled = {}, {}, {}
+                for p, c in ax.items():
+                    _add(left, c, rho[p][y][bk])
+                for p, c in ay.items():
+                    _add(mid, c, rho[x][p][bk])
+                _apply(scaled, 1, rho[x][y][bk], mul[ak])
+                _check(out, RINEHART, ("rho-left", x, y, ak, bk),
+                       left, scaled, nA)
+                _check(out, RINEHART, ("rho-right", x, y, ak, bk),
+                       mid, scaled, nA)
     return out
 
 
@@ -170,17 +227,17 @@ def check_rho_derivation(alg):
     if not alg.rho:
         return out
     nL, nA = alg.dim_L, alg.dim_A
+    rho, mul = _rho_images(alg), _amul_images(alg)
     for x, y in product(range(nL), repeat=2):
+        r = rho[x][y]
         for ai in range(nA):
             for bi in range(ai, nA):
-                a, b = alg.A_unit(ai), alg.A_unit(bi)
-                ab = alg.amul_basis(ai, bi)
-                lhs = _rho_op(alg, x, y, ab)
-                rhs = vec_add(alg.eval_amul(_rho_op(alg, x, y, a), b),
-                              alg.eval_amul(a, _rho_op(alg, x, y, b)))
-                if lhs != rhs:
-                    out.append(Violation(RHO_DERIVATION, (x, y, ai, bi),
-                                         lhs, rhs))
+                lhs, rhs = {}, {}
+                _apply(lhs, 1, mul[ai][bi], r)
+                for q, c in r[ai].items():
+                    _add(rhs, c, mul[q][bi])
+                _apply(rhs, 1, r[bi], mul[ai])
+                _check(out, RHO_DERIVATION, (x, y, ai, bi), lhs, rhs, nA)
     return out
 
 
@@ -189,18 +246,20 @@ def check_A_algebra(alg):
     law (ab)x = a(bx) on mixed triples.  Commutativity is structural."""
     out = []
     nA, nL = alg.dim_A, alg.dim_L
+    act, mul = _action_images(alg), _amul_images(alg)
     for i, j, k in product(range(nA), repeat=3):
-        lhs = alg.eval_amul(alg.amul_basis(i, j), alg.A_unit(k))
-        rhs = alg.eval_amul(alg.A_unit(i), alg.amul_basis(j, k))
-        if lhs != rhs:
-            out.append(Violation(A_ALGEBRA, ("assoc", i, j, k), lhs, rhs))
+        lhs, rhs = {}, {}
+        for p, c in mul[i][j].items():
+            _add(lhs, c, mul[p][k])
+        _apply(rhs, 1, mul[j][k], mul[i])
+        _check(out, A_ALGEBRA, ("assoc", i, j, k), lhs, rhs, nA)
     for i, j in product(range(nA), repeat=2):
         for x in range(nL):
-            lhs = alg.eval_action(alg.amul_basis(i, j), alg.L_unit(x))
-            rhs = alg.eval_action(alg.A_unit(i), alg.action_basis(j, x))
-            if lhs != rhs:
-                out.append(Violation(A_ALGEBRA, ("module", i, j, x),
-                                     lhs, rhs))
+            lhs, rhs = {}, {}
+            for p, c in mul[i][j].items():
+                _add(lhs, c, act[p][x])
+            _apply(rhs, 1, act[j][x], act[i])
+            _check(out, A_ALGEBRA, ("module", i, j, x), lhs, rhs, nL)
     return out
 
 
@@ -210,34 +269,23 @@ def check_grading(alg):
     A_h L_g in L_{hg}, rho(L_g,L_g')(A_h) in A_{gg'h}."""
     out = []
     Ld, Ad = alg.L.degrees, alg.A.degrees
+    nL, nA = alg.dim_L, alg.dim_A
 
-    def bad_targets(entry, want, degrees):
-        return [m for m in entry if degrees[m] != want]
+    def scan(kind, table, want_of, degrees, dim):
+        for key, entry in table.items():
+            want = want_of(key)
+            for m in entry:
+                if degrees[m] != want:
+                    out.append(Violation(GRADING, (kind,) + key + (m,),
+                                         _dense(entry, dim),
+                                         ("expected-degree",) + want.coords))
 
-    for (i, j, k), entry in alg.bracket.items():
-        want = Ld[i].mul(Ld[j]).mul(Ld[k])
-        for m in bad_targets(entry, want, Ld):
-            lhs = alg.bracket_basis(i, j, k)
-            out.append(Violation(GRADING, ("bracket", i, j, k, m),
-                                 lhs, ("expected-degree",) + want.coords))
-    for (i, j), entry in alg.amul.items():
-        want = Ad[i].mul(Ad[j])
-        for m in bad_targets(entry, want, Ad):
-            out.append(Violation(GRADING, ("amul", i, j, m),
-                                 alg.amul_basis(i, j),
-                                 ("expected-degree",) + want.coords))
-    for (ai, li), entry in alg.action.items():
-        want = Ad[ai].mul(Ld[li])
-        for m in bad_targets(entry, want, Ld):
-            out.append(Violation(GRADING, ("action", ai, li, m),
-                                 alg.action_basis(ai, li),
-                                 ("expected-degree",) + want.coords))
-    for (i, j, ak), entry in alg.rho.items():
-        want = Ld[i].mul(Ld[j]).mul(Ad[ak])
-        for m in bad_targets(entry, want, Ad):
-            out.append(Violation(GRADING, ("rho", i, j, ak, m),
-                                 alg.rho_basis(i, j, ak),
-                                 ("expected-degree",) + want.coords))
+    scan("bracket", alg.bracket,
+         lambda k: Ld[k[0]].mul(Ld[k[1]]).mul(Ld[k[2]]), Ld, nL)
+    scan("amul", alg.amul, lambda k: Ad[k[0]].mul(Ad[k[1]]), Ad, nA)
+    scan("action", alg.action, lambda k: Ad[k[0]].mul(Ld[k[1]]), Ld, nL)
+    scan("rho", alg.rho,
+         lambda k: Ld[k[0]].mul(Ld[k[1]]).mul(Ad[k[2]]), Ad, nA)
     return out
 
 
@@ -246,13 +294,11 @@ def rho_antisymmetry_witnesses(alg):
     defining identities never require antisymmetry, so this is reported
     as a note only."""
     out = []
-    n = alg.dim_L
-    for i, j in combinations(range(n), 2):
+    for i, j in combinations(range(alg.dim_L), 2):
         for ak in range(alg.dim_A):
-            a = alg.A_unit(ak)
-            fwd = _rho_op(alg, i, j, a)
-            bwd = _rho_op(alg, j, i, a)
-            if not is_zero_vec(vec_add(fwd, bwd)):
+            total = dict(alg.rho_entry(i, j, ak))
+            _add(total, 1, alg.rho_entry(j, i, ak))
+            if any(total.values()):
                 out.append((i, j, ak))
     return out
 

@@ -14,6 +14,7 @@ byte-identical output.
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .groups import GroupElem, GroupSpec
@@ -32,12 +33,23 @@ class ParseError(Exception):
         self.message = message
 
 
+# the coefficient grammar of docs/instance.schema.json
+_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
 def _parse_fraction(s, where):
-    try:
-        f = Fraction(str(s))
-    except (ValueError, ZeroDivisionError):
+    if type(s) is not str or not _RATIONAL.fullmatch(s):
         raise ParseError(where, "malformed rational %r" % (s,))
-    return f
+    return Fraction(s)
+
+
+def _int_list(value, where, what):
+    """A JSON array of integers; booleans and floats are rejected, not
+    coerced."""
+    if type(value) is not list or any(type(x) is not int for x in value):
+        raise ParseError(where, "%s must be a list of integers: %r"
+                         % (what, value))
+    return tuple(value)
 
 
 def _parse_basis(data, group, where):
@@ -52,9 +64,10 @@ def _parse_basis(data, group, where):
         raise ParseError(where, "duplicate basis labels")
     elems = []
     for d in degrees:
+        d = _int_list(d, where, "a degree")
         if len(d) != len(group.moduli):
             raise ParseError(where, "degree arity mismatch: %r" % (d,))
-        elems.append(group.elem(tuple(d)))
+        elems.append(group.elem(d))
     return GradedBasis(tuple(labels), tuple(elems))
 
 
@@ -100,7 +113,7 @@ def instance_from_dict(data):
     if data.get("schema") != INSTANCE_SCHEMA:
         raise ParseError("schema", "expected %r" % INSTANCE_SCHEMA)
     try:
-        moduli = tuple(data["group"]["moduli"])
+        moduli = _int_list(data["group"]["moduli"], "group", "moduli")
     except (KeyError, TypeError):
         raise ParseError("group", "expected group.moduli")
     try:

@@ -14,11 +14,15 @@ Unlisted entries are zero.  Skew symmetry of the bracket and
 commutativity of the product hold by storage convention; the genuinely
 checkable axioms live in `axioms`.
 
-Evaluators are multilinear extensions over the stored basis constants,
-so checking an identity on basis tuples proves it for all vectors.
+The signed lookups (`bracket_entry`, `amul_entry`, `action_entry`,
+`rho_entry`) give the sparse image of one basis tuple under any argument
+order; the axiom suite evaluates its identities on these.  The dense
+`*_basis` products and the multilinear `eval_*` evaluators serve the
+decomposition layer, which works with dense vectors.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .groups import GroupElem, GroupSpec
 from .linalg import Subspace, unit_vec, vec, zero_vec
@@ -56,6 +60,9 @@ def _sparse(entries, dim):
                 raise ValueError("structure constant index out of range")
             out[idx] = c
     return out
+
+
+_EMPTY = MappingProxyType({})
 
 
 def _perm_sign_and_sorted(i, j, k):
@@ -124,6 +131,29 @@ class Algebra3LR:
                 self.rho[(i, j, ak)] = v
 
         self._basis_cache = {}
+
+    # ---- signed lookups: sparse images of basis tuples ----
+    # The result may be the stored entry itself; callers must not modify it.
+
+    def bracket_entry(self, i, j, k):
+        """[x_i, x_j, x_k] as {index: Fraction}: the entry stored under
+        the sorted key, times the sign of the sorting permutation."""
+        if i == j or j == k or i == k:
+            return _EMPTY
+        sign, key = _perm_sign_and_sorted(i, j, k)
+        entry = self.bracket.get(key, _EMPTY)
+        if sign > 0:
+            return entry
+        return {m: -c for m, c in entry.items()}
+
+    def amul_entry(self, i, j):
+        return self.amul.get((i, j) if i <= j else (j, i), _EMPTY)
+
+    def action_entry(self, ai, li):
+        return self.action.get((ai, li), _EMPTY)
+
+    def rho_entry(self, i, j, ak):
+        return self.rho.get((i, j, ak), _EMPTY)
 
     # ---- basis-level products (dense vectors) ----
 

@@ -1,0 +1,83 @@
+"""Shared test instances: the valid trace seed with a nonzero rho, and
+invalid instances that together fail every axiom group, all but one a
+single-entry change of a valid instance."""
+
+from fractions import Fraction
+
+from g3lr.catalog import LieRinehartSeed, builtin, from_lie_trace
+from g3lr.groups import GroupSpec
+from g3lr.model import Algebra3LR, GradedBasis
+
+
+def rebuild(alg, **overrides):
+    parts = dict(bracket=alg.bracket, amul=alg.amul, action=alg.action,
+                 rho=alg.rho)
+    parts.update(overrides)
+    return Algebra3LR(alg.group, alg.L, alg.A, **parts)
+
+
+def with_entry(alg, table, key, entry):
+    """`alg` with one entry of one table replaced."""
+    changed = dict(getattr(alg, table))
+    changed[key] = entry
+    return rebuild(alg, **{table: changed})
+
+
+def rho_trace_seed():
+    """The trace construction of Bai, Bai & Wang on L = sl2 + span{I, J}
+    over the dual numbers A = span{1, t}: deg e = 1, deg f = -1,
+    deg t = 2, t acts as zero on L, rep(J)(t) = t and tau(I) = 1, so
+    rho(I, J)(t) = t."""
+    g = GroupSpec((0,))
+    L = GradedBasis(("e", "f", "h", "I", "J"),
+                    tuple(g.elem((d,)) for d in (1, -1, 0, 0, 0)))
+    A = GradedBasis(("one", "t"), (g.identity(), g.elem((2,))))
+    return from_lie_trace(LieRinehartSeed(
+        group=g, L=L, A=A,
+        lie_bracket={(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
+        amul={(0, 0): {0: 1}, (0, 1): {1: 1}},
+        action={(0, li): {li: 1} for li in range(5)},
+        rep={(4, 1): {1: 1}},
+        tau=(0, 0, 0, 1, 0)))
+
+
+def garbage_ungraded():
+    """Trivially graded 5-dimensional L with an arbitrary bracket table;
+    the grading checker is silent but the fundamental identity fails on
+    many 5-tuples."""
+    G = GroupSpec(())
+    L = GradedBasis(tuple("v%d" % i for i in range(5)), (G.identity(),) * 5)
+    A = GradedBasis(("one",), (G.identity(),))
+    br = {(0, 1, 2): {3: 1}, (0, 1, 3): {4: 1}, (2, 3, 4): {0: 1},
+          (1, 2, 4): {1: 1}, (0, 2, 3): {2: 1}}
+    return Algebra3LR(G, L, A, br, {(0, 0): {0: 1}},
+                      {(0, i): {i: 1} for i in range(5)}, {})
+
+
+def _doubled(alg, table, key):
+    return with_entry(alg, table, key,
+                      {m: 2 * c for m, c in getattr(alg, table)[key].items()})
+
+
+def failing_instances():
+    """name -> invalid instance; together they make every axiom group
+    report violations."""
+    seed = rho_trace_seed()
+    return {
+        "fundamental-garbage": garbage_ungraded(),
+        # a bracket target moved into a fiber of the wrong degree
+        "grading-a4": with_entry(builtin("a4"), "bracket", (0, 1, 2),
+                                 {0: Fraction(1)}),
+        # t * t = t in the dual numbers
+        "A-algebra-dual": with_entry(builtin("a4-dual-numbers"), "amul",
+                                     (1, 1), {1: Fraction(1)}),
+        # the unit acts by 2 on e1 only
+        "rinehart-a4": _doubled(builtin("a4"), "action", (0, 0)),
+        # rho(I, J)(t) moved from A_2 into A_0
+        "grading-rho-seed": with_entry(seed, "rho", (3, 4, 1),
+                                       {0: Fraction(1)}),
+        "rho-doubled-seed": _doubled(seed, "rho", (3, 4, 1)),
+        # rho(I, J) sends the unit to itself: not a derivation
+        "rho-derivation-seed": with_entry(seed, "rho", (3, 4, 0),
+                                          {0: Fraction(1)}),
+    }

@@ -12,18 +12,19 @@ import random
 import sys
 from pathlib import Path
 
+from _cases import failing_instances
 from test_connections import _check_equivalence, _random_supports
 
-from g3lr.axioms import run_all
+from g3lr.axioms import ALL_AXIOMS, run_all
 from g3lr.catalog import BUILTIN_NAMES, builtin, direct_sum
-from g3lr.cli import EXIT_OK, main
+from g3lr.cli import EXIT_OK, EXIT_VIOLATIONS, main
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
 from g3lr.decompose import (build_A_ideal, build_I, check_G_multiplicative,
                             check_maximal_length, check_tight, decompose,
                             graded_ideal_generated_by, structure_ideals,
                             verify_ideal_A, verify_ideal_L,
                             verify_triple_orthogonality)
-from g3lr.instio import instance_from_dict, instance_to_dict
+from g3lr.instio import instance_from_dict, instance_to_dict, save_instance
 from g3lr.linalg import full_subspace, vec, zero_vec
 from g3lr.model import Algebra3LR
 
@@ -220,6 +221,26 @@ GOLDEN_REPORTS = {
         "a96e443b17e804ff9986eb70ac1fe84b6c0d3d002ff42dee9018794de4bf6787",
 }
 
+# sha256 of the `g3lr report` bytes, capped violations with their lhs
+# and rhs included, for invalid instances that together fail every axiom
+# group (see `_cases.failing_instances`)
+GOLDEN_FAILING_REPORTS = {
+    "fundamental-garbage":
+        "eeef204ae825c0d4562ccdc1fc967b9d783be781900474dcfffd6dfbe4cd554c",
+    "grading-a4":
+        "645c7d3f7810deb2a1aa783a59398321332370727f98db8c0b0c8103f83787a3",
+    "A-algebra-dual":
+        "cf8b6386ae291e49d9c5c6df1800d8ae9f18338ca739d3fa272c72e1a663347d",
+    "rinehart-a4":
+        "dee3c4eaaa1e47e68244abe72b3ae86909781d69e315f44b43843fb9cb4c274d",
+    "grading-rho-seed":
+        "15881953c245c3c7fcbc744647f655b98a9d16f2e624317069f1d77d876ba911",
+    "rho-doubled-seed":
+        "4c739ac8487e49ba64d0d08706c87ab45dfb14697c0a208056fa38dc11c28063",
+    "rho-derivation-seed":
+        "6d8ffae4426f5ac451708357df2d58d864299a721d9f68875ac8d4b65ec641d1",
+}
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
@@ -247,3 +268,16 @@ def test_criterion_9_cli_determinism(tmp_path):
         ok = ok and got == (EXIT_OK, GOLDEN_REPORTS[path.name])
         seen.add(path.name)
     _verdict(9, ok and seen == set(GOLDEN_REPORTS))
+
+
+def test_failing_reports_match_golden_digests(tmp_path):
+    cases = failing_instances()
+    assert set(cases) == set(GOLDEN_FAILING_REPORTS)
+    failed = set()
+    for name, alg in cases.items():
+        path = tmp_path / ("%s.json" % name)
+        save_instance(alg, str(path))
+        assert _report_digest(path, tmp_path / "r.json") \
+            == (EXIT_VIOLATIONS, GOLDEN_FAILING_REPORTS[name]), name
+        failed |= {a for a, c in run_all(alg).counts.items() if c}
+    assert failed == set(ALL_AXIOMS)

@@ -1,22 +1,24 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from g3lr.axioms import (A_ALGEBRA, FUNDAMENTAL, GRADING, RINEHART,
+from _cases import garbage_ungraded, rebuild, rho_trace_seed, with_entry
+import _dense_axioms as dense
+from test_acceptance import _perturb
+from test_decompose import _random_graded
+
+from g3lr.axioms import (A_ALGEBRA, ALL_AXIOMS, FUNDAMENTAL, GRADING,
+                         REPRESENTATION, RHO_DERIVATION, RINEHART,
                          VIOLATION_CAP, Violation, check_A_algebra,
                          check_fundamental_identity, check_grading,
                          check_representation, check_rho_derivation,
                          check_rinehart_compat, rho_antisymmetry_witnesses,
                          run_all)
-from g3lr.catalog import builtin
+from g3lr.catalog import BUILTIN_NAMES, builtin
+from g3lr.instio import load_instance
 from g3lr.model import Algebra3LR, GradedBasis
-
-
-def _rebuild(alg, **overrides):
-    parts = dict(bracket=alg.bracket, amul=alg.amul, action=alg.action,
-                 rho=alg.rho)
-    parts.update(overrides)
-    return Algebra3LR(alg.group, alg.L, alg.A, **parts)
 
 
 def test_all_builtins_pass():
@@ -31,22 +33,8 @@ def test_violation_requires_disagreement():
         Violation(FUNDAMENTAL, (0,), (1,), (1,))
 
 
-def _garbage_ungraded():
-    """Trivially graded 5-dimensional L with an arbitrary bracket table;
-    the grading checker is silent but the fundamental identity fails on
-    many 5-tuples."""
-    from g3lr.groups import GroupSpec
-    G = GroupSpec(())
-    L = GradedBasis(tuple("v%d" % i for i in range(5)), (G.identity(),) * 5)
-    A = GradedBasis(("one",), (G.identity(),))
-    br = {(0, 1, 2): {3: 1}, (0, 1, 3): {4: 1}, (2, 3, 4): {0: 1},
-          (1, 2, 4): {1: 1}, (0, 2, 3): {2: 1}}
-    return Algebra3LR(G, L, A, br, {(0, 0): {0: 1}},
-                      {(0, i): {i: 1} for i in range(5)}, {})
-
-
 def test_fundamental_identity_violations_reported():
-    broken = _garbage_ungraded()
+    broken = garbage_ungraded()
     assert check_grading(broken) == []
     vs = check_fundamental_identity(broken)
     assert vs
@@ -61,18 +49,18 @@ def test_degenerate_bracket_variants_still_valid():
     for key in list(alg.bracket):
         dropped = {k: v for k, v in alg.bracket.items() if k != key}
         assert check_fundamental_identity(
-            _rebuild(alg, bracket=dropped)) == []
+            rebuild(alg, bracket=dropped)) == []
         scaled = dict(alg.bracket)
         scaled[key] = {m: 2 * c for m, c in scaled[key].items()}
         assert check_fundamental_identity(
-            _rebuild(alg, bracket=scaled)) == []
+            rebuild(alg, bracket=scaled)) == []
 
 
 def test_wrong_degree_target_breaks_grading():
     alg = builtin("a4")
     bad = dict(alg.bracket)
     bad[(0, 1, 2)] = {0: 1}      # lands in the wrong fiber
-    broken = _rebuild(alg, bracket=bad)
+    broken = rebuild(alg, bracket=bad)
     vs = check_grading(broken)
     assert vs and vs[0].axiom == GRADING
 
@@ -81,7 +69,7 @@ def test_broken_action_breaks_rinehart():
     alg = builtin("a4")
     bad = dict(alg.action)
     bad[(0, 0)] = {0: 2}         # unit now acts by 2 on e1 only
-    broken = _rebuild(alg, action=bad)
+    broken = rebuild(alg, action=bad)
     assert check_rinehart_compat(broken) or check_A_algebra(broken)
 
 
@@ -89,7 +77,7 @@ def test_broken_amul_breaks_associativity():
     alg = builtin("a4-dual-numbers")
     bad = dict(alg.amul)
     bad[(1, 1)] = {1: 1}         # t*t = t
-    broken = _rebuild(alg, amul=bad)
+    broken = rebuild(alg, amul=bad)
     vs = check_A_algebra(broken)
     assert any(v.witness[0] in ("assoc", "module") for v in vs)
 
@@ -107,7 +95,7 @@ def test_rho_antisymmetry_note_absent_without_rho():
 
 
 def test_report_capping_keeps_counts():
-    report = run_all(_garbage_ungraded())
+    report = run_all(garbage_ungraded())
     assert not report.passed
     assert report.counts[FUNDAMENTAL] > VIOLATION_CAP
     capped = report.capped()
@@ -161,5 +149,84 @@ def test_rinehart_rho_scaling_clause():
     # ((1,0,0)(0,1,0)(0,0,0) = (1,1,0)) is violated too, but the
     # A-linearity clause must fire regardless
     rho = {(0, 1, 0): {1: Fraction(1)}}
-    broken = _rebuild(alg, rho=rho)
+    broken = rebuild(alg, rho=rho)
     assert check_rinehart_compat(broken)
+
+
+def test_trace_seed_with_nonzero_rho_passes():
+    """The Bai-Bai-Wang trace seed is valid and has rho(I, J)(t) = t, so
+    the representation and rho-derivation checks do work on a passing
+    instance."""
+    alg = rho_trace_seed()
+    report = run_all(alg)
+    assert report.passed, report.counts
+    I, J, t = alg.L.index("I"), alg.L.index("J"), alg.A.index("t")
+    assert alg.rho_entry(I, J, t) == {t: Fraction(1)}
+    assert alg.rho_entry(J, I, t) == {t: Fraction(-1)}
+    assert check_representation(alg) == [] and check_rho_derivation(alg) == []
+
+
+# ---------------------------------------------------------------------------
+# differential test: the sparse checks against the dense reference in
+# _dense_axioms.py, violation by violation
+
+SPARSE_CHECKS = {
+    FUNDAMENTAL: check_fundamental_identity,
+    REPRESENTATION: check_representation,
+    RINEHART: check_rinehart_compat,
+    RHO_DERIVATION: check_rho_derivation,
+    A_ALGEBRA: check_A_algebra,
+    GRADING: check_grading,
+}
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+
+def _single_entry_mutants(alg):
+    """Every bracket target moved to a basis vector of another degree
+    (grading breaks) and every action, amul and rho entry doubled."""
+    out = []
+    degrees = alg.L.degrees
+    for key, entry in sorted(alg.bracket.items()):
+        for m in sorted(entry):
+            for m2 in range(alg.dim_L):
+                if m2 in entry or degrees[m2] == degrees[m]:
+                    continue
+                moved = {t: c for t, c in entry.items() if t != m}
+                moved[m2] = entry[m]
+                out.append(with_entry(alg, "bracket", key, moved))
+    for table in ("action", "amul", "rho"):
+        for key, entry in sorted(getattr(alg, table).items()):
+            out.append(with_entry(alg, table, key,
+                                  {t: 2 * c for t, c in entry.items()}))
+    return out
+
+
+def _differential_cases():
+    cases = [builtin(name) for name in BUILTIN_NAMES]
+    cases += [load_instance(str(p)) for p in sorted(EXAMPLES.glob("*.json"))]
+    rng = random.Random(101)            # criterion 1's perturbations
+    cases += [_perturb(builtin(name), rng)
+              for name in ("a4", "gl2-trace") for _ in range(20)]
+    for name in ("a4", "gl2-trace"):
+        cases += _single_entry_mutants(builtin(name))
+    cases.append(rho_trace_seed())
+    rng = random.Random(5150)
+    cases += [_random_graded(rng) for _ in range(40)]
+    return cases
+
+
+def _rows(violations):
+    return [repr((v.axiom, v.witness, v.lhs, v.rhs)) for v in violations]
+
+
+def test_sparse_checks_match_dense_reference():
+    seen = dict.fromkeys(ALL_AXIOMS, 0)
+    for alg in _differential_cases():
+        for axiom, reference in dense.DENSE_CHECKS:
+            want = reference(alg)
+            assert _rows(SPARSE_CHECKS[axiom](alg)) == _rows(want)
+            seen[axiom] += len(want)
+        assert rho_antisymmetry_witnesses(alg) \
+            == dense.rho_antisymmetry_witnesses(alg)
+    assert all(seen.values()), seen

@@ -106,6 +106,40 @@ def test_rejects_duplicate_entry():
     _expect_parse_error(doc, "duplicate")
 
 
+def test_rejects_float_degree():
+    doc = _a4_doc()
+    doc["L"]["degrees"][0] = [1.7, 0]
+    _expect_parse_error(doc, "list of integers")
+
+
+def test_rejects_float_modulus():
+    doc = _a4_doc()
+    doc["group"]["moduli"] = [2.5, 2]
+    _expect_parse_error(doc, "list of integers")
+
+
+def test_rejects_boolean_degree():
+    doc = _a4_doc()
+    doc["A"]["degrees"][0] = [True, 0]
+    _expect_parse_error(doc, "list of integers")
+
+
+def test_non_integer_degree_string_is_a_parse_error(tmp_path):
+    doc = _a4_doc()
+    doc["L"]["degrees"][0] = ["one", 0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _ = _run("validate", str(path))
+    assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("value", ["1e3", "0.5", " 1", "1/-2", "+1", 1])
+def test_rejects_rationals_outside_the_schema_grammar(value):
+    doc = _a4_doc()
+    doc["bracket"][0]["value"] = {"e4": value}
+    _expect_parse_error(doc, "malformed rational")
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
