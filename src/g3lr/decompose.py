@@ -13,9 +13,10 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
-from .linalg import (Subspace, full_subspace, intersect_subspaces,
-                     is_zero_vec, complement, solve_homogeneous, span,
-                     sum_subspaces, zero_subspace)
+from .linalg import (Subspace, complement, dense_vec, full_subspace,
+                     intersect_subspaces, is_zero_vec, nonzero_coords,
+                     solve_homogeneous, span, sparse_sum, sum_subspaces,
+                     zero_subspace, zero_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -117,30 +118,36 @@ class DecompositionReport:
 # spanning-row helpers
 
 
+def _rows(entries, n):
+    """Dense rows of the nonzero sparse entries, in order; a zero entry
+    adds nothing to a span."""
+    return [dense_vec(e, n) for e in entries if e]
+
+
 def _action_rows(alg, a_deg, l_deg):
-    return [alg.action_basis(ai, li)
-            for ai in alg.fiber_indices("A", a_deg)
-            for li in alg.fiber_indices("L", l_deg)]
+    return _rows((alg.action_entry(ai, li)
+                  for ai in alg.fiber_indices("A", a_deg)
+                  for li in alg.fiber_indices("L", l_deg)), alg.dim_L)
 
 
 def _bracket_rows(alg, g, h, k):
-    return [alg.bracket_basis(i, j, m)
-            for i in alg.fiber_indices("L", g)
-            for j in alg.fiber_indices("L", h)
-            for m in alg.fiber_indices("L", k)]
+    return _rows((alg.bracket_entry(i, j, m)
+                  for i in alg.fiber_indices("L", g)
+                  for j in alg.fiber_indices("L", h)
+                  for m in alg.fiber_indices("L", k)), alg.dim_L)
 
 
 def _amul_rows(alg, g, h):
-    return [alg.amul_basis(i, j)
-            for i in alg.fiber_indices("A", g)
-            for j in alg.fiber_indices("A", h)]
+    return _rows((alg.amul_entry(i, j)
+                  for i in alg.fiber_indices("A", g)
+                  for j in alg.fiber_indices("A", h)), alg.dim_A)
 
 
 def _rho_rows(alg, g, h, a_deg):
-    return [alg.rho_basis(i, j, ak)
-            for i in alg.fiber_indices("L", g)
-            for j in alg.fiber_indices("L", h)
-            for ak in alg.fiber_indices("A", a_deg)]
+    return _rows((alg.rho_entry(i, j, ak)
+                  for i in alg.fiber_indices("L", g)
+                  for j in alg.fiber_indices("L", h)
+                  for ak in alg.fiber_indices("A", a_deg)), alg.dim_A)
 
 
 def _sorted_elems(elems):
@@ -224,19 +231,32 @@ def _ideal_products(alg, side, old, new):
     """The products an ideal spanned by the rows old + new must absorb
     that involve at least one row of new, each with its certificate tag,
     in a fixed order: brackets [s, L, L], then the A-action, then the
-    rho-derived actions rho(s1, s2)(A) L.  On the A side: A t."""
+    rho-derived actions rho(s1, s2)(A) L.  On the A side: A t.
+
+    Each product is a sum over the nonzero coordinates of its rows of
+    signed lookups, e.g. [s, e_i, e_j] = sum_p s_p [e_p, e_i, e_j].  Zero
+    products are skipped: every subspace contains them."""
+    nL, nA = alg.dim_L, alg.dim_A
     if side == "A":
         for t in new:
-            for ai in range(alg.dim_A):
-                yield ("amul", ai, t), alg.eval_amul(alg.A_unit(ai), t)
+            nz = nonzero_coords(t)
+            for ai in range(nA):
+                v = sparse_sum((c, alg.amul_entry(ai, m)) for m, c in nz)
+                if v:
+                    yield ("amul", ai, t), dense_vec(v, nA)
         return
     for s in new:
-        for i, j in combinations(range(alg.dim_L), 2):
-            yield (("bracket", s, i, j),
-                   alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j)))
+        nz = nonzero_coords(s)
+        for i, j in combinations(range(nL), 2):
+            v = sparse_sum((c, alg.bracket_entry(p, i, j)) for p, c in nz)
+            if v:
+                yield ("bracket", s, i, j), dense_vec(v, nL)
     for s in new:
-        for ai in range(alg.dim_A):
-            yield ("action", ai, s), alg.eval_action(alg.A_unit(ai), s)
+        nz = nonzero_coords(s)
+        for ai in range(nA):
+            v = sparse_sum((c, alg.action_entry(ai, m)) for m, c in nz)
+            if v:
+                yield ("action", ai, s), dense_vec(v, nL)
     if not alg.rho:
         return
     rows = old + new
@@ -244,13 +264,18 @@ def _ideal_products(alg, side, old, new):
         for q, s2 in enumerate(rows):
             if max(p, q) < len(old):
                 continue
-            for ak in range(alg.dim_A):
-                ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
-                if is_zero_vec(ra):
-                    continue
-                for lj in range(alg.dim_L):
-                    yield (("rho-action", s1, s2, ak, lj),
-                           alg.eval_action(ra, alg.L_unit(lj)))
+            pairs = [(c1 * c2, i, j)
+                     for i, c1 in nonzero_coords(s1)
+                     for j, c2 in nonzero_coords(s2)]
+            for ak in range(nA):
+                ra = sparse_sum((f, alg.rho_entry(i, j, ak))
+                                for f, i, j in pairs)
+                for lj in range(nL) if ra else ():
+                    v = sparse_sum((c, alg.action_entry(m, lj))
+                                   for m, c in ra.items())
+                    if v:
+                        yield (("rho-action", s1, s2, ak, lj),
+                               dense_vec(v, nL))
 
 
 def _verify_ideal(alg, side, S):
@@ -330,32 +355,37 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
 # structural subspaces and predicates
 
 
-def _kernel(maps, dim, out):
-    """Common null space in F^dim of linear maps into F^out, each given
-    by its list of images of the dim basis vectors."""
+def _kernel(maps, dim):
+    """Common null space in F^dim of linear maps, each given by the
+    sparse images of the dim basis vectors.  Each output coordinate that
+    some image reaches gives one constraint row; the rows of the other
+    coordinates are zero and are never formed."""
     rows = []
-    for cols in maps:
-        rows += [tuple(c[t] for c in cols) for t in range(out)]
+    for images in maps:
+        by_out = {}
+        for m, image in enumerate(images):
+            for t, c in image.items():
+                by_out.setdefault(t, list(zero_vec(dim)))[m] = c
+        rows += by_out.values()
     return solve_homogeneous(rows, dim)
 
 
 def structure_ideals(alg):
     """Center, kernel of the representation and the annihilators, each
     as the null space of stacked basis-level linear constraints."""
-    nL, nA = alg.dim_L, alg.dim_A
-    rL, rA, e = range(nL), range(nA), alg.L_unit
-    z_L = _kernel(([alg.eval_bracket(e(m), e(i), e(j)) for m in rL]
-                   for i, j in combinations(rL, 2)), nL, nL)
-    ker_rho = _kernel(([alg.rho_basis(m, j, ak) for m in rL]
-                       for j in rL for ak in rA if alg.rho), nL, nA)
+    rL, rA = range(alg.dim_L), range(alg.dim_A)
+    z_L = _kernel(([alg.bracket_entry(m, i, j) for m in rL]
+                   for i, j in combinations(rL, 2)), alg.dim_L)
+    ker_rho = _kernel(([alg.rho_entry(m, j, ak) for m in rL]
+                       for j in rL for ak in rA), alg.dim_L)
     return StructureIdeals(
         z_L, ker_rho, intersect_subspaces(z_L, ker_rho),
-        ann_A=_kernel(([alg.amul_basis(m, j) for m in rA] for j in rA),
-                      nA, nA),
-        ann_L_A=_kernel(([alg.action_basis(ai, m) for m in rL]
-                         for ai in rA), nL, nL),
-        ann_A_on_L=_kernel(([alg.action_basis(m, lj) for m in rA]
-                            for lj in rL), nA, nL))
+        ann_A=_kernel(([alg.amul_entry(m, j) for m in rA] for j in rA),
+                      alg.dim_A),
+        ann_L_A=_kernel(([alg.action_entry(ai, m) for m in rL]
+                         for ai in rA), alg.dim_L),
+        ann_A_on_L=_kernel(([alg.action_entry(m, lj) for m in rA]
+                            for lj in rL), alg.dim_A))
 
 
 def check_tight(alg, structure=None):
@@ -367,11 +397,8 @@ def check_tight(alg, structure=None):
     supports = compute_supports(alg)
     one = alg.group.identity()
     nL, nA = alg.dim_L, alg.dim_A
-
-    AA = span([alg.amul_basis(i, j)
-               for i, j in combinations_with_replacement(range(nA), 2)], nA)
-    AL = span([alg.action_basis(ai, lj)
-               for ai in range(nA) for lj in range(nL)], nL)
+    AA = span(_rows(alg.amul.values(), nA), nA)
+    AL = span(_rows(alg.action.values(), nL), nL)
 
     return TightnessReport(
         center_zero=structure.center.dim == 0,
@@ -496,16 +523,12 @@ def check_gr_simple_L(alg, within=None, structure=None):
         structure = structure_ideals(alg)
     ker_part = intersect_subspaces(structure.ker_rho, C)
 
-    bracket_sp = span([alg.eval_bracket(u, v, w)
-                       for u, v, w in combinations(C.basis, 3)], alg.dim_L)
-    AA_nonzero = span([alg.amul_basis(i, j)
-                       for i, j in
-                       combinations_with_replacement(range(alg.dim_A), 2)],
-                      alg.dim_A).dim > 0
-    AL_nonzero = span([alg.eval_action(alg.A_unit(ai), x)
-                       for ai in range(alg.dim_A)
-                       for x in C.basis], alg.dim_L).dim > 0
-    if bracket_sp.dim == 0:
+    bracket_nonzero = any(not is_zero_vec(alg.eval_bracket(u, v, w))
+                          for u, v, w in combinations(C.basis, 3))
+    AA_nonzero = bool(alg.amul)           # only nonzero entries are stored
+    AL_nonzero = any(not is_zero_vec(alg.eval_action(alg.A_unit(ai), x))
+                     for ai in range(alg.dim_A) for x in C.basis)
+    if not bracket_nonzero:
         return SimplicityVerdict("no", False, AA_nonzero, AL_nonzero,
                                  witness="zero-bracket")
     verdict, witness = _close_generators(alg, "L", C, allowed=ker_part)
@@ -514,10 +537,8 @@ def check_gr_simple_L(alg, within=None, structure=None):
 
 def check_gr_simple_A(alg, within=None):
     C = within if within is not None else full_subspace(alg.dim_A)
-    prod_sp = span([alg.eval_amul(u, v)
-                    for u, v in combinations_with_replacement(C.basis, 2)],
-                   alg.dim_A)
-    if prod_sp.dim == 0:
+    if all(is_zero_vec(alg.eval_amul(u, v))
+           for u, v in combinations_with_replacement(C.basis, 2)):
         return SimplicityVerdict("no", False, witness="zero-product")
     verdict, witness = _close_generators(alg, "A", C)
     return SimplicityVerdict(verdict, True, witness=witness)

@@ -54,10 +54,12 @@ def _int_list(value, where, what):
 
 def _parse_basis(data, group, where):
     try:
-        labels = list(data["labels"])
+        labels = data["labels"]
         degrees = list(data["degrees"])
     except (KeyError, TypeError):
         raise ParseError(where, "expected labels and degrees")
+    if type(labels) is not list or any(type(x) is not str for x in labels):
+        raise ParseError(where, "labels must be a list of strings")
     if len(labels) != len(degrees):
         raise ParseError(where, "labels and degrees differ in length")
     if len(set(labels)) != len(labels):
@@ -86,10 +88,12 @@ def _parse_table(entries, arg_bases, value_basis, where, canonical=None):
     for pos, entry in enumerate(entries or []):
         here = "%s[%d]" % (where, pos)
         try:
-            args = list(entry["args"])
-            value = dict(entry["value"])
+            args, value = entry["args"], entry["value"]
         except (KeyError, TypeError):
             raise ParseError(here, "expected args and value")
+        if type(args) is not list or type(value) is not dict:
+            raise ParseError(here, "args must be an array and value an "
+                             "object: %r" % (entry,))
         if len(args) != len(arg_bases):
             raise ParseError(here, "expected %d arguments" % len(arg_bases))
         idx = tuple(_label_index(b, a, here)

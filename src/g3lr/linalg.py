@@ -21,6 +21,29 @@ def unit_vec(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
+def nonzero_coords(v):
+    """The (index, coordinate) pairs of v with a nonzero coordinate."""
+    return [(i, c) for i, c in enumerate(v) if c]
+
+
+def dense_vec(entry, n):
+    """The sparse vector {index: Fraction} as a dense tuple of length n."""
+    out = list(zero_vec(n))
+    for m, c in entry.items():
+        out[m] = c
+    return tuple(out)
+
+
+def sparse_sum(terms):
+    """The sparse vector sum of f * entry over (f, entry) pairs of
+    scalars and sparse vectors, without zero coefficients."""
+    acc = {}
+    for f, entry in terms:
+        for m, c in entry.items():
+            acc[m] = acc[m] + f * c if m in acc else f * c
+    return {m: c for m, c in acc.items() if c}
+
+
 def vec_add(u, v):
     assert len(u) == len(v)
     return tuple(a + b for a, b in zip(u, v))

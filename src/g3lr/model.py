@@ -16,16 +16,21 @@ checkable axioms live in `axioms`.
 
 The signed lookups (`bracket_entry`, `amul_entry`, `action_entry`,
 `rho_entry`) give the sparse image of one basis tuple under any argument
-order; the axiom suite evaluates its identities on these.  The dense
-`*_basis` products and the multilinear `eval_*` evaluators serve the
-decomposition layer, which works with dense vectors.
+order.  Every product in the package is formed from them: the axiom
+suite evaluates its identities on them, the decomposition layer builds
+its spanning rows, constraint rows and ideal products from them, and the
+multilinear `eval_*` evaluators extend them to dense vectors, summing
+over the nonzero coordinates only.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 from types import MappingProxyType
 
 from .groups import GroupElem, GroupSpec
-from .linalg import Subspace, unit_vec, vec, zero_vec
+from .linalg import (Subspace, dense_vec, nonzero_coords, sparse_sum,
+                     unit_vec)
 
 
 class GradedBasis:
@@ -130,8 +135,6 @@ class Algebra3LR:
             if v:
                 self.rho[(i, j, ak)] = v
 
-        self._basis_cache = {}
-
     # ---- signed lookups: sparse images of basis tuples ----
     # The result may be the stored entry itself; callers must not modify it.
 
@@ -155,147 +158,34 @@ class Algebra3LR:
     def rho_entry(self, i, j, ak):
         return self.rho.get((i, j, ak), _EMPTY)
 
-    # ---- basis-level products (dense vectors) ----
-
-    def bracket_basis(self, i, j, k):
-        cached = self._basis_cache.get(("b", i, j, k))
-        if cached is not None:
-            return cached
-        if i == j or j == k or i == k:
-            out = zero_vec(self.dim_L)
-        else:
-            sign, key = _perm_sign_and_sorted(i, j, k)
-            entry = self.bracket.get(key)
-            acc = [Fraction(0)] * self.dim_L
-            if entry:
-                for m, c in entry.items():
-                    acc[m] = sign * c
-            out = tuple(acc)
-        self._basis_cache[("b", i, j, k)] = out
-        return out
-
-    def amul_basis(self, i, j):
-        cached = self._basis_cache.get(("m", i, j))
-        if cached is not None:
-            return cached
-        key = (i, j) if i <= j else (j, i)
-        entry = self.amul.get(key)
-        acc = [Fraction(0)] * self.dim_A
-        if entry:
-            for m, c in entry.items():
-                acc[m] = c
-        out = tuple(acc)
-        self._basis_cache[("m", i, j)] = out
-        return out
-
-    def action_basis(self, ai, li):
-        cached = self._basis_cache.get(("a", ai, li))
-        if cached is not None:
-            return cached
-        entry = self.action.get((ai, li))
-        acc = [Fraction(0)] * self.dim_L
-        if entry:
-            for m, c in entry.items():
-                acc[m] = c
-        out = tuple(acc)
-        self._basis_cache[("a", ai, li)] = out
-        return out
-
-    def rho_basis(self, i, j, ak):
-        cached = self._basis_cache.get(("r", i, j, ak))
-        if cached is not None:
-            return cached
-        entry = self.rho.get((i, j, ak))
-        acc = [Fraction(0)] * self.dim_A
-        if entry:
-            for m, c in entry.items():
-                acc[m] = c
-        out = tuple(acc)
-        self._basis_cache[("r", i, j, ak)] = out
-        return out
-
     # ---- multilinear evaluators ----
+    # One loop shape: over the tuples of nonzero coordinates, the signed
+    # lookup of the index tuple times the product of the coordinates,
+    # which is formed only when the lookup is nonzero.
+
+    def _eval(self, lookup, dim, *vectors):
+        terms = []
+        for combo in product(*map(nonzero_coords, vectors)):
+            image = lookup(*[i for i, _ in combo])
+            if image:
+                terms.append((prod([c for _, c in combo]), image))
+        return dense_vec(sparse_sum(terms), dim)
 
     def eval_bracket(self, x, y, z):
         assert len(x) == len(y) == len(z) == self.dim_L
-        acc = [Fraction(0)] * self.dim_L
-        bracket = self.bracket
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b or j == i:
-                    continue
-                ab = a * b
-                for k, c in enumerate(z):
-                    if not c or k == i or k == j:
-                        continue
-                    sign, key = _perm_sign_and_sorted(i, j, k)
-                    entry = bracket.get(key)
-                    if not entry:
-                        continue
-                    f = ab * c if sign > 0 else -ab * c
-                    for m, cc in entry.items():
-                        acc[m] += f * cc
-        return vec(acc)
+        return self._eval(self.bracket_entry, self.dim_L, x, y, z)
 
     def eval_amul(self, a, b):
         assert len(a) == len(b) == self.dim_A
-        acc = [Fraction(0)] * self.dim_A
-        for i, p in enumerate(a):
-            if not p:
-                continue
-            for j, q in enumerate(b):
-                if not q:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                entry = self.amul.get(key)
-                if not entry:
-                    continue
-                pq = p * q
-                for m, c in entry.items():
-                    acc[m] += pq * c
-        return vec(acc)
+        return self._eval(self.amul_entry, self.dim_A, a, b)
 
     def eval_action(self, a, x):
         assert len(a) == self.dim_A and len(x) == self.dim_L
-        acc = [Fraction(0)] * self.dim_L
-        for i, p in enumerate(a):
-            if not p:
-                continue
-            for j, q in enumerate(x):
-                if not q:
-                    continue
-                entry = self.action.get((i, j))
-                if not entry:
-                    continue
-                pq = p * q
-                for m, c in entry.items():
-                    acc[m] += pq * c
-        return vec(acc)
+        return self._eval(self.action_entry, self.dim_L, a, x)
 
     def eval_rho(self, x, y, a):
         assert len(x) == len(y) == self.dim_L and len(a) == self.dim_A
-        acc = [Fraction(0)] * self.dim_A
-        if not self.rho:
-            return vec(acc)
-        for i, p in enumerate(x):
-            if not p:
-                continue
-            for j, q in enumerate(y):
-                if not q:
-                    continue
-                pq = p * q
-                for k, r in enumerate(a):
-                    if not r:
-                        continue
-                    entry = self.rho.get((i, j, k))
-                    if not entry:
-                        continue
-                    pqr = pq * r
-                    for m, c in entry.items():
-                        acc[m] += pqr * c
-        return vec(acc)
+        return self._eval(self.rho_entry, self.dim_A, x, y, a)
 
     # ---- degree fibers ----
 

@@ -2,8 +2,8 @@
 
 These are the checks `g3lr.axioms` ran before it evaluated identities on
 the sparse stored tables: every argument is a dense Fraction vector sent
-through the multilinear evaluators of `Algebra3LR`.  The differential
-test in `test_axioms.py` asserts that both return the same violations,
+through the dense evaluators of `_dense_model`.  The differential test
+in `test_axioms.py` asserts that both return the same violations,
 in the same order, with the same witnesses and sides.
 """
 
@@ -12,6 +12,8 @@ from itertools import combinations, product
 from g3lr.axioms import (A_ALGEBRA, FUNDAMENTAL, GRADING, REPRESENTATION,
                          RHO_DERIVATION, RINEHART, Violation)
 from g3lr.linalg import is_zero_vec, vec_add, vec_sub
+
+import _dense_model as dm
 
 
 def check_fundamental_identity(alg):
@@ -22,22 +24,24 @@ def check_fundamental_identity(alg):
     out = []
     n = alg.dim_L
     for i, j, k in combinations(range(n), 3):
-        b_ijk = alg.bracket_basis(i, j, k)
+        b_ijk = dm.bracket_basis(alg, i, j, k)
         for l, m in combinations(range(n), 2):
-            lhs = alg.eval_bracket(b_ijk, alg.L_unit(l), alg.L_unit(m))
-            rhs = alg.eval_bracket(alg.bracket_basis(i, l, m),
-                                   alg.L_unit(j), alg.L_unit(k))
-            rhs = vec_add(rhs, alg.eval_bracket(alg.bracket_basis(j, l, m),
-                                                alg.L_unit(k), alg.L_unit(i)))
-            rhs = vec_add(rhs, alg.eval_bracket(alg.bracket_basis(k, l, m),
-                                                alg.L_unit(i), alg.L_unit(j)))
+            lhs = dm.eval_bracket(alg, b_ijk, alg.L_unit(l), alg.L_unit(m))
+            rhs = dm.eval_bracket(alg, dm.bracket_basis(alg, i, l, m),
+                                  alg.L_unit(j), alg.L_unit(k))
+            rhs = vec_add(rhs, dm.eval_bracket(
+                alg, dm.bracket_basis(alg, j, l, m),
+                alg.L_unit(k), alg.L_unit(i)))
+            rhs = vec_add(rhs, dm.eval_bracket(
+                alg, dm.bracket_basis(alg, k, l, m),
+                alg.L_unit(i), alg.L_unit(j)))
             if lhs != rhs:
                 out.append(Violation(FUNDAMENTAL, (i, j, k, l, m), lhs, rhs))
     return out
 
 
 def _rho_op(alg, i, j, a_vec):
-    return alg.eval_rho(alg.L_unit(i), alg.L_unit(j), a_vec)
+    return dm.eval_rho(alg, alg.L_unit(i), alg.L_unit(j), a_vec)
 
 
 def check_representation(alg):
@@ -56,17 +60,17 @@ def check_representation(alg):
         return out
     n = alg.dim_L
     for x1, x2, x3, x4 in product(range(n), repeat=4):
-        b123 = alg.bracket_basis(x1, x2, x3)
-        b124 = alg.bracket_basis(x1, x2, x4)
-        b231 = alg.bracket_basis(x2, x3, x1)
+        b123 = dm.bracket_basis(alg, x1, x2, x3)
+        b124 = dm.bracket_basis(alg, x1, x2, x4)
+        b231 = dm.bracket_basis(alg, x2, x3, x1)
         for ak in range(alg.dim_A):
             a = alg.A_unit(ak)
             r34a = _rho_op(alg, x3, x4, a)
             r12a = _rho_op(alg, x1, x2, a)
             commutator = vec_sub(_rho_op(alg, x1, x2, r34a),
                                  _rho_op(alg, x3, x4, r12a))
-            rho_b123_x4 = alg.eval_rho(b123, alg.L_unit(x4), a)
-            rho_b124_x3 = alg.eval_rho(b124, alg.L_unit(x3), a)
+            rho_b123_x4 = dm.eval_rho(alg, b123, alg.L_unit(x4), a)
+            rho_b124_x3 = dm.eval_rho(alg, b124, alg.L_unit(x3), a)
             lhs_i = commutator
             rhs_i = vec_sub(rho_b123_x4, rho_b124_x3)
             if lhs_i != rhs_i:
@@ -90,27 +94,27 @@ def check_rinehart_compat(alg):
     out = []
     nL, nA = alg.dim_L, alg.dim_A
     for x, y, z in product(range(nL), repeat=3):
-        bxyz = alg.bracket_basis(x, y, z)
+        bxyz = dm.bracket_basis(alg, x, y, z)
         for ak in range(nA):
             a = alg.A_unit(ak)
-            az = alg.action_basis(ak, z)
-            lhs = alg.eval_bracket(alg.L_unit(x), alg.L_unit(y), az)
-            rhs = alg.eval_action(a, bxyz)
+            az = dm.action_basis(alg, ak, z)
+            lhs = dm.eval_bracket(alg, alg.L_unit(x), alg.L_unit(y), az)
+            rhs = dm.eval_action(alg, a, bxyz)
             rho_a = _rho_op(alg, x, y, a)
-            rhs = vec_add(rhs, alg.eval_action(rho_a, alg.L_unit(z)))
+            rhs = vec_add(rhs, dm.eval_action(alg, rho_a, alg.L_unit(z)))
             if lhs != rhs:
                 out.append(Violation(RINEHART, ("bracket", x, y, z, ak),
                                      lhs, rhs))
     for x, y in product(range(nL), repeat=2):
         for ak in range(nA):
             a = alg.A_unit(ak)
-            ax = alg.action_basis(ak, x)
-            ay = alg.action_basis(ak, y)
+            ax = dm.action_basis(alg, ak, x)
+            ay = dm.action_basis(alg, ak, y)
             for bk in range(nA):
                 b = alg.A_unit(bk)
-                left = alg.eval_rho(ax, alg.L_unit(y), b)
-                mid = alg.eval_rho(alg.L_unit(x), ay, b)
-                scaled = alg.eval_amul(a, _rho_op(alg, x, y, b))
+                left = dm.eval_rho(alg, ax, alg.L_unit(y), b)
+                mid = dm.eval_rho(alg, alg.L_unit(x), ay, b)
+                scaled = dm.eval_amul(alg, a, _rho_op(alg, x, y, b))
                 if left != scaled:
                     out.append(Violation(RINEHART,
                                          ("rho-left", x, y, ak, bk),
@@ -133,10 +137,10 @@ def check_rho_derivation(alg):
         for ai in range(nA):
             for bi in range(ai, nA):
                 a, b = alg.A_unit(ai), alg.A_unit(bi)
-                ab = alg.amul_basis(ai, bi)
+                ab = dm.amul_basis(alg, ai, bi)
                 lhs = _rho_op(alg, x, y, ab)
-                rhs = vec_add(alg.eval_amul(_rho_op(alg, x, y, a), b),
-                              alg.eval_amul(a, _rho_op(alg, x, y, b)))
+                rhs = vec_add(dm.eval_amul(alg, _rho_op(alg, x, y, a), b),
+                              dm.eval_amul(alg, a, _rho_op(alg, x, y, b)))
                 if lhs != rhs:
                     out.append(Violation(RHO_DERIVATION, (x, y, ai, bi),
                                          lhs, rhs))
@@ -149,14 +153,16 @@ def check_A_algebra(alg):
     out = []
     nA, nL = alg.dim_A, alg.dim_L
     for i, j, k in product(range(nA), repeat=3):
-        lhs = alg.eval_amul(alg.amul_basis(i, j), alg.A_unit(k))
-        rhs = alg.eval_amul(alg.A_unit(i), alg.amul_basis(j, k))
+        lhs = dm.eval_amul(alg, dm.amul_basis(alg, i, j), alg.A_unit(k))
+        rhs = dm.eval_amul(alg, alg.A_unit(i), dm.amul_basis(alg, j, k))
         if lhs != rhs:
             out.append(Violation(A_ALGEBRA, ("assoc", i, j, k), lhs, rhs))
     for i, j in product(range(nA), repeat=2):
         for x in range(nL):
-            lhs = alg.eval_action(alg.amul_basis(i, j), alg.L_unit(x))
-            rhs = alg.eval_action(alg.A_unit(i), alg.action_basis(j, x))
+            lhs = dm.eval_action(alg, dm.amul_basis(alg, i, j),
+                                 alg.L_unit(x))
+            rhs = dm.eval_action(alg, alg.A_unit(i),
+                                 dm.action_basis(alg, j, x))
             if lhs != rhs:
                 out.append(Violation(A_ALGEBRA, ("module", i, j, x),
                                      lhs, rhs))
@@ -176,26 +182,26 @@ def check_grading(alg):
     for (i, j, k), entry in alg.bracket.items():
         want = Ld[i].mul(Ld[j]).mul(Ld[k])
         for m in bad_targets(entry, want, Ld):
-            lhs = alg.bracket_basis(i, j, k)
+            lhs = dm.bracket_basis(alg, i, j, k)
             out.append(Violation(GRADING, ("bracket", i, j, k, m),
                                  lhs, ("expected-degree",) + want.coords))
     for (i, j), entry in alg.amul.items():
         want = Ad[i].mul(Ad[j])
         for m in bad_targets(entry, want, Ad):
             out.append(Violation(GRADING, ("amul", i, j, m),
-                                 alg.amul_basis(i, j),
+                                 dm.amul_basis(alg, i, j),
                                  ("expected-degree",) + want.coords))
     for (ai, li), entry in alg.action.items():
         want = Ad[ai].mul(Ld[li])
         for m in bad_targets(entry, want, Ld):
             out.append(Violation(GRADING, ("action", ai, li, m),
-                                 alg.action_basis(ai, li),
+                                 dm.action_basis(alg, ai, li),
                                  ("expected-degree",) + want.coords))
     for (i, j, ak), entry in alg.rho.items():
         want = Ld[i].mul(Ld[j]).mul(Ad[ak])
         for m in bad_targets(entry, want, Ad):
             out.append(Violation(GRADING, ("rho", i, j, ak, m),
-                                 alg.rho_basis(i, j, ak),
+                                 dm.rho_basis(alg, i, j, ak),
                                  ("expected-degree",) + want.coords))
     return out
 

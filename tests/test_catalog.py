@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import _dense_model as dm
 from g3lr.axioms import run_all
 from g3lr.catalog import (BUILTIN_NAMES, LieRinehartSeed, builtin, direct_sum,
                           from_lie_trace)
@@ -29,10 +30,11 @@ def test_trace_construction_oracle_values():
     alg = from_lie_trace(_sl2_seed((0, 0, 0, 2)))
     e, f, h, I = (alg.L_unit(i) for i in range(4))
     two = Fraction(2)
-    assert alg.eval_bracket(e, f, I) == tuple(two * c for c in h)
-    assert alg.eval_bracket(e, h, I) == tuple(-2 * two * c for c in e)
-    assert alg.eval_bracket(f, h, I) == tuple(2 * two * c for c in f)
-    assert alg.eval_bracket(e, f, h) == tuple(Fraction(0) for _ in range(4))
+    assert dm.eval_bracket(alg, e, f, I) == tuple(two * c for c in h)
+    assert dm.eval_bracket(alg, e, h, I) == tuple(-2 * two * c for c in e)
+    assert dm.eval_bracket(alg, f, h, I) == tuple(2 * two * c for c in f)
+    assert dm.eval_bracket(alg, e, f, h) == tuple(Fraction(0)
+                                                  for _ in range(4))
 
 
 def test_trace_zero_gives_zero_bracket():
@@ -67,8 +69,8 @@ def test_direct_sum_shape_and_supports():
     for i in f1.l_indices:
         for j in f1.l_indices:
             for k in f2.l_indices:
-                assert all(c == 0 for c in alg.eval_bracket(
-                    unit_vec(8, i), unit_vec(8, j), unit_vec(8, k)))
+                assert all(c == 0 for c in dm.eval_bracket(
+                    alg, unit_vec(8, i), unit_vec(8, j), unit_vec(8, k)))
 
 
 def test_direct_sum_restricts_to_factors():

@@ -140,6 +140,31 @@ def test_rejects_rationals_outside_the_schema_grammar(value):
     _expect_parse_error(doc, "malformed rational")
 
 
+def _validate_exit_code(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return _run("validate", str(path))[0]
+
+
+def test_rejects_non_string_label(tmp_path):
+    doc = _a4_doc()
+    doc["L"]["labels"][0] = ["e1"]
+    _expect_parse_error(doc, "labels must be a list of strings")
+    assert _validate_exit_code(tmp_path, doc) == EXIT_PARSE
+    doc["L"]["labels"] = "abcd"           # not split into four labels
+    _expect_parse_error(doc, "labels must be a list of strings")
+
+
+def test_rejects_list_valued_entry(tmp_path):
+    doc = _a4_doc()
+    doc["bracket"][0]["value"] = ["e4", "1"]
+    _expect_parse_error(doc, "value an object")
+    assert _validate_exit_code(tmp_path, doc) == EXIT_PARSE
+    doc = _a4_doc()
+    doc["bracket"][0]["args"] = "e1"      # not split into characters
+    _expect_parse_error(doc, "args must be an array")
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

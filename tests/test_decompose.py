@@ -1,12 +1,16 @@
 import random
+from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        product)
 
 import pytest
 
+import _dense_model as dm
+from _cases import rho_trace_seed
 from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
-from g3lr.decompose import (A_ideal_generated_by, build_A1_class,
+from g3lr.decompose import (_A1_span, _L1_span, _ideal_products,
+                            A_ideal_generated_by, build_A1_class,
                             build_A_ideal, build_I, build_L1_class,
                             check_G_multiplicative, check_gr_simple_A,
                             check_gr_simple_L, check_maximal_length,
@@ -362,7 +366,8 @@ def test_decompose_truncated_polynomials():
 # differential check of the closure engine against a round-based reference
 #
 # The reference below is the round-based closure and the ordered ideal scan
-# that the worklist engine replaced.  The random instances are graded but
+# that the worklist engine replaced, on the dense products of the oracle
+# `_dense_model`.  The random instances are graded but
 # need not satisfy the axioms: closure and ideal verification are pure
 # linear algebra over the structure tables, and these tables carry a
 # nonzero rho, which no valid tier-1 instance does.
@@ -371,23 +376,23 @@ def test_decompose_truncated_polynomials():
 def _ref_verify_L(alg, S):
     for s in S.basis:
         for i, j in combinations(range(alg.dim_L), 2):
-            v = alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j))
+            v = dm.eval_bracket(alg, s, alg.L_unit(i), alg.L_unit(j))
             if not S.contains(v):
                 return False, ("bracket", s, i, j, v)
     for s in S.basis:
         for ai in range(alg.dim_A):
-            v = alg.eval_action(alg.A_unit(ai), s)
+            v = dm.eval_action(alg, alg.A_unit(ai), s)
             if not S.contains(v):
                 return False, ("action", ai, s, v)
     if alg.rho:
         for s1 in S.basis:
             for s2 in S.basis:
                 for ak in range(alg.dim_A):
-                    ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
+                    ra = dm.eval_rho(alg, s1, s2, alg.A_unit(ak))
                     if is_zero_vec(ra):
                         continue
                     for lj in range(alg.dim_L):
-                        v = alg.eval_action(ra, alg.L_unit(lj))
+                        v = dm.eval_action(alg, ra, alg.L_unit(lj))
                         if not S.contains(v):
                             return False, ("rho-action", s1, s2, ak, lj, v)
     return True, None
@@ -396,7 +401,7 @@ def _ref_verify_L(alg, S):
 def _ref_verify_A(alg, T):
     for t in T.basis:
         for ai in range(alg.dim_A):
-            v = alg.eval_amul(alg.A_unit(ai), t)
+            v = dm.eval_amul(alg, alg.A_unit(ai), t)
             if not T.contains(v):
                 return False, ("amul", ai, t, v)
     return True, None
@@ -408,18 +413,20 @@ def _ref_closure_L(alg, v):
         rows = list(S.basis)
         for s in S.basis:
             for i, j in combinations(range(alg.dim_L), 2):
-                rows.append(alg.eval_bracket(s, alg.L_unit(i), alg.L_unit(j)))
+                rows.append(dm.eval_bracket(alg, s, alg.L_unit(i),
+                                            alg.L_unit(j)))
             for ai in range(alg.dim_A):
-                rows.append(alg.eval_action(alg.A_unit(ai), s))
+                rows.append(dm.eval_action(alg, alg.A_unit(ai), s))
         if alg.rho:
             for s1 in S.basis:
                 for s2 in S.basis:
                     for ak in range(alg.dim_A):
-                        ra = alg.eval_rho(s1, s2, alg.A_unit(ak))
+                        ra = dm.eval_rho(alg, s1, s2, alg.A_unit(ak))
                         if is_zero_vec(ra):
                             continue
                         for lj in range(alg.dim_L):
-                            rows.append(alg.eval_action(ra, alg.L_unit(lj)))
+                            rows.append(
+                                dm.eval_action(alg, ra, alg.L_unit(lj)))
         nxt = span(rows, alg.dim_L)
         if nxt == S:
             return S
@@ -432,7 +439,7 @@ def _ref_closure_A(alg, v):
         rows = list(T.basis)
         for t in T.basis:
             for ai in range(alg.dim_A):
-                rows.append(alg.eval_amul(alg.A_unit(ai), t))
+                rows.append(dm.eval_amul(alg, alg.A_unit(ai), t))
         nxt = span(rows, alg.dim_A)
         if nxt == T:
             return T
@@ -449,7 +456,7 @@ def _ref_null(dim, image):
 
 def _ref_structure(alg):
     """The six subspaces of `structure_ideals`, each read off the
-    multilinear evaluators instead of the basis tables."""
+    oracle's dense evaluators instead of the signed lookups."""
     nL, nA = alg.dim_L, alg.dim_A
     L, A = alg.L_unit, alg.A_unit
 
@@ -457,16 +464,16 @@ def _ref_structure(alg):
         return tuple(c for v in vectors for c in v)
 
     z_L = _ref_null(nL, lambda x: flat(
-        alg.eval_bracket(x, L(i), L(j))
+        dm.eval_bracket(alg, x, L(i), L(j))
         for i, j in combinations(range(nL), 2)))
     ker_rho = _ref_null(nL, lambda x: flat(
-        alg.eval_rho(x, L(j), A(k)) for j in range(nL) for k in range(nA)))
+        dm.eval_rho(alg, x, L(j), A(k)) for j in range(nL) for k in range(nA)))
     return (z_L, ker_rho, intersect_subspaces(z_L, ker_rho),
-            _ref_null(nA, lambda a: flat(alg.eval_amul(a, A(j))
+            _ref_null(nA, lambda a: flat(dm.eval_amul(alg, a, A(j))
                                          for j in range(nA))),
-            _ref_null(nL, lambda x: flat(alg.eval_action(A(k), x)
+            _ref_null(nL, lambda x: flat(dm.eval_action(alg, A(k), x)
                                          for k in range(nA))),
-            _ref_null(nA, lambda a: flat(alg.eval_action(a, L(j))
+            _ref_null(nA, lambda a: flat(dm.eval_action(alg, a, L(j))
                                          for j in range(nL))))
 
 
@@ -546,3 +553,69 @@ def test_closure_engine_matches_round_based_reference():
         assert (s.z_L, s.ker_rho, s.center, s.ann_A, s.ann_L_A,
                 s.ann_A_on_L) == _ref_structure(alg)
     assert rho_certs > 0
+
+
+# ---------------------------------------------------------------------------
+# differential check of the sparse products against the dense oracle
+#
+# `_dense_model` keeps the dense basis tables and evaluators the model had
+# before the decomposition layer moved onto the signed lookups.  The new
+# `_ideal_products` skips zero products, so the oracle's sequence is
+# compared with its zero vectors removed; tags, vectors and order must
+# otherwise agree exactly.
+
+
+def _random_vec(rng, n):
+    return vec(rng.choice((0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(n))
+
+
+def _products_agree(alg, side, S):
+    rows = S.basis
+    for split in range(len(rows) + 1):
+        old, new = rows[:split], rows[split:]
+        want = [(tag, v) for tag, v in dm.ideal_products(alg, side, old, new)
+                if not is_zero_vec(v)]
+        assert list(_ideal_products(alg, side, old, new)) == want
+    return any(tag[0] == "rho-action" for tag, _ in
+               _ideal_products(alg, side, (), rows))
+
+
+def _check_against_dense_oracle(alg, rng):
+    nL, nA = alg.dim_L, alg.dim_A
+    for _ in range(4):
+        x, y, z = (_random_vec(rng, nL) for _ in range(3))
+        a, b = _random_vec(rng, nA), _random_vec(rng, nA)
+        assert alg.eval_bracket(x, y, z) == dm.eval_bracket(alg, x, y, z)
+        assert alg.eval_amul(a, b) == dm.eval_amul(alg, a, b)
+        assert alg.eval_action(a, x) == dm.eval_action(alg, a, x)
+        assert alg.eval_rho(x, y, a) == dm.eval_rho(alg, x, y, a)
+    rho_seen = False
+    for v in (_random_homogeneous(rng, alg, "L") for _ in range(2)):
+        rho_seen |= _products_agree(alg, "L", graded_ideal_generated_by(
+            alg, v))
+    rho_seen |= _products_agree(alg, "L", alg.fiber(
+        "L", rng.choice(alg.L.degrees)))
+    _products_agree(alg, "A", A_ideal_generated_by(
+        alg, _random_homogeneous(rng, alg, "A")))
+    _products_agree(alg, "A", full_subspace(nA))
+    s = structure_ideals(alg)
+    assert (s.z_L, s.ker_rho, s.center, s.ann_A, s.ann_L_A,
+            s.ann_A_on_L) == _ref_structure(alg)
+    supports = compute_supports(alg)
+    for degrees in [supports.sigma1] + [
+            c.members for c in sigma_classes(supports)]:
+        assert _L1_span(alg, degrees, supports) \
+            == dm.L1_span(alg, degrees, supports)
+    for degrees in [supports.lambda1] + [
+            c.members for c in lambda_classes(supports)]:
+        assert _A1_span(alg, degrees, supports) \
+            == dm.A1_span(alg, degrees, supports)
+    return rho_seen
+
+
+def test_sparse_products_match_dense_oracle():
+    rng = random.Random(2604)
+    instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
+    instances += [_random_graded(rng) for _ in range(40)]
+    rho_seen = [_check_against_dense_oracle(alg, rng) for alg in instances]
+    assert any(rho_seen)

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _dense_model as dm
 from g3lr.catalog import builtin
 from g3lr.groups import GroupSpec
-from g3lr.linalg import is_zero_vec, vec, vec_add, vec_scale
+from g3lr.linalg import dense_vec, is_zero_vec, vec, vec_add, vec_scale
 from g3lr.model import Algebra3LR, GradedBasis
 
 _scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -58,15 +59,19 @@ def test_zero_entries_dropped():
 
 def test_bracket_sign_expansion():
     alg = builtin("a4")
-    v = alg.bracket_basis(0, 1, 2)
-    assert alg.bracket_basis(1, 0, 2) == vec_scale(-1, v)
-    assert alg.bracket_basis(2, 0, 1) == v
-    assert is_zero_vec(alg.bracket_basis(0, 0, 2))
+    v = alg.bracket_entry(0, 1, 2)
+    assert v and alg.bracket_entry(1, 0, 2) == {m: -c for m, c in v.items()}
+    assert alg.bracket_entry(2, 0, 1) == v
+    assert not alg.bracket_entry(0, 0, 2)
+    for key in ((0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 0, 2)):
+        assert dense_vec(alg.bracket_entry(*key), 4) \
+            == dm.bracket_basis(alg, *key)
 
 
 def test_amul_symmetric_lookup():
     alg = builtin("a4-dual-numbers")
-    assert alg.amul_basis(0, 1) == alg.amul_basis(1, 0)
+    assert alg.amul_entry(0, 1) == alg.amul_entry(1, 0)
+    assert dense_vec(alg.amul_entry(1, 0), 2) == dm.amul_basis(alg, 0, 1)
 
 
 @settings(max_examples=25)
@@ -97,11 +102,11 @@ def test_eval_matches_basis_tables(data):
     k = data.draw(st.integers(0, alg.dim_L - 1))
     ai = data.draw(st.integers(0, alg.dim_A - 1))
     assert alg.eval_bracket(alg.L_unit(i), alg.L_unit(j), alg.L_unit(k)) \
-        == alg.bracket_basis(i, j, k)
+        == dm.bracket_basis(alg, i, j, k)
     assert alg.eval_action(alg.A_unit(ai), alg.L_unit(i)) \
-        == alg.action_basis(ai, i)
+        == dm.action_basis(alg, ai, i)
     assert alg.eval_amul(alg.A_unit(ai), alg.A_unit(0)) \
-        == alg.amul_basis(ai, 0)
+        == dm.amul_basis(alg, ai, 0)
 
 
 def test_eval_rho_on_trace_instance():
