@@ -84,8 +84,12 @@ def _parse_table(entries, arg_bases, value_basis, where, canonical=None):
     """entries: list of {"args": [labels], "value": {label: rational}}.
     canonical: None, "increasing" (strict) or "non-decreasing" on the
     argument index tuple."""
+    entries = [] if entries is None else entries
+    if type(entries) is not list:
+        raise ParseError(where, "a table must be an array, not %s"
+                         % type(entries).__name__)
     table = {}
-    for pos, entry in enumerate(entries or []):
+    for pos, entry in enumerate(entries):
         here = "%s[%d]" % (where, pos)
         try:
             args, value = entry["args"], entry["value"]

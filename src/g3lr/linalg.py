@@ -2,6 +2,7 @@
 the lattice operations on them.  All arithmetic uses Fraction; there is
 no tolerance anywhere."""
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,59 +64,72 @@ def is_zero_vec(u):
     return all(a == 0 for a in u)
 
 
+def _reduce(basis, pivots, v):
+    """The list v, in place, minus the multiples of the reduced rows
+    `basis` (sparse {index: coordinate}, 1 at the pivot) that clear it at
+    every pivot.  Only rows whose pivot coordinate in v is nonzero are
+    subtracted, and only at their own nonzero coordinates."""
+    for row, p in zip(basis, pivots):
+        f = v[p]
+        if f:
+            for j, c in row.items():
+                v[j] -= f * c
+    return v
+
+
+def _echelon(rows):
+    """The reduced echelon basis of the span of rows, as sparse rows
+    sorted by pivot, and the pivots.  Each row is reduced against the
+    basis built so far, scaled to a leading 1, cleared from the pivot
+    column of the earlier rows and inserted by pivot."""
+    basis, pivots = [], []
+    for r in rows:
+        new = {j: c for j, c in enumerate(_reduce(basis, pivots, list(r)))
+               if c}
+        if not new:
+            continue
+        p = next(iter(new))
+        f = new[p]
+        if f != 1:
+            new = {j: c / f for j, c in new.items()}
+        for row in basis:
+            g = row.get(p)
+            if g:
+                for j, c in new.items():
+                    d = row.get(j, 0) - g * c
+                    if d:
+                        row[j] = d
+                    else:
+                        del row[j]
+        k = bisect_left(pivots, p)
+        basis.insert(k, new)
+        pivots.insert(k, p)
+    return basis, tuple(pivots)
+
+
 def rref(rows):
     """Reduced row echelon form of a list of equal-length tuples.
     Returns the nonzero rows, pivots scaled to 1, pivot columns cleared
-    above and below, pivot columns strictly increasing."""
-    m = [list(r) for r in rows]
-    if m:
-        n_cols = len(m[0])
-        for r in m:
-            assert len(r) == n_cols
-    piv_r = 0
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    for piv_c in range(n_cols):
-        pivot = None
-        for i in range(piv_r, n_rows):
-            if m[i][piv_c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[piv_r], m[pivot] = m[pivot], m[piv_r]
-        fp = m[piv_r][piv_c]
-        m[piv_r] = [x / fp for x in m[piv_r]]
-        for i in range(n_rows):
-            if i == piv_r:
-                continue
-            f = m[i][piv_c]
-            if f == 0:
-                continue
-            m[i] = [a - f * b for a, b in zip(m[i], m[piv_r])]
-        piv_r += 1
-        if piv_r == n_rows:
-            break
-    out = [tuple(r) for r in m[:piv_r] if not all(x == 0 for x in r)]
-    return out
+    above and below, pivot columns strictly increasing.  Rows of unequal
+    length raise ValueError."""
+    return list(Subspace(len(rows[0]) if rows else 0, rows).basis)
 
 
 class Subspace:
     """A subspace of F^n held as a canonical reduced-echelon basis.
     Two subspaces are equal iff their basis tuples are equal."""
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "_rows", "_pivots")
 
-    def __init__(self, ambient_dim, rows, reduced=False):
+    def __init__(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
         rows = [vec(r) for r in rows]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("row length %d in ambient of dim %d"
                                  % (len(r), ambient_dim))
-        self.basis = tuple(rows) if reduced else tuple(rref(rows))
-        self._pivots = tuple(next(j for j, x in enumerate(r) if x != 0)
-                             for r in self.basis)
+        self._rows, self._pivots = _echelon(rows)
+        self.basis = tuple(dense_vec(r, ambient_dim) for r in self._rows)
 
     @property
     def dim(self):
@@ -128,12 +142,7 @@ class Subspace:
         v = vec(v)
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        v = list(v)
-        for row, p in zip(self.basis, self._pivots):
-            f = v[p]
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        return not any(_reduce(self._rows, self._pivots, list(v)))
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.basis)
@@ -172,42 +181,26 @@ def sum_subspaces(s, t):
 def solve_homogeneous(constraint_rows, ambient_dim):
     """Null space of the stacked constraint matrix, as a Subspace.
     With no constraints the result is the full space."""
-    reduced = rref([vec(r) for r in constraint_rows])
-    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in reduced]
-    free = [j for j in range(ambient_dim) if j not in pivots]
+    c = Subspace(ambient_dim, constraint_rows)
     basis = []
-    for f in free:
-        sol = [Fraction(0)] * ambient_dim
-        sol[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            sol[p] = -row[f]
-        basis.append(tuple(sol))
+    for f in range(ambient_dim):
+        if f not in c.pivots():
+            sol = list(unit_vec(ambient_dim, f))
+            for row, p in zip(c.basis, c.pivots()):
+                sol[p] = -row[f]
+            basis.append(sol)
     return Subspace(ambient_dim, basis)
 
 
 def intersect_subspaces(s, t):
-    """Lattice meet.  Solves for coefficient vectors (a, b) with
-    a·basis(s) = b·basis(t) and spans the common values."""
+    """Lattice meet, as the null space of both annihilators: S ∩ T is
+    (ann S + ann T)^⊥, since (X^⊥)^⊥ = X in finite dimension over any
+    field."""
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("ambient mismatch")
     n = s.ambient_dim
-    ds, dt = s.dim, t.dim
-    if ds == 0 or dt == 0:
-        return zero_subspace(n)
-    # columns: ds coefficients for s, dt for t; rows: one per coordinate
-    constraints = []
-    for j in range(n):
-        row = [s.basis[i][j] for i in range(ds)] + \
-              [-t.basis[i][j] for i in range(dt)]
-        constraints.append(tuple(row))
-    null = solve_homogeneous(constraints, ds + dt)
-    vecs = []
-    for coeffs in null.basis:
-        v = zero_vec(n)
-        for c, row in zip(coeffs[:ds], s.basis):
-            v = vec_add(v, vec_scale(c, row))
-        vecs.append(v)
-    return Subspace(n, vecs)
+    return solve_homogeneous(solve_homogeneous(s.basis, n).basis
+                             + solve_homogeneous(t.basis, n).basis, n)
 
 
 def complement(s, within=None):
@@ -232,6 +225,6 @@ def complement(s, within=None):
             break
         if not cur.contains(v):
             picked.append(v)
-            cur = Subspace(n, list(cur.basis) + [v])
+            cur = Subspace(n, cur.basis + (v,))
     assert cur.dim == within.dim
     return Subspace(n, picked)

@@ -165,6 +165,22 @@ def test_rejects_list_valued_entry(tmp_path):
     _expect_parse_error(doc, "args must be an array")
 
 
+@pytest.mark.parametrize("table", [5, True, {}, "bracket", 0])
+def test_rejects_table_that_is_not_an_array(tmp_path, table):
+    doc = _a4_doc()
+    doc["bracket"] = table
+    _expect_parse_error(doc, "a table must be an array")
+    assert _validate_exit_code(tmp_path, doc) == EXIT_PARSE
+
+
+def test_absent_or_null_table_is_empty():
+    doc = _a4_doc()
+    del doc["amul"]
+    doc["rho"] = None
+    alg = instance_from_dict(doc)
+    assert alg.amul == {} and alg.rho == {}
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _ref_linalg as ref
 from g3lr.linalg import (Subspace, complement, full_subspace,
                          intersect_subspaces, rref, solve_homogeneous,
                          span, sum_subspaces, unit_vec, vec, zero_subspace,
@@ -20,6 +21,13 @@ def _matrix(n_cols, max_rows=4):
 def test_rref_shape():
     rows = rref([vec((2, 4)), vec((1, 2)), vec((0, 1))])
     assert rows == [vec((1, 0)), vec((0, 1))]
+
+
+def test_rref_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        rref([vec((1, 2)), vec((1, 2, 3))])
+    with pytest.raises(ValueError):
+        rref([vec((1, 2, 3)), vec((1, 2))])
 
 
 def test_rref_empty():
@@ -120,3 +128,50 @@ def test_subspace_hash_consistency():
     a = span([vec((2, 0)), vec((0, 3))], 2)
     b = full_subspace(2)
     assert a == b and hash(a) == hash(b)
+
+
+# The lattice against the pre-rewrite Gauss–Jordan code in `_ref_linalg`.
+# Zeros are drawn often, so rows are sparse and entries cancel; a third
+# of the cases feed in rows that are already reduced, a third all-zero rows.
+
+_sparse_scalars = st.one_of(st.just(Fraction(0)), _scalars)
+
+
+@st.composite
+def _lattice_case(draw):
+    n = draw(st.integers(1, 6))
+    row = st.lists(_sparse_scalars, min_size=n, max_size=n).map(tuple)
+
+    def matrix():
+        rows = draw(st.lists(row, max_size=6))
+        kind = draw(st.sampled_from(["raw", "reduced", "zero"]))
+        if kind == "reduced":
+            return ref.rref(rows) + draw(st.lists(row, max_size=1))
+        return [zero_vec(n)] * len(rows) if kind == "zero" else rows
+    rows_s, rows_t = matrix(), matrix()
+    coeffs = draw(st.lists(_scalars, min_size=len(rows_s),
+                           max_size=len(rows_s)))
+    return n, rows_s, rows_t, coeffs, draw(row)
+
+
+@settings(max_examples=200)
+@given(_lattice_case())
+def test_lattice_matches_reference_oracle(case):
+    n, rows_s, rows_t, coeffs, v = case
+    s, t = Subspace(n, rows_s), Subspace(n, rows_t)
+    ref_s, ref_t = ref.rref(rows_s), ref.rref(rows_t)
+    assert rref(rows_s) == ref_s and list(s.basis) == ref_s
+    assert list(intersect_subspaces(s, t).basis) == \
+        ref.intersect_subspaces(ref_s, ref_t, n)
+    assert list(solve_homogeneous(rows_s, n).basis) == \
+        ref.solve_homogeneous(rows_s, n)
+    within = ref.rref(rows_s + rows_t)
+    assert list(complement(s, Subspace(n, within)).basis) == \
+        ref.complement(ref_s, within, n)
+    assert list(complement(s).basis) == \
+        ref.complement(ref_s, ref.rref(full_subspace(n).basis), n)
+    inside = zero_vec(n)
+    for c, r in zip(coeffs, rows_s):
+        inside = vec_add(inside, vec_scale(c, r))
+    for probe in [v, inside, vec_add(inside, v)] + rows_t:
+        assert s.contains(probe) == ref.contains(ref_s, probe)
