@@ -1,22 +1,30 @@
 """Exhaustive axiom checking on basis tuples, evaluated on the stored
 sparse tables.
 
-Every check enumerates all relevant basis tuples, with no sampling.
+Every check covers all relevant basis tuples, with no sampling.
 Because every structure map is multilinear, an identity verified on
 basis tuples holds for all vectors, so a pass is a proof for the
 instance at hand.  Where an identity is alternating or antisymmetric in
-a group of arguments it suffices to enumerate strictly increasing index
+a group of arguments it suffices to cover strictly increasing index
 tuples for that group; this reduction is used for the fundamental
 identity and is spelled out in the docstrings below.
 
+A tuple whose terms are all structurally zero, because each term has a
+factor that the stored tables make zero, holds trivially and is settled
+without evaluation.  The fundamental identity visits only the pairs
+(l, m) with ad(l, m) != 0 and the triples they reach; the Rinehart and
+representation checks skip the pairs and 4-tuples whose operators all
+vanish.  Each skip rule sits next to its proof in the code, so the work
+grows with the nonzero terms and a pass is still a proof.
+
 Each side of an identity is built as a sparse {index: Fraction} vector
 from the nonzero entries of the tables `alg.bracket/amul/action/rho`,
-read through the signed lookups of `Algebra3LR`.  The left side of the
-fundamental identity on (i, j, k, l, m), for instance, is the sum of
-c_p [p, l, m] over the entries c_p of [i, j, k], so empty products cost
-nothing.  The two sides are compared with their zero coefficients
-dropped, and dense `lhs`/`rhs` tuples are built only for a recorded
-Violation.
+read through the signed lookups of `Algebra3LR` or the maps built from
+the stored keys.  The left side of the fundamental identity on
+(i, j, k, l, m), for instance, is the sum of c_p [p, l, m] over the
+entries c_p of [i, j, k], so empty products cost nothing.  The two
+sides are compared with their zero coefficients dropped, and dense
+`lhs`/`rhs` tuples are built only for a recorded Violation.
 """
 
 from dataclasses import dataclass, field
@@ -95,16 +103,31 @@ def _check(out, axiom, witness, lhs, rhs, dim):
                              _dense(rhs, dim)))
 
 
-def _bracket_images(alg):
-    """ad[x][y][p] = [p, x, y], which also equals [x, y, p]."""
-    r = range(alg.dim_L)
-    return [[[alg.bracket_entry(p, x, y) for p in r] for y in r] for x in r]
+def _ad_maps(alg):
+    """ad[(x, y)] = {p: [p, x, y]} over the ordered pairs with
+    ad(x, y) != 0, read off the stored keys: the entry E of (k0, k1, k2)
+    is [k0, k1, k2] = [k1, k2, k0] = [k2, k0, k1], and the odd
+    permutations give -E."""
+    ad = {}
+    for (k0, k1, k2), e in alg.bracket.items():
+        neg = {t: -c for t, c in e.items()}
+        for p, x, y, v in ((k0, k1, k2, e), (k1, k2, k0, e),
+                           (k2, k0, k1, e), (k0, k2, k1, neg),
+                           (k1, k0, k2, neg), (k2, k1, k0, neg)):
+            ad.setdefault((x, y), {})[p] = v
+    return ad
 
 
 def _rho_images(alg):
     """rho[x][y][a] = rho(x, y)(a)."""
     rL, rA = range(alg.dim_L), range(alg.dim_A)
     return [[[alg.rho_entry(x, y, a) for a in rA] for y in rL] for x in rL]
+
+
+def _rho_pairs(alg):
+    """The ordered pairs (x, y) with rho(x, y) != 0 as an operator; only
+    nonzero entries are stored."""
+    return {(x, y) for x, y, _ in alg.rho}
 
 
 def _action_images(alg):
@@ -123,24 +146,57 @@ def check_fundamental_identity(alg):
     """[[x1,x2,x3],y1,y2] = [[x1,y1,y2],x2,x3] + [[x2,y1,y2],x3,x1]
     + [[x3,y1,y2],x1,x2] on all basis 5-tuples.  Both sides are
     alternating in (x1,x2,x3) and in (y1,y2), so strictly increasing
-    index tuples cover everything."""
+    index tuples cover everything.
+
+    With D = ad(l, m) = [., l, m] the identity on (i, j, k, l, m) reads
+    D[i,j,k] = [Di,j,k] + [i,Dj,k] + [i,j,Dk]: D is a derivation.  Both
+    sides are built per pair with D != 0 and per triple they reach, so
+    the work grows with the nonzero terms.  Every other tuple holds
+    trivially: a pair with D = 0 has D in every term, and for a triple
+    T that neither meets P = {p : Dp != 0} nor has [T] meeting P, every
+    term applies D to a basis vector outside P.  Violations are sorted
+    by witness, the (i, j, k)-major order of the plain enumeration."""
     out = []
     n = alg.dim_L
-    ad = _bracket_images(alg)
-    pairs = [(l, m, ad[l][m]) for l, m in combinations(range(n), 2)]
-    for i, j, k in combinations(range(n), 3):
-        b_ijk = alg.bracket_entry(i, j, k)
-        jk, ki, ij = ad[j][k], ad[k][i], ad[i][j]
-        for l, m, lm in pairs:
-            b_ilm, b_jlm, b_klm = lm[i], lm[j], lm[k]
-            if not (b_ijk or b_ilm or b_jlm or b_klm):
-                continue
-            lhs, rhs = {}, {}
-            _apply(lhs, 1, b_ijk, lm)
-            _apply(rhs, 1, b_ilm, jk)
-            _apply(rhs, 1, b_jlm, ki)
-            _apply(rhs, 1, b_klm, ij)
-            _check(out, FUNDAMENTAL, (i, j, k, l, m), lhs, rhs, n)
+    ad = _ad_maps(alg)
+    # inc[q]: (a, b, [q, a, b]) with a < b, over the stored keys holding q
+    inc = [[] for _ in range(n)]
+    for (a, b), d in ad.items():
+        if a < b:
+            for q, v in d.items():
+                inc[q].append((a, b, v))
+    # hits[p]: (T, [T]_p) over the stored triples T whose image has p
+    hits = [[] for _ in range(n)]
+    for key, e in alg.bracket.items():
+        for p, c in e.items():
+            hits[p].append((key, c))
+    # Skip: a pair with ad(l, m) = 0 has no entry in ad, and each term
+    # of its tuples applies D = 0.
+    for (l, m), d in ad.items():
+        if l > m:
+            continue
+        lhs, rhs = {}, {}
+        for p, dp in d.items():
+            # D[T] = sum of [T]_p D p
+            for key, c in hits[p]:
+                _add(lhs.setdefault(key, {}), c, dp)
+            # the term of T = {p, a, b} with D in p's slot is
+            # sign * [Dp, a, b], the sign of moving p to the front
+            for q, c in dp.items():
+                for a, b, v in inc[q]:
+                    if p < a:
+                        key, f = (p, a, b), c
+                    elif a < p < b:
+                        key, f = (a, p, b), -c
+                    elif b < p:
+                        key, f = (a, b, p), c
+                    else:
+                        continue
+                    _add(rhs.setdefault(key, {}), f, v)
+        for key in lhs.keys() | rhs.keys():
+            _check(out, FUNDAMENTAL, key + (l, m), lhs.get(key, {}),
+                   rhs.get(key, {}), n)
+    out.sort(key=lambda v: v.witness)
     return out
 
 
@@ -152,37 +208,55 @@ def check_representation(alg):
     (ii) rho([x1,x2,x3],x4) = rho(x1,x2)rho(x3,x4) + rho(x2,x3)rho(x1,x4)
                               + rho(x3,x1)rho(x2,x4)
 
-    No symmetry in the x's is assumed, so all 4-tuples are enumerated.
+    No symmetry in the x's is assumed, so every 4-tuple is covered; the
+    tuples whose terms are all structurally zero are settled without
+    evaluation (see the skip rule below).
     """
     out = []
     if not alg.rho:
         # every operator is zero and so is rho applied to any bracket
         return out
     n, nA = alg.dim_L, alg.dim_A
-    rho = _rho_images(alg)
-    for x1, x2, x3, x4 in product(range(n), repeat=4):
-        b123 = alg.bracket_entry(x1, x2, x3)
-        b124 = alg.bracket_entry(x1, x2, x4)
-        r12, r34, r23, r31 = rho[x1][x2], rho[x3][x4], rho[x2][x3], rho[x3][x1]
-        r14, r24 = rho[x1][x4], rho[x2][x4]
-        for ak in range(nA):
-            commutator = {}
-            _apply(commutator, 1, r34[ak], r12)
-            _apply(commutator, -1, r12[ak], r34)
-            rho_b123_x4 = {}
-            for p, c in b123.items():
-                _add(rho_b123_x4, c, rho[p][x4][ak])
-            rhs_i = dict(rho_b123_x4)
-            for p, c in b124.items():
-                _add(rhs_i, -c, rho[p][x3][ak])
-            _check(out, REPRESENTATION, ("i", x1, x2, x3, x4, ak),
-                   commutator, rhs_i, nA)
-            rhs_ii = {}
-            _apply(rhs_ii, 1, r34[ak], r12)
-            _apply(rhs_ii, 1, r14[ak], r23)
-            _apply(rhs_ii, 1, r24[ak], r31)
-            _check(out, REPRESENTATION, ("ii", x1, x2, x3, x4, ak),
-                   rho_b123_x4, rhs_ii, nA)
+    rho, ad, live = _rho_images(alg), _ad_maps(alg), _rho_pairs(alg)
+    # into[y] = {p : rho(p, y) != 0}
+    into = [set() for _ in range(n)]
+    for p, y in live:
+        into[y].add(p)
+    for x1, x2, x3 in product(range(n), repeat=3):
+        ad12 = ad.get((x1, x2), {})
+        b123 = ad12.get(x3, {})
+        r12, r23, r31 = rho[x1][x2], rho[x2][x3], rho[x3][x1]
+        live_123 = ((x1, x2) in live or (x2, x3) in live
+                    or (x3, x1) in live)
+        for x4 in range(n):
+            b124 = ad12.get(x4, {})
+            # Skip: each term of (i) and (ii) is a product of two of
+            # rho(x1,x2), rho(x2,x3), rho(x3,x1), rho(x3,x4), rho(x1,x4)
+            # and rho(x2,x4), or sums rho(p,x4) over supp[x1,x2,x3] or
+            # rho(p,x3) over supp[x1,x2,x4]; all of these are zero here.
+            if not (live_123 or (x3, x4) in live or (x1, x4) in live
+                    or (x2, x4) in live or not into[x4].isdisjoint(b123)
+                    or not into[x3].isdisjoint(b124)):
+                continue
+            r34, r14, r24 = rho[x3][x4], rho[x1][x4], rho[x2][x4]
+            for ak in range(nA):
+                commutator = {}
+                _apply(commutator, 1, r34[ak], r12)
+                _apply(commutator, -1, r12[ak], r34)
+                rho_b123_x4 = {}
+                for p, c in b123.items():
+                    _add(rho_b123_x4, c, rho[p][x4][ak])
+                rhs_i = dict(rho_b123_x4)
+                for p, c in b124.items():
+                    _add(rhs_i, -c, rho[p][x3][ak])
+                _check(out, REPRESENTATION, ("i", x1, x2, x3, x4, ak),
+                       commutator, rhs_i, nA)
+                rhs_ii = {}
+                _apply(rhs_ii, 1, r34[ak], r12)
+                _apply(rhs_ii, 1, r14[ak], r23)
+                _apply(rhs_ii, 1, r24[ak], r31)
+                _check(out, REPRESENTATION, ("ii", x1, x2, x3, x4, ak),
+                       rho_b123_x4, rhs_ii, nA)
     return out
 
 
@@ -191,19 +265,43 @@ def check_rinehart_compat(alg):
     rho(a x, y) = rho(x, a y) = a rho(x, y)  on all basis tuples."""
     out = []
     nL, nA = alg.dim_L, alg.dim_A
-    ad, rho = _bracket_images(alg), _rho_images(alg)
+    ad, rho, live = _ad_maps(alg), _rho_images(alg), _rho_pairs(alg)
     act, mul = _action_images(alg), _amul_images(alg)
-    for x, y, z in product(range(nL), repeat=3):
-        bxy = ad[x][y]
-        bxyz = bxy[z]
-        for ak in range(nA):
-            lhs, rhs = {}, {}
-            _apply(lhs, 1, act[ak][z], bxy)
-            _apply(rhs, 1, bxyz, act[ak])
-            for q, c in rho[x][y][ak].items():
-                _add(rhs, c, act[q][z])
-            _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs, nL)
     for x, y in product(range(nL), repeat=2):
+        # Skip: [x,y,a z] and a[x,y,z] apply ad(x, y), and (rho(x,y)a) z
+        # applies rho(x, y); both are zero here.
+        if (x, y) not in ad and (x, y) not in live:
+            continue
+        row = ad.get((x, y), {})
+        bxy = [row.get(p, {}) for p in range(nL)]
+        for z in range(nL):
+            bxyz = bxy[z]
+            for ak in range(nA):
+                az, rxy = act[ak][z], rho[x][y][ak]
+                # Skip: [x,y,a z] applies ad(x, y) to supp(a z), a[x,y,z]
+                # scales [x,y,z] and (rho(x,y)a) z scales z by rho(x,y)a;
+                # all three factors are zero here.
+                if not (bxyz or rxy or not row.keys().isdisjoint(az)):
+                    continue
+                lhs, rhs = {}, {}
+                _apply(lhs, 1, az, bxy)
+                _apply(rhs, 1, bxyz, act[ak])
+                for q, c in rxy.items():
+                    _add(rhs, c, act[q][z])
+                _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs,
+                       nL)
+    if not alg.rho:
+        # every term below applies some rho(u, v), all of them zero
+        return out
+    # reach[x] = the union of the supports of a x over the basis of A
+    reach = [{p for ak in range(nA) for p in act[ak][x]} for x in range(nL)]
+    for x, y in product(range(nL), repeat=2):
+        # Skip: rho(a x, y) b sums rho(p, y) b over p in supp(a x),
+        # rho(x, a y) b sums rho(x, p) b over p in supp(a y), and
+        # a rho(x, y) b applies rho(x, y); all are zero here.
+        if not ((x, y) in live or any((p, y) in live for p in reach[x])
+                or any((x, p) in live for p in reach[y])):
+            continue
         for ak in range(nA):
             ax, ay = act[ak][x], act[ak][y]
             for bk in range(nA):

@@ -45,21 +45,6 @@ def sparse_sum(terms):
     return {m: c for m, c in acc.items() if c}
 
 
-def vec_add(u, v):
-    assert len(u) == len(v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    assert len(u) == len(v)
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u):
     return all(a == 0 for a in u)
 
@@ -154,9 +139,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
 
 
 def span(vectors, ambient_dim):

@@ -48,6 +48,10 @@ class GradedBasis:
                 raise ValueError("degree is not a group element: %r" % (d,))
         self.labels = labels
         self.degrees = degrees
+        # degree -> the indices of the basis vectors of that degree
+        self.fibers = {}
+        for i, d in enumerate(degrees):
+            self.fibers[d] = self.fibers.get(d, ()) + (i,)
 
     def __len__(self):
         return len(self.labels)
@@ -192,14 +196,15 @@ class Algebra3LR:
     def fiber(self, space, g):
         """Span of the basis vectors of the given degree; `space` is
         "L" or "A"."""
-        basis = self.L if space == "L" else self.A
-        n = len(basis)
-        rows = [unit_vec(n, i) for i, d in enumerate(basis.degrees) if d == g]
-        return Subspace(n, rows)
+        n = self.dim_L if space == "L" else self.dim_A
+        return Subspace(n, [unit_vec(n, i)
+                            for i in self.fiber_indices(space, g)])
 
     def fiber_indices(self, space, g):
+        """Indices of the basis vectors of degree g, from the index the
+        basis builds once."""
         basis = self.L if space == "L" else self.A
-        return [i for i, d in enumerate(basis.degrees) if d == g]
+        return list(basis.fibers.get(g, ()))
 
     def L_unit(self, i):
         return unit_vec(self.dim_L, i)

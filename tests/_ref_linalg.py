@@ -12,7 +12,26 @@ computations.
 
 from fractions import Fraction
 
-from g3lr.linalg import unit_vec, vec, vec_add, vec_scale, zero_vec
+from g3lr.linalg import unit_vec, vec, zero_vec
+
+
+# dense vector arithmetic for the oracles and tests; the package itself
+# works on sparse rows
+
+
+def vec_add(u, v):
+    assert len(u) == len(v)
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    assert len(u) == len(v)
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vec_scale(c, u):
+    c = Fraction(c)
+    return tuple(c * a for a in u)
 
 
 def rref(rows):

@@ -17,6 +17,7 @@ from g3lr.axioms import (A_ALGEBRA, ALL_AXIOMS, FUNDAMENTAL, GRADING,
                          check_rinehart_compat, rho_antisymmetry_witnesses,
                          run_all)
 from g3lr.catalog import BUILTIN_NAMES, builtin
+from g3lr.groups import GroupSpec
 from g3lr.instio import load_instance
 from g3lr.model import Algebra3LR, GradedBasis
 
@@ -202,6 +203,38 @@ def _single_entry_mutants(alg):
     return out
 
 
+def _ungraded(n, bracket, rho=None):
+    """Trivially graded L of dimension n over A = span{1}, the unit acting
+    as the identity; the grading check is silent on any tables."""
+    G = GroupSpec(())
+    L = GradedBasis(tuple("v%d" % i for i in range(n)), (G.identity(),) * n)
+    A = GradedBasis(("one",), (G.identity(),))
+    return Algebra3LR(G, L, A, bracket, {(0, 0): {0: 1}},
+                      {(0, i): {i: 1} for i in range(n)}, rho or {})
+
+
+def _cyclic_bracket():
+    """[v_i, v_i+1, v_i+2] = v_i+3 (indices mod 6): the fundamental
+    identity fails on more than VIOLATION_CAP tuples over many (l, m)."""
+    return _ungraded(6, {(0, 1, 2): {3: 1}, (1, 2, 3): {4: 1},
+                         (2, 3, 4): {5: 1}, (3, 4, 5): {0: 1},
+                         (0, 4, 5): {1: 1}, (0, 1, 5): {2: 1}})
+
+
+def _skip_rule_cases():
+    """Instances whose violations come from one live source each of the
+    output-sensitive checks."""
+    return [
+        # ad(v0, v1) = 0 but rho(v0, v1)(1) = 1: the Rinehart bracket
+        # clause fails only through (rho(x, y) a) z
+        _ungraded(3, {}, {(0, 1, 0): {0: 1}}),
+        # [v0, v1, v2] = v3 meets P(v4, v5) = {v3} while {0, 1, 2} does
+        # not: on (0, 1, 2, 4, 5) only the left side is nonzero
+        _ungraded(6, {(0, 1, 2): {3: 1}, (3, 4, 5): {0: 1}}),
+        _cyclic_bracket(),
+    ]
+
+
 def _differential_cases():
     cases = [builtin(name) for name in BUILTIN_NAMES]
     cases += [load_instance(str(p)) for p in sorted(EXAMPLES.glob("*.json"))]
@@ -213,6 +246,7 @@ def _differential_cases():
     cases.append(rho_trace_seed())
     rng = random.Random(5150)
     cases += [_random_graded(rng) for _ in range(40)]
+    cases += _skip_rule_cases()
     return cases
 
 
@@ -230,3 +264,19 @@ def test_sparse_checks_match_dense_reference():
         assert rho_antisymmetry_witnesses(alg) \
             == dense.rho_antisymmetry_witnesses(alg)
     assert all(seen.values()), seen
+
+
+def test_capped_report_matches_dense_reference():
+    """The 25-witness cap keeps the (i, j, k)-major order of the dense
+    enumeration, although the sparse check builds its witnesses pair by
+    pair."""
+    alg = _cyclic_bracket()
+    report = run_all(alg)
+    full = report.violations[FUNDAMENTAL]
+    assert len(full) > VIOLATION_CAP
+    assert len({v.witness[3:] for v in full}) >= 3
+    capped = report.capped()
+    for axiom, reference in dense.DENSE_CHECKS:
+        want = reference(alg)
+        assert report.counts[axiom] == len(want)
+        assert _rows(capped[axiom]) == _rows(want[:VIOLATION_CAP])

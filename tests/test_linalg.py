@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _ref_linalg as ref
+from _ref_linalg import vec_add, vec_scale
 from g3lr.linalg import (Subspace, complement, full_subspace,
                          intersect_subspaces, rref, solve_homogeneous,
                          span, sum_subspaces, unit_vec, vec, zero_subspace,
-                         zero_vec, is_zero_vec, vec_add, vec_scale)
+                         zero_vec, is_zero_vec)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
