@@ -81,11 +81,10 @@ def _add(acc, coeff, entry):
         acc[t] = acc.get(t, 0) + coeff * c
 
 
-def _apply(acc, coeff, v, images):
-    """acc += coeff * f(v) for the linear map f with basis images
-    `images`."""
+def _apply(acc, v, images):
+    """acc += f(v) for the linear map f with basis images `images`."""
     for q, c in v.items():
-        _add(acc, coeff * c, images[q])
+        _add(acc, c, images[q])
 
 
 def _dense(v, dim):
@@ -241,8 +240,9 @@ def check_representation(alg):
             r34, r14, r24 = rho[x3][x4], rho[x1][x4], rho[x2][x4]
             for ak in range(nA):
                 commutator = {}
-                _apply(commutator, 1, r34[ak], r12)
-                _apply(commutator, -1, r12[ak], r34)
+                _apply(commutator, r34[ak], r12)
+                for q, c in r12[ak].items():
+                    _add(commutator, -c, r34[q])
                 rho_b123_x4 = {}
                 for p, c in b123.items():
                     _add(rho_b123_x4, c, rho[p][x4][ak])
@@ -252,9 +252,9 @@ def check_representation(alg):
                 _check(out, REPRESENTATION, ("i", x1, x2, x3, x4, ak),
                        commutator, rhs_i, nA)
                 rhs_ii = {}
-                _apply(rhs_ii, 1, r34[ak], r12)
-                _apply(rhs_ii, 1, r14[ak], r23)
-                _apply(rhs_ii, 1, r24[ak], r31)
+                _apply(rhs_ii, r34[ak], r12)
+                _apply(rhs_ii, r14[ak], r23)
+                _apply(rhs_ii, r24[ak], r31)
                 _check(out, REPRESENTATION, ("ii", x1, x2, x3, x4, ak),
                        rho_b123_x4, rhs_ii, nA)
     return out
@@ -284,8 +284,8 @@ def check_rinehart_compat(alg):
                 if not (bxyz or rxy or not row.keys().isdisjoint(az)):
                     continue
                 lhs, rhs = {}, {}
-                _apply(lhs, 1, az, bxy)
-                _apply(rhs, 1, bxyz, act[ak])
+                _apply(lhs, az, bxy)
+                _apply(rhs, bxyz, act[ak])
                 for q, c in rxy.items():
                     _add(rhs, c, act[q][z])
                 _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs,
@@ -310,7 +310,7 @@ def check_rinehart_compat(alg):
                     _add(left, c, rho[p][y][bk])
                 for p, c in ay.items():
                     _add(mid, c, rho[x][p][bk])
-                _apply(scaled, 1, rho[x][y][bk], mul[ak])
+                _apply(scaled, rho[x][y][bk], mul[ak])
                 _check(out, RINEHART, ("rho-left", x, y, ak, bk),
                        left, scaled, nA)
                 _check(out, RINEHART, ("rho-right", x, y, ak, bk),
@@ -331,10 +331,10 @@ def check_rho_derivation(alg):
         for ai in range(nA):
             for bi in range(ai, nA):
                 lhs, rhs = {}, {}
-                _apply(lhs, 1, mul[ai][bi], r)
+                _apply(lhs, mul[ai][bi], r)
                 for q, c in r[ai].items():
                     _add(rhs, c, mul[q][bi])
-                _apply(rhs, 1, r[bi], mul[ai])
+                _apply(rhs, r[bi], mul[ai])
                 _check(out, RHO_DERIVATION, (x, y, ai, bi), lhs, rhs, nA)
     return out
 
@@ -349,14 +349,14 @@ def check_A_algebra(alg):
         lhs, rhs = {}, {}
         for p, c in mul[i][j].items():
             _add(lhs, c, mul[p][k])
-        _apply(rhs, 1, mul[j][k], mul[i])
+        _apply(rhs, mul[j][k], mul[i])
         _check(out, A_ALGEBRA, ("assoc", i, j, k), lhs, rhs, nA)
     for i, j in product(range(nA), repeat=2):
         for x in range(nL):
             lhs, rhs = {}, {}
             for p, c in mul[i][j].items():
                 _add(lhs, c, act[p][x])
-            _apply(rhs, 1, act[j][x], act[i])
+            _apply(rhs, act[j][x], act[i])
             _check(out, A_ALGEBRA, ("module", i, j, x), lhs, rhs, nL)
     return out
 

@@ -8,11 +8,12 @@ instance re-verifies each tightness clause at build time.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 
 from .axioms import run_all
 from .decompose import check_tight
 from .groups import GroupSpec
-from .linalg import zero_vec
+from .linalg import sparse_sum
 from .model import Algebra3LR, GradedBasis
 
 
@@ -38,26 +39,6 @@ class FactorEmbedding:
     a_indices: tuple
 
 
-def _table_vec(table, key, dim):
-    out = [Fraction(0)] * dim
-    for m, c in table.get(key, {}).items():
-        out[m] = Fraction(c)
-    return tuple(out)
-
-
-def _lie_vec(seed, i, j):
-    n = len(seed.L)
-    if i == j:
-        return zero_vec(n)
-    if i < j:
-        return _table_vec(seed.lie_bracket, (i, j), n)
-    return tuple(-c for c in _table_vec(seed.lie_bracket, (j, i), n))
-
-
-def _sparse_of(vec_):
-    return {m: c for m, c in enumerate(vec_) if c != 0}
-
-
 def from_lie_trace(seed):
     """Ternary bracket and two-argument representation induced by a
     trace functional tau:
@@ -72,52 +53,38 @@ def from_lie_trace(seed):
     tau = tuple(Fraction(t) for t in seed.tau)
     assert len(tau) == nL
 
-    for i in range(nL):
-        for j in range(i + 1, nL):
-            br = _lie_vec(seed, i, j)
-            if sum(t * c for t, c in zip(tau, br)) != 0:
-                raise ValueError(
-                    "trace property fails on basis pair (%d, %d)" % (i, j))
+    def lie(i, j):                # [x_i, x_j] for i < j
+        return seed.lie_bracket.get((i, j), {})
+
+    for i, j in combinations(range(nL), 2):
+        if sum(tau[m] * c for m, c in lie(i, j).items()) != 0:
+            raise ValueError(
+                "trace property fails on basis pair (%d, %d)" % (i, j))
     for ai in range(nA):
         for x in range(nL):
-            ax = _table_vec(seed.action, (ai, x), nL)
-            tau_ax = sum(t * c for t, c in zip(tau, ax))
+            tau_ax = sum(tau[m] * c
+                         for m, c in seed.action.get((ai, x), {}).items())
             for y in range(nL):
-                lhs = tuple(tau_ax if m == y else Fraction(0)
-                            for m in range(nL))
-                ay = _table_vec(seed.action, (ai, y), nL)
-                rhs = tuple(tau[x] * c for c in ay)
-                if lhs != rhs:
+                if sparse_sum([(tau_ax, {y: 1})]) != sparse_sum(
+                        [(tau[x], seed.action.get((ai, y), {}))]):
                     raise ValueError(
                         "trace-module compatibility fails on "
                         "(a_%d, x_%d, y_%d)" % (ai, x, y))
 
     bracket = {}
-    for i in range(nL):
-        for j in range(i + 1, nL):
-            for k in range(j + 1, nL):
-                v = [Fraction(0)] * nL
-                for t, br in ((tau[i], _lie_vec(seed, j, k)),
-                              (-tau[j], _lie_vec(seed, i, k)),
-                              (tau[k], _lie_vec(seed, i, j))):
-                    for m, c in enumerate(br):
-                        v[m] += t * c
-                entry = _sparse_of(v)
-                if entry:
-                    bracket[(i, j, k)] = entry
+    for i, j, k in combinations(range(nL), 3):
+        entry = sparse_sum([(tau[i], lie(j, k)), (-tau[j], lie(i, k)),
+                            (tau[k], lie(i, j))])
+        if entry:
+            bracket[(i, j, k)] = entry
 
     rho = {}
-    for i in range(nL):
-        for j in range(nL):
-            if i == j:
-                continue
-            for ak in range(nA):
-                ri = _table_vec(seed.rep, (i, ak), nA)
-                rj = _table_vec(seed.rep, (j, ak), nA)
-                v = tuple(tau[i] * b - tau[j] * a for a, b in zip(ri, rj))
-                entry = _sparse_of(v)
-                if entry:
-                    rho[(i, j, ak)] = entry
+    for i, j in permutations(range(nL), 2):
+        for ak in range(nA):
+            entry = sparse_sum([(tau[i], seed.rep.get((j, ak), {})),
+                                (-tau[j], seed.rep.get((i, ak), {}))])
+            if entry:
+                rho[(i, j, ak)] = entry
 
     alg = Algebra3LR(seed.group, seed.L, seed.A, bracket,
                      dict(seed.amul), dict(seed.action), rho)

@@ -9,14 +9,14 @@ an exact subspace identity.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, product,
+                       starmap)
 
 from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
 from .linalg import (Subspace, complement, dense_vec, full_subspace,
-                     intersect_subspaces, is_zero_vec, nonzero_coords,
-                     solve_homogeneous, span, sparse_sum, sum_subspaces,
-                     zero_subspace, zero_vec)
+                     intersect_subspaces, multilinear, solve_homogeneous,
+                     span, sparse_sum, sum_subspaces, zero_subspace)
 
 
 # ---------------------------------------------------------------------------
@@ -118,36 +118,17 @@ class DecompositionReport:
 # spanning-row helpers
 
 
-def _rows(entries, n):
-    """Dense rows of the nonzero sparse entries, in order; a zero entry
-    adds nothing to a span."""
-    return [dense_vec(e, n) for e in entries if e]
+def _images(alg, lookup, spaces, degrees):
+    """The nonzero sparse images under `lookup` of the basis tuples whose
+    i-th index runs over the fiber of degrees[i] in spaces[i] ("L" or
+    "A"), in lexicographic order; a zero image adds nothing to a span."""
+    fibers = [alg.fiber_indices(s, d) for s, d in zip(spaces, degrees)]
+    return [e for e in starmap(lookup, product(*fibers)) if e]
 
 
-def _action_rows(alg, a_deg, l_deg):
-    return _rows((alg.action_entry(ai, li)
-                  for ai in alg.fiber_indices("A", a_deg)
-                  for li in alg.fiber_indices("L", l_deg)), alg.dim_L)
-
-
-def _bracket_rows(alg, g, h, k):
-    return _rows((alg.bracket_entry(i, j, m)
-                  for i in alg.fiber_indices("L", g)
-                  for j in alg.fiber_indices("L", h)
-                  for m in alg.fiber_indices("L", k)), alg.dim_L)
-
-
-def _amul_rows(alg, g, h):
-    return _rows((alg.amul_entry(i, j)
-                  for i in alg.fiber_indices("A", g)
-                  for j in alg.fiber_indices("A", h)), alg.dim_A)
-
-
-def _rho_rows(alg, g, h, a_deg):
-    return _rows((alg.rho_entry(i, j, ak)
-                  for i in alg.fiber_indices("L", g)
-                  for j in alg.fiber_indices("L", h)
-                  for ak in alg.fiber_indices("A", a_deg)), alg.dim_A)
+def _sum_all(n, spaces):
+    """The sum of the subspaces of F^n: all their rows, reduced once."""
+    return Subspace(n, [r for S in spaces for r in S.rows])
 
 
 def _sorted_elems(elems):
@@ -162,9 +143,10 @@ def _L1_span(alg, degrees, supports):
     rows = []
     for h in degrees:
         if h in supports.lambda1:
-            rows += _action_rows(alg, h.inv(), h)
+            rows += _images(alg, alg.action_entry, "AL", (h.inv(), h))
     for h, k in product(degrees, repeat=2):
-        rows += _bracket_rows(alg, h, k, h.mul(k).inv())
+        rows += _images(alg, alg.bracket_entry, "LLL",
+                        (h, k, h.mul(k).inv()))
     return span(rows, alg.dim_L)
 
 
@@ -175,10 +157,11 @@ def _A1_span(alg, degrees, supports):
     degrees = _sorted_elems(degrees)
     rows = []
     for mu in degrees:
-        rows += _amul_rows(alg, mu.inv(), mu)
+        rows += _images(alg, alg.amul_entry, "AA", (mu.inv(), mu))
     for h, k in product(degrees, repeat=2):
         if h in supports.sigma1 and k in supports.sigma1:
-            rows += _rho_rows(alg, h, k, h.mul(k).inv())
+            rows += _images(alg, alg.rho_entry, "LLA",
+                            (h, k, h.mul(k).inv()))
     return span(rows, alg.dim_A)
 
 
@@ -204,9 +187,8 @@ def build_L1_class(alg, cls):
 def build_I(alg, cls):
     """The graded ideal of a sigma-class: its degree-1 part plus the sum
     of the class fibers."""
-    sub = build_L1_class(alg, cls)
-    for h in _sorted_elems(cls.members):
-        sub = sum_subspaces(sub, alg.fiber("L", h))
+    sub = _sum_all(alg.dim_L, [build_L1_class(alg, cls)] + [
+        alg.fiber("L", h) for h in _sorted_elems(cls.members)])
     ok, cert = verify_ideal_L(alg, sub)
     return IdealCandidate(sub, cls, "L", ok, cert)
 
@@ -216,9 +198,8 @@ def build_A1_class(alg, cls):
 
 
 def build_A_ideal(alg, cls):
-    sub = build_A1_class(alg, cls)
-    for mu in _sorted_elems(cls.members):
-        sub = sum_subspaces(sub, alg.fiber("A", mu))
+    sub = _sum_all(alg.dim_A, [build_A1_class(alg, cls)] + [
+        alg.fiber("A", mu) for mu in _sorted_elems(cls.members)])
     ok, cert = verify_ideal_A(alg, sub)
     return IdealCandidate(sub, cls, "A", ok, cert)
 
@@ -228,10 +209,11 @@ def build_A_ideal(alg, cls):
 
 
 def _ideal_products(alg, side, old, new):
-    """The products an ideal spanned by the rows old + new must absorb
-    that involve at least one row of new, each with its certificate tag,
-    in a fixed order: brackets [s, L, L], then the A-action, then the
-    rho-derived actions rho(s1, s2)(A) L.  On the A side: A t.
+    """The products an ideal spanned by the sparse rows old + new must
+    absorb that involve at least one row of new, each with its
+    certificate tag, in a fixed order: brackets [s, L, L], then the
+    A-action, then the rho-derived actions rho(s1, s2)(A) L.  On the A
+    side: A t.
 
     Each product is a sum over the nonzero coordinates of its rows of
     signed lookups, e.g. [s, e_i, e_j] = sum_p s_p [e_p, e_i, e_j].  Zero
@@ -239,24 +221,23 @@ def _ideal_products(alg, side, old, new):
     nL, nA = alg.dim_L, alg.dim_A
     if side == "A":
         for t in new:
-            nz = nonzero_coords(t)
             for ai in range(nA):
-                v = sparse_sum((c, alg.amul_entry(ai, m)) for m, c in nz)
+                v = sparse_sum((c, alg.amul_entry(ai, m))
+                               for m, c in t.items())
                 if v:
-                    yield ("amul", ai, t), dense_vec(v, nA)
+                    yield ("amul", ai, t), v
         return
     for s in new:
-        nz = nonzero_coords(s)
         for i, j in combinations(range(nL), 2):
-            v = sparse_sum((c, alg.bracket_entry(p, i, j)) for p, c in nz)
+            v = sparse_sum((c, alg.bracket_entry(p, i, j))
+                           for p, c in s.items())
             if v:
-                yield ("bracket", s, i, j), dense_vec(v, nL)
+                yield ("bracket", s, i, j), v
     for s in new:
-        nz = nonzero_coords(s)
         for ai in range(nA):
-            v = sparse_sum((c, alg.action_entry(ai, m)) for m, c in nz)
+            v = sparse_sum((c, alg.action_entry(ai, m)) for m, c in s.items())
             if v:
-                yield ("action", ai, s), dense_vec(v, nL)
+                yield ("action", ai, s), v
     if not alg.rho:
         return
     rows = old + new
@@ -265,8 +246,7 @@ def _ideal_products(alg, side, old, new):
             if max(p, q) < len(old):
                 continue
             pairs = [(c1 * c2, i, j)
-                     for i, c1 in nonzero_coords(s1)
-                     for j, c2 in nonzero_coords(s2)]
+                     for i, c1 in s1.items() for j, c2 in s2.items()]
             for ak in range(nA):
                 ra = sparse_sum((f, alg.rho_entry(i, j, ak))
                                 for f, i, j in pairs)
@@ -274,32 +254,34 @@ def _ideal_products(alg, side, old, new):
                     v = sparse_sum((c, alg.action_entry(m, lj))
                                    for m, c in ra.items())
                     if v:
-                        yield (("rho-action", s1, s2, ak, lj),
-                               dense_vec(v, nL))
+                        yield ("rho-action", s1, s2, ak, lj), v
 
 
 def _verify_ideal(alg, side, S):
-    for tag, v in _ideal_products(alg, side, (), S.basis):
+    """(ok, certificate): the certificate is the tag of the first
+    product escaping S and the product, with every row made dense."""
+    n = S.ambient_dim
+    for tag, v in _ideal_products(alg, side, (), S.rows):
         if not S.contains(v):
-            return False, tag + (v,)
+            return False, tuple(dense_vec(x, n) if type(x) is dict else x
+                                for x in tag + (v,))
     return True, None
 
 
 def _ideal_closure(alg, side, v):
-    """Least ideal containing the homogeneous vector v.  Worklist
-    closure: each round multiplies only the rows added in the round
-    before, so every product is formed once."""
+    """Least ideal containing the homogeneous vector v, dense or sparse.
+    Worklist closure: each round multiplies only the rows added in the
+    round before, so every product is formed once."""
     degrees = alg.L.degrees if side == "L" else alg.A.degrees
-    if len({degrees[i] for i, c in enumerate(v) if c != 0}) > 1:
+    S = span([v], alg.dim_L if side == "L" else alg.dim_A)
+    if len({degrees[i] for r in S.rows for i in r}) > 1:
         raise ValueError("vector is not homogeneous")
-    n = alg.dim_L if side == "L" else alg.dim_A
-    S = span([v], n)
-    old, new = (), S.basis
+    old, new = (), S.rows
     while new:
         added = []
         for _, w in _ideal_products(alg, side, old, new):
             if not S.contains(w):
-                S = Subspace(n, S.basis + (w,))
+                S = Subspace(S.ambient_dim, S.rows + (w,))
                 added.append(w)
         old, new = old + new, tuple(added)
     return S
@@ -322,32 +304,24 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
     """Products across distinct classes vanish: for distinct ideals
     I != J the brackets [I, I, J] and [I, J, K] are zero, and distinct
     A-side ideals multiply to zero.  Returns (ok, counterexamples)."""
+    L = [I.subspace.rows for I in L_ideals]
+    A = [J.subspace.rows for J in A_ideals]
+    scans = []                    # (tag, lookup, dim, row spaces)
+    for i, j in combinations(range(len(L)), 2):
+        # [I, J, K], then two slots from one ideal and one from the other
+        for a, b, c in ([(i, j, k) for k in range(len(L)) if k not in (i, j)]
+                        + [(i, i, j), (j, j, i)]):
+            scans.append((("bracket", a, b, c), alg.bracket_entry,
+                          alg.dim_L, (L[a], L[b], L[c])))
+    for i, j in combinations(range(len(A)), 2):
+        scans.append((("amul", i, j), alg.amul_entry, alg.dim_A,
+                      (A[i], A[j])))
     bad = []
-    n = len(L_ideals)
-    for i, j in combinations(range(n), 2):
-        for k in range(n):
-            if k in (i, j):
-                continue
-            for u in L_ideals[i].subspace.basis:
-                for v in L_ideals[j].subspace.basis:
-                    for w in L_ideals[k].subspace.basis:
-                        r = alg.eval_bracket(u, v, w)
-                        if not is_zero_vec(r):
-                            bad.append(("bracket", i, j, k, r))
-        # two slots from one ideal, one from the other, both ways
-        for a, b in ((i, j), (j, i)):
-            for u in L_ideals[a].subspace.basis:
-                for v in L_ideals[a].subspace.basis:
-                    for w in L_ideals[b].subspace.basis:
-                        r = alg.eval_bracket(u, v, w)
-                        if not is_zero_vec(r):
-                            bad.append(("bracket", a, a, b, r))
-    for i, j in combinations(range(len(A_ideals)), 2):
-        for u in A_ideals[i].subspace.basis:
-            for v in A_ideals[j].subspace.basis:
-                r = alg.eval_amul(u, v)
-                if not is_zero_vec(r):
-                    bad.append(("amul", i, j, r))
+    for tag, lookup, n, spaces in scans:
+        for args in product(*spaces):
+            r = multilinear(lookup, *args)
+            if r:
+                bad.append(tag + (dense_vec(r, n),))
     return not bad, bad
 
 
@@ -358,14 +332,14 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
 def _kernel(maps, dim):
     """Common null space in F^dim of linear maps, each given by the
     sparse images of the dim basis vectors.  Each output coordinate that
-    some image reaches gives one constraint row; the rows of the other
-    coordinates are zero and are never formed."""
+    some image reaches gives one sparse constraint row; the rows of the
+    other coordinates are zero and are never formed."""
     rows = []
     for images in maps:
         by_out = {}
         for m, image in enumerate(images):
             for t, c in image.items():
-                by_out.setdefault(t, list(zero_vec(dim)))[m] = c
+                by_out.setdefault(t, {})[m] = c
         rows += by_out.values()
     return solve_homogeneous(rows, dim)
 
@@ -397,8 +371,8 @@ def check_tight(alg, structure=None):
     supports = compute_supports(alg)
     one = alg.group.identity()
     nL, nA = alg.dim_L, alg.dim_A
-    AA = span(_rows(alg.amul.values(), nA), nA)
-    AL = span(_rows(alg.action.values(), nL), nL)
+    AA = span(alg.amul.values(), nA)     # only nonzero entries are stored
+    AL = span(alg.action.values(), nL)
 
     return TightnessReport(
         center_zero=structure.center.dim == 0,
@@ -422,10 +396,8 @@ def pair_ideals(alg, L_ideals, A_ideals, tight=None):
     for I in L_ideals:
         hits = []
         for J in A_ideals:
-            nonzero = any(
-                not is_zero_vec(alg.eval_action(a_row, x_row))
-                for a_row in J.subspace.basis
-                for x_row in I.subspace.basis)
+            nonzero = any(multilinear(alg.action_entry, a, x)
+                          for a in J.subspace.rows for x in I.subspace.rows)
             if nonzero:
                 hits.append(J.source_class.representative.coords)
         mapping[I.source_class.representative.coords] = hits
@@ -445,16 +417,16 @@ def check_G_multiplicative(alg):
     bad = []
     for g, h, k in combinations(s1, 3):
         if g.mul(h).mul(k) in supports.sigma1:
-            if not _bracket_rows(alg, g, h, k):
+            if not _images(alg, alg.bracket_entry, "LLL", (g, h, k)):
                 bad.append(("bracket", g.coords, h.coords, k.coords))
     for lam in l1:
         for g in s1:
             if lam.mul(g) in supports.sigma1:
-                if not _action_rows(alg, lam, g):
+                if not _images(alg, alg.action_entry, "AL", (lam, g)):
                     bad.append(("action", lam.coords, g.coords))
     for lam, mu in combinations_with_replacement(l1, 2):
         if lam.mul(mu) in supports.lambda1:
-            if not _amul_rows(alg, lam, mu):
+            if not _images(alg, alg.amul_entry, "AA", (lam, mu)):
                 bad.append(("amul", lam.coords, mu.coords))
     return not bad, bad
 
@@ -482,13 +454,14 @@ def A_ideal_generated_by(alg, v):
 
 
 def _homogeneous_generators(alg, space, C):
-    """Echelon bases of the intersections of C with each degree fiber.
-    For a graded C these jointly span C and every row is homogeneous."""
+    """Echelon bases of the intersections of C with each degree fiber, as
+    sparse rows.  For a graded C these jointly span C and every row is
+    homogeneous."""
     degrees = alg.L.degrees if space == "L" else alg.A.degrees
     out = []
     for d in sorted(set(degrees), key=lambda e: e.coords):
         B = intersect_subspaces(C, alg.fiber(space, d))
-        out.extend((d, row) for row in B.basis)
+        out.extend((d, row) for row in B.rows)
     return out
 
 
@@ -523,11 +496,11 @@ def check_gr_simple_L(alg, within=None, structure=None):
         structure = structure_ideals(alg)
     ker_part = intersect_subspaces(structure.ker_rho, C)
 
-    bracket_nonzero = any(not is_zero_vec(alg.eval_bracket(u, v, w))
-                          for u, v, w in combinations(C.basis, 3))
+    bracket_nonzero = any(multilinear(alg.bracket_entry, u, v, w)
+                          for u, v, w in combinations(C.rows, 3))
     AA_nonzero = bool(alg.amul)           # only nonzero entries are stored
-    AL_nonzero = any(not is_zero_vec(alg.eval_action(alg.A_unit(ai), x))
-                     for ai in range(alg.dim_A) for x in C.basis)
+    AL_nonzero = any(multilinear(alg.action_entry, {ai: 1}, x)
+                     for ai in range(alg.dim_A) for x in C.rows)
     if not bracket_nonzero:
         return SimplicityVerdict("no", False, AA_nonzero, AL_nonzero,
                                  witness="zero-bracket")
@@ -537,8 +510,8 @@ def check_gr_simple_L(alg, within=None, structure=None):
 
 def check_gr_simple_A(alg, within=None):
     C = within if within is not None else full_subspace(alg.dim_A)
-    if all(is_zero_vec(alg.eval_amul(u, v))
-           for u, v in combinations_with_replacement(C.basis, 2)):
+    if not any(multilinear(alg.amul_entry, u, v)
+               for u, v in combinations_with_replacement(C.rows, 2)):
         return SimplicityVerdict("no", False, witness="zero-product")
     verdict, witness = _close_generators(alg, "A", C)
     return SimplicityVerdict(verdict, True, witness=witness)
@@ -581,6 +554,14 @@ def _attempt_component_split(alg, component, structure):
 # the full pipeline
 
 
+def _coarse_sum(n, comp, ideals):
+    """(covers, direct) for the sum of a degree-1 complement and the
+    class ideals in F^n."""
+    spaces = [comp] + [I.subspace for I in ideals]
+    total = _sum_all(n, spaces).dim
+    return total == n, total == n and sum(S.dim for S in spaces) == total
+
+
 def decompose(alg):
     """Coarse decomposition into class ideals plus a degree-1
     complement, directness and orthogonality certificates, tightness and
@@ -603,24 +584,14 @@ def decompose(alg):
     L1_fiber = alg.fiber("L", one)
     L1_gen = _L1_span(alg, supports.sigma1, supports)
     report.U_complement = complement(L1_gen, within=L1_fiber)
-    total_L = report.U_complement
-    for I in report.L_ideals:
-        total_L = sum_subspaces(total_L, I.subspace)
-    report.L_covers = total_L == full_subspace(alg.dim_L)
-    report.L_direct = (report.U_complement.dim
-                       + sum(I.subspace.dim for I in report.L_ideals)
-                       == total_L.dim) and report.L_covers
+    report.L_covers, report.L_direct = _coarse_sum(
+        alg.dim_L, report.U_complement, report.L_ideals)
 
     A1_fiber = alg.fiber("A", one)
     A1_gen = _A1_span(alg, supports.lambda1, supports)
     report.V_complement = complement(A1_gen, within=A1_fiber)
-    total_A = report.V_complement
-    for J in report.A_ideals:
-        total_A = sum_subspaces(total_A, J.subspace)
-    report.A_covers = total_A == full_subspace(alg.dim_A)
-    report.A_direct = (report.V_complement.dim
-                       + sum(J.subspace.dim for J in report.A_ideals)
-                       == total_A.dim) and report.A_covers
+    report.A_covers, report.A_direct = _coarse_sum(
+        alg.dim_A, report.V_complement, report.A_ideals)
 
     structure = structure_ideals(alg)
     report.structure = structure

@@ -144,11 +144,12 @@ def instance_from_dict(data):
 
 def load_instance(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise ParseError(str(path), "cannot read: %s" % e)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError, or nesting too deep to parse
         raise ParseError(str(path), "invalid JSON: %s" % e)
     return instance_from_dict(data)
 

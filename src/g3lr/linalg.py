@@ -1,10 +1,20 @@
-"""Exact rational linear algebra: vectors, echelon-form subspaces and
-the lattice operations on them.  All arithmetic uses Fraction; there is
-no tolerance anywhere."""
+"""Exact rational linear algebra: sparse rows, echelon-form subspaces
+and the lattice operations on them.  All arithmetic uses Fraction; there
+is no tolerance anywhere.
+
+Vectors are sparse rows {index: Fraction} internally, holding the
+nonzero coordinates only, from the stored tables through the products
+to the reduced-echelon rows of a `Subspace`.  Every lattice operation
+accepts dense or sparse rows.  Dense tuples are formed only at the
+public boundary: `Subspace.basis`, the model's `eval_*` evaluators,
+ideal certificates and reports.
+"""
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 
 
 def vec(coords):
@@ -22,9 +32,20 @@ def unit_vec(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
-def nonzero_coords(v):
-    """The (index, coordinate) pairs of v with a nonzero coordinate."""
-    return [(i, c) for i, c in enumerate(v) if c]
+def sparse_row(r, n):
+    """The row r of F^n, dense (a sequence of length n) or sparse
+    ({index: coordinate}), as a new sparse row of nonzero Fractions."""
+    if isinstance(r, dict):
+        items = r.items()
+    elif len(r) != n:
+        raise ValueError("row length %d in ambient of dim %d" % (len(r), n))
+    else:
+        items = enumerate(r)
+    out = {j: c if type(c) is Fraction else Fraction(c)
+           for j, c in items if c}
+    if out and not (0 <= min(out) and max(out) < n):
+        raise ValueError("row index outside ambient of dim %d" % n)
+    return out
 
 
 def dense_vec(entry, n):
@@ -45,35 +66,47 @@ def sparse_sum(terms):
     return {m: c for m, c in acc.items() if c}
 
 
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
+def multilinear(lookup, *rows):
+    """The sparse image of sparse rows under the multilinear map whose
+    values on basis tuples `lookup` gives: over the tuples of nonzero
+    coordinates, the lookup of the index tuple times the product of the
+    coordinates, which is formed only when the lookup is nonzero."""
+    terms = []
+    for combo in product(*[r.items() for r in rows]):
+        image = lookup(*[i for i, _ in combo])
+        if image:
+            terms.append((prod([c for _, c in combo]), image))
+    return sparse_sum(terms)
 
 
 def _reduce(basis, pivots, v):
-    """The list v, in place, minus the multiples of the reduced rows
-    `basis` (sparse {index: coordinate}, 1 at the pivot) that clear it at
-    every pivot.  Only rows whose pivot coordinate in v is nonzero are
-    subtracted, and only at their own nonzero coordinates."""
+    """The sparse row v, in place, minus the multiples of the reduced
+    rows `basis` (1 at the pivot) that clear it at every pivot.  Only
+    rows whose pivot coordinate in v is nonzero are subtracted, and only
+    at their own nonzero coordinates."""
     for row, p in zip(basis, pivots):
-        f = v[p]
+        f = v.get(p)
         if f:
             for j, c in row.items():
-                v[j] -= f * c
+                d = v.get(j, 0) - f * c
+                if d:
+                    v[j] = d
+                else:
+                    del v[j]
     return v
 
 
 def _echelon(rows):
-    """The reduced echelon basis of the span of rows, as sparse rows
-    sorted by pivot, and the pivots.  Each row is reduced against the
-    basis built so far, scaled to a leading 1, cleared from the pivot
-    column of the earlier rows and inserted by pivot."""
+    """The reduced echelon basis of the span of the sparse rows, sorted
+    by pivot, and the pivots.  Each row is reduced, in place, against
+    the basis built so far, scaled to a leading 1, cleared from the
+    pivot column of the earlier rows and inserted by pivot."""
     basis, pivots = [], []
     for r in rows:
-        new = {j: c for j, c in enumerate(_reduce(basis, pivots, list(r)))
-               if c}
+        new = _reduce(basis, pivots, r)
         if not new:
             continue
-        p = next(iter(new))
+        p = min(new)
         f = new[p]
         if f != 1:
             new = {j: c / f for j, c in new.items()}
@@ -89,7 +122,7 @@ def _echelon(rows):
         k = bisect_left(pivots, p)
         basis.insert(k, new)
         pivots.insert(k, p)
-    return basis, tuple(pivots)
+    return tuple(basis), tuple(pivots)
 
 
 def rref(rows):
@@ -101,41 +134,42 @@ def rref(rows):
 
 
 class Subspace:
-    """A subspace of F^n held as a canonical reduced-echelon basis.
-    Two subspaces are equal iff their basis tuples are equal."""
+    """A subspace of F^n held as its canonical reduced-echelon basis of
+    sparse rows, `rows`; these are shared and must not be modified.  Two
+    subspaces are equal iff their rows are equal."""
 
-    __slots__ = ("ambient_dim", "basis", "_rows", "_pivots")
+    __slots__ = ("ambient_dim", "rows", "_pivots")
 
     def __init__(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
-        rows = [vec(r) for r in rows]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("row length %d in ambient of dim %d"
-                                 % (len(r), ambient_dim))
-        self._rows, self._pivots = _echelon(rows)
-        self.basis = tuple(dense_vec(r, ambient_dim) for r in self._rows)
+        self.rows, self._pivots = _echelon(
+            [sparse_row(r, ambient_dim) for r in rows])
+
+    @property
+    def basis(self):
+        """The reduced-echelon basis as dense tuples."""
+        return tuple(dense_vec(r, self.ambient_dim) for r in self.rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def pivots(self):
         return self._pivots
 
     def contains(self, v):
-        v = vec(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return not any(_reduce(self._rows, self._pivots, list(v)))
+        return not _reduce(self.rows, self._pivots,
+                           sparse_row(v, self.ambient_dim))
 
     def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.basis)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient mismatch")
+        return all(self.contains(r) for r in other.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
@@ -150,28 +184,28 @@ def zero_subspace(ambient_dim):
 
 
 def full_subspace(ambient_dim):
-    return Subspace(ambient_dim, [unit_vec(ambient_dim, i)
-                                  for i in range(ambient_dim)])
+    return Subspace(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 
 
 def sum_subspaces(s, t):
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("ambient mismatch")
-    return Subspace(s.ambient_dim, list(s.basis) + list(t.basis))
+    return Subspace(s.ambient_dim, s.rows + t.rows)
 
 
 def solve_homogeneous(constraint_rows, ambient_dim):
-    """Null space of the stacked constraint matrix, as a Subspace.
-    With no constraints the result is the full space."""
+    """Null space of the stacked constraint matrix, as a Subspace: one
+    solution per free column f, e_f minus the reduced constraint rows'
+    coordinates at f on their pivots.  With no constraints the result is
+    the full space."""
     c = Subspace(ambient_dim, constraint_rows)
-    basis = []
-    for f in range(ambient_dim):
-        if f not in c.pivots():
-            sol = list(unit_vec(ambient_dim, f))
-            for row, p in zip(c.basis, c.pivots()):
-                sol[p] = -row[f]
-            basis.append(sol)
-    return Subspace(ambient_dim, basis)
+    pivots = set(c.pivots())
+    sols = {f: {f: 1} for f in range(ambient_dim) if f not in pivots}
+    for row, p in zip(c.rows, c.pivots()):
+        for f, x in row.items():
+            if f != p:
+                sols[f][p] = -x
+    return Subspace(ambient_dim, sols.values())
 
 
 def intersect_subspaces(s, t):
@@ -181,8 +215,8 @@ def intersect_subspaces(s, t):
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("ambient mismatch")
     n = s.ambient_dim
-    return solve_homogeneous(solve_homogeneous(s.basis, n).basis
-                             + solve_homogeneous(t.basis, n).basis, n)
+    return solve_homogeneous(solve_homogeneous(s.rows, n).rows
+                             + solve_homogeneous(t.rows, n).rows, n)
 
 
 def complement(s, within=None):
@@ -197,9 +231,9 @@ def complement(s, within=None):
     if not within.contains_subspace(s):
         raise ValueError("complement requested outside the enclosing space")
     pivots = set(s.pivots())
-    candidates = [unit_vec(n, j) for j in range(n)
-                  if j not in pivots and within.contains(unit_vec(n, j))]
-    candidates += list(within.basis)
+    candidates = [{j: 1} for j in range(n)
+                  if j not in pivots and within.contains({j: 1})]
+    candidates += within.rows
     picked = []
     cur = s
     for v in candidates:
@@ -207,6 +241,6 @@ def complement(s, within=None):
             break
         if not cur.contains(v):
             picked.append(v)
-            cur = Subspace(n, cur.basis + (v,))
+            cur = Subspace(n, cur.rows + (v,))
     assert cur.dim == within.dim
     return Subspace(n, picked)

@@ -16,21 +16,21 @@ checkable axioms live in `axioms`.
 
 The signed lookups (`bracket_entry`, `amul_entry`, `action_entry`,
 `rho_entry`) give the sparse image of one basis tuple under any argument
-order.  Every product in the package is formed from them: the axiom
-suite evaluates its identities on them, the decomposition layer builds
-its spanning rows, constraint rows and ideal products from them, and the
-multilinear `eval_*` evaluators extend them to dense vectors, summing
-over the nonzero coordinates only.
+order.  Every product in the package is formed from them, on sparse rows
+{index: Fraction}: the axiom suite evaluates its identities on them, and
+the decomposition layer builds its spanning rows, constraint rows and
+ideal products from them with `linalg.multilinear` and
+`linalg.sparse_sum`.  Vectors are dense tuples only at the public
+boundary: `Subspace.basis`, ideal certificates, reports, and the
+multilinear `eval_*` evaluators, which take and return dense tuples and
+sum over the nonzero coordinates only.
 """
 
 from fractions import Fraction
-from itertools import product
-from math import prod
 from types import MappingProxyType
 
 from .groups import GroupElem, GroupSpec
-from .linalg import (Subspace, dense_vec, nonzero_coords, sparse_sum,
-                     unit_vec)
+from .linalg import Subspace, dense_vec, multilinear, sparse_row, unit_vec
 
 
 class GradedBasis:
@@ -162,18 +162,11 @@ class Algebra3LR:
     def rho_entry(self, i, j, ak):
         return self.rho.get((i, j, ak), _EMPTY)
 
-    # ---- multilinear evaluators ----
-    # One loop shape: over the tuples of nonzero coordinates, the signed
-    # lookup of the index tuple times the product of the coordinates,
-    # which is formed only when the lookup is nonzero.
+    # ---- multilinear evaluators on dense vectors ----
 
     def _eval(self, lookup, dim, *vectors):
-        terms = []
-        for combo in product(*map(nonzero_coords, vectors)):
-            image = lookup(*[i for i, _ in combo])
-            if image:
-                terms.append((prod([c for _, c in combo]), image))
-        return dense_vec(sparse_sum(terms), dim)
+        rows = [sparse_row(v, len(v)) for v in vectors]
+        return dense_vec(multilinear(lookup, *rows), dim)
 
     def eval_bracket(self, x, y, z):
         assert len(x) == len(y) == len(z) == self.dim_L
@@ -197,8 +190,7 @@ class Algebra3LR:
         """Span of the basis vectors of the given degree; `space` is
         "L" or "A"."""
         n = self.dim_L if space == "L" else self.dim_A
-        return Subspace(n, [unit_vec(n, i)
-                            for i in self.fiber_indices(space, g)])
+        return Subspace(n, [{i: 1} for i in self.fiber_indices(space, g)])
 
     def fiber_indices(self, space, g):
         """Indices of the basis vectors of degree g, from the index the

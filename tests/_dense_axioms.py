@@ -11,10 +11,9 @@ from itertools import combinations, product
 
 from g3lr.axioms import (A_ALGEBRA, FUNDAMENTAL, GRADING, REPRESENTATION,
                          RHO_DERIVATION, RINEHART, Violation)
-from g3lr.linalg import is_zero_vec
 
 import _dense_model as dm
-from _ref_linalg import vec_add, vec_sub
+from _ref_linalg import is_zero_vec, vec_add, vec_sub
 
 
 def check_fundamental_identity(alg):

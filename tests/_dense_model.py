@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from weakref import WeakKeyDictionary
 
-from g3lr.linalg import is_zero_vec, span, vec, zero_vec
+from _ref_linalg import is_zero_vec
+from g3lr.linalg import span, vec, zero_vec
 
 _CACHES = WeakKeyDictionary()
 

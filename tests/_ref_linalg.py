@@ -19,6 +19,10 @@ from g3lr.linalg import unit_vec, vec, zero_vec
 # works on sparse rows
 
 
+def is_zero_vec(u):
+    return all(a == 0 for a in u)
+
+
 def vec_add(u, v):
     assert len(u) == len(v)
     return tuple(a + b for a, b in zip(u, v))

@@ -188,6 +188,17 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}",
+                                 b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "nested-too-deeply"])
+def test_cli_undecodable_input_is_a_parse_error(tmp_path, raw):
+    path = tmp_path / "broken.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_instance(path)
+    assert _run("validate", str(path))[0] == EXIT_PARSE
+
+
 # ---------------------------------------------------------------------------
 # commands
 

@@ -19,7 +19,8 @@ from g3lr.decompose import (_A1_span, _L1_span, _ideal_products,
                             verify_ideal_A, verify_ideal_L,
                             verify_triple_orthogonality)
 from g3lr.groups import GroupSpec
-from g3lr.linalg import (full_subspace, intersect_subspaces, is_zero_vec,
+from _ref_linalg import is_zero_vec
+from g3lr.linalg import (dense_vec, full_subspace, intersect_subspaces,
                          solve_homogeneous, span, unit_vec, vec, zero_vec)
 from g3lr.model import Algebra3LR, GradedBasis
 
@@ -562,7 +563,8 @@ def test_closure_engine_matches_round_based_reference():
 # before the decomposition layer moved onto the signed lookups.  The new
 # `_ideal_products` skips zero products, so the oracle's sequence is
 # compared with its zero vectors removed; tags, vectors and order must
-# otherwise agree exactly.
+# otherwise agree exactly.  `_ideal_products` takes and yields sparse
+# rows, so its tags and vectors are made dense for the comparison.
 
 
 def _random_vec(rng, n):
@@ -570,12 +572,16 @@ def _random_vec(rng, n):
 
 
 def _products_agree(alg, side, S):
-    rows = S.basis
+    n, rows, basis = S.ambient_dim, S.rows, S.basis
+
+    def dense(x):
+        return dense_vec(x, n) if isinstance(x, dict) else x
     for split in range(len(rows) + 1):
-        old, new = rows[:split], rows[split:]
-        want = [(tag, v) for tag, v in dm.ideal_products(alg, side, old, new)
-                if not is_zero_vec(v)]
-        assert list(_ideal_products(alg, side, old, new)) == want
+        want = [(tag, v) for tag, v in dm.ideal_products(
+            alg, side, basis[:split], basis[split:]) if not is_zero_vec(v)]
+        got = [(tuple(map(dense, tag)), dense(v)) for tag, v in
+               _ideal_products(alg, side, rows[:split], rows[split:])]
+        assert got == want
     return any(tag[0] == "rho-action" for tag, _ in
                _ideal_products(alg, side, (), rows))
 

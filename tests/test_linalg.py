@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _ref_linalg as ref
-from _ref_linalg import vec_add, vec_scale
+from _ref_linalg import is_zero_vec, vec_add, vec_scale
 from g3lr.linalg import (Subspace, complement, full_subspace,
                          intersect_subspaces, rref, solve_homogeneous,
                          span, sum_subspaces, unit_vec, vec, zero_subspace,
-                         zero_vec, is_zero_vec)
+                         zero_vec)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -64,6 +64,15 @@ def test_span_invariant_under_shuffle(rows):
 def test_contains_ambient_mismatch():
     with pytest.raises(ValueError):
         span([vec((1, 0))], 2).contains(vec((1, 0, 0)))
+    with pytest.raises(ValueError):
+        span([vec((1, 0))], 2).contains({2: Fraction(1)})
+
+
+def test_sparse_int_rows_stay_exact():
+    s = Subspace(2, [{1: 3, 0: 2}])
+    assert s.basis == (vec((1, Fraction(3, 2))),)
+    assert s.rows == ({0: 1, 1: Fraction(3, 2)},)
+    assert all(type(c) is Fraction for r in s.rows for c in r.values())
 
 
 @settings(max_examples=60)
@@ -155,6 +164,10 @@ def _lattice_case(draw):
     return n, rows_s, rows_t, coeffs, draw(row)
 
 
+def _as_sparse(rows):
+    return [{j: c for j, c in enumerate(r) if c} for r in rows]
+
+
 @settings(max_examples=200)
 @given(_lattice_case())
 def test_lattice_matches_reference_oracle(case):
@@ -174,5 +187,16 @@ def test_lattice_matches_reference_oracle(case):
     inside = zero_vec(n)
     for c, r in zip(coeffs, rows_s):
         inside = vec_add(inside, vec_scale(c, r))
-    for probe in [v, inside, vec_add(inside, v)] + rows_t:
+    probes = [v, inside, vec_add(inside, v)] + rows_t
+    for probe in probes:
         assert s.contains(probe) == ref.contains(ref_s, probe)
+    # the same matrices as sparse rows {index: Fraction}
+    sparse_s = Subspace(n, _as_sparse(rows_s))
+    assert sparse_s == s and sparse_s.basis == s.basis
+    assert Subspace(n, _as_sparse(rows_t)) == t
+    assert solve_homogeneous(_as_sparse(rows_s), n) == \
+        solve_homogeneous(rows_s, n)
+    assert complement(sparse_s, Subspace(n, _as_sparse(within))) == \
+        complement(s, Subspace(n, within))
+    assert [s.contains(p) for p in _as_sparse(probes)] == \
+        [s.contains(p) for p in probes]

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _dense_model as dm
-from _ref_linalg import vec_add, vec_scale
+from _ref_linalg import is_zero_vec, vec_add, vec_scale
 from g3lr.catalog import builtin
 from g3lr.groups import GroupSpec
-from g3lr.linalg import dense_vec, is_zero_vec, vec
+from g3lr.linalg import dense_vec, vec
 from g3lr.model import Algebra3LR, GradedBasis
 
 _scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2)
