@@ -19,11 +19,13 @@ grows with the nonzero terms and a pass is still a proof.
 
 Each side of an identity is built as a sparse {index: Fraction} vector
 from the nonzero entries of the tables `alg.bracket/amul/action/rho`,
-read through the signed lookups of `Algebra3LR` or the maps built from
-the stored keys.  The left side of the fundamental identity on
-(i, j, k, l, m), for instance, is the sum of c_p [p, l, m] over the
-entries c_p of [i, j, k], so empty products cost nothing.  The two
-sides are compared with their zero coefficients dropped, and dense
+read through the signed lookups of `Algebra3LR`, the maps built from
+the stored keys, or the instance's `model.Incidence`, which is built
+once and shared by all checks: the maps ad(x, y) and the bracket pairs
+of each basis index come from there.  The left side of the fundamental
+identity on (i, j, k, l, m), for instance, is the sum of c_p [p, l, m]
+over the entries c_p of [i, j, k], so empty products cost nothing.  The
+two sides are compared with their zero coefficients dropped, and dense
 `lhs`/`rhs` tuples are built only for a recorded Violation.
 """
 
@@ -102,31 +104,10 @@ def _check(out, axiom, witness, lhs, rhs, dim):
                              _dense(rhs, dim)))
 
 
-def _ad_maps(alg):
-    """ad[(x, y)] = {p: [p, x, y]} over the ordered pairs with
-    ad(x, y) != 0, read off the stored keys: the entry E of (k0, k1, k2)
-    is [k0, k1, k2] = [k1, k2, k0] = [k2, k0, k1], and the odd
-    permutations give -E."""
-    ad = {}
-    for (k0, k1, k2), e in alg.bracket.items():
-        neg = {t: -c for t, c in e.items()}
-        for p, x, y, v in ((k0, k1, k2, e), (k1, k2, k0, e),
-                           (k2, k0, k1, e), (k0, k2, k1, neg),
-                           (k1, k0, k2, neg), (k2, k1, k0, neg)):
-            ad.setdefault((x, y), {})[p] = v
-    return ad
-
-
 def _rho_images(alg):
     """rho[x][y][a] = rho(x, y)(a)."""
     rL, rA = range(alg.dim_L), range(alg.dim_A)
     return [[[alg.rho_entry(x, y, a) for a in rA] for y in rL] for x in rL]
-
-
-def _rho_pairs(alg):
-    """The ordered pairs (x, y) with rho(x, y) != 0 as an operator; only
-    nonzero entries are stored."""
-    return {(x, y) for x, y, _ in alg.rho}
 
 
 def _action_images(alg):
@@ -157,13 +138,8 @@ def check_fundamental_identity(alg):
     by witness, the (i, j, k)-major order of the plain enumeration."""
     out = []
     n = alg.dim_L
-    ad = _ad_maps(alg)
-    # inc[q]: (a, b, [q, a, b]) with a < b, over the stored keys holding q
-    inc = [[] for _ in range(n)]
-    for (a, b), d in ad.items():
-        if a < b:
-            for q, v in d.items():
-                inc[q].append((a, b, v))
+    incidence = alg.incidence()
+    ad, pairs_of = incidence.ad, incidence.bracket_by_L
     # hits[p]: (T, [T]_p) over the stored triples T whose image has p
     hits = [[] for _ in range(n)]
     for key, e in alg.bracket.items():
@@ -182,7 +158,7 @@ def check_fundamental_identity(alg):
             # the term of T = {p, a, b} with D in p's slot is
             # sign * [Dp, a, b], the sign of moving p to the front
             for q, c in dp.items():
-                for a, b, v in inc[q]:
+                for (a, b), v in pairs_of.get(q, ()):
                     if p < a:
                         key, f = (p, a, b), c
                     elif a < p < b:
@@ -216,7 +192,9 @@ def check_representation(alg):
         # every operator is zero and so is rho applied to any bracket
         return out
     n, nA = alg.dim_L, alg.dim_A
-    rho, ad, live = _rho_images(alg), _ad_maps(alg), _rho_pairs(alg)
+    # live: the ordered pairs (x, y) with rho(x, y) != 0 as an operator
+    incidence = alg.incidence()
+    rho, ad, live = _rho_images(alg), incidence.ad, incidence.rho_by_pair
     # into[y] = {p : rho(p, y) != 0}
     into = [set() for _ in range(n)]
     for p, y in live:
@@ -265,7 +243,8 @@ def check_rinehart_compat(alg):
     rho(a x, y) = rho(x, a y) = a rho(x, y)  on all basis tuples."""
     out = []
     nL, nA = alg.dim_L, alg.dim_A
-    ad, rho, live = _ad_maps(alg), _rho_images(alg), _rho_pairs(alg)
+    incidence = alg.incidence()
+    ad, rho, live = incidence.ad, _rho_images(alg), incidence.rho_by_pair
     act, mul = _action_images(alg), _amul_images(alg)
     for x, y in product(range(nL), repeat=2):
         # Skip: [x,y,a z] and a[x,y,z] apply ad(x, y), and (rho(x,y)a) z

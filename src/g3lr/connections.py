@@ -19,26 +19,33 @@ targets, so the search always terminates.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import product_many
 
 
 @dataclass(frozen=True)
 class SupportSets:
+    """The supports; the symmetric closures and the search alphabet are
+    computed on first use and kept."""
     group: object
     sigma1: frozenset
     lambda1: frozenset
 
-    @property
+    @cached_property
     def sigma(self):
         return self.sigma1 | frozenset(g.inv() for g in self.sigma1)
 
-    @property
+    @cached_property
     def lambda_(self):
         return self.lambda1 | frozenset(l.inv() for l in self.lambda1)
 
-    def alphabet(self):
+    @cached_property
+    def _alphabet(self):
         return self.sigma | self.lambda_ | {self.group.identity()}
+
+    def alphabet(self):
+        return self._alphabet
 
 
 @dataclass

@@ -5,6 +5,13 @@ supports, graded simplicity) that certify them.
 Every subspace here is computed as an exact rational span of products of
 basis vectors, and every claimed containment or equality is checked as
 an exact subspace identity.
+
+The ideal products and the constraint rows of the structural subspaces
+are read off the instance's `model.Incidence`, so the work follows the
+stored keys that the rows reach, not the dimensions: a product that no
+stored key reaches is zero and is never formed, and an ideal triple
+whose coordinate supports no stored key connects is skipped by the
+orthogonality check.  Each skip rule sits next to its proof in the code.
 """
 
 from collections import Counter
@@ -208,36 +215,46 @@ def build_A_ideal(alg, cls):
 # ideal products: verification and closure
 
 
+def _reached(row, by_index):
+    """(key, image) in ascending key order, where image is the sum of
+    c * f_key(e_p) over the coordinates c at p of the sparse row and
+    by_index[p] lists (key, f_key(e_p)) over the nonzero images (see
+    `model.Incidence`); zero sums are dropped.  Skip: a key that no
+    coordinate of the row reaches has every term zero."""
+    terms = {}
+    for p, c in row.items():
+        for key, image in by_index.get(p, ()):
+            terms.setdefault(key, []).append((c, image))
+    for key in sorted(terms):
+        v = sparse_sum(terms[key])
+        if v:
+            yield key, v
+
+
 def _ideal_products(alg, side, old, new):
     """The products an ideal spanned by the sparse rows old + new must
     absorb that involve at least one row of new, each with its
     certificate tag, in a fixed order: brackets [s, L, L], then the
     A-action, then the rho-derived actions rho(s1, s2)(A) L.  On the A
-    side: A t.
+    side: A t.  Within each kind, basis indices ascend as in a plain
+    scan over all of them.
 
-    Each product is a sum over the nonzero coordinates of its rows of
-    signed lookups, e.g. [s, e_i, e_j] = sum_p s_p [e_p, e_i, e_j].  Zero
-    products are skipped: every subspace contains them."""
-    nL, nA = alg.dim_L, alg.dim_A
+    Each product is a sum over the nonzero coordinates of its rows, e.g.
+    [s, e_i, e_j] = sum_p s_p [e_p, e_i, e_j], read off the instance's
+    incidence, so only the basis indices the rows reach are visited.
+    Zero products are skipped: every subspace contains them."""
+    inc = alg.incidence()
     if side == "A":
         for t in new:
-            for ai in range(nA):
-                v = sparse_sum((c, alg.amul_entry(ai, m))
-                               for m, c in t.items())
-                if v:
-                    yield ("amul", ai, t), v
+            for ai, v in _reached(t, inc.amul_by_A):
+                yield ("amul", ai, t), v
         return
     for s in new:
-        for i, j in combinations(range(nL), 2):
-            v = sparse_sum((c, alg.bracket_entry(p, i, j))
-                           for p, c in s.items())
-            if v:
-                yield ("bracket", s, i, j), v
+        for (i, j), v in _reached(s, inc.bracket_by_L):
+            yield ("bracket", s, i, j), v
     for s in new:
-        for ai in range(nA):
-            v = sparse_sum((c, alg.action_entry(ai, m)) for m, c in s.items())
-            if v:
-                yield ("action", ai, s), v
+        for ai, v in _reached(s, inc.action_by_L):
+            yield ("action", ai, s), v
     if not alg.rho:
         return
     rows = old + new
@@ -245,16 +262,13 @@ def _ideal_products(alg, side, old, new):
         for q, s2 in enumerate(rows):
             if max(p, q) < len(old):
                 continue
-            pairs = [(c1 * c2, i, j)
-                     for i, c1 in s1.items() for j, c2 in s2.items()]
-            for ak in range(nA):
-                ra = sparse_sum((f, alg.rho_entry(i, j, ak))
-                                for f, i, j in pairs)
-                for lj in range(nL) if ra else ():
-                    v = sparse_sum((c, alg.action_entry(m, lj))
-                                   for m, c in ra.items())
-                    if v:
-                        yield ("rho-action", s1, s2, ak, lj), v
+            # rho(s1, s2)(a_k) = sum of s1_i s2_j rho(i, j)(a_k), and its
+            # action on l_j is linear in it, so both steps are reached
+            pairs = {(i, j): c1 * c2
+                     for i, c1 in s1.items() for j, c2 in s2.items()}
+            for ak, ra in _reached(pairs, inc.rho_by_pair):
+                for lj, v in _reached(ra, inc.action_by_A):
+                    yield ("rho-action", s1, s2, ak, lj), v
 
 
 def _verify_ideal(alg, side, S):
@@ -303,19 +317,40 @@ def verify_ideal_A(alg, T):
 def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
     """Products across distinct classes vanish: for distinct ideals
     I != J the brackets [I, I, J] and [I, J, K] are zero, and distinct
-    A-side ideals multiply to zero.  Returns (ok, counterexamples)."""
+    A-side ideals multiply to zero.  Returns (ok, counterexamples), the
+    counterexamples in the order of a scan over every row tuple."""
     L = [I.subspace.rows for I in L_ideals]
     A = [J.subspace.rows for J in A_ideals]
+    supp_L = [{t for r in rows for t in r} for rows in L]
+    supp_A = [{t for r in rows for t in r} for rows in A]
+    inc = alg.incidence()
+
+    # Skip: every product of rows of I_a, I_b, I_c sums u_p v_i w_j
+    # [p, i, j] over their coordinates, so it is zero unless a stored key
+    # has some p in supp I_a and its pair {i, j} split across supp I_b
+    # and supp I_c; likewise a_p a_q for the A-side ideals.
+    def bracket_meets(a, b, c):
+        return any((i in supp_L[b] and j in supp_L[c])
+                   or (j in supp_L[b] and i in supp_L[c])
+                   for p in supp_L[a]
+                   for (i, j), _ in inc.bracket_by_L.get(p, ()))
+
+    def amul_meets(a, b):
+        return any(q in supp_A[b] for p in supp_A[a]
+                   for q, _ in inc.amul_by_A.get(p, ()))
+
     scans = []                    # (tag, lookup, dim, row spaces)
     for i, j in combinations(range(len(L)), 2):
         # [I, J, K], then two slots from one ideal and one from the other
         for a, b, c in ([(i, j, k) for k in range(len(L)) if k not in (i, j)]
                         + [(i, i, j), (j, j, i)]):
-            scans.append((("bracket", a, b, c), alg.bracket_entry,
-                          alg.dim_L, (L[a], L[b], L[c])))
+            if bracket_meets(a, b, c):
+                scans.append((("bracket", a, b, c), alg.bracket_entry,
+                              alg.dim_L, (L[a], L[b], L[c])))
     for i, j in combinations(range(len(A)), 2):
-        scans.append((("amul", i, j), alg.amul_entry, alg.dim_A,
-                      (A[i], A[j])))
+        if amul_meets(i, j):
+            scans.append((("amul", i, j), alg.amul_entry, alg.dim_A,
+                          (A[i], A[j])))
     bad = []
     for tag, lookup, n, spaces in scans:
         for args in product(*spaces):
@@ -329,37 +364,37 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
 # structural subspaces and predicates
 
 
-def _kernel(maps, dim):
-    """Common null space in F^dim of linear maps, each given by the
-    sparse images of the dim basis vectors.  Each output coordinate that
-    some image reaches gives one sparse constraint row; the rows of the
-    other coordinates are zero and are never formed."""
-    rows = []
-    for images in maps:
-        by_out = {}
-        for m, image in enumerate(images):
+def _constraints(by_index):
+    """Constraint rows of the common null space of the linear maps f_key,
+    where by_index[m] lists (key, f_key(e_m)) over the nonzero images:
+    one sparse row {m: f_key(e_m)_t} per key and output coordinate t.
+    Skip: the row of a (key, t) that no image reaches is zero."""
+    rows = {}
+    for m, images in by_index.items():
+        for key, image in images:
             for t, c in image.items():
-                by_out.setdefault(t, {})[m] = c
-        rows += by_out.values()
-    return solve_homogeneous(rows, dim)
+                rows.setdefault((key, t), {})[m] = c
+    return list(rows.values())
 
 
 def structure_ideals(alg):
     """Center, kernel of the representation and the annihilators, each
-    as the null space of stacked basis-level linear constraints."""
-    rL, rA = range(alg.dim_L), range(alg.dim_A)
-    z_L = _kernel(([alg.bracket_entry(m, i, j) for m in rL]
-                   for i, j in combinations(rL, 2)), alg.dim_L)
-    ker_rho = _kernel(([alg.rho_entry(m, j, ak) for m in rL]
-                       for j in rL for ak in rA), alg.dim_L)
+    as the null space of basis-level linear constraints read off the
+    instance's incidence: z_L from [x, e_i, e_j], ker_rho from
+    rho(x, e_j)(a_k), the center from both at once, ann_A from x a_j,
+    ann_L_A from a_i x and ann_A_on_L from x l_j."""
+    inc = alg.incidence()
+    rho_by_L = {}
+    for (m, j, ak), e in alg.rho.items():
+        rho_by_L.setdefault(m, []).append(((j, ak), e))
+    nL, nA = alg.dim_L, alg.dim_A
+    z_rows, rho_rows = _constraints(inc.bracket_by_L), _constraints(rho_by_L)
     return StructureIdeals(
-        z_L, ker_rho, intersect_subspaces(z_L, ker_rho),
-        ann_A=_kernel(([alg.amul_entry(m, j) for m in rA] for j in rA),
-                      alg.dim_A),
-        ann_L_A=_kernel(([alg.action_entry(ai, m) for m in rL]
-                         for ai in rA), alg.dim_L),
-        ann_A_on_L=_kernel(([alg.action_entry(m, lj) for m in rA]
-                            for lj in rL), alg.dim_A))
+        solve_homogeneous(z_rows, nL), solve_homogeneous(rho_rows, nL),
+        solve_homogeneous(z_rows + rho_rows, nL),
+        ann_A=solve_homogeneous(_constraints(inc.amul_by_A), nA),
+        ann_L_A=solve_homogeneous(_constraints(inc.action_by_L), nL),
+        ann_A_on_L=solve_homogeneous(_constraints(inc.action_by_A), nA))
 
 
 def check_tight(alg, structure=None):
@@ -456,11 +491,28 @@ def A_ideal_generated_by(alg, v):
 def _homogeneous_generators(alg, space, C):
     """Echelon bases of the intersections of C with each degree fiber, as
     sparse rows.  For a graded C these jointly span C and every row is
-    homogeneous."""
+    homogeneous.
+
+    C meets the fiber F_d in one null space: x = sum_r lam_r r over the
+    rows r of C lies in F_d iff its coordinates outside F_d vanish, and
+    the rows are independent, so lam -> x maps the solutions one to one
+    onto C meet F_d."""
     degrees = alg.L.degrees if space == "L" else alg.A.degrees
+    cols = {}                     # coordinate t -> {r: (row r)_t}
+    for r, row in enumerate(C.rows):
+        for t, c in row.items():
+            cols.setdefault(t, {})[r] = c
     out = []
     for d in sorted(set(degrees), key=lambda e: e.coords):
-        B = intersect_subspaces(C, alg.fiber(space, d))
+        # Skip: when no row of C has a coordinate in F_d, no nonzero
+        # combination of them lies in F_d
+        if all(degrees[t] != d for t in cols):
+            continue
+        lams = solve_homogeneous(
+            [col for t, col in cols.items() if degrees[t] != d], C.dim)
+        B = Subspace(C.ambient_dim, [
+            sparse_sum((c, C.rows[r]) for r, c in lam.items())
+            for lam in lams.rows])
         out.extend((d, row) for row in B.rows)
     return out
 

@@ -62,9 +62,7 @@ class GroupElem:
             raise ValueError(
                 "coordinate length %d does not match group arity %d"
                 % (len(coords), len(spec.moduli)))
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coords", tuple(
-            c % m if m else c for c, m in zip(coords, spec.moduli)))
+        _normalise(self, spec, coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElem is immutable")
@@ -72,11 +70,11 @@ class GroupElem:
     def mul(self, other):
         if self.spec != other.spec:
             raise ValueError("elements of different groups")
-        return GroupElem(self.spec, tuple(
-            a + b for a, b in zip(self.coords, other.coords)))
+        return _elem(self.spec,
+                     [a + b for a, b in zip(self.coords, other.coords)])
 
     def inv(self):
-        return GroupElem(self.spec, tuple(-c for c in self.coords))
+        return _elem(self.spec, [-c for c in self.coords])
 
     def is_identity(self):
         return all(c == 0 for c in self.coords)
@@ -90,6 +88,24 @@ class GroupElem:
 
     def __repr__(self):
         return "GroupElem%r" % (self.coords,)
+
+
+def _normalise(e, spec, coords):
+    """Set e to the element of spec with the int coordinates `coords`,
+    one per factor, reduced into range."""
+    object.__setattr__(e, "spec", spec)
+    object.__setattr__(e, "coords", tuple(
+        c % m if m else c for c, m in zip(coords, spec.moduli)))
+
+
+def _elem(spec, coords):
+    """The element of spec with the int coordinates `coords`, which have
+    the spec's arity: `mul` and `inv` build their results from
+    normalised operands, so the conversion and the arity check of
+    `GroupElem(spec, coords)` are skipped."""
+    e = object.__new__(GroupElem)
+    _normalise(e, spec, coords)
+    return e
 
 
 def product_many(spec, elems):

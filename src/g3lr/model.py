@@ -16,14 +16,17 @@ checkable axioms live in `axioms`.
 
 The signed lookups (`bracket_entry`, `amul_entry`, `action_entry`,
 `rho_entry`) give the sparse image of one basis tuple under any argument
-order.  Every product in the package is formed from them, on sparse rows
-{index: Fraction}: the axiom suite evaluates its identities on them, and
-the decomposition layer builds its spanning rows, constraint rows and
-ideal products from them with `linalg.multilinear` and
-`linalg.sparse_sum`.  Vectors are dense tuples only at the public
-boundary: `Subspace.basis`, ideal certificates, reports, and the
-multilinear `eval_*` evaluators, which take and return dense tuples and
-sum over the nonzero coordinates only.
+order.  `Algebra3LR.incidence` turns the stored keys around once per
+instance: for each basis index, the keys that reach it and their signed
+entries.  Products are formed on sparse rows {index: Fraction}: the axiom
+suite reads ad(x, y) and its bracket pairs off the incidence, and the
+decomposition layer builds its ideal products and constraint rows from
+the incidence alone, so only the keys that a row's support reaches are
+visited; spanning rows and the remaining products use the lookups with
+`linalg.multilinear` and `linalg.sparse_sum`.  Vectors are dense tuples
+only at the public boundary: `Subspace.basis`, ideal certificates,
+reports, and the multilinear `eval_*` evaluators, which take and return
+dense tuples and sum over the nonzero coordinates only.
 """
 
 from fractions import Fraction
@@ -87,9 +90,56 @@ def _perm_sign_and_sorted(i, j, k):
     return sign, (a, b, c)
 
 
+class Incidence:
+    """The stored keys of one instance, indexed by each basis index they
+    reach.  Each `*_by_*` map sends a key to [(other, image)] over the
+    nonzero images only, where the image is linear in the indexed basis
+    vector; so the product of a sparse row with the other basis vector is
+    the sum of c * image over the row's coordinates and their lists, and
+    an `other` absent from all of those lists gives a zero product.
+
+      ad[(x, y)]          {p: [p, x, y]} over ordered pairs, ad(x, y) != 0
+      bracket_by_L[p]     [((i, j), [p, i, j])] over i < j
+      action_by_L[m]      [(a_i, a_i l_m)]
+      action_by_A[a]      [(l_j, a l_j)]
+      amul_by_A[m]        [(a_i, a_i a_m)]
+      rho_by_pair[(i, j)] [(a_k, rho(i, j)(a_k))]
+
+    A key is present only with a nonempty list, so `(x, y) in rho_by_pair`
+    says whether rho(x, y) != 0.  Built from the stored tables only; its
+    entries are shared with them and must not be modified."""
+
+    def __init__(self, alg):
+        # the entry E of (k0, k1, k2) is [k0, k1, k2] = [k1, k2, k0]
+        # = [k2, k0, k1], and the odd permutations give -E
+        self.ad, self.bracket_by_L = {}, {}
+        for (k0, k1, k2), e in alg.bracket.items():
+            neg = {t: -c for t, c in e.items()}
+            for p, x, y, v in ((k0, k1, k2, e), (k1, k2, k0, e),
+                               (k2, k0, k1, e), (k0, k2, k1, neg),
+                               (k1, k0, k2, neg), (k2, k1, k0, neg)):
+                self.ad.setdefault((x, y), {})[p] = v
+                if x < y:
+                    self.bracket_by_L.setdefault(p, []).append(((x, y), v))
+        self.action_by_L, self.action_by_A = {}, {}
+        for (ai, m), e in alg.action.items():
+            self.action_by_L.setdefault(m, []).append((ai, e))
+            self.action_by_A.setdefault(ai, []).append((m, e))
+        self.amul_by_A = {}
+        for (i, j), e in alg.amul.items():
+            self.amul_by_A.setdefault(j, []).append((i, e))
+            if i != j:
+                self.amul_by_A.setdefault(i, []).append((j, e))
+        self.rho_by_pair = {}
+        for (i, j, ak), e in alg.rho.items():
+            self.rho_by_pair.setdefault((i, j), []).append((ak, e))
+
+
 class Algebra3LR:
     """Immutable instance; construction validates indices and storage
     canonicity, not the axioms (see `axioms.run_all`)."""
+
+    _incidence = None
 
     def __init__(self, group, L, A, bracket, amul, action, rho):
         assert isinstance(group, GroupSpec)
@@ -161,6 +211,13 @@ class Algebra3LR:
 
     def rho_entry(self, i, j, ak):
         return self.rho.get((i, j, ak), _EMPTY)
+
+    def incidence(self):
+        """The `Incidence` of the stored keys, built on first use and
+        cached on the (immutable) instance."""
+        if self._incidence is None:
+            self._incidence = Incidence(self)
+        return self._incidence
 
     # ---- multilinear evaluators on dense vectors ----
 

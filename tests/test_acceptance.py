@@ -221,6 +221,14 @@ GOLDEN_REPORTS = {
         "a96e443b17e804ff9986eb70ac1fe84b6c0d3d002ff42dee9018794de4bf6787",
 }
 
+# sha256 of the `g3lr report` bytes for the ladder rungs at dim L 24 and
+# 32, the iterated direct sums of three and four copies of
+# a4-dual-numbers: the only pinned reports with three or four classes
+GOLDEN_RUNG_REPORTS = {
+    24: "d5e00ceea2687bcbf5b29c198cb5814e26dbf3de198a181fcbace9ecc7d1717a",
+    32: "38fa4fde81625224704899719d7f2cc79064d9811b78cf0cd433be6feb8d0723",
+}
+
 # sha256 of the `g3lr report` bytes, capped violations with their lhs
 # and rhs included, for invalid instances that together fail every axiom
 # group (see `_cases.failing_instances`)
@@ -268,6 +276,19 @@ def test_criterion_9_cli_determinism(tmp_path):
         ok = ok and got == (EXIT_OK, GOLDEN_REPORTS[path.name])
         seen.add(path.name)
     _verdict(9, ok and seen == set(GOLDEN_REPORTS))
+
+
+def test_ladder_rung_reports_match_golden_digests(tmp_path):
+    base = builtin("a4-dual-numbers")
+    alg, got = base, {}
+    while alg.dim_L < max(GOLDEN_RUNG_REPORTS):
+        alg = direct_sum(alg, base)
+        if alg.dim_L in GOLDEN_RUNG_REPORTS:
+            path = tmp_path / ("rung-%d.json" % alg.dim_L)
+            save_instance(alg, str(path))
+            got[alg.dim_L] = _report_digest(path, tmp_path / "r.json")
+    assert got == {dim: (EXIT_OK, digest)
+                   for dim, digest in GOLDEN_RUNG_REPORTS.items()}
 
 
 def test_failing_reports_match_golden_digests(tmp_path):

@@ -9,8 +9,9 @@ import _dense_model as dm
 from _cases import rho_trace_seed
 from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
-from g3lr.decompose import (_A1_span, _L1_span, _ideal_products,
-                            A_ideal_generated_by, build_A1_class,
+from g3lr.decompose import (_A1_span, _L1_span, _homogeneous_generators,
+                            _ideal_products, A_ideal_generated_by,
+                            IdealCandidate, build_A1_class,
                             build_A_ideal, build_I, build_L1_class,
                             check_G_multiplicative, check_gr_simple_A,
                             check_gr_simple_L, check_maximal_length,
@@ -625,3 +626,114 @@ def test_sparse_products_match_dense_oracle():
     instances += [_random_graded(rng) for _ in range(40)]
     rho_seen = [_check_against_dense_oracle(alg, rng) for alg in instances]
     assert any(rho_seen)
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the output-sensitive scans
+#
+# `verify_triple_orthogonality` skips the ideal triples that no stored key
+# connects, and `_homogeneous_generators` meets C with each fiber in one
+# null space.  Both are compared, exactly and in order, with the plain
+# routes they replaced: a scan over every row triple through the dense
+# oracle, and the general meet of C with each fiber.
+
+
+def _plain_orthogonality(alg, L_ideals, A_ideals=()):
+    """Every row tuple of every ideal tuple, through the dense oracle."""
+    L = [I.subspace.basis for I in L_ideals]
+    A = [J.subspace.basis for J in A_ideals]
+    bad = []
+    for i, j in combinations(range(len(L)), 2):
+        for a, b, c in ([(i, j, k) for k in range(len(L)) if k not in (i, j)]
+                        + [(i, i, j), (j, j, i)]):
+            for u, v, w in product(L[a], L[b], L[c]):
+                r = dm.eval_bracket(alg, u, v, w)
+                if not is_zero_vec(r):
+                    bad.append(("bracket", a, b, c, r))
+    for i, j in combinations(range(len(A)), 2):
+        for u, v in product(A[i], A[j]):
+            r = dm.eval_amul(alg, u, v)
+            if not is_zero_vec(r):
+                bad.append(("amul", i, j, r))
+    return not bad, bad
+
+
+def _candidates(spaces, side):
+    return [IdealCandidate(S, None, side) for S in spaces]
+
+
+def _orthogonality_cases(alg, rng):
+    """(L ideals, A ideals) lists: the degree fibers, whose supports are
+    disjoint, generated ideals, whose supports may overlap, and lists
+    that repeat one subspace."""
+    def fibers(space):
+        basis = alg.L if space == "L" else alg.A
+        return [alg.fiber(space, d) for d in
+                sorted(set(basis.degrees), key=lambda e: e.coords)]
+    closures = [graded_ideal_generated_by(
+        alg, _random_homogeneous(rng, alg, "L")) for _ in range(3)]
+    A_closures = [A_ideal_generated_by(
+        alg, _random_homogeneous(rng, alg, "A")) for _ in range(2)]
+    X = span([_random_vec(rng, alg.dim_L) for _ in range(2)], alg.dim_L)
+    return [(fibers("L"), fibers("A")), (closures, A_closures),
+            ([X, X], A_closures[:1] * 2), ([X] + fibers("L")[:2] + [X], [])]
+
+
+def test_orthogonality_matches_plain_scan():
+    rng = random.Random(7345)
+    instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
+    instances += [direct_sum(builtin("a4"), builtin("gl2-trace")),
+                  direct_sum(builtin("a4-dual-numbers"),
+                             builtin("a4-dual-numbers"))]
+    instances += [_random_graded(rng) for _ in range(30)]
+    clean = dirty = 0
+    for alg in instances:
+        supports = compute_supports(alg)
+        cases = _orthogonality_cases(alg, rng)
+        cases.append(([build_I(alg, c).subspace
+                       for c in sigma_classes(supports)],
+                      [build_A_ideal(alg, c).subspace
+                       for c in lambda_classes(supports)]))
+        for L_spaces, A_spaces in cases:
+            L_ideals = _candidates(L_spaces, "L")
+            A_ideals = _candidates(A_spaces, "A")
+            got = verify_triple_orthogonality(alg, L_ideals, A_ideals)
+            assert got == _plain_orthogonality(alg, L_ideals, A_ideals)
+            clean += got[0]
+            dirty += not got[0]
+    assert clean and dirty
+
+
+def _fiber_meets(alg, space, C):
+    """The general route: C met with each degree fiber."""
+    degrees = alg.L.degrees if space == "L" else alg.A.degrees
+    return [(d, row)
+            for d in sorted(set(degrees), key=lambda e: e.coords)
+            for row in intersect_subspaces(C, alg.fiber(space, d)).rows]
+
+
+def test_homogeneous_generators_match_fiber_meets():
+    rng = random.Random(5119)
+    instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
+    instances += [_random_graded(rng) for _ in range(30)]
+    graded = ungraded = 0
+    for alg in instances:
+        for space, n in (("L", alg.dim_L), ("A", alg.dim_A)):
+            basis = alg.L if space == "L" else alg.A
+            spaces = [full_subspace(n), span([], n)]
+            spaces += [span([r for d in rng.choices(basis.degrees, k=2)
+                             for r in alg.fiber(space, d).rows], n)]
+            spaces += [span([_random_vec(rng, n) for _ in range(k)], n)
+                       for k in (1, max(n - 1, 1), n)]
+            close = (graded_ideal_generated_by if space == "L"
+                     else A_ideal_generated_by)
+            spaces.append(close(alg, _random_homogeneous(rng, alg, space)))
+            for C in spaces:
+                got = _homogeneous_generators(alg, space, C)
+                assert got == _fiber_meets(alg, space, C)
+                if len(got) == C.dim:
+                    graded += 1
+                elif got:
+                    ungraded += 1
+    # a C that is not graded but still meets some fiber
+    assert graded and ungraded

@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _dense_model as dm
+from _cases import rho_trace_seed
 from _ref_linalg import is_zero_vec, vec_add, vec_scale
+from test_decompose import _random_graded
 from g3lr.catalog import builtin
 from g3lr.groups import GroupSpec
 from g3lr.linalg import dense_vec, vec
@@ -138,3 +142,43 @@ def test_unit_helpers():
     alg = builtin("a4")
     assert alg.L_unit(2)[2] == 1 and sum(alg.L_unit(2)) == 1
     assert alg.A_unit(0)[0] == 1
+
+
+def _flat(by_index, key):
+    """{key(m, other): image} over an incidence map m -> [(other, image)],
+    which must list each `other` once per m and no zero image."""
+    out = {key(m, other): image
+           for m, pairs in by_index.items() for other, image in pairs}
+    assert len(out) == sum(map(len, by_index.values()))
+    assert all(out.values())
+    return out
+
+
+def _lookups(lookup, *ranges):
+    """{index tuple: image} over all basis tuples with a nonzero image."""
+    return {idx: lookup(*idx) for idx in product(*ranges) if lookup(*idx)}
+
+
+def test_incidence_matches_signed_lookups():
+    rng = random.Random(811)
+    instances = [builtin(name) for name in
+                 ("trivial", "a4", "gl2-trace", "a4-dual-numbers",
+                  "tight-pair")]
+    instances += [rho_trace_seed()] + [_random_graded(rng)
+                                       for _ in range(20)]
+    for alg in instances:
+        inc = alg.incidence()
+        assert alg.incidence() is inc
+        rL, rA = range(alg.dim_L), range(alg.dim_A)
+        brackets = _lookups(alg.bracket_entry, rL, rL, rL)
+        assert _flat({xy: list(d.items()) for xy, d in inc.ad.items()},
+                     lambda xy, p: (p,) + xy) == brackets
+        assert _flat(inc.bracket_by_L, lambda p, ij: (p,) + ij) \
+            == {k: e for k, e in brackets.items() if k[1] < k[2]}
+        actions = _lookups(alg.action_entry, rA, rL)
+        assert _flat(inc.action_by_L, lambda m, ai: (ai, m)) == actions
+        assert _flat(inc.action_by_A, lambda a, lj: (a, lj)) == actions
+        assert _flat(inc.amul_by_A, lambda m, ai: (ai, m)) \
+            == _lookups(alg.amul_entry, rA, rA)
+        assert _flat(inc.rho_by_pair, lambda ij, ak: ij + (ak,)) \
+            == _lookups(alg.rho_entry, rL, rL, rA)
