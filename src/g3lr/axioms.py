@@ -17,21 +17,22 @@ representation checks skip the pairs and 4-tuples whose operators all
 vanish.  Each skip rule sits next to its proof in the code, so the work
 grows with the nonzero terms and a pass is still a proof.
 
-Each side of an identity is built as a sparse {index: Fraction} vector
-from the nonzero entries of the tables `alg.bracket/amul/action/rho`,
-read through the signed lookups of `Algebra3LR`, the maps built from
-the stored keys, or the instance's `model.Incidence`, which is built
-once and shared by all checks: the maps ad(x, y) and the bracket pairs
-of each basis index come from there.  The left side of the fundamental
+Each side of an identity is built as a sparse {index: coefficient}
+vector from the nonzero entries of the instance's `model.Incidence`,
+which is built once and shared by all checks: the maps ad(x, y), the
+bracket pairs and bracket hits of each basis index, and the basis images
+of rho, the action and the product, in the incidence's coefficient view
+(ints where integral, see `model`).  The left side of the fundamental
 identity on (i, j, k, l, m), for instance, is the sum of c_p [p, l, m]
 over the entries c_p of [i, j, k], so empty products cost nothing.  The
 two sides are compared with their zero coefficients dropped, and dense
-`lhs`/`rhs` tuples are built only for a recorded Violation.
+Fraction `lhs`/`rhs` tuples are built only for a recorded Violation.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
+
+from .linalg import dense_vec
 
 VIOLATION_CAP = 25
 
@@ -74,7 +75,7 @@ class AxiomReport:
                 for axiom, vs in self.violations.items()}
 
 
-# ---- sparse vectors: {index: Fraction}, absent means zero ----
+# ---- sparse vectors: {index: coefficient}, absent means zero ----
 
 
 def _add(acc, coeff, entry):
@@ -89,10 +90,6 @@ def _apply(acc, v, images):
         _add(acc, c, images[q])
 
 
-def _dense(v, dim):
-    return tuple(Fraction(v.get(t, 0)) for t in range(dim))
-
-
 def _check(out, axiom, witness, lhs, rhs, dim):
     """Record a Violation when the two sparse sides differ."""
     if lhs == rhs:
@@ -100,26 +97,8 @@ def _check(out, axiom, witness, lhs, rhs, dim):
     lhs = {t: c for t, c in lhs.items() if c}
     rhs = {t: c for t, c in rhs.items() if c}
     if lhs != rhs:
-        out.append(Violation(axiom, witness, _dense(lhs, dim),
-                             _dense(rhs, dim)))
-
-
-def _rho_images(alg):
-    """rho[x][y][a] = rho(x, y)(a)."""
-    rL, rA = range(alg.dim_L), range(alg.dim_A)
-    return [[[alg.rho_entry(x, y, a) for a in rA] for y in rL] for x in rL]
-
-
-def _action_images(alg):
-    """act[a][x] = a x."""
-    return [[alg.action_entry(a, x) for x in range(alg.dim_L)]
-            for a in range(alg.dim_A)]
-
-
-def _amul_images(alg):
-    """mul[a][b] = a b."""
-    rA = range(alg.dim_A)
-    return [[alg.amul_entry(a, b) for b in rA] for a in rA]
+        out.append(Violation(axiom, witness, dense_vec(lhs, dim),
+                             dense_vec(rhs, dim)))
 
 
 def check_fundamental_identity(alg):
@@ -139,12 +118,7 @@ def check_fundamental_identity(alg):
     out = []
     n = alg.dim_L
     incidence = alg.incidence()
-    ad, pairs_of = incidence.ad, incidence.bracket_by_L
-    # hits[p]: (T, [T]_p) over the stored triples T whose image has p
-    hits = [[] for _ in range(n)]
-    for key, e in alg.bracket.items():
-        for p, c in e.items():
-            hits[p].append((key, c))
+    ad, pairs_of, hits = incidence.ad, incidence.bracket_by_L, incidence.hits
     # Skip: a pair with ad(l, m) = 0 has no entry in ad, and each term
     # of its tuples applies D = 0.
     for (l, m), d in ad.items():
@@ -194,7 +168,7 @@ def check_representation(alg):
     n, nA = alg.dim_L, alg.dim_A
     # live: the ordered pairs (x, y) with rho(x, y) != 0 as an operator
     incidence = alg.incidence()
-    rho, ad, live = _rho_images(alg), incidence.ad, incidence.rho_by_pair
+    rho, ad, live = incidence.rho, incidence.ad, incidence.rho_by_pair
     # into[y] = {p : rho(p, y) != 0}
     into = [set() for _ in range(n)]
     for p, y in live:
@@ -244,8 +218,8 @@ def check_rinehart_compat(alg):
     out = []
     nL, nA = alg.dim_L, alg.dim_A
     incidence = alg.incidence()
-    ad, rho, live = incidence.ad, _rho_images(alg), incidence.rho_by_pair
-    act, mul = _action_images(alg), _amul_images(alg)
+    ad, rho, live = incidence.ad, incidence.rho, incidence.rho_by_pair
+    act, mul = incidence.act, incidence.mul
     for x, y in product(range(nL), repeat=2):
         # Skip: [x,y,a z] and a[x,y,z] apply ad(x, y), and (rho(x,y)a) z
         # applies rho(x, y); both are zero here.
@@ -304,7 +278,8 @@ def check_rho_derivation(alg):
     if not alg.rho:
         return out
     nL, nA = alg.dim_L, alg.dim_A
-    rho, mul = _rho_images(alg), _amul_images(alg)
+    incidence = alg.incidence()
+    rho, mul = incidence.rho, incidence.mul
     for x, y in product(range(nL), repeat=2):
         r = rho[x][y]
         for ai in range(nA):
@@ -323,7 +298,8 @@ def check_A_algebra(alg):
     law (ab)x = a(bx) on mixed triples.  Commutativity is structural."""
     out = []
     nA, nL = alg.dim_A, alg.dim_L
-    act, mul = _action_images(alg), _amul_images(alg)
+    incidence = alg.incidence()
+    act, mul = incidence.act, incidence.mul
     for i, j, k in product(range(nA), repeat=3):
         lhs, rhs = {}, {}
         for p, c in mul[i][j].items():
@@ -354,7 +330,7 @@ def check_grading(alg):
             for m in entry:
                 if degrees[m] != want:
                     out.append(Violation(GRADING, (kind,) + key + (m,),
-                                         _dense(entry, dim),
+                                         dense_vec(entry, dim),
                                          ("expected-degree",) + want.coords))
 
     scan("bracket", alg.bracket,
@@ -370,13 +346,16 @@ def rho_antisymmetry_witnesses(alg):
     """Basis pairs where rho(x,y) != -rho(y,x).  Not an axiom: the
     defining identities never require antisymmetry, so this is reported
     as a note only."""
+    rho = alg.incidence().rho
     out = []
-    for i, j in combinations(range(alg.dim_L), 2):
-        for ak in range(alg.dim_A):
-            total = dict(alg.rho_entry(i, j, ak))
-            _add(total, 1, alg.rho_entry(j, i, ak))
-            if any(total.values()):
-                out.append((i, j, ak))
+    # Skip: rho(x, y)(a) + rho(y, x)(a) is zero unless one of the two
+    # is stored.
+    for i, j, ak in sorted({(min(x, y), max(x, y), ak)
+                            for x, y, ak in alg.rho if x != y}):
+        total = dict(rho[i][j][ak])
+        _add(total, 1, rho[j][i][ak])
+        if any(total.values()):
+            out.append((i, j, ak))
     return out
 
 

@@ -6,6 +6,7 @@ Exit codes: 0 success with all checks clean, 2 axiom violations found,
 
 import argparse
 import sys
+from functools import cache
 
 from .axioms import run_all
 from .catalog import BUILTIN_NAMES, builtin
@@ -27,10 +28,11 @@ def _load(path, out):
     report = run_all(alg)
     if not report.passed:
         print("axiom violations in %s:" % path, file=out)
+        capped = report.capped()
         for axiom, count in sorted(report.counts.items()):
             if count:
                 print("  %-24s %d violation(s)" % (axiom, count), file=out)
-                for v in report.capped()[axiom][:3]:
+                for v in capped[axiom][:3]:
                     print("    witness %r" % (v.witness,), file=out)
         return alg, report, EXIT_VIOLATIONS
     return alg, report, EXIT_OK
@@ -152,7 +154,10 @@ def _cmd_builtin(args, out):
     return EXIT_OK
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: it holds no state
+    between calls, since `parse_args` returns a new namespace."""
     p = argparse.ArgumentParser(
         prog="g3lr",
         description="analyze graded 3-Lie-Rinehart algebra instances")
@@ -190,8 +195,7 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args, out)
     except ParseError as e:

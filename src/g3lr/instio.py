@@ -34,12 +34,22 @@ class ParseError(Exception):
 
 
 # the coefficient grammar of docs/instance.schema.json
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
+
+# the most digits a coefficient's numerator or denominator may have; it
+# bounds the cost of one coefficient and stays below the limit of
+# Python's int-from-string conversion (4,300 digits by default)
+MAX_DIGITS = 1000
 
 
 def _parse_fraction(s, where):
-    if type(s) is not str or not _RATIONAL.fullmatch(s):
+    m = _RATIONAL.fullmatch(s) if type(s) is str else None
+    if m is None:
         raise ParseError(where, "malformed rational %r" % (s,))
+    for part, digits in zip(("numerator", "denominator"), m.groups()):
+        if digits is not None and len(digits) > MAX_DIGITS:
+            raise ParseError(where, "rational %s has %d digits, over the "
+                             "cap of %d" % (part, len(digits), MAX_DIGITS))
     return Fraction(s)
 
 

@@ -1,13 +1,15 @@
 """Exact rational linear algebra: sparse rows, echelon-form subspaces
-and the lattice operations on them.  All arithmetic uses Fraction; there
-is no tolerance anywhere.
+and the lattice operations on them.  All arithmetic is exact; there is
+no tolerance anywhere.
 
-Vectors are sparse rows {index: Fraction} internally, holding the
+Vectors are sparse rows {index: coefficient} internally, holding the
 nonzero coordinates only, from the stored tables through the products
 to the reduced-echelon rows of a `Subspace`.  Every lattice operation
-accepts dense or sparse rows.  Dense tuples are formed only at the
-public boundary: `Subspace.basis`, the model's `eval_*` evaluators,
-ideal certificates and reports.
+accepts dense or sparse rows, and `sparse_row` makes their coordinates
+Fractions before the echelon build divides; dense tuples, formed only at
+the public boundary (`Subspace.basis`, the model's `eval_*` evaluators,
+ideal certificates and reports), pass through `dense_vec`, which does
+the same.  The coefficient invariant is stated in `model`.
 """
 
 from bisect import bisect_left
@@ -49,10 +51,11 @@ def sparse_row(r, n):
 
 
 def dense_vec(entry, n):
-    """The sparse vector {index: Fraction} as a dense tuple of length n."""
+    """The sparse vector {index: coefficient} as a dense tuple of length
+    n of Fractions."""
     out = list(zero_vec(n))
     for m, c in entry.items():
-        out[m] = c
+        out[m] = c if type(c) is Fraction else Fraction(c)
     return tuple(out)
 
 

@@ -18,15 +18,24 @@ The signed lookups (`bracket_entry`, `amul_entry`, `action_entry`,
 `rho_entry`) give the sparse image of one basis tuple under any argument
 order.  `Algebra3LR.incidence` turns the stored keys around once per
 instance: for each basis index, the keys that reach it and their signed
-entries.  Products are formed on sparse rows {index: Fraction}: the axiom
-suite reads ad(x, y) and its bracket pairs off the incidence, and the
-decomposition layer builds its ideal products and constraint rows from
-the incidence alone, so only the keys that a row's support reaches are
-visited; spanning rows and the remaining products use the lookups with
-`linalg.multilinear` and `linalg.sparse_sum`.  Vectors are dense tuples
-only at the public boundary: `Subspace.basis`, ideal certificates,
-reports, and the multilinear `eval_*` evaluators, which take and return
-dense tuples and sum over the nonzero coordinates only.
+entries, and the basis images of rho, the action and the product.
+Products are formed on sparse rows {index: coefficient}: the axiom suite
+reads all of its products off the incidence, and the decomposition layer
+builds its ideal products and constraint rows from the incidence alone,
+so only the keys that a row's support reaches are visited; spanning rows
+and the remaining products use the lookups with `linalg.multilinear` and
+`linalg.sparse_sum`.  Vectors are dense tuples only at the public
+boundary: `Subspace.basis`, ideal certificates, reports, and the
+multilinear `eval_*` evaluators, which take and return dense tuples and
+sum over the nonzero coordinates only.
+
+Coefficients are exact throughout.  The stored tables, the rows and
+bases of every `Subspace` and every output hold Fractions.  Only the
+incidence holds another view: each integral coefficient as an int, the
+others as Fractions, so integral instances run their kernels on int
+arithmetic; ints and Fractions mix exactly.  Division happens only on
+Fraction rows, in `linalg`'s echelon build after `linalg.sparse_row`,
+and `linalg.dense_vec` makes every dense output Fractions.
 """
 
 from fractions import Fraction
@@ -90,30 +99,50 @@ def _perm_sign_and_sorted(i, j, k):
     return sign, (a, b, c)
 
 
+def _exact(entry):
+    """The entry in the kernels' coefficient view: each integral
+    coefficient as an int, the others as the stored Fraction."""
+    return {t: c.numerator if c.denominator == 1 else c
+            for t, c in entry.items()}
+
+
 class Incidence:
     """The stored keys of one instance, indexed by each basis index they
-    reach.  Each `*_by_*` map sends a key to [(other, image)] over the
-    nonzero images only, where the image is linear in the indexed basis
-    vector; so the product of a sparse row with the other basis vector is
-    the sum of c * image over the row's coordinates and their lists, and
-    an `other` absent from all of those lists gives a zero product.
+    reach, and the basis images the axiom checks read.  Each `*_by_*`
+    map sends a key to [(other, image)] over the nonzero images only,
+    where the image is linear in the indexed basis vector; so the product
+    of a sparse row with the other basis vector is the sum of c * image
+    over the row's coordinates and their lists, and an `other` absent
+    from all of those lists gives a zero product.
 
       ad[(x, y)]          {p: [p, x, y]} over ordered pairs, ad(x, y) != 0
       bracket_by_L[p]     [((i, j), [p, i, j])] over i < j
+      hits[p]             [(T, [T]_p)] over the stored triples T whose
+                          image has p
       action_by_L[m]      [(a_i, a_i l_m)]
       action_by_A[a]      [(l_j, a l_j)]
       amul_by_A[m]        [(a_i, a_i a_m)]
       rho_by_pair[(i, j)] [(a_k, rho(i, j)(a_k))]
+      rho[x][y][a]        rho(x, y)(a)
+      act[a][x]           a x
+      mul[a][b]           a b
 
     A key is present only with a nonempty list, so `(x, y) in rho_by_pair`
-    says whether rho(x, y) != 0.  Built from the stored tables only; its
-    entries are shared with them and must not be modified."""
+    says whether rho(x, y) != 0.  Built once from the stored tables, with
+    every coefficient in the coefficient view of `_exact`; the images are
+    new dicts, shared among these maps, and must not be modified."""
 
     def __init__(self, alg):
+        nL, nA = alg.dim_L, alg.dim_A
         # the entry E of (k0, k1, k2) is [k0, k1, k2] = [k1, k2, k0]
         # = [k2, k0, k1], and the odd permutations give -E
         self.ad, self.bracket_by_L = {}, {}
-        for (k0, k1, k2), e in alg.bracket.items():
+        self.hits = [[] for _ in range(nL)]
+        for key, e in alg.bracket.items():
+            e = _exact(e)
+            for p, c in e.items():
+                self.hits[p].append((key, c))
+            k0, k1, k2 = key
             neg = {t: -c for t, c in e.items()}
             for p, x, y, v in ((k0, k1, k2, e), (k1, k2, k0, e),
                                (k2, k0, k1, e), (k0, k2, k1, neg),
@@ -121,17 +150,23 @@ class Incidence:
                 self.ad.setdefault((x, y), {})[p] = v
                 if x < y:
                     self.bracket_by_L.setdefault(p, []).append(((x, y), v))
+        self.act = [[_EMPTY] * nL for _ in range(nA)]
         self.action_by_L, self.action_by_A = {}, {}
         for (ai, m), e in alg.action.items():
+            self.act[ai][m] = e = _exact(e)
             self.action_by_L.setdefault(m, []).append((ai, e))
             self.action_by_A.setdefault(ai, []).append((m, e))
+        self.mul = [[_EMPTY] * nA for _ in range(nA)]
         self.amul_by_A = {}
         for (i, j), e in alg.amul.items():
+            self.mul[i][j] = self.mul[j][i] = e = _exact(e)
             self.amul_by_A.setdefault(j, []).append((i, e))
             if i != j:
                 self.amul_by_A.setdefault(i, []).append((j, e))
+        self.rho = [[[_EMPTY] * nA for _ in range(nL)] for _ in range(nL)]
         self.rho_by_pair = {}
         for (i, j, ak), e in alg.rho.items():
+            self.rho[i][j][ak] = e = _exact(e)
             self.rho_by_pair.setdefault((i, j), []).append((ak, e))
 
 

@@ -41,6 +41,44 @@ def rho_trace_seed():
         tau=(0, 0, 0, 1, 0)))
 
 
+def rescaled(alg, L_scale, A_scale):
+    """`alg` in the basis x'_i = s_i x_i of L and a'_k = t_k a_k of A,
+    for the nonzero scales {index: s} given (the rest stay 1): an
+    isomorphic instance, whose entries pick up the quotients of the
+    scales."""
+    sL = [Fraction(L_scale.get(i, 1)) for i in range(alg.dim_L)]
+    sA = [Fraction(A_scale.get(i, 1)) for i in range(alg.dim_A)]
+
+    def table(entries, scales, target):
+        out = {}
+        for key, entry in entries.items():
+            f = 1
+            for s, i in zip(scales, key):
+                f *= s[i]
+            out[key] = {m: c * f / target[m] for m, c in entry.items()}
+        return out
+    return Algebra3LR(alg.group, alg.L, alg.A,
+                      table(alg.bracket, (sL, sL, sL), sL),
+                      table(alg.amul, (sA, sA), sA),
+                      table(alg.action, (sA, sL), sL),
+                      table(alg.rho, (sL, sL, sA), sA))
+
+
+def rational_seed():
+    """The trace seed with e scaled by 1/2 and J by -2/3: a valid
+    instance with the non-integral entries [e, f, I] = h/2 and
+    rho(I, J)(t) = -2t/3."""
+    return rescaled(rho_trace_seed(), {0: Fraction(1, 2),
+                                      4: Fraction(-2, 3)}, {})
+
+
+def rational_seed_mutant():
+    """`rational_seed` with rho(I, J)(t) = -t/3, no longer minus
+    rho(J, I)(t) = 2t/3: the representation identities fail."""
+    return with_entry(rational_seed(), "rho", (3, 4, 1),
+                      {1: Fraction(-1, 3)})
+
+
 def garbage_ungraded():
     """Trivially graded 5-dimensional L with an arbitrary bracket table;
     the grading checker is silent but the fundamental identity fails on

@@ -12,7 +12,7 @@ import random
 import sys
 from pathlib import Path
 
-from _cases import failing_instances
+from _cases import failing_instances, rational_seed, rational_seed_mutant
 from test_connections import _check_equivalence, _random_supports
 
 from g3lr.axioms import ALL_AXIOMS, run_all
@@ -249,6 +249,16 @@ GOLDEN_FAILING_REPORTS = {
         "6d8ffae4426f5ac451708357df2d58d864299a721d9f68875ac8d4b65ec641d1",
 }
 
+# sha256 of the `g3lr report` bytes for the trace seed rescaled to
+# non-integral entries (see `_cases.rational_seed`) and a failing
+# mutant of it
+GOLDEN_RATIONAL_REPORTS = {
+    "rational-seed":
+        "593efc15884d29c519d387c04c53412fe72d7a552be84b29be36e4b1de648ccc",
+    "rational-seed-mutant":
+        "c187b4fdaa05d4b3abbca6e366940691539a8c376f169b0c9365675cc780440c",
+}
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
@@ -302,3 +312,14 @@ def test_failing_reports_match_golden_digests(tmp_path):
             == (EXIT_VIOLATIONS, GOLDEN_FAILING_REPORTS[name]), name
         failed |= {a for a, c in run_all(alg).counts.items() if c}
     assert failed == set(ALL_AXIOMS)
+
+
+def test_non_integral_reports_match_golden_digests(tmp_path):
+    cases = {"rational-seed": (rational_seed(), EXIT_OK),
+             "rational-seed-mutant": (rational_seed_mutant(),
+                                      EXIT_VIOLATIONS)}
+    for name, (alg, code) in cases.items():
+        path = tmp_path / ("%s.json" % name)
+        save_instance(alg, str(path))
+        assert _report_digest(path, tmp_path / "r.json") \
+            == (code, GOLDEN_RATIONAL_REPORTS[name]), name

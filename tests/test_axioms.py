@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from _cases import garbage_ungraded, rebuild, rho_trace_seed, with_entry
+from _cases import (garbage_ungraded, rational_seed, rational_seed_mutant,
+                    rebuild, rho_trace_seed, with_entry)
 import _dense_axioms as dense
 from test_acceptance import _perturb
-from test_decompose import _random_graded
+from test_decompose import _non_integral_instances, _random_graded
 
 from g3lr.axioms import (A_ALGEBRA, ALL_AXIOMS, FUNDAMENTAL, GRADING,
                          REPRESENTATION, RHO_DERIVATION, RINEHART,
@@ -257,6 +258,22 @@ def _rows(violations):
 def test_sparse_checks_match_dense_reference():
     seen = dict.fromkeys(ALL_AXIOMS, 0)
     for alg in _differential_cases():
+        for axiom, reference in dense.DENSE_CHECKS:
+            want = reference(alg)
+            assert _rows(SPARSE_CHECKS[axiom](alg)) == _rows(want)
+            seen[axiom] += len(want)
+        assert rho_antisymmetry_witnesses(alg) \
+            == dense.rho_antisymmetry_witnesses(alg)
+    assert all(seen.values()), seen
+
+
+def test_sparse_checks_match_dense_reference_on_non_integral_tables():
+    """The same comparison on tables with non-integral entries, which
+    the incidence keeps as Fractions among the int coefficients."""
+    cases = _non_integral_instances(9321) + [rational_seed_mutant()]
+    cases += _single_entry_mutants(rational_seed())
+    seen = dict.fromkeys(ALL_AXIOMS, 0)
+    for alg in cases:
         for axiom, reference in dense.DENSE_CHECKS:
             want = reference(alg)
             assert _rows(SPARSE_CHECKS[axiom](alg)) == _rows(want)

@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.cli import EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS, main
-from g3lr.instio import (ParseError, instance_digest, instance_from_dict,
-                         instance_to_dict, load_instance, save_instance)
+from g3lr.instio import (MAX_DIGITS, ParseError, instance_digest,
+                         instance_from_dict, instance_to_dict, load_instance,
+                         save_instance)
 
 
 def _run(*argv):
@@ -138,6 +144,26 @@ def test_rejects_rationals_outside_the_schema_grammar(value):
     doc = _a4_doc()
     doc["bracket"][0]["value"] = {"e4": value}
     _expect_parse_error(doc, "malformed rational")
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "-1/" + "1" * 5000,
+                                   "0" * 1001, "1/" + "9" * 1001],
+                         ids=["numerator", "denominator",
+                              "numerator-leading-zeros", "denominator-1001"])
+def test_rejects_rationals_over_the_digit_cap(tmp_path, value):
+    doc = _a4_doc()
+    doc["bracket"][0]["value"] = {"e4": value}
+    _expect_parse_error(doc, "over the cap of %d" % MAX_DIGITS)
+    assert _validate_exit_code(tmp_path, doc) == EXIT_PARSE
+
+
+def test_rationals_at_the_digit_cap_parse():
+    doc = _a4_doc()
+    doc["bracket"][0]["value"] = {"e4": "-" + "7" * MAX_DIGITS + "/1"
+                                  + "0" * (MAX_DIGITS - 1)}
+    alg = instance_from_dict(doc)
+    assert alg.bracket[(0, 1, 2)] == {
+        3: Fraction(-int("7" * MAX_DIGITS), 10 ** (MAX_DIGITS - 1))}
 
 
 def _validate_exit_code(tmp_path, doc):
@@ -280,6 +306,34 @@ def test_report_on_invalid_instance_keeps_axioms(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["axioms"]["passed"] is False
     assert "decomposition" not in rep
+
+
+def _fresh_process(*argv):
+    """(exit code, stdout) of one CLI call in a new interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "g3lr.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout
+
+
+def test_repeated_calls_carry_no_state(tmp_path):
+    """The parser is built once per process; each call still gets only
+    its own options, so every in-process call prints what the same call
+    prints as the first call of a new process."""
+    path = str(_emit(tmp_path, "gl2-trace"))
+    out = tmp_path / "r.json"
+    calls = [("report", path, "--out", str(out)), ("report", path),
+             ("decompose", path, "--json"), ("decompose", path)]
+    written = None
+    for argv in calls:
+        got = _run(*argv)
+        if "--out" in argv:
+            written = out.read_text()
+            out.unlink()
+        assert got == _fresh_process(*argv), argv
+    assert written == _run("report", path)[1]
+    assert _run("decompose", path)[1] != _run("decompose", path, "--json")[1]
 
 
 def test_builtin_to_stdout():

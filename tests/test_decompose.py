@@ -6,7 +6,7 @@ from itertools import (combinations, combinations_with_replacement,
 import pytest
 
 import _dense_model as dm
-from _cases import rho_trace_seed
+from _cases import rational_seed, rho_trace_seed
 from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
 from g3lr.decompose import (_A1_span, _L1_span, _homogeneous_generators,
@@ -479,9 +479,15 @@ def _ref_structure(alg):
                                          for j in range(nL))))
 
 
-def _random_graded(rng):
+# coefficients of the random instances with non-integral entries
+NON_INTEGRAL = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _random_graded(rng, coeffs=None):
     """Random graded structure tables over a small cyclic group with a
-    nonzero rho; entries land in the fiber of the product degree."""
+    nonzero rho; entries land in the fiber of the product degree.  The
+    coefficients are drawn from `coeffs`, by default the integers
+    -2..2."""
     G = GroupSpec((rng.choice((2, 3, 4)),))
 
     def basis(prefix, n):
@@ -497,7 +503,8 @@ def _random_graded(rng):
         for key in keys:
             fiber = [m for m, d in enumerate(target.degrees) if d == degree(key)]
             if fiber and rng.random() < density:
-                out[key] = {m: rng.randint(-2, 2) for m in
+                out[key] = {m: rng.randint(-2, 2) if coeffs is None
+                            else rng.choice(coeffs) for m in
                             rng.sample(fiber, rng.randint(1, len(fiber)))}
         return out
 
@@ -512,7 +519,7 @@ def _random_graded(rng):
     rho = table(product(range(nL), range(nL), range(nA)),
                 lambda k: dL[k[0]].mul(dL[k[1]]).mul(dA[k[2]]), A, 0.3)
     if not rho:
-        return _random_graded(rng)
+        return _random_graded(rng, coeffs)
     return Algebra3LR(G, L, A, bracket, amul, action, rho)
 
 
@@ -522,38 +529,46 @@ def _random_homogeneous(rng, alg, space):
     return vec(rng.randint(-2, 2) if e == d else 0 for e in basis.degrees)
 
 
+def _check_closure_engine(alg, rng):
+    """Closures, ideal verification and the structure ideals of `alg`
+    against the round-based reference; returns the number of rho-action
+    certificates seen."""
+    rho_certs = 0
+    no_rho = Algebra3LR(alg.group, alg.L, alg.A, alg.bracket, alg.amul,
+                        alg.action, {})
+    nL, nA = alg.dim_L, alg.dim_A
+    L_tests = [span([_random_homogeneous(rng, alg, "L")], nL),
+               span([_random_homogeneous(rng, alg, "L")
+                     for _ in range(2)], nL)]
+    for _ in range(3):
+        v = _random_homogeneous(rng, alg, "L")
+        closure = graded_ideal_generated_by(alg, v)
+        assert closure == _ref_closure_L(alg, v)
+        # closed under brackets and actions, perhaps not under rho
+        L_tests += [closure, _ref_closure_L(no_rho, v)]
+    A_tests = [span([_random_homogeneous(rng, alg, "A")], nA)]
+    for _ in range(2):
+        v = _random_homogeneous(rng, alg, "A")
+        closure = A_ideal_generated_by(alg, v)
+        assert closure == _ref_closure_A(alg, v)
+        A_tests.append(closure)
+    for S in L_tests:
+        got = verify_ideal_L(alg, S)
+        assert got == _ref_verify_L(alg, S)
+        rho_certs += got[1] is not None and got[1][0] == "rho-action"
+    for T in A_tests:
+        assert verify_ideal_A(alg, T) == _ref_verify_A(alg, T)
+    s = structure_ideals(alg)
+    assert (s.z_L, s.ker_rho, s.center, s.ann_A, s.ann_L_A,
+            s.ann_A_on_L) == _ref_structure(alg)
+    return rho_certs
+
+
 def test_closure_engine_matches_round_based_reference():
     rng = random.Random(4168)
     rho_certs = 0
     for _ in range(60):
-        alg = _random_graded(rng)
-        no_rho = Algebra3LR(alg.group, alg.L, alg.A, alg.bracket, alg.amul,
-                            alg.action, {})
-        nL, nA = alg.dim_L, alg.dim_A
-        L_tests = [span([_random_homogeneous(rng, alg, "L")], nL),
-                   span([_random_homogeneous(rng, alg, "L")
-                         for _ in range(2)], nL)]
-        for _ in range(3):
-            v = _random_homogeneous(rng, alg, "L")
-            closure = graded_ideal_generated_by(alg, v)
-            assert closure == _ref_closure_L(alg, v)
-            # closed under brackets and actions, perhaps not under rho
-            L_tests += [closure, _ref_closure_L(no_rho, v)]
-        A_tests = [span([_random_homogeneous(rng, alg, "A")], nA)]
-        for _ in range(2):
-            v = _random_homogeneous(rng, alg, "A")
-            closure = A_ideal_generated_by(alg, v)
-            assert closure == _ref_closure_A(alg, v)
-            A_tests.append(closure)
-        for S in L_tests:
-            got = verify_ideal_L(alg, S)
-            assert got == _ref_verify_L(alg, S)
-            rho_certs += got[1] is not None and got[1][0] == "rho-action"
-        for T in A_tests:
-            assert verify_ideal_A(alg, T) == _ref_verify_A(alg, T)
-        s = structure_ideals(alg)
-        assert (s.z_L, s.ker_rho, s.center, s.ann_A, s.ann_L_A,
-                s.ann_A_on_L) == _ref_structure(alg)
+        rho_certs += _check_closure_engine(_random_graded(rng), rng)
     assert rho_certs > 0
 
 
@@ -679,6 +694,27 @@ def _orthogonality_cases(alg, rng):
             ([X, X], A_closures[:1] * 2), ([X] + fibers("L")[:2] + [X], [])]
 
 
+def _check_orthogonality(alg, rng):
+    """`verify_triple_orthogonality` against the plain scan on the cases
+    of `_orthogonality_cases` and the class ideals; returns the numbers
+    of clean and dirty cases."""
+    clean = dirty = 0
+    supports = compute_supports(alg)
+    cases = _orthogonality_cases(alg, rng)
+    cases.append(([build_I(alg, c).subspace
+                   for c in sigma_classes(supports)],
+                  [build_A_ideal(alg, c).subspace
+                   for c in lambda_classes(supports)]))
+    for L_spaces, A_spaces in cases:
+        L_ideals = _candidates(L_spaces, "L")
+        A_ideals = _candidates(A_spaces, "A")
+        got = verify_triple_orthogonality(alg, L_ideals, A_ideals)
+        assert got == _plain_orthogonality(alg, L_ideals, A_ideals)
+        clean += got[0]
+        dirty += not got[0]
+    return clean, dirty
+
+
 def test_orthogonality_matches_plain_scan():
     rng = random.Random(7345)
     instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
@@ -688,19 +724,8 @@ def test_orthogonality_matches_plain_scan():
     instances += [_random_graded(rng) for _ in range(30)]
     clean = dirty = 0
     for alg in instances:
-        supports = compute_supports(alg)
-        cases = _orthogonality_cases(alg, rng)
-        cases.append(([build_I(alg, c).subspace
-                       for c in sigma_classes(supports)],
-                      [build_A_ideal(alg, c).subspace
-                       for c in lambda_classes(supports)]))
-        for L_spaces, A_spaces in cases:
-            L_ideals = _candidates(L_spaces, "L")
-            A_ideals = _candidates(A_spaces, "A")
-            got = verify_triple_orthogonality(alg, L_ideals, A_ideals)
-            assert got == _plain_orthogonality(alg, L_ideals, A_ideals)
-            clean += got[0]
-            dirty += not got[0]
+        c, d = _check_orthogonality(alg, rng)
+        clean, dirty = clean + c, dirty + d
     assert clean and dirty
 
 
@@ -712,28 +737,65 @@ def _fiber_meets(alg, space, C):
             for row in intersect_subspaces(C, alg.fiber(space, d)).rows]
 
 
+def _check_fiber_meets(alg, rng):
+    """`_homogeneous_generators` against the meets with each fiber, on
+    random, fiber-spanned and generated C; returns the numbers of graded
+    and of non-graded C that meet some fiber."""
+    graded = ungraded = 0
+    for space, n in (("L", alg.dim_L), ("A", alg.dim_A)):
+        basis = alg.L if space == "L" else alg.A
+        spaces = [full_subspace(n), span([], n)]
+        spaces += [span([r for d in rng.choices(basis.degrees, k=2)
+                         for r in alg.fiber(space, d).rows], n)]
+        spaces += [span([_random_vec(rng, n) for _ in range(k)], n)
+                   for k in (1, max(n - 1, 1), n)]
+        close = (graded_ideal_generated_by if space == "L"
+                 else A_ideal_generated_by)
+        spaces.append(close(alg, _random_homogeneous(rng, alg, space)))
+        for C in spaces:
+            got = _homogeneous_generators(alg, space, C)
+            assert got == _fiber_meets(alg, space, C)
+            if len(got) == C.dim:
+                graded += 1
+            elif got:
+                ungraded += 1
+    return graded, ungraded
+
+
 def test_homogeneous_generators_match_fiber_meets():
     rng = random.Random(5119)
     instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
     instances += [_random_graded(rng) for _ in range(30)]
     graded = ungraded = 0
     for alg in instances:
-        for space, n in (("L", alg.dim_L), ("A", alg.dim_A)):
-            basis = alg.L if space == "L" else alg.A
-            spaces = [full_subspace(n), span([], n)]
-            spaces += [span([r for d in rng.choices(basis.degrees, k=2)
-                             for r in alg.fiber(space, d).rows], n)]
-            spaces += [span([_random_vec(rng, n) for _ in range(k)], n)
-                       for k in (1, max(n - 1, 1), n)]
-            close = (graded_ideal_generated_by if space == "L"
-                     else A_ideal_generated_by)
-            spaces.append(close(alg, _random_homogeneous(rng, alg, space)))
-            for C in spaces:
-                got = _homogeneous_generators(alg, space, C)
-                assert got == _fiber_meets(alg, space, C)
-                if len(got) == C.dim:
-                    graded += 1
-                elif got:
-                    ungraded += 1
+        g, u = _check_fiber_meets(alg, rng)
+        graded, ungraded = graded + g, ungraded + u
     # a C that is not graded but still meets some fiber
     assert graded and ungraded
+
+
+def _non_integral_instances(seed):
+    """The valid non-integral trace seed and 20 random graded instances
+    whose coefficients include 1/2 and -2/3."""
+    rng = random.Random(seed)
+    return [rational_seed()] + [_random_graded(rng, NON_INTEGRAL)
+                                for _ in range(20)]
+
+
+def test_decompose_differentials_on_non_integral_tables():
+    """The closure, product, orthogonality and fiber-meet differentials
+    on tables with non-integral entries, whose coefficients the
+    incidence keeps as Fractions."""
+    rng = random.Random(6173)
+    instances = _non_integral_instances(9321)
+    assert sum(c.denominator > 1 for alg in instances
+               for table in (alg.bracket, alg.amul, alg.action, alg.rho)
+               for e in table.values() for c in e.values()) > 20
+    counts = [0] * 7
+    for alg in instances:
+        found = (_check_closure_engine(alg, rng),
+                 _check_against_dense_oracle(alg, rng))
+        found += _check_orthogonality(alg, rng) + _check_fiber_meets(alg, rng)
+        counts = [a + b for a, b in zip(counts, found)]
+    assert all(counts), counts
+

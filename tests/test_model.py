@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,12 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _dense_model as dm
-from _cases import rho_trace_seed
+from _cases import rational_seed, rational_seed_mutant, rho_trace_seed
 from _ref_linalg import is_zero_vec, vec_add, vec_scale
-from test_decompose import _random_graded
+from test_decompose import NON_INTEGRAL, _non_integral_instances, \
+    _random_graded
+from g3lr.axioms import run_all
 from g3lr.catalog import builtin
+from g3lr.decompose import (decompose, graded_ideal_generated_by,
+                            structure_ideals, verify_ideal_A,
+                            verify_ideal_L)
 from g3lr.groups import GroupSpec
-from g3lr.linalg import dense_vec, vec
+from g3lr.linalg import Subspace, dense_vec, vec
 from g3lr.model import Algebra3LR, GradedBasis
 
 _scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -182,3 +188,123 @@ def test_incidence_matches_signed_lookups():
             == _lookups(alg.amul_entry, rA, rA)
         assert _flat(inc.rho_by_pair, lambda ij, ak: ij + (ak,)) \
             == _lookups(alg.rho_entry, rL, rL, rA)
+
+
+def _view_of(c):
+    """The kernels' coefficient view of a stored Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def test_incidence_images_and_coefficient_view():
+    """The image tables hold the signed lookups of every basis tuple,
+    and every coefficient of the incidence is an int exactly when it is
+    integral, a Fraction otherwise."""
+    rng = random.Random(812)
+    instances = [builtin(name) for name in ("trivial", "a4", "gl2-trace",
+                                            "a4-dual-numbers")]
+    instances += [rho_trace_seed(), rational_seed_mutant()]
+    instances += _non_integral_instances(4410)
+    instances += [_random_graded(rng) for _ in range(10)]
+    kinds = set()
+    for alg in instances:
+        inc = alg.incidence()
+        rL, rA = range(alg.dim_L), range(alg.dim_A)
+        assert inc.rho == [[[alg.rho_entry(x, y, a) for a in rA]
+                            for y in rL] for x in rL]
+        assert inc.act == [[alg.action_entry(a, x) for x in rL] for a in rA]
+        assert inc.mul == [[alg.amul_entry(a, b) for b in rA] for a in rA]
+        assert inc.hits == [[(key, e[p]) for key, e in alg.bracket.items()
+                             if p in e] for p in rL]
+        images = [e for row in inc.rho for r in row for e in r]
+        images += [e for row in inc.act + inc.mul for e in row]
+        images += [e for d in inc.ad.values() for e in d.values()]
+        images += [e for by_index in (inc.bracket_by_L, inc.action_by_L,
+                                      inc.action_by_A, inc.amul_by_A,
+                                      inc.rho_by_pair)
+                   for pairs in by_index.values() for _, e in pairs]
+        coeffs = [c for e in images for c in e.values()]
+        coeffs += [c for hits in inc.hits for _, c in hits]
+        for c in coeffs:
+            assert type(c) is type(_view_of(Fraction(c))), c
+            kinds.add(type(c))
+    assert kinds == {int, Fraction}
+
+
+def _all_fraction(values):
+    return all(type(c) is Fraction for c in values)
+
+
+def _subspaces(obj):
+    """The Subspaces reachable from a report through dataclass fields,
+    lists, tuples and dict values."""
+    if isinstance(obj, Subspace):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _subspaces(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _subspaces(x)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from _subspaces(x)
+
+
+def _check_subspace(S):
+    assert all(_all_fraction(r.values()) for r in S.rows)
+    assert all(_all_fraction(b) for b in S.basis)
+
+
+def _check_certificate(cert):
+    """Every vector of an ideal certificate is a dense Fraction tuple."""
+    if cert is not None:
+        assert all(_all_fraction(x) for x in cert if type(x) is tuple)
+
+
+def test_public_surface_stays_fraction():
+    """The int view stays inside the kernels: the stored tables, subspace
+    rows and bases, the evaluators, violations, certificates and the
+    decomposition all carry Fractions, on integral and non-integral
+    tables alike."""
+    rng = random.Random(97)
+    instances = [builtin("a4"), builtin("a4-dual-numbers"), rho_trace_seed(),
+                 rational_seed(), rational_seed_mutant()]
+    instances += [_random_graded(rng, NON_INTEGRAL) for _ in range(4)]
+    violations = decomposed = 0
+    for alg in instances:
+        report = run_all(alg)
+        for table in (alg.bracket, alg.amul, alg.action, alg.rho):
+            assert all(_all_fraction(e.values()) for e in table.values())
+        for vs in report.violations.values():
+            for v in vs:
+                assert _all_fraction(v.lhs)
+                if v.rhs[:1] != ("expected-degree",):
+                    assert _all_fraction(v.rhs)
+                violations += 1
+        nL, nA = alg.dim_L, alg.dim_A
+        x, y, z = ([rng.choice((0, 1, -2)) for _ in range(nL)]
+                   for _ in range(3))
+        a, b = ([rng.choice((0, 1, 3)) for _ in range(nA)] for _ in range(2))
+        for out in (alg.eval_bracket(x, y, z), alg.eval_amul(a, b),
+                    alg.eval_action(a, x), alg.eval_rho(x, y, a)):
+            assert _all_fraction(out)
+        spaces = list(_subspaces(structure_ideals(alg)))
+        for d in set(alg.L.degrees):
+            F = alg.fiber("L", d)
+            _check_certificate(verify_ideal_L(alg, F)[1])
+            spaces += [F, graded_ideal_generated_by(
+                alg, F.basis[0] if F.dim else alg.L_unit(0))]
+        for d in set(alg.A.degrees):
+            _check_certificate(verify_ideal_A(alg, alg.fiber("A", d))[1])
+        if report.passed:
+            rep = decompose(alg)
+            spaces += list(_subspaces(rep))
+            for I in rep.L_ideals + rep.A_ideals:
+                _check_certificate(I.certificate)
+            for bad in rep.orthogonality[1]:
+                assert _all_fraction(bad[-1])
+            decomposed += 1
+        for S in spaces:
+            _check_subspace(S)
+    assert violations and decomposed >= 4
+
