@@ -10,12 +10,18 @@ tuples for that group; this reduction is used for the fundamental
 identity and is spelled out in the docstrings below.
 
 A tuple whose terms are all structurally zero, because each term has a
-factor that the stored tables make zero, holds trivially and is settled
-without evaluation.  The fundamental identity visits only the pairs
-(l, m) with ad(l, m) != 0 and the triples they reach; the Rinehart and
-representation checks skip the pairs and 4-tuples whose operators all
-vanish.  Each skip rule sits next to its proof in the code, so the work
-grows with the nonzero terms and a pass is still a proof.
+factor that the stored tables make zero, holds trivially and is never
+visited.  Each check builds its tuples from the nonzero operators:
+- the fundamental identity, from the pairs (l, m) with ad(l, m) != 0
+  and the triples they reach;
+- the representation identities, from the ordered pairs of live pairs
+  (x, y), those with rho(x, y) != 0, and from the stored triples whose
+  bracket reaches the first slot of a live pair;
+- the Rinehart identities, from the pairs with ad(x, y) or rho(x, y)
+  nonzero, and from the A-basis vectors that a live rho reaches;
+- the rho-derivation identity, from the live pairs.
+Each rule sits next to its proof in the code, so the work grows with
+the nonzero terms and a pass is still a proof.
 
 Each side of an identity is built as a sparse {index: coefficient}
 vector from the nonzero entries of the instance's `model.Incidence`,
@@ -30,7 +36,7 @@ Fraction `lhs`/`rhs` tuples are built only for a recorded Violation.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 
 from .linalg import dense_vec
 
@@ -151,64 +157,72 @@ def check_fundamental_identity(alg):
 
 def check_representation(alg):
     """Both defining operator identities of a module structure, applied
-    to every A-basis vector:
+    to every A-basis vector a:
 
     (i)  [rho(x1,x2), rho(x3,x4)] = rho([x1,x2,x3],x4) - rho([x1,x2,x4],x3)
     (ii) rho([x1,x2,x3],x4) = rho(x1,x2)rho(x3,x4) + rho(x2,x3)rho(x1,x4)
                               + rho(x3,x1)rho(x2,x4)
 
-    No symmetry in the x's is assumed, so every 4-tuple is covered; the
-    tuples whose terms are all structurally zero are settled without
-    evaluation (see the skip rule below).
+    No symmetry in the x's is assumed.  Each term, applied to a, is of
+    one of two kinds, and only the (x1, x2, x3, x4, a) where some term
+    can be nonzero are evaluated; every other tuple has only zero terms
+    and holds.
+
+    - A composition rho(P) rho(Q) a is zero unless the pair Q is live on
+      a (rho(Q) a != 0) and P is live.  The commutator of (i) puts
+      (P, Q) at ((x1,x2), (x3,x4)) with Q or P live on a; (ii) puts it
+      at ((x1,x2), (x3,x4)), ((x2,x3), (x1,x4)) or ((x3,x1), (x2,x4)).
+    - rho(p, x4) a summed over p in supp[x1,x2,x3], and rho(p, x3) a
+      over p in supp[x1,x2,x4], are zero unless some pair (p, y) live
+      on a has p in the image of a stored triple, and the x's order that
+      triple with y in slot 4 or in slot 3.
+
+    The candidates are evaluated in sorted order, the
+    (x1, x2, x3, x4)-major, a-minor order of a full scan, so the
+    violation list is the one a full scan gives.
     """
     out = []
-    if not alg.rho:
-        # every operator is zero and so is rho applied to any bracket
-        return out
-    n, nA = alg.dim_L, alg.dim_A
-    # live: the ordered pairs (x, y) with rho(x, y) != 0 as an operator
     incidence = alg.incidence()
-    rho, ad, live = incidence.rho, incidence.ad, incidence.rho_by_pair
-    # into[y] = {p : rho(p, y) != 0}
-    into = [set() for _ in range(n)]
-    for p, y in live:
-        into[y].add(p)
-    for x1, x2, x3 in product(range(n), repeat=3):
+    rho, ad, hits = incidence.rho, incidence.ad, incidence.hits
+    # domain[(x, y)] = the a with rho(x, y) a != 0, over the live pairs
+    domain = {pair: [ak for ak, _ in images]
+              for pair, images in incidence.rho_by_pair.items()}
+    todo = set()
+    for (p1, p2), dom_p in domain.items():
+        for (q1, q2), dom_q in domain.items():
+            # rho(P) rho(Q) a at its three places in (ii), the first of
+            # them also in (i)
+            for ak in dom_q:
+                todo.update(((p1, p2, q1, q2, ak), (q1, p1, p2, q2, ak),
+                             (p2, q1, p1, q2, ak)))
+            # rho(Q) rho(P) a in the commutator of (i)
+            todo.update((p1, p2, q1, q2, ak) for ak in dom_p)
+    for (p, y), dom in domain.items():
+        for key, _ in hits[p]:
+            for u, v, w in permutations(key):
+                for ak in dom:
+                    todo.update(((u, v, w, y, ak), (u, v, y, w, ak)))
+    for x1, x2, x3, x4, ak in sorted(todo):
         ad12 = ad.get((x1, x2), {})
-        b123 = ad12.get(x3, {})
-        r12, r23, r31 = rho[x1][x2], rho[x2][x3], rho[x3][x1]
-        live_123 = ((x1, x2) in live or (x2, x3) in live
-                    or (x3, x1) in live)
-        for x4 in range(n):
-            b124 = ad12.get(x4, {})
-            # Skip: each term of (i) and (ii) is a product of two of
-            # rho(x1,x2), rho(x2,x3), rho(x3,x1), rho(x3,x4), rho(x1,x4)
-            # and rho(x2,x4), or sums rho(p,x4) over supp[x1,x2,x3] or
-            # rho(p,x3) over supp[x1,x2,x4]; all of these are zero here.
-            if not (live_123 or (x3, x4) in live or (x1, x4) in live
-                    or (x2, x4) in live or not into[x4].isdisjoint(b123)
-                    or not into[x3].isdisjoint(b124)):
-                continue
-            r34, r14, r24 = rho[x3][x4], rho[x1][x4], rho[x2][x4]
-            for ak in range(nA):
-                commutator = {}
-                _apply(commutator, r34[ak], r12)
-                for q, c in r12[ak].items():
-                    _add(commutator, -c, r34[q])
-                rho_b123_x4 = {}
-                for p, c in b123.items():
-                    _add(rho_b123_x4, c, rho[p][x4][ak])
-                rhs_i = dict(rho_b123_x4)
-                for p, c in b124.items():
-                    _add(rhs_i, -c, rho[p][x3][ak])
-                _check(out, REPRESENTATION, ("i", x1, x2, x3, x4, ak),
-                       commutator, rhs_i, nA)
-                rhs_ii = {}
-                _apply(rhs_ii, r34[ak], r12)
-                _apply(rhs_ii, r14[ak], r23)
-                _apply(rhs_ii, r24[ak], r31)
-                _check(out, REPRESENTATION, ("ii", x1, x2, x3, x4, ak),
-                       rho_b123_x4, rhs_ii, nA)
+        r12, r34 = rho[x1][x2], rho[x3][x4]
+        commutator = {}
+        _apply(commutator, r34[ak], r12)
+        for q, c in r12[ak].items():
+            _add(commutator, -c, r34[q])
+        rho_b123_x4 = {}
+        for p, c in ad12.get(x3, {}).items():
+            _add(rho_b123_x4, c, rho[p][x4][ak])
+        rhs_i = dict(rho_b123_x4)
+        for p, c in ad12.get(x4, {}).items():
+            _add(rhs_i, -c, rho[p][x3][ak])
+        _check(out, REPRESENTATION, ("i", x1, x2, x3, x4, ak),
+               commutator, rhs_i, alg.dim_A)
+        rhs_ii = {}
+        _apply(rhs_ii, r34[ak], r12)
+        _apply(rhs_ii, rho[x1][x4][ak], rho[x2][x3])
+        _apply(rhs_ii, rho[x2][x4][ak], rho[x3][x1])
+        _check(out, REPRESENTATION, ("ii", x1, x2, x3, x4, ak),
+               rho_b123_x4, rhs_ii, alg.dim_A)
     return out
 
 
@@ -220,11 +234,9 @@ def check_rinehart_compat(alg):
     incidence = alg.incidence()
     ad, rho, live = incidence.ad, incidence.rho, incidence.rho_by_pair
     act, mul = incidence.act, incidence.mul
-    for x, y in product(range(nL), repeat=2):
-        # Skip: [x,y,a z] and a[x,y,z] apply ad(x, y), and (rho(x,y)a) z
-        # applies rho(x, y); both are zero here.
-        if (x, y) not in ad and (x, y) not in live:
-            continue
+    # Skip: [x,y,a z] and a[x,y,z] apply ad(x, y), and (rho(x,y)a) z
+    # applies rho(x, y); both are zero on the pairs in neither map.
+    for x, y in sorted(ad.keys() | live.keys()):
         row = ad.get((x, y), {})
         bxy = [row.get(p, {}) for p in range(nL)]
         for z in range(nL):
@@ -243,21 +255,27 @@ def check_rinehart_compat(alg):
                     _add(rhs, c, act[q][z])
                 _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs,
                        nL)
-    if not alg.rho:
-        # every term below applies some rho(u, v), all of them zero
-        return out
-    # reach[x] = the union of the supports of a x over the basis of A
-    reach = [{p for ak in range(nA) for p in act[ak][x]} for x in range(nL)]
-    for x, y in product(range(nL), repeat=2):
-        # Skip: rho(a x, y) b sums rho(p, y) b over p in supp(a x),
-        # rho(x, a y) b sums rho(x, p) b over p in supp(a y), and
-        # a rho(x, y) b applies rho(x, y); all are zero here.
-        if not ((x, y) in live or any((p, y) in live for p in reach[x])
-                or any((x, p) in live for p in reach[y])):
-            continue
+    # Skip: rho(a x, y) b sums rho(p, y) b over p in supp(a x),
+    # rho(x, a y) b sums rho(x, p) b over p in supp(a y), and
+    # a rho(x, y) b applies rho(x, y) to b.  So (x, y, b) has a nonzero
+    # term only if b is in the domain of a live pair (p, y) with p in
+    # supp(a x), of a live pair (x, p) with p in supp(a y), or of
+    # (x, y) itself.  reached_by[p] = {x : p in supp(a x) for some a}.
+    reached_by = {}
+    for (_, x), e in alg.action.items():
+        for p in e:
+            reached_by.setdefault(p, set()).add(x)
+    bs = {}
+    for (u, v), images in live.items():
+        dom = [bk for bk, _ in images]
+        for pair in ([(u, v)] + [(x, v) for x in reached_by.get(u, ())]
+                     + [(u, y) for y in reached_by.get(v, ())]):
+            bs.setdefault(pair, set()).update(dom)
+    for (x, y), dom in sorted(bs.items()):
+        dom = sorted(dom)
         for ak in range(nA):
             ax, ay = act[ak][x], act[ak][y]
-            for bk in range(nA):
+            for bk in dom:
                 left, mid, scaled = {}, {}, {}
                 for p, c in ax.items():
                     _add(left, c, rho[p][y][bk])
@@ -273,14 +291,13 @@ def check_rinehart_compat(alg):
 
 def check_rho_derivation(alg):
     """rho(x,y)(ab) = (rho(x,y)a)b + a(rho(x,y)b): the operators land
-    in Der(A).  The product is symmetric, so pairs a <= b suffice."""
+    in Der(A).  The product is symmetric, so pairs a <= b suffice, and
+    only the live pairs (x, y) are visited: both sides apply rho(x, y)."""
     out = []
-    if not alg.rho:
-        return out
-    nL, nA = alg.dim_L, alg.dim_A
+    nA = alg.dim_A
     incidence = alg.incidence()
     rho, mul = incidence.rho, incidence.mul
-    for x, y in product(range(nL), repeat=2):
+    for x, y in sorted(incidence.rho_by_pair):
         r = rho[x][y]
         for ai in range(nA):
             for bi in range(ai, nA):
@@ -343,15 +360,16 @@ def check_grading(alg):
 
 
 def rho_antisymmetry_witnesses(alg):
-    """Basis pairs where rho(x,y) != -rho(y,x).  Not an axiom: the
-    defining identities never require antisymmetry, so this is reported
-    as a note only."""
+    """Basis pairs x <= y and A-basis vectors a where
+    rho(x,y)a != -rho(y,x)a; a pair x = y is a witness wherever
+    rho(x,x) != 0.  Not an axiom: the defining identities never require
+    antisymmetry, so this is reported as a note only."""
     rho = alg.incidence().rho
     out = []
     # Skip: rho(x, y)(a) + rho(y, x)(a) is zero unless one of the two
     # is stored.
     for i, j, ak in sorted({(min(x, y), max(x, y), ak)
-                            for x, y, ak in alg.rho if x != y}):
+                            for x, y, ak in alg.rho}):
         total = dict(rho[i][j][ak])
         _add(total, 1, rho[j][i][ak])
         if any(total.values()):

@@ -4,7 +4,7 @@ single-entry change of a valid instance."""
 
 from fractions import Fraction
 
-from g3lr.catalog import LieRinehartSeed, builtin, from_lie_trace
+from g3lr.catalog import LieRinehartSeed, builtin, direct_sum, from_lie_trace
 from g3lr.groups import GroupSpec
 from g3lr.model import Algebra3LR, GradedBasis
 
@@ -39,6 +39,21 @@ def rho_trace_seed():
         action={(0, li): {li: 1} for li in range(5)},
         rep={(4, 1): {1: 1}},
         tau=(0, 0, 0, 1, 0)))
+
+
+def rho_seed_square():
+    """The direct sum of two copies of the trace seed: dim L 10, dim A 4,
+    with the four nonzero rho values of the two copies."""
+    seed = rho_trace_seed()
+    return direct_sum(seed, seed)
+
+
+def rho_square_overflow():
+    """`rho_seed_square` with rho(h.1, J.1)(t.1) = t.1 added: every axiom
+    group passes but the representation identities, which fail on more
+    than VIOLATION_CAP witnesses of both kinds (i) and (ii)."""
+    sq = rho_seed_square()
+    return with_entry(sq, "rho", (2, 4, 1), {1: Fraction(1)})
 
 
 def rescaled(alg, L_scale, A_scale):

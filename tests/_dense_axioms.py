@@ -2,18 +2,23 @@
 
 These are the checks `g3lr.axioms` ran before it evaluated identities on
 the sparse stored tables: every argument is a dense Fraction vector sent
-through the dense evaluators of `_dense_model`.  The differential test
-in `test_axioms.py` asserts that both return the same violations,
-in the same order, with the same witnesses and sides.
+through the dense evaluators of `_dense_model`, and the representation
+check combines the dense rho images of the A-basis, tabulated once per
+instance.  None of them skips a tuple.  The differential tests in
+`test_axioms.py` assert that both return the same violations, in the
+same order, with the same witnesses and sides.
 """
 
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 from g3lr.axioms import (A_ALGEBRA, FUNDAMENTAL, GRADING, REPRESENTATION,
                          RHO_DERIVATION, RINEHART, Violation)
 
 import _dense_model as dm
-from _ref_linalg import is_zero_vec, vec_add, vec_sub
+from _ref_linalg import is_zero_vec, vec_add
+
+ZERO = Fraction(0)
 
 
 def check_fundamental_identity(alg):
@@ -44,6 +49,17 @@ def _rho_op(alg, i, j, a_vec):
     return dm.eval_rho(alg, alg.L_unit(i), alg.L_unit(j), a_vec)
 
 
+def _lin(terms, dim):
+    """The dense sum of c * v over the pairs (c, v) in terms."""
+    acc = [ZERO] * dim
+    for c, v in terms:
+        if c:
+            for m, x in enumerate(v):
+                if x:
+                    acc[m] += c * x
+    return tuple(acc)
+
+
 def check_representation(alg):
     """Both defining operator identities of a module structure, applied
     to every A-basis vector:
@@ -53,34 +69,44 @@ def check_representation(alg):
                               + rho(x3,x1)rho(x2,x4)
 
     No symmetry in the x's is assumed, so all 4-tuples are enumerated.
+    Each operator rho(x_i, x_j) is tabulated once, as its dense images of
+    the A-basis under the dense evaluator, and every term is a dense
+    linear combination of tabulated images, zero terms included.
     """
     out = []
     if not alg.rho:
         # every operator is zero and so is rho applied to any bracket
         return out
-    n = alg.dim_L
+    n, nA = alg.dim_L, alg.dim_A
+    # ops[i][j][k] = rho(x_i, x_j)(a_k)
+    ops = [[[_rho_op(alg, i, j, alg.A_unit(k)) for k in range(nA)]
+            for j in range(n)] for i in range(n)]
+
+    def op(i, j, v):
+        """rho(x_i, x_j) applied to the dense A-vector v."""
+        return _lin(zip(v, ops[i][j]), nA)
+
+    def rho_of(b, j, k):
+        """rho(b, x_j)(a_k) for the dense L-vector b."""
+        return _lin([(c, ops[p][j][k]) for p, c in enumerate(b)], nA)
+
     for x1, x2, x3, x4 in product(range(n), repeat=4):
         b123 = dm.bracket_basis(alg, x1, x2, x3)
         b124 = dm.bracket_basis(alg, x1, x2, x4)
-        b231 = dm.bracket_basis(alg, x2, x3, x1)
-        for ak in range(alg.dim_A):
-            a = alg.A_unit(ak)
-            r34a = _rho_op(alg, x3, x4, a)
-            r12a = _rho_op(alg, x1, x2, a)
-            commutator = vec_sub(_rho_op(alg, x1, x2, r34a),
-                                 _rho_op(alg, x3, x4, r12a))
-            rho_b123_x4 = dm.eval_rho(alg, b123, alg.L_unit(x4), a)
-            rho_b124_x3 = dm.eval_rho(alg, b124, alg.L_unit(x3), a)
-            lhs_i = commutator
-            rhs_i = vec_sub(rho_b123_x4, rho_b124_x3)
-            if lhs_i != rhs_i:
+        for ak in range(nA):
+            r12_r34a = op(x1, x2, ops[x3][x4][ak])
+            commutator = _lin([(1, r12_r34a),
+                               (-1, op(x3, x4, ops[x1][x2][ak]))], nA)
+            rho_b123_x4 = rho_of(b123, x4, ak)
+            rhs_i = _lin([(1, rho_b123_x4), (-1, rho_of(b124, x3, ak))],
+                         nA)
+            if commutator != rhs_i:
                 out.append(Violation(REPRESENTATION,
-                                     ("i", x1, x2, x3, x4, ak), lhs_i, rhs_i))
-            r14a = _rho_op(alg, x1, x4, a)
-            r24a = _rho_op(alg, x2, x4, a)
-            rhs_ii = _rho_op(alg, x1, x2, r34a)
-            rhs_ii = vec_add(rhs_ii, _rho_op(alg, x2, x3, r14a))
-            rhs_ii = vec_add(rhs_ii, _rho_op(alg, x3, x1, r24a))
+                                     ("i", x1, x2, x3, x4, ak),
+                                     commutator, rhs_i))
+            rhs_ii = _lin([(1, r12_r34a),
+                           (1, op(x2, x3, ops[x1][x4][ak])),
+                           (1, op(x3, x1, ops[x2][x4][ak]))], nA)
             if rho_b123_x4 != rhs_ii:
                 out.append(Violation(REPRESENTATION,
                                      ("ii", x1, x2, x3, x4, ak),
@@ -207,12 +233,13 @@ def check_grading(alg):
 
 
 def rho_antisymmetry_witnesses(alg):
-    """Basis pairs where rho(x,y) != -rho(y,x).  Not an axiom: the
+    """Basis pairs x <= y and A-basis vectors a where
+    rho(x,y)a != -rho(y,x)a, the pairs x = y included.  Not an axiom: the
     defining identities never require antisymmetry, so this is reported
     as a note only."""
     out = []
     n = alg.dim_L
-    for i, j in combinations(range(n), 2):
+    for i, j in combinations_with_replacement(range(n), 2):
         for ak in range(alg.dim_A):
             a = alg.A_unit(ak)
             fwd = _rho_op(alg, i, j, a)

@@ -12,10 +12,11 @@ import random
 import sys
 from pathlib import Path
 
-from _cases import failing_instances, rational_seed, rational_seed_mutant
+from _cases import (failing_instances, rational_seed, rational_seed_mutant,
+                    rho_seed_square, rho_square_overflow)
 from test_connections import _check_equivalence, _random_supports
 
-from g3lr.axioms import ALL_AXIOMS, run_all
+from g3lr.axioms import ALL_AXIOMS, REPRESENTATION, VIOLATION_CAP, run_all
 from g3lr.catalog import BUILTIN_NAMES, builtin, direct_sum
 from g3lr.cli import EXIT_OK, EXIT_VIOLATIONS, main
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
@@ -217,6 +218,8 @@ GOLDEN_REPORTS = {
         "9dad905c90ac5ac646fe3e6990f6048605b64efe519c89b8619a9c4dc44d219a",
     "trace_induced_gl2.json":
         "12f99cda53e781d467f21f51cbfb24ad8fe3b440e27454fee33561b71d1e9681",
+    "trace_seed_dual_numbers.json":
+        "42abe8b7e2aad91e72da06292b756d297aefeb08643ec95485bc02dc78b91047",
     "truncated_polynomials.json":
         "a96e443b17e804ff9986eb70ac1fe84b6c0d3d002ff42dee9018794de4bf6787",
 }
@@ -257,6 +260,17 @@ GOLDEN_RATIONAL_REPORTS = {
         "593efc15884d29c519d387c04c53412fe72d7a552be84b29be36e4b1de648ccc",
     "rational-seed-mutant":
         "c187b4fdaa05d4b3abbca6e366940691539a8c376f169b0c9365675cc780440c",
+}
+
+# sha256 of the `g3lr report` bytes for the square of the trace seed and
+# for the square with one rho value added, whose capped witness list
+# holds the first 25 of its 27 representation violations (see
+# `_cases.rho_square_overflow`)
+GOLDEN_RHO_REPORTS = {
+    "rho-seed-square":
+        "5e28ed2e976a26a557247e46aa4f2b4ca32842947809e7894feea3951871ac7b",
+    "rho-square-overflow":
+        "b2cbe3b6ff5d2d29ed0f79d734001aa22381f31f086d067bbb47a124355c7a7a",
 }
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -323,3 +337,16 @@ def test_non_integral_reports_match_golden_digests(tmp_path):
         save_instance(alg, str(path))
         assert _report_digest(path, tmp_path / "r.json") \
             == (code, GOLDEN_RATIONAL_REPORTS[name]), name
+
+
+def test_rho_square_reports_match_golden_digests(tmp_path):
+    cases = {"rho-seed-square": (rho_seed_square(), EXIT_OK),
+             "rho-square-overflow": (rho_square_overflow(),
+                                     EXIT_VIOLATIONS)}
+    for name, (alg, code) in cases.items():
+        path = tmp_path / ("%s.json" % name)
+        save_instance(alg, str(path))
+        assert _report_digest(path, tmp_path / "r.json") \
+            == (code, GOLDEN_RHO_REPORTS[name]), name
+    assert run_all(rho_square_overflow()).counts[REPRESENTATION] \
+        > VIOLATION_CAP

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 from _cases import (garbage_ungraded, rational_seed, rational_seed_mutant,
-                    rebuild, rho_trace_seed, with_entry)
+                    rebuild, rho_seed_square, rho_square_overflow,
+                    rho_trace_seed, with_entry)
 import _dense_axioms as dense
 from test_acceptance import _perturb
 from test_decompose import _non_integral_instances, _random_graded
@@ -297,3 +299,126 @@ def test_capped_report_matches_dense_reference():
         want = reference(alg)
         assert report.counts[axiom] == len(want)
         assert _rows(capped[axiom]) == _rows(want[:VIOLATION_CAP])
+
+
+# ---------------------------------------------------------------------------
+# the rho layer on rho-rich tables: the representation, Rinehart and
+# rho-derivation checks against the dense reference, violation by
+# violation
+
+RHO_CHECKS = (REPRESENTATION, RINEHART, RHO_DERIVATION)
+
+
+def _bare(n, nA, bracket, rho, amul=None, action=None):
+    """Trivially graded L of dimension n over A of dimension nA.  The
+    product and the action default to zero, so that only the bracket and
+    rho contribute to the representation identities."""
+    G = GroupSpec(())
+    L = GradedBasis(tuple("v%d" % i for i in range(n)), (G.identity(),) * n)
+    A = GradedBasis(tuple("a%d" % i for i in range(nA)),
+                    (G.identity(),) * nA)
+    return Algebra3LR(G, L, A, bracket, amul or {}, action or {}, rho)
+
+
+def _random_rho_rich(rng):
+    """A random trivially graded instance whose rho table holds about
+    half of all keys (x, y, a), diagonal pairs x = y included.  In half
+    of them a0 is the unit of A and acts as the identity; random product
+    and action entries make the Rinehart rho clauses do work."""
+    n, nA = rng.randint(3, 5), rng.randint(2, 3)
+
+    def entry(dim):
+        return {rng.randrange(dim): rng.choice((-2, -1, 1, 2))}
+    bracket = {key: entry(n) for key in combinations(range(n), 3)
+               if rng.random() < 0.4}
+    amul, action = {}, {}
+    if rng.random() < 0.5:
+        amul = {(0, j): {j: 1} for j in range(nA)}
+        action = {(0, i): {i: 1} for i in range(n)}
+    first = 1 if amul else 0
+    amul.update({(i, j): entry(nA) for i in range(first, nA)
+                 for j in range(i, nA) if rng.random() < 0.3})
+    action.update({(ai, li): entry(n) for ai in range(first, nA)
+                   for li in range(n) if rng.random() < 0.3})
+    rho = {key: entry(nA) for key in product(range(n), range(n), range(nA))
+           if rng.random() < 0.5}
+    return _bare(n, nA, bracket, rho, amul, action)
+
+
+def _term_kind_cases():
+    """name -> (instance, witness): at the witness exactly one term of
+    the representation identities is nonzero, the named one, and the
+    identity containing it fails.  E maps a0 to a1 and F maps a1 to a0.
+    """
+    E, F = {1: 1}, {0: 1}
+    return {
+        # [rho(0,1), rho(2,3)] a0 = E F a0 - F E a0 = -a0
+        "commutator": (_bare(4, 2, {}, {(0, 1, 0): E, (2, 3, 1): F}),
+                       ("i", 0, 1, 2, 3, 0)),
+        # rho([v0,v1,v2], v4) a0 = rho(v3, v4) a0 = a1, and rho(v3, v4)
+        # squares to zero, so no composition is nonzero anywhere
+        "bracket-term": (_bare(5, 2, {(0, 1, 2): {3: 1}}, {(3, 4, 0): E}),
+                         ("ii", 0, 1, 2, 4, 0)),
+        # the same term with the pair in slot 3: rho([v0,v1,v2], v4) a0
+        # enters (i) on (0, 1, 4, 2)
+        "bracket-term-slot-3": (
+            _bare(5, 2, {(0, 1, 2): {3: 1}}, {(3, 4, 0): E}),
+            ("i", 0, 1, 4, 2, 0)),
+        # rho(x1,x2) rho(x3,x4) a0 = F E a0 on (0, 1, 2, 3)
+        "product-12-34": (_bare(4, 2, {}, {(0, 1, 1): F, (2, 3, 0): E}),
+                          ("ii", 0, 1, 2, 3, 0)),
+        # rho(x2,x3) rho(x1,x4) a0 = F E a0 on (0, 1, 2, 3)
+        "product-23-14": (_bare(4, 2, {}, {(1, 2, 1): F, (0, 3, 0): E}),
+                          ("ii", 0, 1, 2, 3, 0)),
+        # rho(x3,x1) rho(x2,x4) a0 = F E a0 on (0, 1, 2, 3)
+        "product-31-24": (_bare(4, 2, {}, {(2, 0, 1): F, (1, 3, 0): E}),
+                          ("ii", 0, 1, 2, 3, 0)),
+    }
+
+
+def _assert_rho_layer_matches(alg):
+    """Compare the rho checks and the antisymmetry witnesses with the
+    dense reference; returns the number of violations of each check."""
+    counts = {}
+    for axiom, reference in dense.DENSE_CHECKS:
+        if axiom in RHO_CHECKS:
+            want = reference(alg)
+            assert _rows(SPARSE_CHECKS[axiom](alg)) == _rows(want)
+            counts[axiom] = len(want)
+    assert rho_antisymmetry_witnesses(alg) \
+        == dense.rho_antisymmetry_witnesses(alg)
+    return counts
+
+
+def test_rho_layer_matches_dense_reference_on_rho_rich_tables():
+    seed, square = rho_trace_seed(), rho_seed_square()
+    cases = [square, rho_square_overflow()]
+    cases += _single_entry_mutants(seed) + _single_entry_mutants(square)
+    rng = random.Random(1010)
+    cases += [_random_rho_rich(rng) for _ in range(30)]
+    seen = dict.fromkeys(RHO_CHECKS, 0)
+    for alg in cases:
+        for axiom, count in _assert_rho_layer_matches(alg).items():
+            seen[axiom] += count
+    assert all(seen.values()), seen
+
+
+def test_each_representation_term_kind_is_found():
+    """Each term of (i) and (ii) reaches the check through its own
+    source of candidates; an instance whose witness has only that term
+    nonzero fails exactly where the dense reference fails."""
+    for name, (alg, witness) in _term_kind_cases().items():
+        assert witness in [v.witness for v in check_representation(alg)], \
+            name
+        _assert_rho_layer_matches(alg)
+
+
+def test_diagonal_rho_entry_breaks_antisymmetry():
+    """rho(x, x) != 0 is not antisymmetric: rho(x, x) = -rho(x, x) only
+    for the zero operator."""
+    alg = _ungraded(3, {}, {(0, 0, 0): {0: 1}})
+    assert rho_antisymmetry_witnesses(alg) == [(0, 0, 0)]
+    assert rho_antisymmetry_witnesses(alg) \
+        == dense.rho_antisymmetry_witnesses(alg)
+    assert any("antisymmetric" in n and "1 basis pair" in n
+               for n in run_all(alg).notes)
