@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success with all checks clean, 2 axiom violations found,
-3 parse error, 4 internal invariant failure (always a bug).
+3 input or output error (a file that does not parse or cannot be read,
+an output path that cannot be written), 4 internal invariant failure
+(always a bug).
 """
 
 import argparse
@@ -129,29 +131,34 @@ def _build_report_doc(alg, report):
     return doc
 
 
+def _write(text, path, out):
+    """Write text to the file at path, or to out when no path is given.
+    Returns EXIT_OK, or EXIT_PARSE with a message naming the path when
+    the file cannot be written."""
+    if not path:
+        out.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        print("cannot write %s: %s" % (path, e.strerror), file=sys.stderr)
+        return EXIT_PARSE
+    print("wrote %s" % path, file=out)
+    return EXIT_OK
+
+
 def _cmd_report(args, out):
     alg, report, code = _load(args.file, out)
     doc = _build_report_doc(alg, report)
-    text = canonical_json(doc) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print("wrote %s" % args.out, file=out)
-    else:
-        out.write(text)
-    return code
+    # a failed write outranks the verdict of the axiom suite
+    return _write(canonical_json(doc) + "\n", args.out, out) or code
 
 
 def _cmd_builtin(args, out):
     alg = builtin(args.name)
-    text = canonical_json(instance_to_dict(alg)) + "\n"
-    if args.emit:
-        with open(args.emit, "w") as fh:
-            fh.write(text)
-        print("wrote %s" % args.emit, file=out)
-    else:
-        out.write(text)
-    return EXIT_OK
+    return _write(canonical_json(instance_to_dict(alg)) + "\n", args.emit,
+                  out)
 
 
 @cache

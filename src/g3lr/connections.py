@@ -1,27 +1,30 @@
 """Support sets of the grading and the connection equivalence classes
 they carry, with explicit witness chains.
 
-A chain from g to h on the L-side has odd length 2n+1, starts at g,
-keeps every odd partial product g1 g2 g3, g1...g5, ..., g1...g_{2n-1}
-inside Sigma, keeps every even partial product g1 g2, g1...g4, ...
-inside Sigma u Lambda, and its total product lands on h or h^{-1}.
-Without the even-prefix condition the relation degenerates: the chain
-{g, g^{-1}, h} would connect every pair outright, every support would
-collapse to a single class, and the uniqueness of the class pairing on
-well-behaved instances would fail.  Constraining the even prefixes
-blocks exactly that cancellation, the same way passing through the
-identity is blocked in chains built one element at a time.  On the
-A-side chains do grow one element at a time and every proper partial
-product stays inside Lambda.  In both cases the search alphabet is the
-finite set Sigma u Lambda u {1} computed from the instance, and the
-breadth-first state space is a subset of that finite set plus the two
-targets, so the search always terminates.
+A chain from g to h starts at g, appends letters from the alphabet
+Sigma u Lambda u {1} of the instance, and connects g to h when its total
+product is h or h^{-1}.  Letters are appended one step at a time, and a
+rule says, for each letter of a step, the set the partial product must
+lie in once that letter is appended; `_rules` holds both rules, and the
+search, the connection test, the class partition and the replay all
+read them from there.
+
+On the L-side a step appends two letters: the first product must lie in
+Sigma u Lambda, the second in Sigma, so a chain has odd length.
+Without the condition on the even prefixes the relation degenerates:
+the chain {g, g^{-1}, h} would connect every pair outright, every
+support would collapse to a single class, and the uniqueness of the
+class pairing on well-behaved instances would fail.  Constraining the
+even prefixes blocks exactly that cancellation, the same way passing
+through the identity is blocked in chains built one element at a time.
+On the A-side a step appends one letter and every proper partial
+product stays inside Lambda.  The breadth-first state space is a subset
+of the finite alphabet plus the two targets, so the search always
+terminates.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-
-from .groups import product_many
 
 
 @dataclass(frozen=True)
@@ -41,11 +44,12 @@ class SupportSets:
         return self.lambda1 | frozenset(l.inv() for l in self.lambda1)
 
     @cached_property
-    def _alphabet(self):
-        return self.sigma | self.lambda_ | {self.group.identity()}
-
     def alphabet(self):
-        return self._alphabet
+        """Sigma u Lambda u {1}, sorted by coordinates: the order in
+        which the search tries the letters."""
+        return tuple(sorted(self.sigma | self.lambda_
+                            | {self.group.identity()},
+                            key=lambda e: e.coords))
 
 
 @dataclass
@@ -65,139 +69,115 @@ def compute_supports(alg):
         frozenset(d for d in alg.A.degrees if not d.is_identity()))
 
 
-def _sigma_search(supports, g):
-    """Breadth-first closure from g.  States are odd partial products
-    lying in Sigma; a transition appends two alphabet elements and its
-    midpoint (the even partial product) must lie in Sigma u Lambda.
-    Returns {state: chain} for every reachable state in Sigma."""
-    sigma = supports.sigma
-    mid_ok = supports.sigma | supports.lambda_
-    alpha = sorted(supports.alphabet(), key=lambda e: e.coords)
-    chains = {g: (g,)}
-    frontier = [g]
+def _rules(supports, kind):
+    """The chain rule of `kind` as data: the side named in errors, the
+    support that is partitioned, and the step -- for each letter of a
+    step in turn, the set the partial product must lie in once that
+    letter is appended.  The only place either rule is written."""
+    if kind == "sigma":
+        return ("L", supports.sigma1,
+                (supports.sigma | supports.lambda_, supports.sigma))
+    return "A", supports.lambda1, (supports.lambda_,)
+
+
+def _search(supports, kind, start):
+    """Breadth-first closure from start: {end: chain} for every product
+    reached at the end of a step.  Letters are tried in alphabet order,
+    and an end is recorded the first time a step reaches it, so each
+    chain is minimal in length and the first in that order."""
+    step = _rules(supports, kind)[2]
+    alpha = supports.alphabet
+    chains = {start: (start,)}
+    frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
-            for u in alpha:
-                su = s.mul(u)
-                if su not in mid_ok:
-                    continue
-                for v in alpha:
-                    suv = su.mul(v)
-                    if suv in sigma and suv not in chains:
-                        chains[suv] = chains[s] + (u, v)
-                        nxt.append(suv)
+            ends = [(s, ())]
+            for allowed in step:
+                ends = [(p, word + (u,)) for q, word in ends for u in alpha
+                        if (p := q.mul(u)) in allowed]
+            for p, word in ends:
+                if p not in chains:
+                    chains[p] = chains[s] + word
+                    nxt.append(p)
         frontier = nxt
     return chains
+
+
+def _witness(chains, end):
+    """The chain to end or to end^{-1}, or None."""
+    return chains.get(end) or chains.get(end.inv())
+
+
+def _connected(supports, kind, start, end):
+    side, support, _ = _rules(supports, kind)
+    if start not in support or end not in support:
+        raise ValueError("arguments must lie in the %s-support" % side)
+    return _witness(_search(supports, kind, start), end)
+
+
+def _classes(supports, kind):
+    order = sorted(_rules(supports, kind)[1], key=lambda e: e.coords)
+    seen = set()
+    out = []
+    for g in order:
+        if g in seen:
+            continue
+        chains = _search(supports, kind, g)
+        witnesses = {h: chain for h in order
+                     if (chain := _witness(chains, h)) is not None}
+        seen.update(witnesses)
+        out.append(ConnectionClass(g, frozenset(witnesses), kind,
+                                   witnesses))
+    return out
+
+
+def _replay(supports, kind, chain, start, end):
+    """Check a chain against the rule of `kind`: it starts at start, has
+    whole steps after it, uses alphabet letters only, each proper
+    partial product of length len(step) or more lies in its letter's
+    set, and the total product is end or end^{-1}.  The start alone is
+    thus checked on the A-side only."""
+    step = _rules(supports, kind)[2]
+    if not chain or (len(chain) - 1) % len(step) or chain[0] != start:
+        return False
+    if any(e not in supports.alphabet for e in chain):
+        return False
+    partial = supports.group.identity()
+    for stop, e in enumerate(chain, 1):
+        partial = partial.mul(e)
+        if (len(step) <= stop < len(chain)
+                and partial not in step[(stop - 2) % len(step)]):
+            return False
+    return partial in (end, end.inv())
 
 
 def sigma_connected(supports, g, h):
     """A connection chain from g to h, or None.  Chains found are
     minimal in length for the breadth-first order; any chain satisfying
     the partial-product conditions is equally valid."""
-    if g not in supports.sigma1 or h not in supports.sigma1:
-        raise ValueError("arguments must lie in the L-support")
-    chains = _sigma_search(supports, g)
-    for target in (h, h.inv()):
-        if target in chains:
-            return chains[target]
-    return None
-
-
-def _lambda_search(supports, lam):
-    lam_set = supports.lambda_
-    alpha = sorted(supports.alphabet(), key=lambda e: e.coords)
-    chains = {lam: (lam,)}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for u in alpha:
-                su = s.mul(u)
-                if su in lam_set and su not in chains:
-                    chains[su] = chains[s] + (u,)
-                    nxt.append(su)
-        frontier = nxt
-    return chains
+    return _connected(supports, "sigma", g, h)
 
 
 def lambda_connected(supports, lam, mu):
-    if lam not in supports.lambda1 or mu not in supports.lambda1:
-        raise ValueError("arguments must lie in the A-support")
-    chains = _lambda_search(supports, lam)
-    for target in (mu, mu.inv()):
-        if target in chains:
-            return chains[target]
-    return None
-
-
-def _classes(supports, members, search, kind):
-    order = sorted(members, key=lambda e: e.coords)
-    seen = set()
-    out = []
-    for g in order:
-        if g in seen:
-            continue
-        chains = search(supports, g)
-        cls_members = set()
-        witnesses = {}
-        for h in order:
-            for target in (h, h.inv()):
-                if target in chains:
-                    cls_members.add(h)
-                    witnesses[h] = chains[target]
-                    break
-        seen |= cls_members
-        out.append(ConnectionClass(g, frozenset(cls_members), kind,
-                                   witnesses))
-    return out
+    return _connected(supports, "lambda", lam, mu)
 
 
 def sigma_classes(supports):
     """Partition of the L-support into connection classes; empty
     support gives the empty partition."""
-    return _classes(supports, supports.sigma1, _sigma_search, "sigma")
+    return _classes(supports, "sigma")
 
 
 def lambda_classes(supports):
-    return _classes(supports, supports.lambda1, _lambda_search, "lambda")
+    return _classes(supports, "lambda")
 
 
 def replay_sigma_chain(supports, chain, g, h):
-    """Check a chain against the defining conditions: odd length,
-    starts at g, elements in the alphabet, odd proper partial products
-    in Sigma, even partial products in Sigma u Lambda (the
-    non-degeneracy condition, see the module docstring), total product
-    h or h^{-1}."""
-    if len(chain) % 2 != 1 or not chain:
-        return False
-    if chain[0] != g:
-        return False
-    alpha = supports.alphabet()
-    if any(e not in alpha for e in chain):
-        return False
-    mid_ok = supports.sigma | supports.lambda_
-    for stop in range(2, len(chain), 2):
-        partial = product_many(supports.group, chain[:stop])
-        if partial not in mid_ok:
-            return False
-    for stop in range(3, len(chain), 2):
-        partial = product_many(supports.group, chain[:stop])
-        if partial not in supports.sigma:
-            return False
-    total = product_many(supports.group, chain)
-    return total in (h, h.inv())
+    """Check a chain against the defining conditions (see `_rules` and
+    the module docstring)."""
+    return _replay(supports, "sigma", chain, g, h)
 
 
 def replay_lambda_chain(supports, chain, lam, mu):
-    if not chain or chain[0] != lam:
-        return False
-    alpha = supports.alphabet()
-    if any(e not in alpha for e in chain):
-        return False
-    for stop in range(1, len(chain)):
-        partial = product_many(supports.group, chain[:stop])
-        if partial not in supports.lambda_:
-            return False
-    total = product_many(supports.group, chain)
-    return total in (mu, mu.inv())
+    return _replay(supports, "lambda", chain, lam, mu)

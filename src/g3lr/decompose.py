@@ -633,26 +633,24 @@ def decompose(alg):
     report.L_ideals = [build_I(alg, c) for c in report.sigma_classes]
     report.A_ideals = [build_A_ideal(alg, c) for c in report.lambda_classes]
 
-    L1_fiber = alg.fiber("L", one)
-    L1_gen = _L1_span(alg, supports.sigma1, supports)
-    report.U_complement = complement(L1_gen, within=L1_fiber)
+    report.U_complement = complement(
+        _L1_span(alg, supports.sigma1, supports), within=alg.fiber("L", one))
     report.L_covers, report.L_direct = _coarse_sum(
         alg.dim_L, report.U_complement, report.L_ideals)
 
-    A1_fiber = alg.fiber("A", one)
-    A1_gen = _A1_span(alg, supports.lambda1, supports)
-    report.V_complement = complement(A1_gen, within=A1_fiber)
+    report.V_complement = complement(
+        _A1_span(alg, supports.lambda1, supports), within=alg.fiber("A", one))
     report.A_covers, report.A_direct = _coarse_sum(
         alg.dim_A, report.V_complement, report.A_ideals)
 
     structure = structure_ideals(alg)
     report.structure = structure
-    report.L_directness_certified = (structure.center.dim == 0
-                                     and L1_gen == L1_fiber)
-    report.A_directness_certified = (structure.ann_A.dim == 0
-                                     and A1_gen == A1_fiber)
     tightness = check_tight(alg, structure=structure)
     report.tightness = tightness
+    report.L_directness_certified = (tightness.center_zero
+                                     and tightness.L1_generation)
+    report.A_directness_certified = (tightness.ann_A_zero
+                                     and tightness.A1_generation)
 
     report.orthogonality = verify_triple_orthogonality(
         alg, report.L_ideals, report.A_ideals)

@@ -83,6 +83,20 @@ def _sparse(entries, dim):
     return out
 
 
+def _stored(table, arity, key_ok, dim, message):
+    """The table with every entry made sparse by `_sparse` and the zero
+    entries dropped.  A key that is not a tuple of `arity` indices
+    satisfying `key_ok` raises ValueError(message % (key,))."""
+    out = {}
+    for key, val in table.items():
+        if len(key) != arity or not key_ok(*key):
+            raise ValueError(message % (key,))
+        v = _sparse(val, dim)
+        if v:
+            out[key] = v
+    return out
+
+
 _EMPTY = MappingProxyType({})
 
 
@@ -189,40 +203,19 @@ class Algebra3LR:
         self.dim_L = nL
         self.dim_A = nA
 
-        self.bracket = {}
-        for (i, j, k), val in bracket.items():
-            if not (0 <= i < j < k < nL):
-                raise ValueError(
-                    "bracket key %r is not strictly increasing in range"
-                    % ((i, j, k),))
-            v = _sparse(val, nL)
-            if v:
-                self.bracket[(i, j, k)] = v
-
-        self.amul = {}
-        for (i, j), val in amul.items():
-            if not (0 <= i <= j < nA):
-                raise ValueError("amul key %r is not non-decreasing in range"
-                                 % ((i, j),))
-            v = _sparse(val, nA)
-            if v:
-                self.amul[(i, j)] = v
-
-        self.action = {}
-        for (ai, li), val in action.items():
-            if not (0 <= ai < nA and 0 <= li < nL):
-                raise ValueError("action key %r out of range" % ((ai, li),))
-            v = _sparse(val, nL)
-            if v:
-                self.action[(ai, li)] = v
-
-        self.rho = {}
-        for (i, j, ak), val in rho.items():
-            if not (0 <= i < nL and 0 <= j < nL and 0 <= ak < nA):
-                raise ValueError("rho key %r out of range" % ((i, j, ak),))
-            v = _sparse(val, nA)
-            if v:
-                self.rho[(i, j, ak)] = v
+        self.bracket = _stored(
+            bracket, 3, lambda i, j, k: 0 <= i < j < k < nL, nL,
+            "bracket key %r is not strictly increasing in range")
+        self.amul = _stored(
+            amul, 2, lambda i, j: 0 <= i <= j < nA, nA,
+            "amul key %r is not non-decreasing in range")
+        self.action = _stored(
+            action, 2, lambda ai, li: 0 <= ai < nA and 0 <= li < nL, nL,
+            "action key %r out of range")
+        self.rho = _stored(
+            rho, 3, lambda i, j, ak: (0 <= i < nL and 0 <= j < nL
+                                      and 0 <= ak < nA),
+            nA, "rho key %r out of range")
 
     # ---- signed lookups: sparse images of basis tuples ----
     # The result may be the stored entry itself; callers must not modify it.

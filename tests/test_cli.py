@@ -341,3 +341,19 @@ def test_builtin_to_stdout():
     assert code == EXIT_OK
     doc = json.loads(text)
     assert doc["schema"] == "g3lr-instance/1"
+
+
+@pytest.mark.parametrize("command", ["report", "builtin"])
+@pytest.mark.parametrize("target", ["missing-dir/r.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_output_is_an_io_error(tmp_path, capsys, command, target):
+    """An output path that cannot be written exits 3 with a message
+    naming the path, for `report --out` and `builtin --emit` alike."""
+    bad = str(tmp_path / target)
+    argv = {"report": ("report", str(_emit(tmp_path, "a4")), "--out", bad),
+            "builtin": ("builtin", "a4", "--emit", bad)}[command]
+    capsys.readouterr()
+    code, text = _run(*argv)
+    assert code == EXIT_PARSE
+    assert text == ""
+    assert capsys.readouterr().err.startswith("cannot write %s: " % bad)

@@ -164,3 +164,89 @@ def test_randomized_supports_form_equivalences():
 def test_builtin_supports_form_equivalences():
     for name in ("a4", "gl2-trace", "a4-dual-numbers", "tight-pair"):
         _check_equivalence(compute_supports(builtin(name)))
+
+
+def _random_mixed_supports(rng):
+    """Random supports in a group with finite factors, free factors
+    (modulus 0, coordinates drawn from -3..3) or both."""
+    moduli = rng.choice([(0,), (0, 0), (0, 2), (3, 0), (0, 0, 2), (2,),
+                         (4,), (6,), (2, 2), (3, 3), (2, 4), (8,)])
+    G = GroupSpec(moduli)
+    elems = [G.elem(c) for c in itertools.product(
+        *[range(m) if m else range(-3, 4) for m in moduli])]
+    nonid = [e for e in elems if not e.is_identity()]
+    sigma1 = frozenset(rng.sample(nonid, rng.randint(0, min(6, len(nonid)))))
+    lambda1 = frozenset(rng.sample(nonid, rng.randint(0, min(4, len(nonid)))))
+    return SupportSets(G, sigma1, lambda1), elems
+
+
+def _perturbations(chain, pool):
+    """The chains one letter away from chain: each letter replaced by
+    each element of pool, each letter deleted, and each element of pool
+    inserted at each position."""
+    for i in range(len(chain)):
+        for e in pool:
+            yield chain[:i] + (e,) + chain[i + 1:]
+        yield chain[:i] + chain[i + 1:]
+    for i in range(len(chain) + 1):
+        for e in pool:
+            yield chain[:i] + (e,) + chain[i:]
+
+
+def test_merged_engine_matches_the_reference_searches_and_replays():
+    """The rule-table engine against the two hand-written searches and
+    replays kept in `_ref_connections`: classes with representatives,
+    members and witness chains, the connection test on every pair, and
+    the replay verdicts on random chains, on every witness chain and on
+    its one-letter perturbations, with starts inside and outside the
+    supports."""
+    import _ref_connections as ref
+
+    rng = random.Random(20261018)
+    kinds = (
+        ("sigma1", sigma_classes, ref.sigma_classes, sigma_connected,
+         ref.sigma_connected, replay_sigma_chain, ref.replay_sigma_chain),
+        ("lambda1", lambda_classes, ref.lambda_classes, lambda_connected,
+         ref.lambda_connected, replay_lambda_chain, ref.replay_lambda_chain),
+    )
+    free = accepted = 0
+    for _ in range(200):
+        s, elems = _random_mixed_supports(rng)
+        free += 0 in s.group.moduli
+        alphabet = sorted(s.sigma | s.lambda_ | {s.group.identity()},
+                          key=lambda e: e.coords)
+        # letters of the alphabet, and a few group elements outside it
+        pool = alphabet + rng.sample(elems, min(3, len(elems)))
+        for attr, classes, ref_classes, conn, ref_conn, replay, ref_replay \
+                in kinds:
+            got, want = classes(s), ref_classes(s)
+            assert [(c.representative, c.members, c.kind, c.witnesses)
+                    for c in got] == [
+                (c.representative, c.members, c.kind, c.witnesses)
+                for c in want]
+            support = sorted(getattr(s, attr), key=lambda e: e.coords)
+            for g, h in itertools.product(support, repeat=2):
+                assert conn(s, g, h) == ref_conn(s, g, h)
+
+            def same_verdict(chain, g, h):
+                verdict = replay(s, chain, g, h)
+                assert verdict == ref_replay(s, chain, g, h), (chain, g, h)
+                return verdict
+
+            letters = rng.sample(pool, min(5, len(pool)))
+            for c in want:
+                for h, chain in c.witnesses.items():
+                    assert same_verdict(chain, c.representative, h)
+                    for bent in _perturbations(chain, letters):
+                        for g in (c.representative,) + bent[:1]:
+                            accepted += same_verdict(bent, g, h)
+                            accepted += same_verdict(bent, g,
+                                                     rng.choice(elems))
+            for _ in range(60):
+                chain = tuple(rng.choice(pool)
+                              for _ in range(rng.randint(0, 7)))
+                g = chain[0] if chain and rng.random() < 0.8 else \
+                    rng.choice(elems)
+                accepted += same_verdict(chain, g, rng.choice(elems))
+    assert 60 <= free <= 140      # both free and finite groups are drawn
+    assert accepted >= 1000

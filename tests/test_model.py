@@ -59,6 +59,41 @@ def test_noncanonical_keys_rejected():
         Algebra3LR(G, L, A, {}, {}, {(0, 9): {0: 1}}, {})
 
 
+@pytest.mark.parametrize("table, key, message", [
+    (0, (2, 1, 3), "bracket key (2, 1, 3) is not strictly increasing "
+                   "in range"),
+    (0, (0, 1, 4), "bracket key (0, 1, 4) is not strictly increasing "
+                   "in range"),
+    (1, (1, 0), "amul key (1, 0) is not non-decreasing in range"),
+    (1, (-1, 0), "amul key (-1, 0) is not non-decreasing in range"),
+    (2, (0, 9), "action key (0, 9) out of range"),
+    (2, (1, 0), "action key (1, 0) out of range"),
+    (3, (0, 4, 0), "rho key (0, 4, 0) out of range"),
+    (3, (0, 1, 1), "rho key (0, 1, 1) out of range"),
+])
+def test_rejected_key_names_the_key(table, key, message):
+    """a4 has dim L 4 and dim A 1: each key is out of range or not in
+    the stored order, and the error names the table and the key."""
+    alg = builtin("a4")
+    tables = [{}, {}, {}, {}]
+    tables[table] = {key: {0: 1}}
+    with pytest.raises(ValueError) as exc:
+        Algebra3LR(alg.group, alg.L, alg.A, *tables)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("table, key", [
+    (0, (0, 1)), (0, (0, 1, 2, 3)), (1, (0,)), (1, (0, 0, 0)),
+    (2, (0,)), (2, (0, 1, 2)), (3, (0, 1)), (3, (0, 1, 0, 0)),
+])
+def test_key_of_the_wrong_length_is_rejected(table, key):
+    alg = builtin("a4")
+    tables = [{}, {}, {}, {}]
+    tables[table] = {key: {0: 1}}
+    with pytest.raises(ValueError):
+        Algebra3LR(alg.group, alg.L, alg.A, *tables)
+
+
 def test_zero_entries_dropped():
     alg = builtin("a4")
     bracket = dict(alg.bracket)
