@@ -6,7 +6,7 @@ coarse and fine decompositions, with a JSON instance format and CLI.
 from .groups import GroupElem, GroupSpec, product_many
 from .linalg import (Subspace, complement, full_subspace,
                      intersect_subspaces, rref, solve_homogeneous, span,
-                     sum_subspaces, unit_vec, vec, zero_subspace)
+                     sum_subspaces, unit_vec, vec)
 from .model import Algebra3LR, GradedBasis
 from .axioms import AxiomReport, Violation, run_all
 from .connections import (ConnectionClass, SupportSets, compute_supports,

@@ -133,12 +133,14 @@ def _classes(supports, kind):
 
 
 def _replay(supports, kind, chain, start, end):
-    """Check a chain against the rule of `kind`: it starts at start, has
-    whole steps after it, uses alphabet letters only, each proper
-    partial product of length len(step) or more lies in its letter's
-    set, and the total product is end or end^{-1}.  The start alone is
-    thus checked on the A-side only."""
-    step = _rules(supports, kind)[2]
+    """Check a chain against the rule of `kind`: start and end lie in the
+    support the rule partitions, the chain starts at start, has whole
+    steps after it, uses alphabet letters only, each proper partial
+    product of length len(step) or more lies in its letter's set, and
+    the total product is end or end^{-1}."""
+    _, support, step = _rules(supports, kind)
+    if start not in support or end not in support:
+        return False
     if not chain or (len(chain) - 1) % len(step) or chain[0] != start:
         return False
     if any(e not in supports.alphabet for e in chain):

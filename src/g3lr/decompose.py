@@ -23,7 +23,7 @@ from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
 from .linalg import (Subspace, complement, dense_vec, full_subspace,
                      intersect_subspaces, multilinear, solve_homogeneous,
-                     span, sparse_sum, sum_subspaces, zero_subspace)
+                     span, sparse_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ class PairingReport:
 @dataclass
 class FineComponent:
     subspace: Subspace
-    source: object                # class representative or ("split", rep, i)
+    source: object                # coords of the class representative
     simplicity: SimplicityVerdict
 
 
@@ -570,39 +570,6 @@ def check_gr_simple_A(alg, within=None):
 
 
 # ---------------------------------------------------------------------------
-# the two-ideal split of a non-simple component
-
-
-def _attempt_component_split(alg, component, structure):
-    """For a non-simple component, look for a decomposition into two
-    graded ideals.  Seeds: the smallest proper ideal generated by a
-    homogeneous vector of the component; its complementary support
-    fibers generate the candidate partner."""
-    candidates = []
-    for d, v in _homogeneous_generators(alg, "L", component):
-        closure = graded_ideal_generated_by(alg, v)
-        if closure.dim < component.dim and \
-                component.contains_subspace(closure):
-            candidates.append(closure)
-    if not candidates:
-        return None
-    I = min(candidates, key=lambda s: (s.dim, s.basis))
-    partner = zero_subspace(alg.dim_L)
-    for d, v in _homogeneous_generators(alg, "L", component):
-        if d.is_identity():
-            continue
-        if not I.contains(v):
-            partner = sum_subspaces(partner, graded_ideal_generated_by(alg, v))
-    if intersect_subspaces(I, partner).dim != 0:
-        return None
-    if sum_subspaces(I, partner) != component:
-        return None
-    if not verify_ideal_L(alg, I)[0] or not verify_ideal_L(alg, partner)[0]:
-        return None
-    return I, partner
-
-
-# ---------------------------------------------------------------------------
 # the full pipeline
 
 
@@ -617,8 +584,10 @@ def _coarse_sum(n, comp, ideals):
 def decompose(alg):
     """Coarse decomposition into class ideals plus a degree-1
     complement, directness and orthogonality certificates, tightness and
-    pairing, and (when the hypotheses allow a conclusive answer) the
-    fine decomposition into graded-simple components."""
+    pairing, and, under tightness, maximal length and symmetric
+    supports, the fine decomposition: each class ideal is one component
+    with its graded-simplicity verdict, and a "no" keeps its witness
+    ideal."""
     ax = run_all(alg)
     if not ax.passed:
         return DecompositionReport(axioms=ax, aborted=True)
@@ -675,23 +644,14 @@ def decompose(alg):
             verdict = check_gr_simple_L(alg, within=I.subspace,
                                         structure=structure)
             I.is_gr_simple = verdict.verdict
-            rep = I.source_class.representative.coords
-            if verdict.verdict == "no" and gmult:
-                split = _attempt_component_split(alg, I.subspace, structure)
-                if split is not None:
-                    for idx, part in enumerate(split):
-                        sub_verdict = check_gr_simple_L(
-                            alg, within=part, structure=structure)
-                        report.fine_components.append(FineComponent(
-                            part, ("split", rep, idx), sub_verdict))
-                    continue
-            report.fine_components.append(FineComponent(I.subspace, rep,
-                                                        verdict))
+            report.fine_components.append(FineComponent(
+                I.subspace, I.source_class.representative.coords, verdict))
         for J in report.A_ideals:
             verdict = check_gr_simple_A(alg, within=J.subspace)
             J.is_gr_simple = verdict.verdict
             report.fine_components_A.append(FineComponent(
                 J.subspace, J.source_class.representative.coords, verdict))
+        # the note is pinned by stored report digests, so it stays
         if not gmult:
             report.notes.append(
                 "multiplicative-support condition fails; the two-ideal "

@@ -17,7 +17,7 @@ import json
 import re
 from fractions import Fraction
 
-from .groups import GroupElem, GroupSpec
+from .groups import GroupSpec
 from .model import Algebra3LR, GradedBasis
 
 INSTANCE_SCHEMA = "g3lr-instance/1"
@@ -217,17 +217,12 @@ def instance_digest(alg):
 
 
 def _plain(obj):
-    """Recursively convert report payloads to JSON-compatible data."""
+    """Recursively convert report payloads to JSON-compatible data: they
+    are tuples and lists of ints, strings, None and Fractions."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, GroupElem):
-        return list(obj.coords)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(x) for x in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted((_plain(x) for x in obj), key=repr)
     return obj
 
 

@@ -182,10 +182,6 @@ def span(vectors, ambient_dim):
     return Subspace(ambient_dim, vectors)
 
 
-def zero_subspace(ambient_dim):
-    return Subspace(ambient_dim, [])
-
-
 def full_subspace(ambient_dim):
     return Subspace(ambient_dim, [{i: 1} for i in range(ambient_dim)])
 

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from g3lr import cli
 from g3lr.catalog import BUILTIN_NAMES, builtin
-from g3lr.cli import EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS, main
+from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
+                     main)
 from g3lr.instio import (MAX_DIGITS, ParseError, instance_digest,
                          instance_from_dict, instance_to_dict, load_instance,
                          save_instance)
@@ -225,6 +227,65 @@ def test_cli_undecodable_input_is_a_parse_error(tmp_path, raw):
     assert _run("validate", str(path))[0] == EXIT_PARSE
 
 
+def _drop_L_degrees(doc):
+    del doc["L"]["degrees"]
+
+
+def _short_L_degrees(doc):
+    doc["L"]["degrees"].pop()
+
+
+def _duplicate_L_label(doc):
+    doc["L"]["labels"][1] = doc["L"]["labels"][0]
+
+
+def _entry_without_value(doc):
+    del doc["bracket"][0]["value"]
+
+
+def _entry_with_two_args(doc):
+    doc["bracket"][0]["args"].pop()
+
+
+def _drop_moduli(doc):
+    del doc["group"]["moduli"]
+
+
+def _modulus_one(doc):
+    doc["group"]["moduli"][0] = 1
+
+
+@pytest.mark.parametrize("change, expected", [
+    (_drop_L_degrees, "L: expected labels and degrees"),
+    (_short_L_degrees, "L: labels and degrees differ in length"),
+    (_duplicate_L_label, "L: duplicate basis labels"),
+    (_entry_without_value, "bracket[0]: expected args and value"),
+    (_entry_with_two_args, "bracket[0]: expected 3 arguments"),
+    (_drop_moduli, "group: expected group.moduli"),
+    (_modulus_one, "group: modulus must be 0 or >= 2, got 1"),
+    (list, "document: expected a JSON object"),
+], ids=lambda p: getattr(p, "__name__", None))
+def test_rejected_document_exits_3_naming_the_field(tmp_path, capsys, change,
+                                                     expected):
+    """Each rejection exits 3 with `parse error: WHERE: MESSAGE` on stderr
+    and nothing on stdout; `list` turns the document into an array."""
+    doc = _a4_doc()
+    doc = change(doc) or doc
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run("validate", str(path)) == (EXIT_PARSE, "")
+    assert capsys.readouterr().err == "parse error: %s\n" % expected
+
+
+def test_unreadable_path_exits_3_naming_it(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    capsys.readouterr()
+    assert _run("validate", path) == (EXIT_PARSE, "")
+    assert capsys.readouterr().err.startswith(
+        "parse error: %s: cannot read: " % path)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -251,6 +312,30 @@ def test_decompose_gates_on_validity(tmp_path):
     path.write_text(json.dumps(doc))
     code, _ = _run("decompose", str(path))
     assert code == EXIT_VIOLATIONS
+
+
+@pytest.mark.parametrize("command", ["classes", "simple"])
+def test_classes_and_simple_gate_on_validity(tmp_path, command):
+    doc = _a4_doc()
+    doc["bracket"][0]["value"] = {"e1": "1"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = _run(command, str(path))
+    assert code == EXIT_VIOLATIONS
+    assert text.startswith("axiom violations in %s:" % path)
+
+
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys,
+                                                   monkeypatch):
+    """Exit 4 is what a bug looks like: any exception a command does not
+    expect is reported as an internal error."""
+    def boom(alg):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "decompose", boom)
+    path = _emit(tmp_path, "a4")
+    capsys.readouterr()
+    assert _run("decompose", str(path)) == (EXIT_INTERNAL, "")
+    assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
 
 
 def test_classes_output(tmp_path):

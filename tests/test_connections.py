@@ -199,7 +199,8 @@ def test_merged_engine_matches_the_reference_searches_and_replays():
     members and witness chains, the connection test on every pair, and
     the replay verdicts on random chains, on every witness chain and on
     its one-letter perturbations, with starts inside and outside the
-    supports."""
+    supports.  The reference replays do not check that both ends lie in
+    the support; the engine rejects every chain whose ends do not."""
     import _ref_connections as ref
 
     rng = random.Random(20261018)
@@ -230,7 +231,9 @@ def test_merged_engine_matches_the_reference_searches_and_replays():
 
             def same_verdict(chain, g, h):
                 verdict = replay(s, chain, g, h)
-                assert verdict == ref_replay(s, chain, g, h), (chain, g, h)
+                assert verdict == (g in support and h in support
+                                   and ref_replay(s, chain, g, h)), \
+                    (chain, g, h)
                 return verdict
 
             letters = rng.sample(pool, min(5, len(pool)))
@@ -250,3 +253,20 @@ def test_merged_engine_matches_the_reference_searches_and_replays():
                 accepted += same_verdict(chain, g, rng.choice(elems))
     assert 60 <= free <= 140      # both free and finite groups are drawn
     assert accepted >= 1000
+
+
+def test_replay_rejects_ends_outside_the_support():
+    """In Z/5 with Sigma = {1, 4} and Lambda = {2, 3}, the chain (2, 1, 4)
+    multiplies out to 3 with its partial product 3 in Sigma u Lambda and
+    its whole product in Lambda, but 2 and 3 are not in the L-support,
+    so it connects nothing; nor does a chain from the identity."""
+    G = GroupSpec((5,))
+    e = [G.elem((i,)) for i in range(5)]
+    s = SupportSets(G, frozenset({e[1], e[4]}), frozenset({e[2], e[3]}))
+    assert not replay_sigma_chain(s, (e[2], e[1], e[4]), e[2], e[3])
+    assert not replay_sigma_chain(s, (e[0],), e[0], e[0])
+    assert not replay_lambda_chain(s, (e[0],), e[0], e[0])
+    # the one-letter chain of a support element still connects it to
+    # itself
+    assert replay_sigma_chain(s, (e[1],), e[1], e[1])
+    assert replay_lambda_chain(s, (e[2],), e[2], e[2])

@@ -291,6 +291,22 @@ def test_gr_simple_L_verdicts():
     assert v.witness.dim == 4                 # one factor as proper ideal
 
 
+def test_gr_simple_L_undetermined_on_a_two_dimensional_fiber():
+    """A4 graded by Z/2 with e1, e2 in degree 1 and e3, e4 in degree 0,
+    over A = F acting as the identity: every homogeneous generator closes
+    to all of L, but the fiber of degree 1 is two-dimensional, so the
+    closure test is not conclusive."""
+    G = GroupSpec((2,))
+    L = GradedBasis(("e1", "e2", "e3", "e4"),
+                    tuple(G.elem((d,)) for d in (1, 1, 0, 0)))
+    A = GradedBasis(("one",), (G.identity(),))
+    a4 = builtin("a4")
+    alg = Algebra3LR(G, L, A, a4.bracket, a4.amul, a4.action, {})
+    v = check_gr_simple_L(alg)
+    assert v.verdict == "undetermined"
+    assert v.product_nonzero and v.witness is None
+
+
 def test_gr_simple_L_within_non_ideal_rejected():
     alg = builtin("a4")
     bad = span([unit_vec(4, 0), unit_vec(4, 1), unit_vec(4, 2)], 4)

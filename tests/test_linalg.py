@@ -7,8 +7,7 @@ import _ref_linalg as ref
 from _ref_linalg import is_zero_vec, vec_add, vec_scale
 from g3lr.linalg import (Subspace, complement, full_subspace,
                          intersect_subspaces, rref, solve_homogeneous,
-                         span, sum_subspaces, unit_vec, vec, zero_subspace,
-                         zero_vec)
+                         span, sum_subspaces, unit_vec, vec, zero_vec)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
