@@ -234,37 +234,43 @@ def check_rinehart_compat(alg):
     incidence = alg.incidence()
     ad, rho, live = incidence.ad, incidence.rho, incidence.rho_by_pair
     act, mul = incidence.act, incidence.mul
+    # acted_into[p] = [(z, a) : p in supp(a z)], over the stored action
+    acted_into = {}
+    for (ak, z), e in alg.action.items():
+        for p in e:
+            acted_into.setdefault(p, []).append((z, ak))
     # Skip: [x,y,a z] and a[x,y,z] apply ad(x, y), and (rho(x,y)a) z
     # applies rho(x, y); both are zero on the pairs in neither map.
     for x, y in sorted(ad.keys() | live.keys()):
         row = ad.get((x, y), {})
         bxy = [row.get(p, {}) for p in range(nL)]
-        for z in range(nL):
-            bxyz = bxy[z]
-            for ak in range(nA):
-                az, rxy = act[ak][z], rho[x][y][ak]
-                # Skip: [x,y,a z] applies ad(x, y) to supp(a z), a[x,y,z]
-                # scales [x,y,z] and (rho(x,y)a) z scales z by rho(x,y)a;
-                # all three factors are zero here.
-                if not (bxyz or rxy or not row.keys().isdisjoint(az)):
-                    continue
-                lhs, rhs = {}, {}
-                _apply(lhs, az, bxy)
-                _apply(rhs, bxyz, act[ak])
-                for q, c in rxy.items():
-                    _add(rhs, c, act[q][z])
-                _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs,
-                       nL)
+        # Skip: [x,y,a z] applies ad(x, y) to supp(a z), a[x,y,z] scales
+        # [x,y,z] = ad(x, y) z and (rho(x,y)a) z scales z by rho(x,y)a.
+        # So (z, a) has a nonzero term only if z is in the domain of
+        # ad(x, y), a in the domain of rho(x, y), or supp(a z) meets the
+        # domain of ad(x, y); these are the candidates, evaluated in the
+        # (z, a) order of a full scan.
+        todo = set(product(row, range(nA)))
+        if (x, y) in live:
+            todo.update(product(range(nL), [ak for ak, _ in live[(x, y)]]))
+        for p in row:
+            todo.update(acted_into.get(p, ()))
+        for z, ak in sorted(todo):
+            az, bxyz = act[ak][z], bxy[z]
+            lhs, rhs = {}, {}
+            _apply(lhs, az, bxy)
+            _apply(rhs, bxyz, act[ak])
+            for q, c in rho[x][y][ak].items():
+                _add(rhs, c, act[q][z])
+            _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs, nL)
     # Skip: rho(a x, y) b sums rho(p, y) b over p in supp(a x),
     # rho(x, a y) b sums rho(x, p) b over p in supp(a y), and
     # a rho(x, y) b applies rho(x, y) to b.  So (x, y, b) has a nonzero
     # term only if b is in the domain of a live pair (p, y) with p in
     # supp(a x), of a live pair (x, p) with p in supp(a y), or of
     # (x, y) itself.  reached_by[p] = {x : p in supp(a x) for some a}.
-    reached_by = {}
-    for (_, x), e in alg.action.items():
-        for p in e:
-            reached_by.setdefault(p, set()).add(x)
+    reached_by = {p: {x for x, _ in pairs}
+                  for p, pairs in acted_into.items()}
     bs = {}
     for (u, v), images in live.items():
         dom = [bk for bk, _ in images]

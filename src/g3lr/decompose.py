@@ -16,8 +16,7 @@ orthogonality check.  Each skip rule sits next to its proof in the code.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import (combinations, combinations_with_replacement, product,
-                       starmap)
+from itertools import combinations, combinations_with_replacement, product
 
 from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
@@ -125,14 +124,6 @@ class DecompositionReport:
 # spanning-row helpers
 
 
-def _images(alg, lookup, spaces, degrees):
-    """The nonzero sparse images under `lookup` of the basis tuples whose
-    i-th index runs over the fiber of degrees[i] in spaces[i] ("L" or
-    "A"), in lexicographic order; a zero image adds nothing to a span."""
-    fibers = [alg.fiber_indices(s, d) for s, d in zip(spaces, degrees)]
-    return [e for e in starmap(lookup, product(*fibers)) if e]
-
-
 def _sum_all(n, spaces):
     """The sum of the subspaces of F^n: all their rows, reduced once."""
     return Subspace(n, [r for S in spaces for r in S.rows])
@@ -145,37 +136,51 @@ def _sorted_elems(elems):
 def _L1_span(alg, degrees, supports):
     """Degree-1 part of L generated by the given L-degrees: the span of
     A_{h^-1} L_h over h that also lies in the A-support, plus
-    [L_h, L_k, L_{(hk)^-1}] over pairs h, k."""
-    degrees = _sorted_elems(degrees)
-    rows = []
-    for h in degrees:
-        if h in supports.lambda1:
-            rows += _images(alg, alg.action_entry, "AL", (h.inv(), h))
-    for h, k in product(degrees, repeat=2):
-        rows += _images(alg, alg.bracket_entry, "LLL",
-                        (h, k, h.mul(k).inv()))
+    [L_h, L_k, L_{(hk)^-1}] over pairs h, k.
+
+    Its rows are the stored entries of the instance's degree index
+    whose key degrees multiply to the identity: a stored triple with at
+    least two of its three degrees in the set, and a stored action key
+    (a, l) with deg l in the set and in the A-support.  Proof: a basis
+    tuple of one of these fibers has a nonzero image only when it is,
+    up to order and sign, a stored key, and then its degrees multiply to
+    the identity; conversely such a triple has two of its slots in
+    fibers of the set, in either order, and its third in the fiber of
+    the inverse of their product.  So both give the same rows up to
+    sign and repetition, and the same span."""
+    idx = alg.degree_index()
+    S = idx.id_set(degrees)
+    lam = idx.id_set(supports.lambda1)
+    rows = [e for dl, e in idx.action_one if dl in S and dl in lam]
+    rows += [e for ds, e in idx.bracket_one
+             if (ds[0] in S) + (ds[1] in S) + (ds[2] in S) >= 2]
     return span(rows, alg.dim_L)
 
 
 def _A1_span(alg, degrees, supports):
     """Degree-1 part of A generated by the given A-degrees: the span of
     A_{mu^-1} A_mu, plus rho(L_h, L_k)(A_{(hk)^-1}) over pairs h, k that
-    also lie in the L-support."""
-    degrees = _sorted_elems(degrees)
-    rows = []
-    for mu in degrees:
-        rows += _images(alg, alg.amul_entry, "AA", (mu.inv(), mu))
-    for h, k in product(degrees, repeat=2):
-        if h in supports.sigma1 and k in supports.sigma1:
-            rows += _images(alg, alg.rho_entry, "LLA",
-                            (h, k, h.mul(k).inv()))
+    also lie in the L-support.
+
+    Its rows are the stored entries of the degree index whose key
+    degrees multiply to the identity: a stored product key with either
+    degree in the set, and a stored rho key (i, j, a) with deg i and
+    deg j in the set and in the L-support.  The proof is that of
+    `_L1_span`: the product is symmetric, so either factor may be the
+    one of degree mu, and rho is read in its stored argument order."""
+    idx = alg.degree_index()
+    S = idx.id_set(degrees)
+    sig = idx.id_set(supports.sigma1) & S
+    rows = [e for (di, dj), e in idx.amul_one if di in S or dj in S]
+    rows += [e for (di, dj), e in idx.rho_one if di in sig and dj in sig]
     return span(rows, alg.dim_A)
 
 
-def _check_class(alg, cls, kind):
+def _check_class(alg, cls, kind, supports):
     if cls.kind != kind:
         raise ValueError("expected a %s-class" % kind)
-    supports = compute_supports(alg)
+    if supports is None:
+        supports = compute_supports(alg)
     pool = supports.sigma1 if kind == "sigma" else supports.lambda1
     if not cls.members <= pool:
         raise ValueError("class does not come from this instance")
@@ -186,26 +191,29 @@ def _check_class(alg, cls, kind):
 # class ideals
 
 
-def build_L1_class(alg, cls):
-    """Degree-1 part attached to a sigma-class (see `_L1_span`)."""
-    return _L1_span(alg, cls.members, _check_class(alg, cls, "sigma"))
+def build_L1_class(alg, cls, supports=None):
+    """Degree-1 part attached to a sigma-class (see `_L1_span`).  The
+    supports are computed when not given."""
+    return _L1_span(alg, cls.members,
+                    _check_class(alg, cls, "sigma", supports))
 
 
-def build_I(alg, cls):
+def build_I(alg, cls, supports=None):
     """The graded ideal of a sigma-class: its degree-1 part plus the sum
     of the class fibers."""
-    sub = _sum_all(alg.dim_L, [build_L1_class(alg, cls)] + [
+    sub = _sum_all(alg.dim_L, [build_L1_class(alg, cls, supports)] + [
         alg.fiber("L", h) for h in _sorted_elems(cls.members)])
     ok, cert = verify_ideal_L(alg, sub)
     return IdealCandidate(sub, cls, "L", ok, cert)
 
 
-def build_A1_class(alg, cls):
-    return _A1_span(alg, cls.members, _check_class(alg, cls, "lambda"))
+def build_A1_class(alg, cls, supports=None):
+    return _A1_span(alg, cls.members,
+                    _check_class(alg, cls, "lambda", supports))
 
 
-def build_A_ideal(alg, cls):
-    sub = _sum_all(alg.dim_A, [build_A1_class(alg, cls)] + [
+def build_A_ideal(alg, cls, supports=None):
+    sub = _sum_all(alg.dim_A, [build_A1_class(alg, cls, supports)] + [
         alg.fiber("A", mu) for mu in _sorted_elems(cls.members)])
     ok, cert = verify_ideal_A(alg, sub)
     return IdealCandidate(sub, cls, "A", ok, cert)
@@ -397,13 +405,21 @@ def structure_ideals(alg):
         ann_A_on_L=solve_homogeneous(_constraints(inc.action_by_A), nA))
 
 
-def check_tight(alg, structure=None):
+def _degree_one_spans(alg, supports):
+    """The degree-1 parts of L and A generated by the whole supports."""
+    return (_L1_span(alg, supports.sigma1, supports),
+            _A1_span(alg, supports.lambda1, supports))
+
+
+def check_tight(alg, structure=None, spans=None):
     """The regularity package: vanishing center and annihilators,
     AA = A, AL = L, and generation of both degree-1 fibers from the
-    supports."""
+    supports.  `spans` are the `_degree_one_spans`, computed when not
+    given."""
     if structure is None:
         structure = structure_ideals(alg)
-    supports = compute_supports(alg)
+    if spans is None:
+        spans = _degree_one_spans(alg, compute_supports(alg))
     one = alg.group.identity()
     nL, nA = alg.dim_L, alg.dim_A
     AA = span(alg.amul.values(), nA)     # only nonzero entries are stored
@@ -415,10 +431,8 @@ def check_tight(alg, structure=None):
         ann_L_A_zero=structure.ann_L_A.dim == 0,
         AA_eq_A=AA.dim == nA,
         AL_eq_L=AL.dim == nL,
-        L1_generation=_L1_span(alg, supports.sigma1, supports)
-        == alg.fiber("L", one),
-        A1_generation=_A1_span(alg, supports.lambda1, supports)
-        == alg.fiber("A", one),
+        L1_generation=spans[0] == alg.fiber("L", one),
+        A1_generation=spans[1] == alg.fiber("A", one),
     )
 
 
@@ -440,36 +454,49 @@ def pair_ideals(alg, L_ideals, A_ideals, tight=None):
     return PairingReport(mapping, applicable=bool(tight), unique=unique)
 
 
-def check_G_multiplicative(alg):
+def check_G_multiplicative(alg, supports=None):
     """Whenever degrees compose back into a support, the corresponding
     fiber product is nonzero.  The bracket clause ranges over pairwise
     distinct degree triples: with one-dimensional fibers a repeated
     degree forces the alternating bracket to vanish, so repetition would
-    make the condition unsatisfiable rather than meaningful."""
-    supports = compute_supports(alg)
-    s1 = _sorted_elems(supports.sigma1)
-    l1 = _sorted_elems(supports.lambda1)
+    make the condition unsatisfiable rather than meaningful.
+
+    Each triple or pair is tested against the degrees of the stored keys
+    in the instance's degree index: a product of basis vectors of the
+    given degrees is nonzero only on a stored key, up to order and
+    sign, and every stored key is nonzero, so some product of the fibers
+    is nonzero exactly when a stored key has those degrees (as a set of
+    three distinct degrees for the bracket, in the order (A, L) for the
+    action, as an unordered pair for the product).  The products of
+    degrees are memoised on the index."""
+    if supports is None:
+        supports = compute_supports(alg)
+    idx = alg.degree_index()
+    mul, coords = idx.mul, [e.coords for e in idx.elems]
+    s1 = [idx.ids[g] for g in _sorted_elems(supports.sigma1)]
+    l1 = [idx.ids[g] for g in _sorted_elems(supports.lambda1)]
+    in_s1, in_l1 = set(s1), set(l1)
     bad = []
     for g, h, k in combinations(s1, 3):
-        if g.mul(h).mul(k) in supports.sigma1:
-            if not _images(alg, alg.bracket_entry, "LLL", (g, h, k)):
-                bad.append(("bracket", g.coords, h.coords, k.coords))
+        if (mul(mul(g, h), k) in in_s1
+                and tuple(sorted((g, h, k))) not in idx.bracket_degrees):
+            bad.append(("bracket", coords[g], coords[h], coords[k]))
     for lam in l1:
         for g in s1:
-            if lam.mul(g) in supports.sigma1:
-                if not _images(alg, alg.action_entry, "AL", (lam, g)):
-                    bad.append(("action", lam.coords, g.coords))
+            if mul(lam, g) in in_s1 and (lam, g) not in idx.action_degrees:
+                bad.append(("action", coords[lam], coords[g]))
     for lam, mu in combinations_with_replacement(l1, 2):
-        if lam.mul(mu) in supports.lambda1:
-            if not _images(alg, alg.amul_entry, "AA", (lam, mu)):
-                bad.append(("amul", lam.coords, mu.coords))
+        if (mul(lam, mu) in in_l1
+                and tuple(sorted((lam, mu))) not in idx.amul_degrees):
+            bad.append(("amul", coords[lam], coords[mu]))
     return not bad, bad
 
 
 def check_maximal_length(alg):
-    supports = compute_supports(alg)
-    return (all(alg.fiber("L", g).dim == 1 for g in supports.sigma1)
-            and all(alg.fiber("A", lam).dim == 1 for lam in supports.lambda1))
+    """Every support fiber, on both sides, is one-dimensional: the
+    supports are the non-identity degrees of the basis vectors."""
+    return all(len(fiber) == 1 for basis in (alg.L, alg.A)
+               for d, fiber in basis.fibers.items() if not d.is_identity())
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +626,23 @@ def decompose(alg):
     report.lambda_classes = lambda_classes(supports)
     one = alg.group.identity()
 
-    report.L_ideals = [build_I(alg, c) for c in report.sigma_classes]
-    report.A_ideals = [build_A_ideal(alg, c) for c in report.lambda_classes]
+    report.L_ideals = [build_I(alg, c, supports)
+                       for c in report.sigma_classes]
+    report.A_ideals = [build_A_ideal(alg, c, supports)
+                       for c in report.lambda_classes]
 
-    report.U_complement = complement(
-        _L1_span(alg, supports.sigma1, supports), within=alg.fiber("L", one))
+    spans = _degree_one_spans(alg, supports)
+    report.U_complement = complement(spans[0], within=alg.fiber("L", one))
     report.L_covers, report.L_direct = _coarse_sum(
         alg.dim_L, report.U_complement, report.L_ideals)
 
-    report.V_complement = complement(
-        _A1_span(alg, supports.lambda1, supports), within=alg.fiber("A", one))
+    report.V_complement = complement(spans[1], within=alg.fiber("A", one))
     report.A_covers, report.A_direct = _coarse_sum(
         alg.dim_A, report.V_complement, report.A_ideals)
 
     structure = structure_ideals(alg)
     report.structure = structure
-    tightness = check_tight(alg, structure=structure)
+    tightness = check_tight(alg, structure=structure, spans=spans)
     report.tightness = tightness
     report.L_directness_certified = (tightness.center_zero
                                      and tightness.L1_generation)
@@ -627,7 +655,7 @@ def decompose(alg):
                                  tight=tightness.tight)
 
     report.maximal_length = check_maximal_length(alg)
-    gmult, gm_bad = check_G_multiplicative(alg)
+    gmult, gm_bad = check_G_multiplicative(alg, supports)
     report.g_multiplicative = gmult
     report.g_mult_counterexamples = gm_bad
     report.supports_symmetric = (supports.sigma1 == supports.sigma

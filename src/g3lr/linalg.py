@@ -99,13 +99,17 @@ def _reduce(basis, pivots, v):
     return v
 
 
-def _echelon(rows):
-    """The reduced echelon basis of the span of the sparse rows, sorted
-    by pivot, and the pivots.  Each row is reduced, in place, against
-    the basis built so far, scaled to a leading 1, cleared from the
-    pivot column of the earlier rows and inserted by pivot."""
+def _echelon(rows, n):
+    """The reduced echelon basis of the span of the sparse rows of F^n,
+    sorted by pivot, and the pivots.  Each row is reduced, in place,
+    against the basis built so far, scaled to a leading 1, cleared from
+    the pivot column of the earlier rows and inserted by pivot.  Once
+    the basis has n rows it spans F^n, every later row reduces to zero,
+    and the rest are not visited."""
     basis, pivots = [], []
     for r in rows:
+        if len(basis) == n:
+            break
         new = _reduce(basis, pivots, r)
         if not new:
             continue
@@ -146,7 +150,7 @@ class Subspace:
     def __init__(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
         self.rows, self._pivots = _echelon(
-            [sparse_row(r, ambient_dim) for r in rows])
+            [sparse_row(r, ambient_dim) for r in rows], ambient_dim)
 
     @property
     def basis(self):

@@ -27,7 +27,10 @@ and the remaining products use the lookups with `linalg.multilinear` and
 `linalg.sparse_sum`.  Vectors are dense tuples only at the public
 boundary: `Subspace.basis`, ideal certificates, reports, and the
 multilinear `eval_*` evaluators, which take and return dense tuples and
-sum over the nonzero coordinates only.
+sum over the nonzero coordinates only.  `Algebra3LR.degree_index` reads
+the same stored keys by degree: it interns the degrees as ints, so the
+degree-1 spans and the multiplicative-support check of the
+decomposition layer do their degree arithmetic on ints.
 
 Coefficients are exact throughout.  The stored tables, the rows and
 bases of every `Subspace` and every output hold Fractions.  Only the
@@ -184,11 +187,85 @@ class Incidence:
             self.rho_by_pair.setdefault((i, j), []).append((ak, e))
 
 
+class DegreeIndex:
+    """The degrees of one instance interned as ints, and its stored keys
+    read by their degrees, so that `decompose` does its degree arithmetic
+    on ints; `GroupElem`s stay at the public boundary.
+
+      ids[g], elems[i]    the id of an interned degree, and back
+      bracket_one         [((d0, d1, d2), entry)] over the stored triples
+                          whose degrees multiply to the identity
+      action_one          [(deg l, entry)] over the stored (a, l) with
+                          deg a deg l = 1
+      amul_one            [((deg i, deg j), entry)] over the stored
+                          (i, j) with deg i deg j = 1
+      rho_one             [((deg i, deg j), entry)] over the stored
+                          (i, j, a) with deg i deg j deg a = 1
+      bracket_degrees     {the sorted degree ids of a stored triple}
+      action_degrees      {(deg a, deg l) of a stored action key}
+      amul_degrees        {the sorted degree ids of a stored amul key}
+
+    `mul(i, j)` is the id of the product, memoised on the index, so each
+    product of two degrees goes through `GroupElem.mul` once.  Built from
+    the stored tables on first use; the entries are the stored ones and
+    must not be modified."""
+
+    def __init__(self, alg):
+        self.ids, self.elems, self._products = {}, [], []
+        one = self.intern(alg.group.identity())
+        # the degree id of each basis vector
+        L = [self.intern(d) for d in alg.L.degrees]
+        A = [self.intern(d) for d in alg.A.degrees]
+        mul = self.mul
+        self.bracket_one, self.bracket_degrees = [], set()
+        for (i, j, k), e in alg.bracket.items():
+            ds = L[i], L[j], L[k]
+            self.bracket_degrees.add(tuple(sorted(ds)))
+            if mul(mul(ds[0], ds[1]), ds[2]) == one:
+                self.bracket_one.append((ds, e))
+        self.action_one, self.action_degrees = [], set()
+        for (ai, li), e in alg.action.items():
+            self.action_degrees.add((A[ai], L[li]))
+            if mul(A[ai], L[li]) == one:
+                self.action_one.append((L[li], e))
+        self.amul_one, self.amul_degrees = [], set()
+        for (i, j), e in alg.amul.items():
+            ds = tuple(sorted((A[i], A[j])))
+            self.amul_degrees.add(ds)
+            if mul(*ds) == one:
+                self.amul_one.append((ds, e))
+        self.rho_one = [((L[i], L[j]), e) for (i, j, ak), e in alg.rho.items()
+                        if mul(mul(L[i], L[j]), A[ak]) == one]
+
+    def intern(self, g):
+        """The id of the group element g, given a new id when unseen."""
+        i = self.ids.get(g)
+        if i is None:
+            i = self.ids[g] = len(self.elems)
+            self.elems.append(g)
+            self._products.append({})
+        return i
+
+    def mul(self, i, j):
+        row = self._products[i]
+        p = row.get(j)
+        if p is None:
+            p = row[j] = self.intern(self.elems[i].mul(self.elems[j]))
+        return p
+
+    def id_set(self, elems):
+        """The ids of the interned elements among `elems`; an element
+        that is not interned is the degree of no basis vector."""
+        ids = self.ids
+        return {ids[g] for g in elems if g in ids}
+
+
 class Algebra3LR:
     """Immutable instance; construction validates indices and storage
     canonicity, not the axioms (see `axioms.run_all`)."""
 
     _incidence = None
+    _degree_index = None
 
     def __init__(self, group, L, A, bracket, amul, action, rho):
         assert isinstance(group, GroupSpec)
@@ -246,6 +323,13 @@ class Algebra3LR:
         if self._incidence is None:
             self._incidence = Incidence(self)
         return self._incidence
+
+    def degree_index(self):
+        """The `DegreeIndex` of the stored keys, built on first use and
+        cached on the (immutable) instance."""
+        if self._degree_index is None:
+            self._degree_index = DegreeIndex(self)
+        return self._degree_index
 
     # ---- multilinear evaluators on dense vectors ----
 

@@ -413,6 +413,40 @@ def test_each_representation_term_kind_is_found():
         _assert_rho_layer_matches(alg)
 
 
+def _rinehart_term_cases():
+    """name -> (instance, witness): at the witness exactly one term of
+    [x,y,a z] = a[x,y,z] + (rho(x,y)a) z is nonzero, the named one, and
+    only its own source of candidates proposes the witness's (z, a)."""
+    return {
+        # a0 [v0, v1, v2] = a0 v0 = v0, while a0 v2 = 0: z = v2 is in
+        # the domain of ad(v0, v1)
+        "bracket-of-z": (_bare(3, 1, {(0, 1, 2): {0: 1}}, {},
+                               action={(0, 0): {0: 1}}),
+                         ("bracket", 0, 1, 2, 0)),
+        # (rho(v0, v1) a0) v2 = a1 v2 = v2, with a zero bracket: a0 is
+        # in the domain of rho(v0, v1)
+        "rho-of-a": (_bare(3, 2, {}, {(0, 1, 0): {1: 1}},
+                           action={(1, 2): {2: 1}}),
+                     ("bracket", 0, 1, 2, 0)),
+        # [v0, v1, a0 v3] = [v0, v1, v2] = v0, while [v0, v1, v3] = 0:
+        # supp(a0 v3) = {v2} meets the domain of ad(v0, v1)
+        "a-times-z": (_bare(4, 1, {(0, 1, 2): {0: 1}}, {},
+                            action={(0, 3): {2: 1}}),
+                      ("bracket", 0, 1, 3, 0)),
+    }
+
+
+def test_each_rinehart_bracket_term_is_found():
+    """Each term of the Rinehart bracket clause reaches the check
+    through its own source of candidates; an instance whose witness has
+    only that term nonzero fails exactly where the dense reference
+    fails."""
+    for name, (alg, witness) in _rinehart_term_cases().items():
+        got = check_rinehart_compat(alg)
+        assert witness in [v.witness for v in got], name
+        assert _rows(got) == _rows(dense.check_rinehart_compat(alg)), name
+
+
 def test_diagonal_rho_entry_breaks_antisymmetry():
     """rho(x, x) != 0 is not antisymmetric: rho(x, x) = -rho(x, x) only
     for the zero operator."""

@@ -8,7 +8,7 @@ from g3lr.connections import (SupportSets, compute_supports, lambda_classes,
                               lambda_connected, replay_lambda_chain,
                               replay_sigma_chain, sigma_classes,
                               sigma_connected)
-from g3lr.groups import GroupSpec
+from g3lr.groups import GroupElem, GroupSpec
 
 
 def test_supports_a4():
@@ -98,6 +98,21 @@ def test_lambda_chain_through_powers():
 def test_lambda_classes_tight_pair_separate():
     s = compute_supports(builtin("tight-pair"))
     assert len(lambda_classes(s)) == 2
+
+
+def test_searches_read_products_off_the_table(monkeypatch):
+    """Once the alphabet's product table is built, the searches and the
+    class partition multiply no group elements: every step is a table
+    lookup on letter ids."""
+    s = compute_supports(direct_sum(builtin("gl2-trace"),
+                                    builtin("tight-pair")))
+    assert 0 in s.group.moduli and len(s.products) == len(s.alphabet)
+    calls = []
+    mul = GroupElem.mul
+    monkeypatch.setattr(GroupElem, "mul",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    classes = sigma_classes(s) + lambda_classes(s)
+    assert len(classes) > 2 and not calls
 
 
 def _random_supports(rng):

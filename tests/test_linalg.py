@@ -30,6 +30,19 @@ def test_rref_rejects_ragged_rows():
         rref([vec((1, 2, 3)), vec((1, 2))])
 
 
+def test_rows_past_full_rank():
+    """Rows after the basis spans F^n change nothing, and a malformed
+    row among them is still rejected."""
+    full = [vec((2, 1, 0)), vec((0, 1, 1)), vec((1, 0, 3))]
+    more = [vec((5, -1, 2)), {2: Fraction(7)}, vec((0, 0, 0))]
+    assert Subspace(3, full + more) == full_subspace(3)
+    assert Subspace(3, full + more).rows == ({0: 1}, {1: 1}, {2: 1})
+    with pytest.raises(ValueError):
+        Subspace(3, full + more + [vec((1, 2))])
+    with pytest.raises(ValueError):
+        Subspace(3, full + [{3: Fraction(1)}])
+
+
 def test_rref_empty():
     assert rref([]) == []
     assert rref([vec((0, 0, 0))]) == []
