@@ -290,20 +290,25 @@ def _verify_ideal(alg, side, S):
     return True, None
 
 
-def _ideal_closure(alg, side, v):
+def _ideal_closure(alg, side, v, bound=None):
     """Least ideal containing the homogeneous vector v, dense or sparse.
     Worklist closure: each round multiplies only the rows added in the
-    round before, so every product is formed once."""
+    round before, so every product is formed once.  Stop rule: given
+    `bound` = dim C for an ideal C containing v, it returns once its span
+    has that dimension.  Proof: the least ideal containing v lies in C,
+    and a subspace of C of dim C is C; a closure below it runs to the end."""
     degrees = alg.L.degrees if side == "L" else alg.A.degrees
     S = span([v], alg.dim_L if side == "L" else alg.dim_A)
     if len({degrees[i] for r in S.rows for i in r}) > 1:
         raise ValueError("vector is not homogeneous")
     old, new = (), S.rows
-    while new:
+    while new and S.dim != bound:
         added = []
         for _, w in _ideal_products(alg, side, old, new):
             if not S.contains(w):
                 S = Subspace(S.ambient_dim, S.rows + (w,))
+                if S.dim == bound:
+                    return S
                 added.append(w)
         old, new = old + new, tuple(added)
     return S
@@ -548,16 +553,17 @@ def _close_generators(alg, side, C, allowed=None):
     """Close every homogeneous generator of C.  Returns ("no", ideal)
     for the first proper ideal found inside C other than `allowed`;
     else "yes", or "undetermined" when a non-identity fiber of C has
-    dimension greater than one, with no witness."""
+    dimension greater than one, with no witness.  C is verified once,
+    unless it is the whole space, and a non-ideal raises; then each
+    closure lies in C and stops at dim C, where it is C (`_ideal_closure`),
+    so a proper one runs to its end and is the same witness."""
+    if C.dim != C.ambient_dim and not _verify_ideal(alg, side, C)[0]:
+        raise ValueError("subspace is not an ideal, simplicity undefined")
     gens = _homogeneous_generators(alg, side, C)
     for d, v in gens:
-        closure = _ideal_closure(alg, side, v)
-        if closure == C or closure == allowed:
-            continue
-        if C.contains_subspace(closure):
+        closure = _ideal_closure(alg, side, v, C.dim)
+        if closure != C and closure != allowed:
             return "no", closure
-        # generator escapes: `within` was not an ideal to begin with
-        raise ValueError("subspace is not an ideal, simplicity undefined")
     fiber_dims = Counter(d for d, v in gens if not d.is_identity())
     if max(fiber_dims.values(), default=0) > 1:
         return "undetermined", None
@@ -569,7 +575,9 @@ def check_gr_simple_L(alg, within=None, structure=None):
     the (sub)algebra is nonzero and every ideal generated by a
     homogeneous vector is the whole thing or the kernel part.  The
     closure test is conclusive only when all support fibers met are
-    one-dimensional; otherwise a passing run yields "undetermined"."""
+    one-dimensional; otherwise a passing run yields "undetermined".
+    `within` must be a graded ideal: unless the bracket test answers
+    "no", it is verified once and a non-ideal raises ValueError."""
     C = within if within is not None else full_subspace(alg.dim_L)
     if structure is None:
         structure = structure_ideals(alg)
@@ -588,6 +596,7 @@ def check_gr_simple_L(alg, within=None, structure=None):
 
 
 def check_gr_simple_A(alg, within=None):
+    """`check_gr_simple_L` on A, CC for the bracket; the same `within`."""
     C = within if within is not None else full_subspace(alg.dim_A)
     if not any(multilinear(alg.amul_entry, u, v)
                for u, v in combinations_with_replacement(C.rows, 2)):

@@ -312,6 +312,27 @@ def test_gr_simple_L_within_non_ideal_rejected():
     bad = span([unit_vec(4, 0), unit_vec(4, 1), unit_vec(4, 2)], 4)
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=bad)
+    # a factor of a direct sum plus one basis vector of the other factor:
+    # closing the first generators finds the factor, a proper ideal
+    # inside it, so the verdict must not rest on the generator order
+    two = direct_sum(builtin("a4"), builtin("a4"))
+    for j in range(4, 8):
+        bad = span([unit_vec(8, i) for i in range(4)] + [unit_vec(8, j)], 8)
+        assert not verify_ideal_L(two, bad)[0]
+        with pytest.raises(ValueError):
+            check_gr_simple_L(two, within=bad)
+
+
+def test_gr_simple_A_within_non_ideal_rejected():
+    """The A-side analogue of the direct-sum case above."""
+    dual = builtin("a4-dual-numbers")
+    for alg, j in ((direct_sum(dual, dual), 2),
+                   (direct_sum(builtin("a4"), dual), 1)):
+        n = alg.dim_A
+        bad = span([unit_vec(n, i) for i in range(j)] + [unit_vec(n, j)], n)
+        assert not verify_ideal_A(alg, bad)[0]
+        with pytest.raises(ValueError):
+            check_gr_simple_A(alg, within=bad)
 
 
 def test_gr_simple_A_verdicts():
