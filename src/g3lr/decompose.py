@@ -550,15 +550,11 @@ def _homogeneous_generators(alg, space, C):
 
 
 def _close_generators(alg, side, C, allowed=None):
-    """Close every homogeneous generator of C.  Returns ("no", ideal)
-    for the first proper ideal found inside C other than `allowed`;
-    else "yes", or "undetermined" when a non-identity fiber of C has
-    dimension greater than one, with no witness.  C is verified once,
-    unless it is the whole space, and a non-ideal raises; then each
-    closure lies in C and stops at dim C, where it is C (`_ideal_closure`),
-    so a proper one runs to its end and is the same witness."""
-    if C.dim != C.ambient_dim and not _verify_ideal(alg, side, C)[0]:
-        raise ValueError("subspace is not an ideal, simplicity undefined")
+    """Close every homogeneous generator of the ideal C: ("no", ideal)
+    for the first proper ideal inside C other than `allowed`, else "yes",
+    or "undetermined" with no witness when a non-identity fiber of C has
+    dimension over one.  Each closure lies in C and stops at dim C, where
+    it is C (`_ideal_closure`), so a proper one is the same witness."""
     gens = _homogeneous_generators(alg, side, C)
     for d, v in gens:
         closure = _ideal_closure(alg, side, v, C.dim)
@@ -576,9 +572,31 @@ def check_gr_simple_L(alg, within=None, structure=None):
     homogeneous vector is the whole thing or the kernel part.  The
     closure test is conclusive only when all support fibers met are
     one-dimensional; otherwise a passing run yields "undetermined".
-    `within` must be a graded ideal: unless the bracket test answers
-    "no", it is verified once and a non-ideal raises ValueError."""
-    C = within if within is not None else full_subspace(alg.dim_L)
+    `within` must be a graded ideal: unless it is the whole space, it is
+    verified before any test, and a non-ideal raises ValueError."""
+    return _gr_simple(alg, "L", within, structure=structure)
+
+
+def check_gr_simple_A(alg, within=None):
+    """`check_gr_simple_L` on A, CC for the bracket; the same `within`."""
+    return _gr_simple(alg, "A", within)
+
+
+def _gr_simple(alg, side, within, is_ideal=None, structure=None):
+    """Both checks on `within` (None: the whole space), which must be an
+    ideal: `is_ideal` is its known check, else a proper one is verified."""
+    n = alg.dim_L if side == "L" else alg.dim_A
+    C = within if within is not None else full_subspace(n)
+    if is_ideal is None:
+        is_ideal = C.dim == n or _verify_ideal(alg, side, C)[0]
+    if not is_ideal:
+        raise ValueError("subspace is not an ideal, simplicity undefined")
+    if side == "A":
+        if not any(multilinear(alg.amul_entry, u, v)
+                   for u, v in combinations_with_replacement(C.rows, 2)):
+            return SimplicityVerdict("no", False, witness="zero-product")
+        verdict, witness = _close_generators(alg, "A", C)
+        return SimplicityVerdict(verdict, True, witness=witness)
     if structure is None:
         structure = structure_ideals(alg)
     ker_part = intersect_subspaces(structure.ker_rho, C)
@@ -593,16 +611,6 @@ def check_gr_simple_L(alg, within=None, structure=None):
                                  witness="zero-bracket")
     verdict, witness = _close_generators(alg, "L", C, allowed=ker_part)
     return SimplicityVerdict(verdict, True, AA_nonzero, AL_nonzero, witness)
-
-
-def check_gr_simple_A(alg, within=None):
-    """`check_gr_simple_L` on A, CC for the bracket; the same `within`."""
-    C = within if within is not None else full_subspace(alg.dim_A)
-    if not any(multilinear(alg.amul_entry, u, v)
-               for u, v in combinations_with_replacement(C.rows, 2)):
-        return SimplicityVerdict("no", False, witness="zero-product")
-    verdict, witness = _close_generators(alg, "A", C)
-    return SimplicityVerdict(verdict, True, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +686,13 @@ def decompose(alg):
     report.fine_attempted = fine_ok
     if fine_ok:
         for I in report.L_ideals:
-            verdict = check_gr_simple_L(alg, within=I.subspace,
-                                        structure=structure)
+            verdict = _gr_simple(alg, "L", I.subspace, I.is_graded_ideal,
+                                 structure)
             I.is_gr_simple = verdict.verdict
             report.fine_components.append(FineComponent(
                 I.subspace, I.source_class.representative.coords, verdict))
         for J in report.A_ideals:
-            verdict = check_gr_simple_A(alg, within=J.subspace)
+            verdict = _gr_simple(alg, "A", J.subspace, J.is_graded_ideal)
             J.is_gr_simple = verdict.verdict
             report.fine_components_A.append(FineComponent(
                 J.subspace, J.source_class.representative.coords, verdict))

@@ -4,12 +4,12 @@ no tolerance anywhere.
 
 Vectors are sparse rows {index: coefficient} internally, holding the
 nonzero coordinates only, from the stored tables through the products
-to the reduced-echelon rows of a `Subspace`.  Every lattice operation
-accepts dense or sparse rows, and `sparse_row` makes their coordinates
-Fractions before the echelon build divides; dense tuples, formed only at
-the public boundary (`Subspace.basis`, the model's `eval_*` evaluators,
-ideal certificates and reports), pass through `dense_vec`, which does
-the same.  The coefficient invariant is stated in `model`.
+to the reduced-echelon rows of a `Subspace`, each coefficient in the
+exact view of `_view`.  Every lattice operation accepts dense or sparse
+rows and `sparse_row` brings them into the view; dense tuples, formed
+only at the public boundary (`Subspace.basis`, `eval_*`, certificates
+and reports), pass through `dense_vec`, the one way back to Fractions.
+The coefficient invariant is stated in `model`.
 """
 
 from bisect import bisect_left
@@ -34,17 +34,31 @@ def unit_vec(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
+def _view(c):
+    """The scalar c as an int when integral, else as a Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(c, f):
+    """c / f in the exact view; two ints never meet `/`."""
+    if type(c) is int and type(f) is int:
+        q, r = divmod(c, f)
+        return Fraction(c, f) if r else q
+    return _view(c / f)
+
+
 def sparse_row(r, n):
     """The row r of F^n, dense (a sequence of length n) or sparse
-    ({index: coordinate}), as a new sparse row of nonzero Fractions."""
+    ({index: coordinate}), as a new sparse row in the exact view."""
     if isinstance(r, dict):
         items = r.items()
     elif len(r) != n:
         raise ValueError("row length %d in ambient of dim %d" % (len(r), n))
     else:
         items = enumerate(r)
-    out = {j: c if type(c) is Fraction else Fraction(c)
-           for j, c in items if c}
+    out = {j: c if type(c) is int else _view(c) for j, c in items if c}
     if out and not (0 <= min(out) and max(out) < n):
         raise ValueError("row index outside ambient of dim %d" % n)
     return out
@@ -86,26 +100,29 @@ def _reduce(basis, pivots, v):
     """The sparse row v, in place, minus the multiples of the reduced
     rows `basis` (1 at the pivot) that clear it at every pivot.  Only
     rows whose pivot coordinate in v is nonzero are subtracted, and only
-    at their own nonzero coordinates."""
+    at their own nonzero coordinates; v stays in the exact view."""
     for row, p in zip(basis, pivots):
         f = v.get(p)
         if f:
             for j, c in row.items():
                 d = v.get(j, 0) - f * c
-                if d:
+                if not d:
+                    del v[j]
+                elif type(d) is int or d.denominator != 1:
                     v[j] = d
                 else:
-                    del v[j]
+                    v[j] = d.numerator
     return v
 
 
 def _echelon(rows, n):
     """The reduced echelon basis of the span of the sparse rows of F^n,
     sorted by pivot, and the pivots.  Each row is reduced, in place,
-    against the basis built so far, scaled to a leading 1, cleared from
-    the pivot column of the earlier rows and inserted by pivot.  Once
-    the basis has n rows it spans F^n, every later row reduces to zero,
-    and the rest are not visited."""
+    against the basis built so far, scaled to a leading 1 (by negation
+    or exact quotients), cleared from the pivot column of the earlier
+    rows by `_reduce` and inserted by pivot.  Once the basis has n rows
+    it spans F^n, every later row reduces to zero, and the rest are not
+    visited."""
     basis, pivots = [], []
     for r in rows:
         if len(basis) == n:
@@ -115,17 +132,13 @@ def _echelon(rows, n):
             continue
         p = min(new)
         f = new[p]
-        if f != 1:
-            new = {j: c / f for j, c in new.items()}
+        if f == -1:
+            new = {j: -c for j, c in new.items()}
+        elif f != 1:
+            new = {j: _quotient(c, f) for j, c in new.items()}
         for row in basis:
-            g = row.get(p)
-            if g:
-                for j, c in new.items():
-                    d = row.get(j, 0) - g * c
-                    if d:
-                        row[j] = d
-                    else:
-                        del row[j]
+            if p in row:
+                _reduce((new,), (p,), row)
         k = bisect_left(pivots, p)
         basis.insert(k, new)
         pivots.insert(k, p)

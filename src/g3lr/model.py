@@ -32,20 +32,20 @@ the same stored keys by degree: it interns the degrees as ints, so the
 degree-1 spans and the multiplicative-support check of the
 decomposition layer do their degree arithmetic on ints.
 
-Coefficients are exact throughout.  The stored tables, the rows and
-bases of every `Subspace` and every output hold Fractions.  Only the
-incidence holds another view: each integral coefficient as an int, the
-others as Fractions, so integral instances run their kernels on int
-arithmetic; ints and Fractions mix exactly.  Division happens only on
-Fraction rows, in `linalg`'s echelon build after `linalg.sparse_row`,
-and `linalg.dense_vec` makes every dense output Fractions.
+Coefficients are exact, never floats.  The stored tables and every
+output hold Fractions; the incidence and the rows of every `Subspace`
+hold the exact view of `linalg._view` (an int when integral, else a
+Fraction), so integral instances run their kernels and eliminations on
+ints, which mix, compare and hash exactly with Fractions.  `sparse_row`
+brings rows into the view; `dense_vec` is the one way back to Fractions.
 """
 
 from fractions import Fraction
 from types import MappingProxyType
 
 from .groups import GroupElem, GroupSpec
-from .linalg import Subspace, dense_vec, multilinear, sparse_row, unit_vec
+from .linalg import (Subspace, _view, dense_vec, multilinear, sparse_row,
+                     unit_vec)
 
 
 class GradedBasis:
@@ -117,10 +117,9 @@ def _perm_sign_and_sorted(i, j, k):
 
 
 def _exact(entry):
-    """The entry in the kernels' coefficient view: each integral
-    coefficient as an int, the others as the stored Fraction."""
-    return {t: c.numerator if c.denominator == 1 else c
-            for t, c in entry.items()}
+    """The entry with every coefficient in the exact view of
+    `linalg._view`: an int when integral, else the stored Fraction."""
+    return {t: _view(c) for t, c in entry.items()}
 
 
 class Incidence:

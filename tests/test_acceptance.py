@@ -218,6 +218,8 @@ GOLDEN_REPORTS = {
         "9dad905c90ac5ac646fe3e6990f6048605b64efe519c89b8619a9c4dc44d219a",
     "trace_induced_gl2.json":
         "12f99cda53e781d467f21f51cbfb24ad8fe3b440e27454fee33561b71d1e9681",
+    "tight_pair_rescaled.json":
+        "8da8c3742f1167dbeb22ff344cab6671c443df5449f3067bf8991fe94ab94c9b",
     "trace_seed_dual_numbers.json":
         "42abe8b7e2aad91e72da06292b756d297aefeb08643ec95485bc02dc78b91047",
     "truncated_polynomials.json":

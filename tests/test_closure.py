@@ -1,16 +1,16 @@
 """The bounded generator closures against the unbounded ones they
 replaced.
 
-`_close_generators` verifies C once and stops each closure at dim C;
-`_ref_closure` keeps the closures that ran to the end.  On every valid
-instance of the family below, for the whole space on both sides and
-for every class ideal that `verify_ideal_L/A` accepts, both must give
-the same verdict and the same witness rows.  The products that
-`_ideal_products` yields are counted on both sides: the bounded
-closures may form no more than the unbounded ones on any case, and with
-the up-front check of C included they must form fewer in total.  On a
-"no" that check can cost more than the closures save; it is what makes
-a non-ideal C raise (see `test_decompose`).
+`_close_generators` stops each closure at dim C, for an ideal C that
+its callers have verified; `_ref_closure` keeps the closures that ran
+to the end.  On every valid instance of the family below, for the whole
+space on both sides and for every class ideal that `verify_ideal_L/A`
+accepts, both must give the same verdict and the same witness rows.
+The products that `_ideal_products` yields are counted on both sides:
+the bounded closures may form no more than the unbounded ones on any
+case, and, with any ideal check made inside counted too, they must form
+fewer in total.  The simplicity checks verify C before their product
+test, which is what makes a non-ideal C raise (see `test_decompose`).
 """
 
 import random

@@ -321,6 +321,12 @@ def test_gr_simple_L_within_non_ideal_rejected():
         assert not verify_ideal_L(two, bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_L(two, within=bad)
+    # rows with a zero bracket: the check must come before the bracket
+    # test, which would answer "no" on its own
+    bad = span([unit_vec(4, 0), unit_vec(4, 1)], 4)
+    assert not verify_ideal_L(alg, bad)[0]
+    with pytest.raises(ValueError):
+        check_gr_simple_L(alg, within=bad)
 
 
 def test_gr_simple_A_within_non_ideal_rejected():
@@ -330,6 +336,22 @@ def test_gr_simple_A_within_non_ideal_rejected():
                    (direct_sum(builtin("a4"), dual), 1)):
         n = alg.dim_A
         bad = span([unit_vec(n, i) for i in range(j)] + [unit_vec(n, j)], n)
+        assert not verify_ideal_A(alg, bad)[0]
+        with pytest.raises(ValueError):
+            check_gr_simple_A(alg, within=bad)
+    # rows with a zero product, which must not answer before the check:
+    # span{t.1 + t.2} in the square of the dual numbers, and the graded
+    # span{s} in F[s, u]/(s^2, u^2), where u s = su escapes it
+    G = GroupSpec((2, 2))
+    A = GradedBasis(("one", "s", "u", "su"), tuple(
+        G.elem(d) for d in ((0, 0), (1, 0), (0, 1), (1, 1))))
+    L = GradedBasis(("x",), (G.identity(),))
+    amul = {(0, i): {i: 1} for i in range(4)}
+    amul[(1, 2)] = {3: 1}
+    for alg, bad in (
+            (direct_sum(dual, dual), span([{1: 1, 3: 1}], 4)),
+            (Algebra3LR(G, L, A, {}, amul, {(0, 0): {0: 1}}, {}),
+             span([unit_vec(4, 1)], 4))):
         assert not verify_ideal_A(alg, bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_A(alg, within=bad)

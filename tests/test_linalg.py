@@ -80,11 +80,19 @@ def test_contains_ambient_mismatch():
         span([vec((1, 0))], 2).contains({2: Fraction(1)})
 
 
+def _view_of(c):
+    """The exact view of the scalar c: an int when integral, else a
+    Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def test_sparse_int_rows_stay_exact():
     s = Subspace(2, [{1: 3, 0: 2}])
     assert s.basis == (vec((1, Fraction(3, 2))),)
     assert s.rows == ({0: 1, 1: Fraction(3, 2)},)
-    assert all(type(c) is Fraction for r in s.rows for c in r.values())
+    assert all(type(c) is type(_view_of(c)) for r in s.rows
+               for c in r.values())
 
 
 @settings(max_examples=60)
@@ -212,3 +220,91 @@ def test_lattice_matches_reference_oracle(case):
         complement(s, Subspace(n, within))
     assert [s.contains(p) for p in _as_sparse(probes)] == \
         [s.contains(p) for p in probes]
+
+
+# The exact view: rows whose coefficients are ints where integral, or a
+# mix of ints and Fractions, give the subspaces the all-Fraction rows
+# give, with every row coefficient in the view and every basis entry a
+# Fraction.
+
+def _check_view(S):
+    assert all(type(c) is type(_view_of(c)) for r in S.rows
+               for c in r.values())
+    assert all(type(c) is Fraction for b in S.basis for c in b)
+
+
+@settings(max_examples=200)
+@given(_lattice_case(), st.randoms(use_true_random=False))
+def test_exact_view_rows_match_fraction_rows(case, rnd):
+    n, rows_s, rows_t, _, v = case
+    ref_s, ref_t = ref.rref(rows_s), ref.rref(rows_t)
+    within = ref.rref(rows_s + rows_t)
+    full = ref.rref(full_subspace(n).basis)
+    probes = [v] + rows_t
+    s_frac, t_frac = Subspace(n, rows_s), Subspace(n, rows_t)
+    meet_frac = intersect_subspaces(s_frac, t_frac)
+    comp_frac = complement(s_frac, Subspace(n, within))
+
+    def views(rows):
+        """The rows in the exact view, and with each coefficient left a
+        Fraction or put in the view at random."""
+        return ([tuple(_view_of(c) for c in r) for r in rows],
+                [tuple(rnd.choice((c, _view_of(c))) for c in r)
+                 for r in rows])
+    for rows in zip(views(rows_s), views(rows_t), views(within),
+                    views(probes)):
+        for s_rows, t_rows, w_rows, p_rows in (rows, map(_as_sparse, rows)):
+            s, t = Subspace(n, s_rows), Subspace(n, t_rows)
+            assert s == s_frac and s.rows == s_frac.rows and t == t_frac
+            assert list(s.basis) == ref_s and list(t.basis) == ref_t
+            meet = intersect_subspaces(s, t)
+            assert meet == meet_frac and list(meet.basis) == \
+                ref.intersect_subspaces(ref_s, ref_t, n)
+            null = solve_homogeneous(s_rows, n)
+            assert null == solve_homogeneous(rows_s, n)
+            assert list(null.basis) == ref.solve_homogeneous(rows_s, n)
+            comp = complement(s, Subspace(n, w_rows))
+            assert comp == comp_frac and list(comp.basis) == \
+                ref.complement(ref_s, within, n)
+            whole = complement(s)
+            assert list(whole.basis) == ref.complement(ref_s, full, n)
+            assert [s.contains(p) for p in p_rows] == \
+                [ref.contains(ref_s, p) for p in probes]
+            for S in (s, t, meet, null, comp, whole):
+                _check_view(S)
+
+
+def test_exact_view_quotients_and_cancellations():
+    # an int leading coefficient other than 1 divides exactly, to a
+    # Fraction where it does not divide: 3/2, not 1.5 (which equals it)
+    s = Subspace(2, [{0: 2, 1: 3}])
+    assert s.rows == ({0: 1, 1: Fraction(3, 2)},)
+    assert [type(c) for c in s.rows[0].values()] == [int, Fraction]
+    s = Subspace(3, [{0: 4, 1: 2, 2: 6}])
+    assert [(c, type(c)) for c in s.rows[0].values()] == \
+        [(1, int), (Fraction(1, 2), Fraction), (Fraction(3, 2), Fraction)]
+    s = Subspace(2, [{0: 3, 1: -6}])
+    assert [(c, type(c)) for c in s.rows[0].values()] == \
+        [(1, int), (-2, int)]
+    # a leading -1 is a negation
+    s = Subspace(3, [{0: -1, 1: 2, 2: Fraction(1, 3)}])
+    assert [(c, type(c)) for c in s.rows[0].values()] == \
+        [(1, int), (-2, int), (Fraction(-1, 3), Fraction)]
+    # a Fraction quotient that is integral is stored as an int
+    s = Subspace(2, [{0: Fraction(2, 3), 1: Fraction(4, 3)}])
+    assert [(c, type(c)) for c in s.rows[0].values()] == \
+        [(1, int), (2, int)]
+    # (3/2)(2/3) cancels in the reduction to the int 1, and the pivot
+    # clearing 5/2 - (3/2)(1/3) leaves the int 2
+    s = Subspace(2, [{0: 1, 1: Fraction(2, 3)}, {0: Fraction(3, 2), 1: 2}])
+    assert [(r, [type(c) for c in r.values()]) for r in s.rows] == \
+        [({0: 1}, [int]), ({1: 1}, [int])]
+    s = Subspace(3, [{0: 1, 1: Fraction(3, 2), 2: Fraction(5, 2)},
+                     {1: 1, 2: Fraction(1, 3)}])
+    assert [[(c, type(c)) for c in r.values()] for r in s.rows] == \
+        [[(1, int), (2, int)], [(1, int), (Fraction(1, 3), Fraction)]]
+    # no float reaches a subspace
+    s = Subspace(2, [(0.5, 1.5)])
+    assert [(c, type(c)) for c in s.rows[0].values()] == \
+        [(1, int), (3, int)]
+    assert not s.contains({0: 0.5, 1: 1.0})

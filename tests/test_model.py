@@ -286,7 +286,8 @@ def _subspaces(obj):
 
 
 def _check_subspace(S):
-    assert all(_all_fraction(r.values()) for r in S.rows)
+    assert all(type(c) is type(_view_of(Fraction(c)))
+               for r in S.rows for c in r.values())
     assert all(_all_fraction(b) for b in S.basis)
 
 
@@ -297,10 +298,10 @@ def _check_certificate(cert):
 
 
 def test_public_surface_stays_fraction():
-    """The int view stays inside the kernels: the stored tables, subspace
-    rows and bases, the evaluators, violations, certificates and the
-    decomposition all carry Fractions, on integral and non-integral
-    tables alike."""
+    """The int view stays inside the kernels and the subspace rows: the
+    stored tables, subspace bases, the evaluators, violations,
+    certificates and the decomposition all carry Fractions, and subspace
+    rows the exact view, on integral and non-integral tables alike."""
     rng = random.Random(97)
     instances = [builtin("a4"), builtin("a4-dual-numbers"), rho_trace_seed(),
                  rational_seed(), rational_seed_mutant()]
