@@ -20,9 +20,9 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
-from .linalg import (Subspace, complement, dense_vec, full_subspace,
-                     intersect_subspaces, multilinear, solve_homogeneous,
-                     span, sparse_sum)
+from .linalg import (Subspace, _extend, _null_space, complement, dense_vec,
+                     full_subspace, intersect_subspaces, multilinear,
+                     solve_homogeneous, span, sparse_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,6 @@ class DecompositionReport:
 # spanning-row helpers
 
 
-def _sum_all(n, spaces):
-    """The sum of the subspaces of F^n: all their rows, reduced once."""
-    return Subspace(n, [r for S in spaces for r in S.rows])
-
-
 def _sorted_elems(elems):
     return sorted(elems, key=lambda e: e.coords)
 
@@ -198,13 +193,18 @@ def build_L1_class(alg, cls, supports=None):
                     _check_class(alg, cls, "sigma", supports))
 
 
+def _class_ideal(alg, side, cls, degree_one):
+    """The degree-1 part extended by the basis vectors of the class
+    fibers, with its ideal check."""
+    sub = _extend(degree_one, [{i: 1} for g in _sorted_elems(cls.members)
+                               for i in alg.fiber_indices(side, g)])
+    return IdealCandidate(sub, cls, side, *_verify_ideal(alg, side, sub))
+
+
 def build_I(alg, cls, supports=None):
     """The graded ideal of a sigma-class: its degree-1 part plus the sum
     of the class fibers."""
-    sub = _sum_all(alg.dim_L, [build_L1_class(alg, cls, supports)] + [
-        alg.fiber("L", h) for h in _sorted_elems(cls.members)])
-    ok, cert = verify_ideal_L(alg, sub)
-    return IdealCandidate(sub, cls, "L", ok, cert)
+    return _class_ideal(alg, "L", cls, build_L1_class(alg, cls, supports))
 
 
 def build_A1_class(alg, cls, supports=None):
@@ -213,10 +213,7 @@ def build_A1_class(alg, cls, supports=None):
 
 
 def build_A_ideal(alg, cls, supports=None):
-    sub = _sum_all(alg.dim_A, [build_A1_class(alg, cls, supports)] + [
-        alg.fiber("A", mu) for mu in _sorted_elems(cls.members)])
-    ok, cert = verify_ideal_A(alg, sub)
-    return IdealCandidate(sub, cls, "A", ok, cert)
+    return _class_ideal(alg, "A", cls, build_A1_class(alg, cls, supports))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +294,15 @@ def _ideal_closure(alg, side, v, bound=None):
     `bound` = dim C for an ideal C containing v, it returns once its span
     has that dimension.  Proof: the least ideal containing v lies in C,
     and a subspace of C of dim C is C; a closure below it runs to the end."""
-    degrees = alg.L.degrees if side == "L" else alg.A.degrees
     S = span([v], alg.dim_L if side == "L" else alg.dim_A)
-    if len({degrees[i] for r in S.rows for i in r}) > 1:
-        raise ValueError("vector is not homogeneous")
+    _homogeneous_generators(alg, side, S)     # raises unless homogeneous
     old, new = (), S.rows
     while new and S.dim != bound:
         added = []
         for _, w in _ideal_products(alg, side, old, new):
-            if not S.contains(w):
-                S = Subspace(S.ambient_dim, S.rows + (w,))
+            T = _extend(S, (w,))
+            if T is not S:
+                S = T
                 if S.dim == bound:
                     return S
                 added.append(w)
@@ -394,17 +390,15 @@ def structure_ideals(alg):
     """Center, kernel of the representation and the annihilators, each
     as the null space of basis-level linear constraints read off the
     instance's incidence: z_L from [x, e_i, e_j], ker_rho from
-    rho(x, e_j)(a_k), the center from both at once, ann_A from x a_j,
-    ann_L_A from a_i x and ann_A_on_L from x l_j."""
+    rho(x, e_j)(a_k), the center from both (the z_L rows, reduced once),
+    ann_A from x a_j, ann_L_A from a_i x and ann_A_on_L from x l_j."""
     inc = alg.incidence()
-    rho_by_L = {}
-    for (m, j, ak), e in alg.rho.items():
-        rho_by_L.setdefault(m, []).append(((j, ak), e))
     nL, nA = alg.dim_L, alg.dim_A
-    z_rows, rho_rows = _constraints(inc.bracket_by_L), _constraints(rho_by_L)
+    z, r = (Subspace(nL, _constraints(inc.bracket_by_L)),
+            Subspace(nL, _constraints(inc.rho_by_L)))
+    z_L = _null_space(z)
     return StructureIdeals(
-        solve_homogeneous(z_rows, nL), solve_homogeneous(rho_rows, nL),
-        solve_homogeneous(z_rows + rho_rows, nL),
+        z_L, _null_space(r), _null_space(_extend(z, r.rows)) if r.dim else z_L,
         ann_A=solve_homogeneous(_constraints(inc.amul_by_A), nA),
         ann_L_A=solve_homogeneous(_constraints(inc.action_by_L), nL),
         ann_A_on_L=solve_homogeneous(_constraints(inc.action_by_A), nA))
@@ -521,41 +515,31 @@ def A_ideal_generated_by(alg, v):
 
 
 def _homogeneous_generators(alg, space, C):
-    """Echelon bases of the intersections of C with each degree fiber, as
-    sparse rows.  For a graded C these jointly span C and every row is
-    homogeneous.
-
-    C meets the fiber F_d in one null space: x = sum_r lam_r r over the
-    rows r of C lies in F_d iff its coordinates outside F_d vanish, and
-    the rows are independent, so lam -> x maps the solutions one to one
-    onto C meet F_d."""
+    """The rows of C grouped by degree, as (degree, row) pairs in degree
+    order; a row that is not homogeneous raises ValueError.  For a
+    graded C these are the echelon bases B_d of its meets with the
+    fibers F_d.  Proof: F_d is spanned by basis vectors, so rows of
+    distinct B_d have disjoint supports; the union of the B_d spans C,
+    its pivots are distinct and each pivot column is zero outside its
+    own row, so sorted by pivot it is the reduced echelon basis of C,
+    which is unique: C.rows.  So C is graded iff its rows are homogeneous."""
     degrees = alg.L.degrees if space == "L" else alg.A.degrees
-    cols = {}                     # coordinate t -> {r: (row r)_t}
-    for r, row in enumerate(C.rows):
-        for t, c in row.items():
-            cols.setdefault(t, {})[r] = c
-    out = []
-    for d in sorted(set(degrees), key=lambda e: e.coords):
-        # Skip: when no row of C has a coordinate in F_d, no nonzero
-        # combination of them lies in F_d
-        if all(degrees[t] != d for t in cols):
-            continue
-        lams = solve_homogeneous(
-            [col for t, col in cols.items() if degrees[t] != d], C.dim)
-        B = Subspace(C.ambient_dim, [
-            sparse_sum((c, C.rows[r]) for r, c in lam.items())
-            for lam in lams.rows])
-        out.extend((d, row) for row in B.rows)
-    return out
+    groups = {}
+    for row in C.rows:
+        ds = {degrees[t] for t in row}
+        if len(ds) > 1:
+            raise ValueError("subspace is not graded")
+        groups.setdefault(ds.pop(), []).append(row)
+    return [(d, row) for d in sorted(groups, key=lambda e: e.coords)
+            for row in groups[d]]
 
 
-def _close_generators(alg, side, C, allowed=None):
-    """Close every homogeneous generator of the ideal C: ("no", ideal)
-    for the first proper ideal inside C other than `allowed`, else "yes",
-    or "undetermined" with no witness when a non-identity fiber of C has
-    dimension over one.  Each closure lies in C and stops at dim C, where
-    it is C (`_ideal_closure`), so a proper one is the same witness."""
-    gens = _homogeneous_generators(alg, side, C)
+def _close_generators(alg, side, C, gens, allowed=None):
+    """Close the generators `gens` of the ideal C (`_homogeneous_generators`):
+    ("no", ideal) for the first proper ideal inside C other than `allowed`,
+    else "yes", or "undetermined" with no witness when a non-identity fiber
+    of C has dimension over one.  Each closure lies in C and stops at dim C,
+    where it is C (`_ideal_closure`), so a proper one is the same witness."""
     for d, v in gens:
         closure = _ideal_closure(alg, side, v, C.dim)
         if closure != C and closure != allowed:
@@ -567,13 +551,13 @@ def _close_generators(alg, side, C, allowed=None):
 
 
 def check_gr_simple_L(alg, within=None, structure=None):
-    """Graded simplicity by generator closure: the bracket restricted to
-    the (sub)algebra is nonzero and every ideal generated by a
-    homogeneous vector is the whole thing or the kernel part.  The
-    closure test is conclusive only when all support fibers met are
-    one-dimensional; otherwise a passing run yields "undetermined".
-    `within` must be a graded ideal: unless it is the whole space, it is
-    verified before any test, and a non-ideal raises ValueError."""
+    """Graded simplicity by generator closure: the bracket on the
+    (sub)algebra is nonzero and every ideal generated by a homogeneous
+    vector is the whole thing or the kernel part.  The test is conclusive
+    only when all support fibers met are one-dimensional; otherwise a
+    passing run yields "undetermined".  `within` must be a graded ideal:
+    a non-homogeneous row, or a failed ideal check unless it is the whole
+    space, raises ValueError before any test."""
     return _gr_simple(alg, "L", within, structure=structure)
 
 
@@ -583,10 +567,12 @@ def check_gr_simple_A(alg, within=None):
 
 
 def _gr_simple(alg, side, within, is_ideal=None, structure=None):
-    """Both checks on `within` (None: the whole space), which must be an
-    ideal: `is_ideal` is its known check, else a proper one is verified."""
+    """Both checks on `within` (None: the whole space), which must be a
+    graded ideal: `is_ideal` is its known check, else a proper one is
+    verified."""
     n = alg.dim_L if side == "L" else alg.dim_A
     C = within if within is not None else full_subspace(n)
+    gens = _homogeneous_generators(alg, side, C)
     if is_ideal is None:
         is_ideal = C.dim == n or _verify_ideal(alg, side, C)[0]
     if not is_ideal:
@@ -595,11 +581,11 @@ def _gr_simple(alg, side, within, is_ideal=None, structure=None):
         if not any(multilinear(alg.amul_entry, u, v)
                    for u, v in combinations_with_replacement(C.rows, 2)):
             return SimplicityVerdict("no", False, witness="zero-product")
-        verdict, witness = _close_generators(alg, "A", C)
+        verdict, witness = _close_generators(alg, "A", C, gens)
         return SimplicityVerdict(verdict, True, witness=witness)
-    if structure is None:
-        structure = structure_ideals(alg)
-    ker_part = intersect_subspaces(structure.ker_rho, C)
+    ker_rho = structure.ker_rho if structure else solve_homogeneous(
+        _constraints(alg.incidence().rho_by_L), n)
+    ker_part = C if ker_rho.dim == n else intersect_subspaces(ker_rho, C)
 
     bracket_nonzero = any(multilinear(alg.bracket_entry, u, v, w)
                           for u, v, w in combinations(C.rows, 3))
@@ -609,7 +595,7 @@ def _gr_simple(alg, side, within, is_ideal=None, structure=None):
     if not bracket_nonzero:
         return SimplicityVerdict("no", False, AA_nonzero, AL_nonzero,
                                  witness="zero-bracket")
-    verdict, witness = _close_generators(alg, "L", C, allowed=ker_part)
+    verdict, witness = _close_generators(alg, "L", C, gens, ker_part)
     return SimplicityVerdict(verdict, True, AA_nonzero, AL_nonzero, witness)
 
 
@@ -621,7 +607,7 @@ def _coarse_sum(n, comp, ideals):
     """(covers, direct) for the sum of a degree-1 complement and the
     class ideals in F^n."""
     spaces = [comp] + [I.subspace for I in ideals]
-    total = _sum_all(n, spaces).dim
+    total = _extend(comp, [r for S in spaces[1:] for r in S.rows]).dim
     return total == n, total == n and sum(S.dim for S in spaces) == total
 
 

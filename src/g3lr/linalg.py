@@ -9,7 +9,10 @@ exact view of `_view`.  Every lattice operation accepts dense or sparse
 rows and `sparse_row` brings them into the view; dense tuples, formed
 only at the public boundary (`Subspace.basis`, `eval_*`, certificates
 and reports), pass through `dense_vec`, the one way back to Fractions.
-The coefficient invariant is stated in `model`.
+The coefficient invariant is stated in `model`.  `_extend` adds rows
+to a subspace without rebuilding it: each new row is reduced once
+against its shared rows and placed by the step that builds every basis
+in `_echelon`, so the lattice reuses the echelon forms it holds.
 """
 
 from bisect import bisect_left
@@ -115,15 +118,14 @@ def _reduce(basis, pivots, v):
     return v
 
 
-def _echelon(rows, n):
-    """The reduced echelon basis of the span of the sparse rows of F^n,
-    sorted by pivot, and the pivots.  Each row is reduced, in place,
-    against the basis built so far, scaled to a leading 1 (by negation
-    or exact quotients), cleared from the pivot column of the earlier
-    rows by `_reduce` and inserted by pivot.  Once the basis has n rows
-    it spans F^n, every later row reduces to zero, and the rest are not
-    visited."""
-    basis, pivots = [], []
+def _echelon(rows, n, basis=(), pivots=()):
+    """The reduced echelon basis, sorted by pivot, and the pivots of the
+    span of the reduced rows `basis` (with `pivots`) and the sparse rows
+    of F^n.  Each row is reduced, in place, against the basis so far,
+    scaled to a leading 1 (by negation or exact quotients), cleared from
+    copies of the rows that have its pivot, so no given row is modified,
+    and inserted by pivot.  Rows after the basis spans F^n are skipped."""
+    basis, pivots = list(basis), list(pivots)
     for r in rows:
         if len(basis) == n:
             break
@@ -136,13 +138,23 @@ def _echelon(rows, n):
             new = {j: -c for j, c in new.items()}
         elif f != 1:
             new = {j: _quotient(c, f) for j, c in new.items()}
-        for row in basis:
+        for i, row in enumerate(basis):
             if p in row:
-                _reduce((new,), (p,), row)
+                basis[i] = _reduce((new,), (p,), dict(row))
         k = bisect_left(pivots, p)
         basis.insert(k, new)
         pivots.insert(k, p)
     return tuple(basis), tuple(pivots)
+
+
+def _extend(S, rows):
+    """S + span(rows), rows dense or sparse, each brought into the view
+    and reduced once; S is unchanged, and is the result if it has them."""
+    n = S.ambient_dim
+    out = Subspace.__new__(Subspace)
+    out.ambient_dim, (out.rows, out._pivots) = n, _echelon(
+        [sparse_row(r, n) for r in rows], n, S.rows, S._pivots)
+    return S if out.dim == S.dim else out
 
 
 def rref(rows):
@@ -206,22 +218,24 @@ def full_subspace(ambient_dim):
 def sum_subspaces(s, t):
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("ambient mismatch")
-    return Subspace(s.ambient_dim, s.rows + t.rows)
+    return _extend(s, t.rows)
 
 
 def solve_homogeneous(constraint_rows, ambient_dim):
-    """Null space of the stacked constraint matrix, as a Subspace: one
-    solution per free column f, e_f minus the reduced constraint rows'
-    coordinates at f on their pivots.  With no constraints the result is
-    the full space."""
-    c = Subspace(ambient_dim, constraint_rows)
-    pivots = set(c.pivots())
-    sols = {f: {f: 1} for f in range(ambient_dim) if f not in pivots}
+    """Null space of the stacked constraint matrix, as a Subspace."""
+    return _null_space(Subspace(ambient_dim, constraint_rows))
+
+
+def _null_space(c):
+    """Null space of the rows of the Subspace c: one solution per free
+    column f, e_f minus the rows' coordinates at f on their pivots."""
+    n, pivots = c.ambient_dim, set(c.pivots())
+    sols = {f: {f: 1} for f in range(n) if f not in pivots}
     for row, p in zip(c.rows, c.pivots()):
         for f, x in row.items():
             if f != p:
                 sols[f][p] = -x
-    return Subspace(ambient_dim, sols.values())
+    return Subspace(n, sols.values())
 
 
 def intersect_subspaces(s, t):
@@ -230,9 +244,7 @@ def intersect_subspaces(s, t):
     field."""
     if s.ambient_dim != t.ambient_dim:
         raise ValueError("ambient mismatch")
-    n = s.ambient_dim
-    return solve_homogeneous(solve_homogeneous(s.rows, n).rows
-                             + solve_homogeneous(t.rows, n).rows, n)
+    return _null_space(_extend(_null_space(s), _null_space(t).rows))
 
 
 def complement(s, within=None):
@@ -250,13 +262,13 @@ def complement(s, within=None):
     candidates = [{j: 1} for j in range(n)
                   if j not in pivots and within.contains({j: 1})]
     candidates += within.rows
-    picked = []
-    cur = s
+    picked, cur = [], s
     for v in candidates:
         if cur.dim == within.dim:
             break
-        if not cur.contains(v):
+        nxt = _extend(cur, (v,))
+        if nxt is not cur:
             picked.append(v)
-            cur = Subspace(n, cur.rows + (v,))
+            cur = nxt
     assert cur.dim == within.dim
     return Subspace(n, picked)

@@ -139,6 +139,7 @@ class Incidence:
       action_by_A[a]      [(l_j, a l_j)]
       amul_by_A[m]        [(a_i, a_i a_m)]
       rho_by_pair[(i, j)] [(a_k, rho(i, j)(a_k))]
+      rho_by_L[i]         [((j, a_k), rho(i, j)(a_k))]
       rho[x][y][a]        rho(x, y)(a)
       act[a][x]           a x
       mul[a][b]           a b
@@ -180,10 +181,11 @@ class Incidence:
             if i != j:
                 self.amul_by_A.setdefault(i, []).append((j, e))
         self.rho = [[[_EMPTY] * nA for _ in range(nL)] for _ in range(nL)]
-        self.rho_by_pair = {}
+        self.rho_by_pair, self.rho_by_L = {}, {}
         for (i, j, ak), e in alg.rho.items():
             self.rho[i][j][ak] = e = _exact(e)
             self.rho_by_pair.setdefault((i, j), []).append((ak, e))
+            self.rho_by_L.setdefault(i, []).append(((j, ak), e))
 
 
 class DegreeIndex:

@@ -7,15 +7,46 @@ only after it has been formed.  The differential test in
 `test_closure.py` asserts that the bounded closures give the same
 verdicts and witness rows with no more products.
 
-Both reach `_ideal_products` and `_homogeneous_generators` through the
-module, so a test that replaces `g3lr.decompose._ideal_products` counts
-the products of this copy too.
+The closures reach `_ideal_products` through the module, so a test
+that replaces `g3lr.decompose._ideal_products` counts the products of
+this copy too.  The generators are this module's own: the meets of C
+with each degree fiber, one null space each, as `g3lr.decompose` formed
+them before it read them off the rows of C.
 """
 
 from collections import Counter
 
 from g3lr import decompose as D
-from g3lr.linalg import Subspace, span
+from g3lr.linalg import Subspace, solve_homogeneous, span, sparse_sum
+
+
+def homogeneous_generators(alg, space, C):
+    """Echelon bases of the intersections of C with each degree fiber, as
+    sparse rows.  For a graded C these jointly span C and every row is
+    homogeneous.
+
+    C meets the fiber F_d in one null space: x = sum_r lam_r r over the
+    rows r of C lies in F_d iff its coordinates outside F_d vanish, and
+    the rows are independent, so lam -> x maps the solutions one to one
+    onto C meet F_d."""
+    degrees = alg.L.degrees if space == "L" else alg.A.degrees
+    cols = {}                     # coordinate t -> {r: (row r)_t}
+    for r, row in enumerate(C.rows):
+        for t, c in row.items():
+            cols.setdefault(t, {})[r] = c
+    out = []
+    for d in sorted(set(degrees), key=lambda e: e.coords):
+        # Skip: when no row of C has a coordinate in F_d, no nonzero
+        # combination of them lies in F_d
+        if all(degrees[t] != d for t in cols):
+            continue
+        lams = solve_homogeneous(
+            [col for t, col in cols.items() if degrees[t] != d], C.dim)
+        B = Subspace(C.ambient_dim, [
+            sparse_sum((c, C.rows[r]) for r, c in lam.items())
+            for lam in lams.rows])
+        out.extend((d, row) for row in B.rows)
+    return out
 
 
 def ideal_closure(alg, side, v):
@@ -42,7 +73,7 @@ def close_generators(alg, side, C, allowed=None):
     for the first proper ideal found inside C other than `allowed`;
     else "yes", or "undetermined" when a non-identity fiber of C has
     dimension greater than one, with no witness."""
-    gens = D._homogeneous_generators(alg, side, C)
+    gens = homogeneous_generators(alg, side, C)
     for d, v in gens:
         closure = ideal_closure(alg, side, v)
         if closure == C or closure == allowed:

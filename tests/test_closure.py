@@ -90,7 +90,8 @@ def test_bounded_closures_match_the_unbounded_ones(monkeypatch):
             counts.clear()
             want = ref.close_generators(alg, side, C, allowed)
             before = counts.pop("closure", 0)
-            got = D._close_generators(alg, side, C, allowed)
+            got = D._close_generators(
+                alg, side, C, D._homogeneous_generators(alg, side, C), allowed)
             assert got == want      # a witness compares by its rows
             assert counts.get("closure", 0) <= before
             total["ref"] += before

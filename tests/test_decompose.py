@@ -9,8 +9,9 @@ import _dense_model as dm
 from _cases import rational_seed, rho_trace_seed
 from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
-from g3lr.decompose import (_A1_span, _L1_span, _homogeneous_generators,
-                            _ideal_products, A_ideal_generated_by,
+from g3lr.decompose import (_A1_span, _L1_span, _close_generators,
+                            _homogeneous_generators, _ideal_products,
+                            A_ideal_generated_by,
                             IdealCandidate, build_A1_class,
                             build_A_ideal, build_I, build_L1_class,
                             check_G_multiplicative, check_gr_simple_A,
@@ -191,10 +192,47 @@ def test_structure_ideals_of_truncated_polynomials():
     assert s.ann_A_on_L == span([unit_vec(3, 1), unit_vec(3, 2)], 3)
 
 
+def _rho_bearing(seed):
+    """The builtins, whose rho is zero, the trace seed, its rational
+    rescaling and 20 random graded instances with a nonzero rho."""
+    rng = random.Random(seed)
+    return ([builtin(name) for name in BUILTINS]
+            + [rho_trace_seed(), rational_seed()]
+            + [_random_graded(rng) for _ in range(20)])
+
+
 def test_center_is_intersection():
-    for name in BUILTINS:
-        s = structure_ideals(builtin(name))
+    """The center, the z_L rows extended by the rho rows, is the meet
+    of z_L and ker_rho, on instances with and without a rho."""
+    proper = 0
+    for alg in _rho_bearing(8812):
+        s = structure_ideals(alg)
         assert s.center == intersect_subspaces(s.z_L, s.ker_rho)
+        proper += s.ker_rho.dim < alg.dim_L and s.center != s.z_L
+    assert proper
+
+
+def test_whole_space_simplicity_reads_only_ker_rho():
+    """`check_gr_simple_L` without a `structure` computes only ker_rho;
+    verdict and witness rows must be those given the full structure,
+    and those of the closures that allow ker_rho, the kernel part of L."""
+    verdicts, kernel_allowed = set(), 0
+    for alg in _rho_bearing(8813):
+        s = structure_ideals(alg)
+        got = check_gr_simple_L(alg)
+        want = check_gr_simple_L(alg, structure=s)
+        assert got == want
+        verdicts.add(got.verdict)
+        if not got.product_nonzero:
+            continue
+        L = full_subspace(alg.dim_L)
+        gens = _homogeneous_generators(alg, "L", L)
+        closed = _close_generators(alg, "L", L, gens, s.ker_rho)
+        assert (got.verdict, got.witness) == closed
+        if closed[1] is not None:
+            assert got.witness.rows == want.witness.rows == closed[1].rows
+        kernel_allowed += closed != _close_generators(alg, "L", L, gens)
+    assert verdicts >= {"yes", "no"} and kernel_allowed
 
 
 def test_tightness_flags():
@@ -355,6 +393,48 @@ def test_gr_simple_A_within_non_ideal_rejected():
         assert not verify_ideal_A(alg, bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_A(alg, within=bad)
+
+
+def test_gr_simple_within_non_graded_ideal_rejected():
+    """An ideal that is not graded gets no verdict: its rows are not
+    all homogeneous, and the check comes before every shortcut."""
+    G = GroupSpec((2, 2))
+    one = GradedBasis(("one",), (G.identity(),))
+    # span{s + u, su} in F[s, u]/(s^2, u^2): an ideal, (s + u)^2 = 2su
+    A = GradedBasis(("one", "s", "u", "su"), tuple(
+        G.elem(d) for d in ((0, 0), (1, 0), (0, 1), (1, 1))))
+    amul = {(0, i): {i: 1} for i in range(4)}
+    amul[(1, 2)] = {3: 1}
+    alg = Algebra3LR(G, GradedBasis(("x",), (G.identity(),)), A, {}, amul,
+                     {(0, 0): {0: 1}}, {})
+    C = span([{1: 1, 2: 1}, {3: 1}], 4)
+    assert verify_ideal_A(alg, C)[0]
+    with pytest.raises(ValueError):
+        check_gr_simple_A(alg, within=C)
+    # with su = 0, span{s + u} is an ideal with a zero product
+    A = GradedBasis(("one", "s", "u"), A.degrees[:3])
+    alg = Algebra3LR(G, alg.L, A, {}, {(0, i): {i: 1} for i in range(3)},
+                     {(0, 0): {0: 1}}, {})
+    C = span([{1: 1, 2: 1}], 3)
+    assert verify_ideal_A(alg, C)[0]
+    with pytest.raises(ValueError):
+        check_gr_simple_A(alg, within=C)
+    # a4 plus central z1, z2 of distinct degrees, A = F acting as the
+    # identity: a4 + span{z1 + z2} is an ideal with a nonzero bracket
+    a4 = builtin("a4")
+    L = GradedBasis(a4.L.labels + ("z1", "z2"),
+                    a4.L.degrees + (G.elem((1, 0)), G.elem((0, 1))))
+    alg = Algebra3LR(G, L, one, a4.bracket, {(0, 0): {0: 1}},
+                     {(0, i): {i: 1} for i in range(6)}, {})
+    C = span([unit_vec(6, i) for i in range(4)] + [{4: 1, 5: 1}], 6)
+    assert verify_ideal_L(alg, C)[0]
+    with pytest.raises(ValueError):
+        check_gr_simple_L(alg, within=C)
+    # span{z1 + z2} there: an ideal with a zero bracket
+    C = span([{4: 1, 5: 1}], 6)
+    assert verify_ideal_L(alg, C)[0]
+    with pytest.raises(ValueError):
+        check_gr_simple_L(alg, within=C)
 
 
 def test_gr_simple_A_verdicts():
@@ -706,10 +786,10 @@ def test_sparse_products_match_dense_oracle():
 # differential checks of the output-sensitive scans
 #
 # `verify_triple_orthogonality` skips the ideal triples that no stored key
-# connects, and `_homogeneous_generators` meets C with each fiber in one
-# null space.  Both are compared, exactly and in order, with the plain
-# routes they replaced: a scan over every row triple through the dense
-# oracle, and the general meet of C with each fiber.
+# connects, and `_homogeneous_generators` reads the meets of a graded C
+# with the fibers off its rows.  Both are compared, exactly and in order,
+# with the plain routes they replaced: a scan over every row triple
+# through the dense oracle, and the general meet of C with each fiber.
 
 
 def _plain_orthogonality(alg, L_ideals, A_ideals=()):
@@ -798,8 +878,9 @@ def _fiber_meets(alg, space, C):
 
 def _check_fiber_meets(alg, rng):
     """`_homogeneous_generators` against the meets with each fiber, on
-    random, fiber-spanned and generated C; returns the numbers of graded
-    and of non-graded C that meet some fiber."""
+    random, fiber-spanned and generated C: equal on a graded C, a
+    ValueError on any other; returns the numbers of graded C and of
+    non-graded C that meet some fiber."""
     graded = ungraded = 0
     for space, n in (("L", alg.dim_L), ("A", alg.dim_A)):
         basis = alg.L if space == "L" else alg.A
@@ -812,12 +893,14 @@ def _check_fiber_meets(alg, rng):
                  else A_ideal_generated_by)
         spaces.append(close(alg, _random_homogeneous(rng, alg, space)))
         for C in spaces:
-            got = _homogeneous_generators(alg, space, C)
-            assert got == _fiber_meets(alg, space, C)
-            if len(got) == C.dim:
+            want = _fiber_meets(alg, space, C)
+            if len(want) == C.dim:
+                assert _homogeneous_generators(alg, space, C) == want
                 graded += 1
-            elif got:
-                ungraded += 1
+                continue
+            with pytest.raises(ValueError):
+                _homogeneous_generators(alg, space, C)
+            ungraded += bool(want)
     return graded, ungraded
 
 

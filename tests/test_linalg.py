@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import _ref_linalg as ref
 from _ref_linalg import is_zero_vec, vec_add, vec_scale
-from g3lr.linalg import (Subspace, complement, full_subspace,
+from g3lr.linalg import (Subspace, _extend, complement, full_subspace,
                          intersect_subspaces, rref, solve_homogeneous,
                          span, sum_subspaces, unit_vec, vec, zero_vec)
 
@@ -308,3 +308,34 @@ def test_exact_view_quotients_and_cancellations():
     assert [(c, type(c)) for c in s.rows[0].values()] == \
         [(1, int), (3, int)]
     assert not s.contains({0: 0.5, 1: 1.0})
+
+
+# Extending a subspace by one row reuses its reduced rows: the result
+# must be the rebuilt subspace, in the exact view, and the rows of the
+# subspace extended, which other subspaces share, must stay as they were.
+
+@settings(max_examples=200)
+@given(_lattice_case(), st.sampled_from(["fraction", "view", "mixed"]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_extend_by_one_row_matches_rebuild(case, form, sparse, rnd):
+    n, rows_s, _, _, v = case
+    if form != "fraction":
+        v = tuple(_view_of(c) if form == "view" or rnd.random() < 0.5
+                  else c for c in v)
+    if sparse:
+        v = _as_sparse([v])[0]
+    S = Subspace(n, rows_s)
+    shared = S.rows
+    before = [[(j, c, type(c)) for j, c in r.items()] for r in S.rows]
+    T = _extend(S, (v,))
+    assert S.rows is shared and all(a is b for a, b in zip(S.rows, shared))
+    assert [[(j, c, type(c)) for j, c in r.items()] for r in S.rows] \
+        == before
+    if S.contains(v):
+        assert T is S
+        return
+    want = Subspace(n, S.rows + (v,))
+    assert T.rows == want.rows and T.pivots() == want.pivots()
+    assert T.dim == S.dim + 1 and T.contains(v) and T.contains_subspace(S)
+    assert all(type(c) is type(_view_of(c)) for r in T.rows
+               for c in r.values())
