@@ -14,7 +14,7 @@ from .axioms import run_all
 from .decompose import check_tight
 from .groups import GroupSpec
 from .linalg import sparse_sum
-from .model import Algebra3LR, GradedBasis
+from .model import Algebra3LR, GradedBasis, _perm_sign_and_sorted
 
 
 @dataclass
@@ -232,14 +232,11 @@ def _a4_module_over_2dim(t_square):
     bracket = {}
 
     def add(i, j, k, entry):
-        # canonicalize the decorated triple, tracking the sign
-        idx = sorted(((i, 0), (j, 1), (k, 2)))
-        perm = tuple(p for _, p in idx)
-        sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-        key = tuple(p for p, _ in idx)
+        # i, j, k are distinct: they differ mod 4
+        sign, key = _perm_sign_and_sorted(i, j, k)
         tgt = bracket.setdefault(key, {})
         for m, c in entry.items():
-            tgt[m] = tgt.get(m, Fraction(0)) + sign * Fraction(c)
+            tgt[m] = tgt.get(m, 0) + sign * c
 
     for (i, j, k), entry in _A4_TABLE.items():
         for di in (0, 1):
@@ -258,9 +255,7 @@ def _a4_module_over_2dim(t_square):
                     add(i + 4 * di, j + 4 * dj, k + 4 * dk,
                         {m + 4 * dl: factor * c for m, c in entry.items()})
 
-    bracket = {k: {m: c for m, c in e.items() if c != 0}
-               for k, e in bracket.items()}
-    bracket = {k: e for k, e in bracket.items() if e}
+    # Algebra3LR drops the zero coefficients and the emptied entries
     return Algebra3LR(group, L, A, bracket, amul, action, {})
 
 

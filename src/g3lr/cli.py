@@ -15,9 +15,8 @@ from .catalog import BUILTIN_NAMES, builtin
 from .connections import compute_supports, lambda_classes, sigma_classes
 from .decompose import check_gr_simple_A, check_gr_simple_L, decompose
 from .instio import (ParseError, axiom_report_json, canonical_json,
-                     class_json, decomposition_json, instance_digest,
-                     instance_to_dict, load_instance, simplicity_json,
-                     supports_json, REPORT_SCHEMA)
+                     decomposition_json, instance_digest, instance_to_dict,
+                     load_instance, report_json, REPORT_SCHEMA)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -55,12 +54,10 @@ def _cmd_classes(args, out):
     if code != EXIT_OK:
         return code
     supports = compute_supports(alg)
-    doc = {
-        "supports": supports_json(supports),
-        "sigma_classes": [class_json(c) for c in sigma_classes(supports)],
-        "lambda_classes": [class_json(c) for c in lambda_classes(supports)],
-    }
-    print(canonical_json(doc), file=out)
+    doc = {"supports": supports,
+           "sigma_classes": sigma_classes(supports),
+           "lambda_classes": lambda_classes(supports)}
+    print(canonical_json(report_json(doc)), file=out)
     return EXIT_OK
 
 
@@ -104,8 +101,7 @@ def _cmd_simple(args, out):
     vA = check_gr_simple_A(alg)
     print("L graded-simple: %s" % vL.verdict, file=out)
     print("A graded-simple: %s" % vA.verdict, file=out)
-    doc = {"L": simplicity_json(vL), "A": simplicity_json(vA)}
-    print(canonical_json(doc), file=out)
+    print(canonical_json(report_json({"L": vL, "A": vA})), file=out)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ orthogonality check.  Each skip rule sits next to its proof in the code.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations, combinations_with_replacement, product
 
 from .axioms import run_all
@@ -61,9 +61,7 @@ class TightnessReport:
 
     @property
     def tight(self):
-        return (self.center_zero and self.ann_A_zero and self.ann_L_A_zero
-                and self.AA_eq_A and self.AL_eq_L
-                and self.L1_generation and self.A1_generation)
+        return all(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass

@@ -7,6 +7,9 @@ canonical storage conventions of the data model (strictly increasing
 bracket triples, non-decreasing product pairs) are enforced at parse
 time with structured errors.
 
+A report is written by one walker, `report_json`.  Its keys are the
+field names of the report dataclasses; the shape table `_SHAPES` lists
+the few types written otherwise, so a new report key is one new field.
 Report serialization is deterministic: sorted keys, canonical echelon
 bases, fractions as strings.  Identical input therefore yields
 byte-identical output.
@@ -15,9 +18,15 @@ byte-identical output.
 import hashlib
 import json
 import re
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
+from .axioms import AxiomReport
+from .connections import ConnectionClass, SupportSets
+from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
+                        TightnessReport)
 from .groups import GroupSpec
+from .linalg import Subspace
 from .model import Algebra3LR, GradedBasis
 
 INSTANCE_SCHEMA = "g3lr-instance/1"
@@ -164,17 +173,13 @@ def load_instance(path):
     return instance_from_dict(data)
 
 
-def _frac_s(c):
-    return str(Fraction(c))
-
-
 def _table_entries(table, arg_bases, value_basis):
     out = []
     for key in sorted(table):
         entry = table[key]
         out.append({
             "args": [b.labels[i] for b, i in zip(arg_bases, key)],
-            "value": {value_basis.labels[m]: _frac_s(c)
+            "value": {value_basis.labels[m]: str(c)
                       for m, c in sorted(entry.items())},
         })
     return out
@@ -216,151 +221,94 @@ def instance_digest(alg):
 # report serialization
 
 
-def _plain(obj):
-    """Recursively convert report payloads to JSON-compatible data: they
-    are tuples and lists of ints, strings, None and Fractions."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    return obj
+def report_json(value):
+    """The JSON form of a report value, by its exact type: a Fraction
+    becomes a string, a list or tuple a list, a dict a dict of the forms
+    of its values, a type in `_SHAPES` goes through its own function, any
+    other dataclass becomes {field name: value}, and ints, strings,
+    booleans and None stay as they are."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind is list or kind is tuple:
+        return [report_json(x) for x in value]
+    if kind is dict:
+        return {k: report_json(v) for k, v in value.items()}
+    shape = _SHAPES.get(kind)
+    if shape is not None:
+        return shape(value)
+    if is_dataclass(kind):
+        return _fields(value)
+    return value
+
+
+def _fields(obj, skip=None):
+    return {f.name: report_json(getattr(obj, f.name))
+            for f in fields(obj) if f.name != skip}
+
+
+def _sorted_coords(elems):
+    return sorted([list(g.coords) for g in elems])
 
 
 def subspace_json(S):
-    return {"ambient": S.ambient_dim, "dim": S.dim,
-            "basis": [[_frac_s(c) for c in row] for row in S.basis]}
+    n = S.ambient_dim
+    return {"ambient": n, "dim": S.dim,
+            "basis": [[str(r.get(j, 0)) for j in range(n)] for r in S.rows]}
 
 
 def axiom_report_json(report):
     return {
         "passed": report.passed,
         "counts": dict(sorted(report.counts.items())),
-        "violations": {
-            axiom: [{"witness": _plain(v.witness), "lhs": _plain(v.lhs),
-                     "rhs": _plain(v.rhs)} for v in vs]
-            for axiom, vs in sorted(report.capped().items()) if vs},
+        "violations": {axiom: [_fields(v, "axiom") for v in vs]
+                       for axiom, vs in sorted(report.capped().items())
+                       if vs},
         "notes": list(report.notes),
     }
 
 
-def supports_json(supports):
-    return {
-        "sigma1": sorted([list(g.coords) for g in supports.sigma1]),
-        "lambda1": sorted([list(g.coords) for g in supports.lambda1]),
-    }
-
-
-def class_json(cls):
+def _class_json(cls):
     return {
         "kind": cls.kind,
         "representative": list(cls.representative.coords),
-        "members": sorted([list(g.coords) for g in cls.members]),
+        "members": _sorted_coords(cls.members),
         "witnesses": {
-            json.dumps(list(h.coords)):
-            [list(e.coords) for e in chain]
+            json.dumps(list(h.coords)): [list(e.coords) for e in chain]
             for h, chain in sorted(cls.witnesses.items(),
                                    key=lambda kv: kv[0].coords)},
     }
 
 
-def tightness_json(t):
-    return {
-        "center_zero": t.center_zero,
-        "ann_A_zero": t.ann_A_zero,
-        "ann_L_A_zero": t.ann_L_A_zero,
-        "AA_eq_A": t.AA_eq_A,
-        "AL_eq_L": t.AL_eq_L,
-        "L1_generation": t.L1_generation,
-        "A1_generation": t.A1_generation,
-        "tight": t.tight,
-    }
+def _ideal_json(I):
+    return {**_fields(I, "source_class"),
+            "class": list(I.source_class.representative.coords)}
 
 
-def structure_json(s):
-    return {
-        "z_L": subspace_json(s.z_L),
-        "ker_rho": subspace_json(s.ker_rho),
-        "center": subspace_json(s.center),
-        "ann_A": subspace_json(s.ann_A),
-        "ann_L_A": subspace_json(s.ann_L_A),
-        "ann_A_on_L": subspace_json(s.ann_A_on_L),
-    }
-
-
-def ideal_json(I):
-    return {
-        "side": I.side,
-        "class": list(I.source_class.representative.coords),
-        "subspace": subspace_json(I.subspace),
-        "is_graded_ideal": I.is_graded_ideal,
-        "is_gr_simple": I.is_gr_simple,
-        "certificate": _plain(I.certificate),
-    }
-
-
-def simplicity_json(v):
-    return {
-        "verdict": v.verdict,
-        "product_nonzero": v.product_nonzero,
-        "AA_nonzero": v.AA_nonzero,
-        "AL_nonzero": v.AL_nonzero,
-        "witness": (subspace_json(v.witness)
-                    if hasattr(v.witness, "basis") else _plain(v.witness)),
-    }
-
-
-def pairing_json(p):
-    return {
-        "applicable": p.applicable,
-        "unique": p.unique,
-        "mapping": {json.dumps(list(k)): [list(h) for h in hits]
-                    for k, hits in sorted(p.mapping.items())},
-    }
-
-
-def fine_component_json(fc):
-    return {
-        "source": _plain(fc.source),
-        "subspace": subspace_json(fc.subspace),
-        "simplicity": simplicity_json(fc.simplicity),
-    }
+def _pairing_json(p):
+    return {**_fields(p, "mapping"),
+            "mapping": {json.dumps(list(k)): [list(h) for h in hits]
+                        for k, hits in sorted(p.mapping.items())}}
 
 
 def decomposition_json(rep):
-    out = {
-        "aborted": rep.aborted,
-        "axioms": axiom_report_json(rep.axioms),
-    }
     if rep.aborted:
-        return out
-    out.update({
-        "supports": supports_json(rep.supports),
-        "sigma_classes": [class_json(c) for c in rep.sigma_classes],
-        "lambda_classes": [class_json(c) for c in rep.lambda_classes],
-        "L_ideals": [ideal_json(I) for I in rep.L_ideals],
-        "A_ideals": [ideal_json(J) for J in rep.A_ideals],
-        "U_complement": subspace_json(rep.U_complement),
-        "V_complement": subspace_json(rep.V_complement),
-        "L_covers": rep.L_covers,
-        "L_direct": rep.L_direct,
-        "L_directness_certified": rep.L_directness_certified,
-        "A_covers": rep.A_covers,
-        "A_direct": rep.A_direct,
-        "A_directness_certified": rep.A_directness_certified,
-        "structure": structure_json(rep.structure),
-        "tightness": tightness_json(rep.tightness),
-        "orthogonality": {"holds": rep.orthogonality[0],
-                          "counterexamples": _plain(rep.orthogonality[1])},
-        "pairing": pairing_json(rep.pairing),
-        "maximal_length": rep.maximal_length,
-        "g_multiplicative": rep.g_multiplicative,
-        "g_mult_counterexamples": _plain(rep.g_mult_counterexamples),
-        "supports_symmetric": rep.supports_symmetric,
-        "fine_attempted": rep.fine_attempted,
-        "fine_components": [fine_component_json(f)
-                            for f in rep.fine_components],
-        "fine_components_A": [fine_component_json(f)
-                              for f in rep.fine_components_A],
-        "notes": list(rep.notes),
-    })
-    return out
+        return {"aborted": True, "axioms": axiom_report_json(rep.axioms)}
+    holds, counterexamples = rep.orthogonality
+    return {**_fields(rep, "orthogonality"),
+            "orthogonality": {"holds": holds,
+                              "counterexamples": report_json(counterexamples)}}
+
+
+# the report types whose JSON is not {field name: value}
+_SHAPES = {
+    Subspace: subspace_json,
+    AxiomReport: axiom_report_json,
+    SupportSets: lambda s: {"sigma1": _sorted_coords(s.sigma1),
+                            "lambda1": _sorted_coords(s.lambda1)},
+    ConnectionClass: _class_json,
+    IdealCandidate: _ideal_json,
+    PairingReport: _pairing_json,
+    TightnessReport: lambda t: {**_fields(t), "tight": t.tight},
+    DecompositionReport: decomposition_json,
+}

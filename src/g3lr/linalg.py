@@ -7,8 +7,8 @@ nonzero coordinates only, from the stored tables through the products
 to the reduced-echelon rows of a `Subspace`, each coefficient in the
 exact view of `_view`.  Every lattice operation accepts dense or sparse
 rows and `sparse_row` brings them into the view; dense tuples, formed
-only at the public boundary (`Subspace.basis`, `eval_*`, certificates
-and reports), pass through `dense_vec`, the one way back to Fractions.
+only at the public boundary (`Subspace.basis`, `eval_*` and
+certificates), pass through `dense_vec`, the one way back to Fractions.
 The coefficient invariant is stated in `model`.  `_extend` adds rows
 to a subspace without rebuilding it: each new row is reduced once
 against its shared rows and placed by the step that builds every basis

@@ -25,9 +25,9 @@ builds its ideal products and constraint rows from the incidence alone,
 so only the keys that a row's support reaches are visited; spanning rows
 and the remaining products use the lookups with `linalg.multilinear` and
 `linalg.sparse_sum`.  Vectors are dense tuples only at the public
-boundary: `Subspace.basis`, ideal certificates, reports, and the
-multilinear `eval_*` evaluators, which take and return dense tuples and
-sum over the nonzero coordinates only.  `Algebra3LR.degree_index` reads
+boundary: `Subspace.basis`, ideal certificates, and the multilinear
+`eval_*` evaluators, which take and return dense tuples and sum over the
+nonzero coordinates only.  `Algebra3LR.degree_index` reads
 the same stored keys by degree: it interns the degrees as ints, so the
 degree-1 spans and the multiplicative-support check of the
 decomposition layer do their degree arithmetic on ints.
@@ -38,6 +38,8 @@ hold the exact view of `linalg._view` (an int when integral, else a
 Fraction), so integral instances run their kernels and eliminations on
 ints, which mix, compare and hash exactly with Fractions.  `sparse_row`
 brings rows into the view; `dense_vec` is the one way back to Fractions.
+A report writes the rows of a subspace straight to strings, and `str`
+gives the same text for an int and the equal Fraction.
 """
 
 from fractions import Fraction

@@ -275,6 +275,53 @@ GOLDEN_RHO_REPORTS = {
         "b2cbe3b6ff5d2d29ed0f79d734001aa22381f31f086d067bbb47a124355c7a7a",
 }
 
+# sha256 of the stdout of `g3lr simple`, `g3lr classes` and `g3lr
+# decompose --json`, in that order, for every builtin and every file in
+# docs/examples: the whole-space simplicity verdicts and the classes
+# document appear in no report
+GOLDEN_CLI_OUTPUTS = {
+    "a4": (
+        "46e632529e01b91131aac0c882c23754b7dd97ff65d14cd37ecc1cd03f92b19a",
+        "bf4065b2d57b30aeaab78a0e86cf388c52a681457cc7025bb1b430a1471d1813",
+        "92a9a1032417ba3b359905a8209ee44e88edf00a67e0a8e8a99458208f2698ab"),
+    "a4-dual-numbers": (
+        "c94b97559f16a5ec34c1d62cfa712bf9b6fb1cf9fe6136abdc6229b50495c459",
+        "d9dffaca6129e707e4502a6eb404c5215002a4b4f82be3660a786013ea09b26e",
+        "1220a4e92716f71270b39aeb60cdb5a453c1b8d4a3f01d2ccdb692da66e9ae33"),
+    "gl2-trace": (
+        "a2f158ac586cbf4fe5391ac348d6bf38010a50f19ced826473741cc7624e17d9",
+        "28f03a5c92bd8fb2d9c91e3b22d92c4e1a8bf4c9ce999732906016c1c729da44",
+        "051b64b32d46f403be47d9e59e2c31ed0cbabe3c1232484f7560d34912d58d54"),
+    "tight-pair": (
+        "d001b0c9f6a390038a3b18b98d3b880252886ff8c0d01ff83233065551638a9e",
+        "fc69f690f1cb500755d87774d404e1066f544e1d4d2842bd93a37da1f8b928b1",
+        "37dc50e4c68c75648e56f7b8952923ec70e3dbe8c44037163811597f312ffd89"),
+    "trivial": (
+        "52532f8ba34d03b76ec9854d3d8a19f3b403e6a087fee425d775eee22734f827",
+        "70f6d6183bcd812a71c31ddf7cd066110f2c61f498982ee1ad7c6714ba19aab5",
+        "87da00f820340143d62faa2447d98053da0cabe46ad0ec8714df5759e1cefe94"),
+    "simple_four_dim.json": (
+        "46e632529e01b91131aac0c882c23754b7dd97ff65d14cd37ecc1cd03f92b19a",
+        "bf4065b2d57b30aeaab78a0e86cf388c52a681457cc7025bb1b430a1471d1813",
+        "92a9a1032417ba3b359905a8209ee44e88edf00a67e0a8e8a99458208f2698ab"),
+    "tight_pair_rescaled.json": (
+        "d001b0c9f6a390038a3b18b98d3b880252886ff8c0d01ff83233065551638a9e",
+        "fc69f690f1cb500755d87774d404e1066f544e1d4d2842bd93a37da1f8b928b1",
+        "37dc50e4c68c75648e56f7b8952923ec70e3dbe8c44037163811597f312ffd89"),
+    "trace_induced_gl2.json": (
+        "a2f158ac586cbf4fe5391ac348d6bf38010a50f19ced826473741cc7624e17d9",
+        "28f03a5c92bd8fb2d9c91e3b22d92c4e1a8bf4c9ce999732906016c1c729da44",
+        "051b64b32d46f403be47d9e59e2c31ed0cbabe3c1232484f7560d34912d58d54"),
+    "trace_seed_dual_numbers.json": (
+        "ce14627de2e09c35e0a05aa3951bc0ef499e324d51a982aaf17afdb15e03193e",
+        "4da74cd6509406536cc2cd02cafd270a20be6a84d5e32a2a889ab7313b5cb70f",
+        "ec867f6f7bc52e6ae8bd50507ca26f8f0dec270392b7ce196e21a6801b1ce8cd"),
+    "truncated_polynomials.json": (
+        "e191f91373f14499f2cce6b7cfe8aa484371a2b8ca44fb26740868d65c643231",
+        "37572119ac7669076154279582aa44dc4a335e38e56f75ce553e60355d2d09f7",
+        "171ae44b6945cc3f0a1ffba5e5d31979df0f5c27c782f4293b326c76374fd675"),
+}
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
@@ -302,6 +349,25 @@ def test_criterion_9_cli_determinism(tmp_path):
         ok = ok and got == (EXIT_OK, GOLDEN_REPORTS[path.name])
         seen.add(path.name)
     _verdict(9, ok and seen == set(GOLDEN_REPORTS))
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    paths = {}
+    for name in BUILTIN_NAMES:
+        paths[name] = tmp_path / ("%s.json" % name)
+        save_instance(builtin(name), str(paths[name]))
+    paths.update((path.name, path) for path in EXAMPLES.glob("*.json"))
+    got = {}
+    for name, path in paths.items():
+        digests = []
+        for argv in (["simple"], ["classes"], ["decompose", "--json"]):
+            out = io.StringIO()
+            assert main(argv[:1] + [str(path)] + argv[1:], out=out) \
+                == EXIT_OK
+            digests.append(hashlib.sha256(out.getvalue().encode())
+                           .hexdigest())
+        got[name] = tuple(digests)
+    assert got == GOLDEN_CLI_OUTPUTS
 
 
 def test_ladder_rung_reports_match_golden_digests(tmp_path):

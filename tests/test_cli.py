@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -7,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from g3lr import cli
 from g3lr.catalog import BUILTIN_NAMES, builtin
@@ -284,6 +287,85 @@ def test_unreadable_path_exits_3_naming_it(tmp_path, capsys):
     assert _run("validate", path) == (EXIT_PARSE, "")
     assert capsys.readouterr().err.startswith(
         "parse error: %s: cannot read: " % path)
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+_EXAMPLE_DOCS = sorted((p.name, json.loads(p.read_text()))
+                       for p in EXAMPLES.glob("*.json"))
+
+
+def _nodes(doc, path=()):
+    """(path, node) for every node of a JSON document, the root first."""
+    yield path, doc
+    if type(doc) is dict:
+        items = doc.items()
+    elif type(doc) is list:
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _put(doc, path, value):
+    """doc with the node at path replaced by value."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(), st.text(max_size=3),
+                         st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.none(),
+                                         max_size=1))
+
+
+@st.composite
+def _mutated_example(draw):
+    """A docs/examples document after one to three mutations, each one
+    of: delete a key, retype a value, swap in a copy of another subtree,
+    duplicate an array element (a table entry, a label, a degree)."""
+    doc = copy.deepcopy(draw(st.sampled_from(_EXAMPLE_DOCS))[1])
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        dicts = [n for _, n in nodes if type(n) is dict and n]
+        lists = [n for _, n in nodes if type(n) is list and n]
+        ops = ["retype", "swap"] + ["delete"] * bool(dicts) \
+            + ["duplicate"] * bool(lists)
+        op = draw(st.sampled_from(ops))
+        if op == "delete":
+            node = draw(st.sampled_from(dicts))
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif op == "duplicate":
+            node = draw(st.sampled_from(lists))
+            entry = copy.deepcopy(draw(st.sampled_from(node)))
+            node.insert(draw(st.integers(0, len(node))), entry)
+        else:
+            path, node = draw(st.sampled_from(nodes))
+            if op == "retype":
+                value = draw(_JSON_VALUES.filter(
+                    lambda v: type(v) is not type(node)))
+            else:
+                value = copy.deepcopy(draw(st.sampled_from(nodes))[1])
+            doc = _put(doc, path, value)
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_mutated_example())
+def test_mutated_examples_never_exit_internal(tmp_path, doc):
+    """An untrusted file is analysed (0), fails the axioms (2) or is
+    rejected (3); exit 4 is kept for bugs."""
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code, _ = _run("report", str(path))
+    assert code in (EXIT_OK, EXIT_VIOLATIONS, EXIT_PARSE)
 
 
 # ---------------------------------------------------------------------------
