@@ -20,14 +20,8 @@ through the identity is blocked in chains built one element at a time.
 On the A-side a step appends one letter and every proper partial
 product stays inside Lambda.  The breadth-first state space is a subset
 of the finite alphabet plus the two targets, so the search always
-terminates.
-
-The search runs on letter ids, the positions of the letters in the
-sorted alphabet: every state of a search is a letter, so the product of
-a state and a letter is read off one finite table of the alphabet,
-`SupportSets.products`, even when the group has a free factor.  The
-chains are turned back into group elements when a search ends; the
-connection test, the classes and the replay see only those.
+terminates; it forms only products of two letters, so the product memo
+of `groups` stays bounded even when the group has a free factor.
 """
 
 from dataclasses import dataclass
@@ -52,24 +46,10 @@ class SupportSets:
 
     @cached_property
     def alphabet(self):
-        """Sigma u Lambda u {1}, sorted by coordinates: the order in
-        which the search tries the letters."""
+        """Sigma u Lambda u {1}, sorted: the order in which the search
+        tries the letters."""
         return tuple(sorted(self.sigma | self.lambda_
-                            | {self.group.identity()},
-                            key=lambda e: e.coords))
-
-    @cached_property
-    def letter_ids(self):
-        """{letter: its position in the alphabet}."""
-        return {e: i for i, e in enumerate(self.alphabet)}
-
-    @cached_property
-    def products(self):
-        """products[u][v] is the id of the product of the letters with
-        ids u and v, or -1 when it lies outside the alphabet."""
-        ids = self.letter_ids
-        return tuple(tuple(ids.get(u.mul(v), -1) for v in self.alphabet)
-                     for u in self.alphabet)
+                            | {self.group.identity()}))
 
 
 @dataclass
@@ -104,31 +84,25 @@ def _search(supports, kind, start):
     """Breadth-first closure from start: {end: chain} for every product
     reached at the end of a step.  Letters are tried in alphabet order,
     and an end is recorded the first time a step reaches it, so each
-    chain is minimal in length and the first in that order.  The search
-    runs on letter ids; every allowed set lies in the alphabet, so a
-    product outside it (id -1) is never allowed."""
+    chain is minimal in length and the first in that order.  Every
+    allowed set lies in the alphabet, so every state is a letter."""
     step = _rules(supports, kind)[2]
-    alpha, table = supports.alphabet, supports.products
-    # allowed[i][p]: the letter of id p lies in the set of the i-th letter
-    allowed = [[e in ok for e in alpha] for ok in step]
-    s0 = supports.letter_ids[start]
-    chains = {s0: (s0,)}
-    frontier = [s0]
+    alpha = supports.alphabet
+    chains = {start: (start,)}
+    frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
             ends = [(s, ())]
-            for ok in allowed:
-                ends = [(p, word + (u,)) for q, word in ends
-                        for u, p in enumerate(table[q])
-                        if p >= 0 and ok[p]]
+            for ok in step:
+                ends = [(p, word + (u,)) for q, word in ends for u in alpha
+                        if (p := q.mul(u)) in ok]
             for p, word in ends:
                 if p not in chains:
                     chains[p] = chains[s] + word
                     nxt.append(p)
         frontier = nxt
-    return {alpha[p]: tuple(alpha[u] for u in chain)
-            for p, chain in chains.items()}
+    return chains
 
 
 def _witness(chains, end):
@@ -144,7 +118,7 @@ def _connected(supports, kind, start, end):
 
 
 def _classes(supports, kind):
-    order = sorted(_rules(supports, kind)[1], key=lambda e: e.coords)
+    order = sorted(_rules(supports, kind)[1])
     seen = set()
     out = []
     for g in order:

@@ -122,12 +122,8 @@ class DecompositionReport:
 # spanning-row helpers
 
 
-def _sorted_elems(elems):
-    return sorted(elems, key=lambda e: e.coords)
-
-
 def _L1_span(alg, degrees, supports):
-    """Degree-1 part of L generated by the given L-degrees: the span of
+    """Degree-1 part of L generated by the set of L-degrees: the span of
     A_{h^-1} L_h over h that also lies in the A-support, plus
     [L_h, L_k, L_{(hk)^-1}] over pairs h, k.
 
@@ -142,16 +138,15 @@ def _L1_span(alg, degrees, supports):
     the inverse of their product.  So both give the same rows up to
     sign and repetition, and the same span."""
     idx = alg.degree_index()
-    S = idx.id_set(degrees)
-    lam = idx.id_set(supports.lambda1)
-    rows = [e for dl, e in idx.action_one if dl in S and dl in lam]
+    rows = [e for dl, e in idx.action_one
+            if dl in degrees and dl in supports.lambda1]
     rows += [e for ds, e in idx.bracket_one
-             if (ds[0] in S) + (ds[1] in S) + (ds[2] in S) >= 2]
+             if sum(d in degrees for d in ds) >= 2]
     return span(rows, alg.dim_L)
 
 
 def _A1_span(alg, degrees, supports):
-    """Degree-1 part of A generated by the given A-degrees: the span of
+    """Degree-1 part of A generated by the set of A-degrees: the span of
     A_{mu^-1} A_mu, plus rho(L_h, L_k)(A_{(hk)^-1}) over pairs h, k that
     also lie in the L-support.
 
@@ -161,10 +156,9 @@ def _A1_span(alg, degrees, supports):
     deg j in the set and in the L-support.  The proof is that of
     `_L1_span`: the product is symmetric, so either factor may be the
     one of degree mu, and rho is read in its stored argument order."""
-    idx = alg.degree_index()
-    S = idx.id_set(degrees)
-    sig = idx.id_set(supports.sigma1) & S
-    rows = [e for (di, dj), e in idx.amul_one if di in S or dj in S]
+    idx, sig = alg.degree_index(), supports.sigma1 & degrees
+    rows = [e for (di, dj), e in idx.amul_one
+            if di in degrees or dj in degrees]
     rows += [e for (di, dj), e in idx.rho_one if di in sig and dj in sig]
     return span(rows, alg.dim_A)
 
@@ -194,7 +188,7 @@ def build_L1_class(alg, cls, supports=None):
 def _class_ideal(alg, side, cls, degree_one):
     """The degree-1 part extended by the basis vectors of the class
     fibers, with its ideal check."""
-    sub = _extend(degree_one, [{i: 1} for g in _sorted_elems(cls.members)
+    sub = _extend(degree_one, [{i: 1} for g in sorted(cls.members)
                                for i in alg.fiber_indices(side, g)])
     return IdealCandidate(sub, cls, side, *_verify_ideal(alg, side, sub))
 
@@ -462,30 +456,28 @@ def check_G_multiplicative(alg, supports=None):
     in the instance's degree index: a product of basis vectors of the
     given degrees is nonzero only on a stored key, up to order and
     sign, and every stored key is nonzero, so some product of the fibers
-    is nonzero exactly when a stored key has those degrees (as a set of
-    three distinct degrees for the bracket, in the order (A, L) for the
-    action, as an unordered pair for the product).  The products of
-    degrees are memoised on the index."""
+    is nonzero exactly when a stored key has those degrees: as a set for
+    the bracket and the product, where the triple is distinct and a
+    repeated pair is the same one-element set on both sides, and in the
+    order (A, L) for the action."""
     if supports is None:
         supports = compute_supports(alg)
     idx = alg.degree_index()
-    mul, coords = idx.mul, [e.coords for e in idx.elems]
-    s1 = [idx.ids[g] for g in _sorted_elems(supports.sigma1)]
-    l1 = [idx.ids[g] for g in _sorted_elems(supports.lambda1)]
-    in_s1, in_l1 = set(s1), set(l1)
+    in_s1, in_l1 = supports.sigma1, supports.lambda1
+    s1, l1 = sorted(in_s1), sorted(in_l1)
     bad = []
     for g, h, k in combinations(s1, 3):
-        if (mul(mul(g, h), k) in in_s1
-                and tuple(sorted((g, h, k))) not in idx.bracket_degrees):
-            bad.append(("bracket", coords[g], coords[h], coords[k]))
+        if (g.mul(h).mul(k) in in_s1
+                and frozenset((g, h, k)) not in idx.bracket_degrees):
+            bad.append(("bracket", g.coords, h.coords, k.coords))
     for lam in l1:
         for g in s1:
-            if mul(lam, g) in in_s1 and (lam, g) not in idx.action_degrees:
-                bad.append(("action", coords[lam], coords[g]))
+            if lam.mul(g) in in_s1 and (lam, g) not in idx.action_degrees:
+                bad.append(("action", lam.coords, g.coords))
     for lam, mu in combinations_with_replacement(l1, 2):
-        if (mul(lam, mu) in in_l1
-                and tuple(sorted((lam, mu))) not in idx.amul_degrees):
-            bad.append(("amul", coords[lam], coords[mu]))
+        if (lam.mul(mu) in in_l1
+                and frozenset((lam, mu)) not in idx.amul_degrees):
+            bad.append(("amul", lam.coords, mu.coords))
     return not bad, bad
 
 
@@ -528,8 +520,7 @@ def _homogeneous_generators(alg, space, C):
         if len(ds) > 1:
             raise ValueError("subspace is not graded")
         groups.setdefault(ds.pop(), []).append(row)
-    return [(d, row) for d in sorted(groups, key=lambda e: e.coords)
-            for row in groups[d]]
+    return [(d, row) for d in sorted(groups) for row in groups[d]]
 
 
 def _close_generators(alg, side, C, gens, allowed=None):

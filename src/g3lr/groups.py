@@ -7,12 +7,20 @@ factor and are kept normalized (0 <= c < m for finite factors).
 
 The group law is written multiplicatively in the mathematics this
 package implements, but coordinates are additive; `mul` adds
-coordinates componentwise.
+coordinates componentwise.  This is the one module that does degree
+arithmetic.  A spec interns its elements, one per normal form, and an
+element memoises its products {other: product}; the memo grows only
+with the products actually formed, so a search that multiplies only
+letters of a finite alphabet stays bounded even with a free factor.
+Elements of distinct but equal specs compare, hash and multiply as
+equal.  Elements are ordered by coordinates, the canonical degree order.
 
     >>> G = GroupSpec((2, 2))
     >>> a = G.elem((1, 0)); b = G.elem((0, 1))
     >>> a.mul(b).coords
     (1, 1)
+    >>> a.mul(b) is G.elem((3, -1))
+    True
     >>> a.mul(a).is_identity()
     True
     >>> Z = GroupSpec((0,))
@@ -34,6 +42,7 @@ class GroupSpec:
             if m < 0 or m == 1:
                 raise ValueError("modulus must be 0 or >= 2, got %r" % (m,))
         self.moduli = moduli
+        self._elems = {}               # normal form -> its element
 
     def __eq__(self, other):
         return isinstance(other, GroupSpec) and self.moduli == other.moduli
@@ -48,30 +57,35 @@ class GroupSpec:
         return GroupElem(self, coords)
 
     def identity(self):
-        return GroupElem(self, (0,) * len(self.moduli))
+        return _elem(self, (0,) * len(self.moduli))
 
 
 class GroupElem:
-    """A normalized element of a GroupSpec.  Immutable and hashable."""
+    """A normalized element of a GroupSpec, interned by its spec.
+    Immutable and hashable."""
 
-    __slots__ = ("spec", "coords")
+    __slots__ = ("spec", "coords", "_hash", "_products")
 
-    def __init__(self, spec, coords):
+    def __new__(cls, spec, coords):
         coords = tuple(int(c) for c in coords)
         if len(coords) != len(spec.moduli):
             raise ValueError(
                 "coordinate length %d does not match group arity %d"
                 % (len(coords), len(spec.moduli)))
-        _normalise(self, spec, coords)
+        return _elem(spec, coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElem is immutable")
 
     def mul(self, other):
-        if self.spec != other.spec:
-            raise ValueError("elements of different groups")
-        return _elem(self.spec,
-                     [a + b for a, b in zip(self.coords, other.coords)])
+        p = self._products.get(other)
+        if p is None:
+            # a hit implies equal specs, so only a miss checks them
+            if self.spec != other.spec:
+                raise ValueError("elements of different groups")
+            p = self._products[other] = _elem(
+                self.spec, [a + b for a, b in zip(self.coords, other.coords)])
+        return p
 
     def inv(self):
         return _elem(self.spec, [-c for c in self.coords])
@@ -80,31 +94,34 @@ class GroupElem:
         return all(c == 0 for c in self.coords)
 
     def __eq__(self, other):
-        return (isinstance(other, GroupElem)
-                and self.spec == other.spec and self.coords == other.coords)
+        return self is other or (
+            isinstance(other, GroupElem)
+            and self.spec == other.spec and self.coords == other.coords)
 
     def __hash__(self):
-        return hash((self.spec.moduli, self.coords))
+        return self._hash
+
+    def __lt__(self, other):
+        return self.coords < other.coords
 
     def __repr__(self):
         return "GroupElem%r" % (self.coords,)
 
 
-def _normalise(e, spec, coords):
-    """Set e to the element of spec with the int coordinates `coords`,
-    one per factor, reduced into range."""
-    object.__setattr__(e, "spec", spec)
-    object.__setattr__(e, "coords", tuple(
-        c % m if m else c for c, m in zip(coords, spec.moduli)))
-
-
 def _elem(spec, coords):
-    """The element of spec with the int coordinates `coords`, which have
-    the spec's arity: `mul` and `inv` build their results from
-    normalised operands, so the conversion and the arity check of
+    """The interned element of spec with the int coordinates `coords`,
+    which have the spec's arity, reduced into range; made on first use.
+    `mul`, `inv` and `identity` build their arguments from normalised
+    operands, so the conversion and the arity check of
     `GroupElem(spec, coords)` are skipped."""
-    e = object.__new__(GroupElem)
-    _normalise(e, spec, coords)
+    coords = tuple(c % m if m else c for c, m in zip(coords, spec.moduli))
+    e = spec._elems.get(coords)
+    if e is None:
+        e = spec._elems[coords] = object.__new__(GroupElem)
+        for name, value in (("spec", spec), ("coords", coords),
+                            ("_hash", hash((spec.moduli, coords))),
+                            ("_products", {})):
+            object.__setattr__(e, name, value)
     return e
 
 

@@ -275,8 +275,7 @@ def _class_json(cls):
         "members": _sorted_coords(cls.members),
         "witnesses": {
             json.dumps(list(h.coords)): [list(e.coords) for e in chain]
-            for h, chain in sorted(cls.witnesses.items(),
-                                   key=lambda kv: kv[0].coords)},
+            for h, chain in sorted(cls.witnesses.items())},
     }
 
 

@@ -28,9 +28,8 @@ and the remaining products use the lookups with `linalg.multilinear` and
 boundary: `Subspace.basis`, ideal certificates, and the multilinear
 `eval_*` evaluators, which take and return dense tuples and sum over the
 nonzero coordinates only.  `Algebra3LR.degree_index` reads
-the same stored keys by degree: it interns the degrees as ints, so the
-degree-1 spans and the multiplicative-support check of the
-decomposition layer do their degree arithmetic on ints.
+the same stored keys by degree, for the degree-1 spans and the
+multiplicative-support check of the decomposition layer.
 
 Coefficients are exact, never floats.  The stored tables and every
 output hold Fractions; the incidence and the rows of every `Subspace`
@@ -58,7 +57,8 @@ class GradedBasis:
         degrees = tuple(degrees)
         if len(labels) != len(degrees):
             raise ValueError("labels and degrees differ in length")
-        if len(set(labels)) != len(labels):
+        self._index = {label: i for i, label in enumerate(labels)}
+        if len(self._index) != len(labels):
             raise ValueError("duplicate basis labels")
         for d in degrees:
             if not isinstance(d, GroupElem):
@@ -68,13 +68,16 @@ class GradedBasis:
         # degree -> the indices of the basis vectors of that degree
         self.fibers = {}
         for i, d in enumerate(degrees):
-            self.fibers[d] = self.fibers.get(d, ()) + (i,)
+            self.fibers.setdefault(d, []).append(i)
 
     def __len__(self):
         return len(self.labels)
 
     def index(self, label):
-        return self.labels.index(label)
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):   # an unhashable value is no label
+            raise ValueError("unknown label %r" % (label,)) from None
 
 
 def _sparse(entries, dim):
@@ -191,11 +194,9 @@ class Incidence:
 
 
 class DegreeIndex:
-    """The degrees of one instance interned as ints, and its stored keys
-    read by their degrees, so that `decompose` does its degree arithmetic
-    on ints; `GroupElem`s stay at the public boundary.
+    """The stored keys of one instance read by their degrees, so that
+    `decompose` tests degrees against them without scanning fibers.
 
-      ids[g], elems[i]    the id of an interned degree, and back
       bracket_one         [((d0, d1, d2), entry)] over the stored triples
                           whose degrees multiply to the identity
       action_one          [(deg l, entry)] over the stored (a, l) with
@@ -204,63 +205,29 @@ class DegreeIndex:
                           (i, j) with deg i deg j = 1
       rho_one             [((deg i, deg j), entry)] over the stored
                           (i, j, a) with deg i deg j deg a = 1
-      bracket_degrees     {the sorted degree ids of a stored triple}
+      bracket_degrees     {the set of degrees of a stored triple}
       action_degrees      {(deg a, deg l) of a stored action key}
-      amul_degrees        {the sorted degree ids of a stored amul key}
+      amul_degrees        {the set of degrees of a stored amul key}
 
-    `mul(i, j)` is the id of the product, memoised on the index, so each
-    product of two degrees goes through `GroupElem.mul` once.  Built from
-    the stored tables on first use; the entries are the stored ones and
-    must not be modified."""
+    Built from the stored tables on first use; the entries are the
+    stored ones and must not be modified."""
 
     def __init__(self, alg):
-        self.ids, self.elems, self._products = {}, [], []
-        one = self.intern(alg.group.identity())
-        # the degree id of each basis vector
-        L = [self.intern(d) for d in alg.L.degrees]
-        A = [self.intern(d) for d in alg.A.degrees]
-        mul = self.mul
-        self.bracket_one, self.bracket_degrees = [], set()
-        for (i, j, k), e in alg.bracket.items():
-            ds = L[i], L[j], L[k]
-            self.bracket_degrees.add(tuple(sorted(ds)))
-            if mul(mul(ds[0], ds[1]), ds[2]) == one:
-                self.bracket_one.append((ds, e))
-        self.action_one, self.action_degrees = [], set()
-        for (ai, li), e in alg.action.items():
-            self.action_degrees.add((A[ai], L[li]))
-            if mul(A[ai], L[li]) == one:
-                self.action_one.append((L[li], e))
-        self.amul_one, self.amul_degrees = [], set()
-        for (i, j), e in alg.amul.items():
-            ds = tuple(sorted((A[i], A[j])))
-            self.amul_degrees.add(ds)
-            if mul(*ds) == one:
-                self.amul_one.append((ds, e))
+        one = alg.group.identity()
+        L, A = alg.L.degrees, alg.A.degrees
+        bracket = [((L[i], L[j], L[k]), e)
+                   for (i, j, k), e in alg.bracket.items()]
+        amul = [((A[i], A[j]), e) for (i, j), e in alg.amul.items()]
+        self.bracket_degrees = {frozenset(ds) for ds, _ in bracket}
+        self.action_degrees = {(A[ai], L[li]) for ai, li in alg.action}
+        self.amul_degrees = {frozenset(ds) for ds, _ in amul}
+        self.bracket_one = [(ds, e) for ds, e in bracket
+                            if ds[0].mul(ds[1]).mul(ds[2]) == one]
+        self.action_one = [(L[li], e) for (ai, li), e in alg.action.items()
+                           if A[ai].mul(L[li]) == one]
+        self.amul_one = [(ds, e) for ds, e in amul if ds[0].mul(ds[1]) == one]
         self.rho_one = [((L[i], L[j]), e) for (i, j, ak), e in alg.rho.items()
-                        if mul(mul(L[i], L[j]), A[ak]) == one]
-
-    def intern(self, g):
-        """The id of the group element g, given a new id when unseen."""
-        i = self.ids.get(g)
-        if i is None:
-            i = self.ids[g] = len(self.elems)
-            self.elems.append(g)
-            self._products.append({})
-        return i
-
-    def mul(self, i, j):
-        row = self._products[i]
-        p = row.get(j)
-        if p is None:
-            p = row[j] = self.intern(self.elems[i].mul(self.elems[j]))
-        return p
-
-    def id_set(self, elems):
-        """The ids of the interned elements among `elems`; an element
-        that is not interned is the degree of no basis vector."""
-        ids = self.ids
-        return {ids[g] for g in elems if g in ids}
+                        if L[i].mul(L[j]).mul(A[ak]) == one]
 
 
 class Algebra3LR:

@@ -100,9 +100,11 @@ def test_rejects_zero_denominator():
 
 
 def test_rejects_unknown_label():
-    doc = _a4_doc()
-    doc["bracket"][0]["args"] = ["e1", "e2", "e9"]
-    _expect_parse_error(doc, "unknown label")
+    # an argument that is a JSON array is unhashable, and no label either
+    for args in (["e1", "e2", "e9"], [["e1"], "e2", "e3"]):
+        doc = _a4_doc()
+        doc["bracket"][0]["args"] = args
+        _expect_parse_error(doc, "unknown label")
 
 
 def test_rejects_degree_arity_mismatch():

@@ -8,6 +8,7 @@ from g3lr.connections import (SupportSets, compute_supports, lambda_classes,
                               lambda_connected, replay_lambda_chain,
                               replay_sigma_chain, sigma_classes,
                               sigma_connected)
+import g3lr.groups as groups
 from g3lr.groups import GroupElem, GroupSpec
 
 
@@ -100,19 +101,27 @@ def test_lambda_classes_tight_pair_separate():
     assert len(lambda_classes(s)) == 2
 
 
-def test_searches_read_products_off_the_table(monkeypatch):
-    """Once the alphabet's product table is built, the searches and the
-    class partition multiply no group elements: every step is a table
-    lookup on letter ids."""
+def test_second_class_pass_forms_no_group_element(monkeypatch):
+    """The searches multiply letters only, and the group memoises every
+    product: once one pass of both partitions has run, a second pass on
+    the same supports creates no group element and forms no product,
+    even with a free factor.  `groups._elem` is then reached only through
+    `inv`, never through a memo miss of `mul`."""
     s = compute_supports(direct_sum(builtin("gl2-trace"),
                                     builtin("tight-pair")))
-    assert 0 in s.group.moduli and len(s.products) == len(s.alphabet)
+    assert 0 in s.group.moduli
+    first = sigma_classes(s) + lambda_classes(s)
+    elems = dict(s.group._elems)
     calls = []
-    mul = GroupElem.mul
-    monkeypatch.setattr(GroupElem, "mul",
-                        lambda a, b: calls.append(1) or mul(a, b))
-    classes = sigma_classes(s) + lambda_classes(s)
-    assert len(classes) > 2 and not calls
+    elem, inv = groups._elem, GroupElem.inv
+    monkeypatch.setattr(groups, "_elem",
+                        lambda *a: calls.append("_elem") or elem(*a))
+    monkeypatch.setattr(GroupElem, "inv",
+                        lambda e: calls.append("inv") or inv(e))
+    again = sigma_classes(s) + lambda_classes(s)
+    assert len(first) > 2 and again == first
+    assert s.group._elems == elems
+    assert calls.count("_elem") == calls.count("inv")
 
 
 def _random_supports(rng):

@@ -1,7 +1,7 @@
 """The degree index against the scans it replaced.
 
 `_L1_span`, `_A1_span` and `check_G_multiplicative` read the stored keys
-by their interned degrees (`model.DegreeIndex`); `_ref_degrees` keeps the
+by their degrees (`model.DegreeIndex`); `_ref_degrees` keeps the
 fiber scans over `GroupElem` products that they replaced.  Both must
 give the same reduced-echelon rows for every span, the same class spans
 and the same multiplicative-support verdict with its counterexamples in

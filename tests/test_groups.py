@@ -83,5 +83,27 @@ def test_normal_form_range(spec_elems):
             assert 0 <= c < m
 
 
+@given(_spec_and_elems())
+def test_interned_elements_and_memoised_products(spec_elems):
+    spec, (a, b, c) = spec_elems
+    # equal normal forms give the same object, whichever way they are made
+    shifted = [x + 3 * m for x, m in zip(a.coords, spec.moduli)]
+    assert GroupElem(spec, shifted) is spec.elem(a.coords) is a
+    assert a.mul(b) is a.mul(b) is b.mul(a)
+    assert a.mul(a.inv()) is spec.identity()
+    assert a.mul(b).mul(c) is a.mul(b.mul(c))
+    # elements of a distinct but equal spec are equal, not the same
+    twin = GroupSpec(spec.moduli)
+    a2 = twin.elem(a.coords)
+    assert a2 is not a and a2 == a and hash(a2) == hash(a)
+    assert a2.mul(b) == a.mul(b) and b.mul(a2) == b.mul(a)
+    with pytest.raises(ValueError):
+        GroupElem(spec, a.coords + (0,))
+    for name in ("spec", "coords", "_hash", "_products"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    assert sorted((a, b, c)) == sorted((a, b, c), key=lambda e: e.coords)
+
+
 def test_repr_mentions_coords():
     assert "1" in repr(GroupSpec((2,)).elem((1,)))
