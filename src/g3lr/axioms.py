@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from .linalg import dense_vec
+from .model import TABLES
 
 VIOLATION_CAP = 25
 
@@ -344,24 +345,14 @@ def check_grading(alg):
     degrees dictate: [L_g,L_h,L_k] in L_{ghk}, A_g A_h in A_{gh},
     A_h L_g in L_{hg}, rho(L_g,L_g')(A_h) in A_{gg'h}."""
     out = []
-    Ld, Ad = alg.L.degrees, alg.A.degrees
-    nL, nA = alg.dim_L, alg.dim_A
-
-    def scan(kind, table, want_of, degrees, dim):
-        for key, entry in table.items():
-            want = want_of(key)
+    for name, (_, value, _) in TABLES.items():
+        degrees = alg.basis(value).degrees
+        for key, _, want, entry in alg.key_degrees(name):
             for m in entry:
                 if degrees[m] != want:
-                    out.append(Violation(GRADING, (kind,) + key + (m,),
-                                         dense_vec(entry, dim),
+                    out.append(Violation(GRADING, (name,) + key + (m,),
+                                         dense_vec(entry, len(degrees)),
                                          ("expected-degree",) + want.coords))
-
-    scan("bracket", alg.bracket,
-         lambda k: Ld[k[0]].mul(Ld[k[1]]).mul(Ld[k[2]]), Ld, nL)
-    scan("amul", alg.amul, lambda k: Ad[k[0]].mul(Ad[k[1]]), Ad, nA)
-    scan("action", alg.action, lambda k: Ad[k[0]].mul(Ld[k[1]]), Ld, nL)
-    scan("rho", alg.rho,
-         lambda k: Ld[k[0]].mul(Ld[k[1]]).mul(Ad[k[2]]), Ad, nA)
     return out
 
 

@@ -9,12 +9,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add
 
 from .axioms import run_all
 from .decompose import check_tight
 from .groups import GroupSpec
 from .linalg import sparse_sum
-from .model import Algebra3LR, GradedBasis, _perm_sign_and_sorted
+from .model import TABLES, Algebra3LR, GradedBasis, _perm_sign_and_sorted
 
 
 @dataclass
@@ -100,41 +101,28 @@ def direct_sum(x, y):
     supports, all cross tables zero.  The factor embeddings are attached
     as ground truth and the result is re-validated."""
     group = GroupSpec(x.group.moduli + y.group.moduli)
-    pad_x = (0,) * len(y.group.moduli)
-    pad_y = (0,) * len(x.group.moduli)
+    pad_x, pad_y = (0,) * len(y.group.moduli), (0,) * len(x.group.moduli)
 
-    def emb_x(d):
-        return group.elem(d.coords + pad_x)
+    def summed(space):
+        bx, by = x.basis(space), y.basis(space)
+        return GradedBasis(
+            ["%s.1" % l for l in bx.labels] + ["%s.2" % l for l in by.labels],
+            [group.elem(d.coords + pad_x) for d in bx.degrees]
+            + [group.elem(pad_y + d.coords) for d in by.degrees])
 
-    def emb_y(d):
-        return group.elem(pad_y + d.coords)
-
-    L = GradedBasis(
-        tuple("%s.1" % l for l in x.L.labels)
-        + tuple("%s.2" % l for l in y.L.labels),
-        tuple(emb_x(d) for d in x.L.degrees)
-        + tuple(emb_y(d) for d in y.L.degrees))
-    A = GradedBasis(
-        tuple("%s.1" % l for l in x.A.labels)
-        + tuple("%s.2" % l for l in y.A.labels),
-        tuple(emb_x(d) for d in x.A.degrees)
-        + tuple(emb_y(d) for d in y.A.degrees))
+    # y's indices follow x's in each space
+    tables = []
+    for name, (args, value, _) in TABLES.items():
+        shift = [len(x.basis(s)) for s in args]
+        o = len(x.basis(value))
+        table = dict(getattr(x, name))
+        for key, e in getattr(y, name).items():
+            table[tuple(map(add, key, shift))] = {m + o: c
+                                                  for m, c in e.items()}
+        tables.append(table)
 
     oL, oA = x.dim_L, x.dim_A
-    bracket = dict(x.bracket)
-    for (i, j, k), e in y.bracket.items():
-        bracket[(i + oL, j + oL, k + oL)] = {m + oL: c for m, c in e.items()}
-    amul = dict(x.amul)
-    for (i, j), e in y.amul.items():
-        amul[(i + oA, j + oA)] = {m + oA: c for m, c in e.items()}
-    action = dict(x.action)
-    for (ai, li), e in y.action.items():
-        action[(ai + oA, li + oL)] = {m + oL: c for m, c in e.items()}
-    rho = dict(x.rho)
-    for (i, j, ak), e in y.rho.items():
-        rho[(i + oL, j + oL, ak + oA)] = {m + oA: c for m, c in e.items()}
-
-    alg = Algebra3LR(group, L, A, bracket, amul, action, rho)
+    alg = Algebra3LR(group, summed("L"), summed("A"), *tables)
     report = run_all(alg)
     if not report.passed:
         raise ValueError("direct sum produced an invalid instance: %r"

@@ -138,9 +138,9 @@ def _L1_span(alg, degrees, supports):
     the inverse of their product.  So both give the same rows up to
     sign and repetition, and the same span."""
     idx = alg.degree_index()
-    rows = [e for dl, e in idx.action_one
+    rows = [e for (_, dl), e in idx.one["action"]
             if dl in degrees and dl in supports.lambda1]
-    rows += [e for ds, e in idx.bracket_one
+    rows += [e for ds, e in idx.one["bracket"]
              if sum(d in degrees for d in ds) >= 2]
     return span(rows, alg.dim_L)
 
@@ -157,9 +157,10 @@ def _A1_span(alg, degrees, supports):
     `_L1_span`: the product is symmetric, so either factor may be the
     one of degree mu, and rho is read in its stored argument order."""
     idx, sig = alg.degree_index(), supports.sigma1 & degrees
-    rows = [e for (di, dj), e in idx.amul_one
+    rows = [e for (di, dj), e in idx.one["amul"]
             if di in degrees or dj in degrees]
-    rows += [e for (di, dj), e in idx.rho_one if di in sig and dj in sig]
+    rows += [e for (di, dj, _), e in idx.one["rho"]
+             if di in sig and dj in sig]
     return span(rows, alg.dim_A)
 
 
@@ -286,7 +287,7 @@ def _ideal_closure(alg, side, v, bound=None):
     `bound` = dim C for an ideal C containing v, it returns once its span
     has that dimension.  Proof: the least ideal containing v lies in C,
     and a subspace of C of dim C is C; a closure below it runs to the end."""
-    S = span([v], alg.dim_L if side == "L" else alg.dim_A)
+    S = span([v], len(alg.basis(side)))
     _homogeneous_generators(alg, side, S)     # raises unless homogeneous
     old, new = (), S.rows
     while new and S.dim != bound:
@@ -462,21 +463,21 @@ def check_G_multiplicative(alg, supports=None):
     order (A, L) for the action."""
     if supports is None:
         supports = compute_supports(alg)
-    idx = alg.degree_index()
+    seen = alg.degree_index().degrees
     in_s1, in_l1 = supports.sigma1, supports.lambda1
     s1, l1 = sorted(in_s1), sorted(in_l1)
     bad = []
     for g, h, k in combinations(s1, 3):
         if (g.mul(h).mul(k) in in_s1
-                and frozenset((g, h, k)) not in idx.bracket_degrees):
+                and frozenset((g, h, k)) not in seen["bracket"]):
             bad.append(("bracket", g.coords, h.coords, k.coords))
     for lam in l1:
         for g in s1:
-            if lam.mul(g) in in_s1 and (lam, g) not in idx.action_degrees:
+            if lam.mul(g) in in_s1 and (lam, g) not in seen["action"]:
                 bad.append(("action", lam.coords, g.coords))
     for lam, mu in combinations_with_replacement(l1, 2):
         if (lam.mul(mu) in in_l1
-                and frozenset((lam, mu)) not in idx.amul_degrees):
+                and frozenset((lam, mu)) not in seen["amul"]):
             bad.append(("amul", lam.coords, mu.coords))
     return not bad, bad
 
@@ -513,7 +514,7 @@ def _homogeneous_generators(alg, space, C):
     its pivots are distinct and each pivot column is zero outside its
     own row, so sorted by pivot it is the reduced echelon basis of C,
     which is unique: C.rows.  So C is graded iff its rows are homogeneous."""
-    degrees = alg.L.degrees if space == "L" else alg.A.degrees
+    degrees = alg.basis(space).degrees
     groups = {}
     for row in C.rows:
         ds = {degrees[t] for t in row}
@@ -559,7 +560,7 @@ def _gr_simple(alg, side, within, is_ideal=None, structure=None):
     """Both checks on `within` (None: the whole space), which must be a
     graded ideal: `is_ideal` is its known check, else a proper one is
     verified."""
-    n = alg.dim_L if side == "L" else alg.dim_A
+    n = len(alg.basis(side))
     C = within if within is not None else full_subspace(n)
     gens = _homogeneous_generators(alg, side, C)
     if is_ideal is None:

@@ -1,11 +1,12 @@
 """Instance files and analysis reports as canonical JSON.
 
 The instance format stores the grading group, the two labelled graded
-bases, and the four structure tables with rational coefficients written
-as strings ("2", "-1/3").  Table entries refer to basis labels, and the
-canonical storage conventions of the data model (strictly increasing
-bracket triples, non-decreasing product pairs) are enforced at parse
-time with structured errors.
+bases, and the four structure tables of `model.TABLES` with rational
+coefficients written as strings ("2", "-1/3").  Table entries refer to
+basis labels.  Each table is read and written by its signature in
+`TABLES`, and its key order (strictly increasing bracket triples,
+non-decreasing product pairs) is enforced at parse time with structured
+errors; the basis rules are those of `model.GradedBasis`.
 
 A report is written by one walker, `report_json`.  Its keys are the
 field names of the report dataclasses; the shape table `_SHAPES` lists
@@ -27,7 +28,7 @@ from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         TightnessReport)
 from .groups import GroupSpec
 from .linalg import Subspace
-from .model import Algebra3LR, GradedBasis
+from .model import TABLES, Algebra3LR, GradedBasis, in_key_order
 
 INSTANCE_SCHEMA = "g3lr-instance/1"
 REPORT_SCHEMA = "g3lr-report/1"
@@ -79,17 +80,11 @@ def _parse_basis(data, group, where):
         raise ParseError(where, "expected labels and degrees")
     if type(labels) is not list or any(type(x) is not str for x in labels):
         raise ParseError(where, "labels must be a list of strings")
-    if len(labels) != len(degrees):
-        raise ParseError(where, "labels and degrees differ in length")
-    if len(set(labels)) != len(labels):
-        raise ParseError(where, "duplicate basis labels")
-    elems = []
-    for d in degrees:
-        d = _int_list(d, where, "a degree")
-        if len(d) != len(group.moduli):
-            raise ParseError(where, "degree arity mismatch: %r" % (d,))
-        elems.append(group.elem(d))
-    return GradedBasis(tuple(labels), tuple(elems))
+    try:
+        return GradedBasis(labels, [
+            group.elem(_int_list(d, where, "a degree")) for d in degrees])
+    except ValueError as e:
+        raise ParseError(where, str(e))
 
 
 def _label_index(basis, label, where):
@@ -99,10 +94,13 @@ def _label_index(basis, label, where):
         raise ParseError(where, "unknown label %r" % (label,))
 
 
-def _parse_table(entries, arg_bases, value_basis, where, canonical=None):
-    """entries: list of {"args": [labels], "value": {label: rational}}.
-    canonical: None, "increasing" (strict) or "non-decreasing" on the
-    argument index tuple."""
+def _parse_table(entries, bases, where):
+    """entries: list of {"args": [labels], "value": {label: rational}}
+    of the table `where` of `TABLES`, on the bases of the instance
+    `bases`; the argument indices must be in the table's key order."""
+    arg_spaces, value_space, order = TABLES[where]
+    arg_bases = [bases.basis(s) for s in arg_spaces]
+    value_basis = bases.basis(value_space)
     entries = [] if entries is None else entries
     if type(entries) is not list:
         raise ParseError(where, "a table must be an array, not %s"
@@ -121,10 +119,9 @@ def _parse_table(entries, arg_bases, value_basis, where, canonical=None):
             raise ParseError(here, "expected %d arguments" % len(arg_bases))
         idx = tuple(_label_index(b, a, here)
                     for b, a in zip(arg_bases, args))
-        if canonical == "increasing" and list(idx) != sorted(set(idx)):
-            raise ParseError(here, "non-canonical triple order %r" % (args,))
-        if canonical == "non-decreasing" and list(idx) != sorted(idx):
-            raise ParseError(here, "non-canonical pair order %r" % (args,))
+        if not in_key_order(idx, order):
+            raise ParseError(here, "non-canonical %s order %r"
+                             % (("pair", "triple")[len(args) - 2], args))
         if idx in table:
             raise ParseError(here, "duplicate entry for %r" % (args,))
         table[idx] = {
@@ -149,14 +146,10 @@ def instance_from_dict(data):
         raise ParseError("group", str(e))
     L = _parse_basis(data.get("L", {}), group, "L")
     A = _parse_basis(data.get("A", {}), group, "A")
-    bracket = _parse_table(data.get("bracket"), (L, L, L), L, "bracket",
-                           canonical="increasing")
-    amul = _parse_table(data.get("amul"), (A, A), A, "amul",
-                        canonical="non-decreasing")
-    action = _parse_table(data.get("action"), (A, L), L, "action")
-    rho = _parse_table(data.get("rho"), (L, L, A), A, "rho")
+    bases = Algebra3LR(group, L, A, {}, {}, {}, {})    # no tables yet
+    tables = [_parse_table(data.get(name), bases, name) for name in TABLES]
     try:
-        return Algebra3LR(group, L, A, bracket, amul, action, rho)
+        return Algebra3LR(group, L, A, *tables)
     except ValueError as e:
         raise ParseError("tables", str(e))
 
@@ -173,32 +166,27 @@ def load_instance(path):
     return instance_from_dict(data)
 
 
-def _table_entries(table, arg_bases, value_basis):
-    out = []
-    for key in sorted(table):
-        entry = table[key]
-        out.append({
-            "args": [b.labels[i] for b, i in zip(arg_bases, key)],
-            "value": {value_basis.labels[m]: str(c)
-                      for m, c in sorted(entry.items())},
-        })
-    return out
+def _table_entries(alg, name):
+    args, value, _ = TABLES[name]
+    arg_labels = [alg.basis(s).labels for s in args]
+    value_labels = alg.basis(value).labels
+    table = getattr(alg, name)
+    return [{"args": [labels[i] for labels, i in zip(arg_labels, key)],
+             "value": {value_labels[m]: str(c)
+                       for m, c in sorted(table[key].items())}}
+            for key in sorted(table)]
 
 
 def instance_to_dict(alg):
-    L, A = alg.L, alg.A
-    return {
-        "schema": INSTANCE_SCHEMA,
-        "group": {"moduli": list(alg.group.moduli)},
-        "L": {"labels": list(L.labels),
-              "degrees": [list(d.coords) for d in L.degrees]},
-        "A": {"labels": list(A.labels),
-              "degrees": [list(d.coords) for d in A.degrees]},
-        "bracket": _table_entries(alg.bracket, (L, L, L), L),
-        "amul": _table_entries(alg.amul, (A, A), A),
-        "action": _table_entries(alg.action, (A, L), L),
-        "rho": _table_entries(alg.rho, (L, L, A), A),
-    }
+    doc = {"schema": INSTANCE_SCHEMA,
+           "group": {"moduli": list(alg.group.moduli)}}
+    for space in "LA":
+        B = alg.basis(space)
+        doc[space] = {"labels": list(B.labels),
+                      "degrees": [list(d.coords) for d in B.degrees]}
+    for name in TABLES:
+        doc[name] = _table_entries(alg, name)
+    return doc
 
 
 def canonical_json(obj):

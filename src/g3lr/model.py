@@ -2,12 +2,15 @@
 
 An instance bundles a grading group, labelled graded bases of the
 3-Lie side L and the commutative side A, and four sparse structure
-constant tables:
+constant tables.  `TABLES` gives the signature of each, the one place
+it is written: the spaces of its key's arguments, the space of its
+values, and the order of a stored key.
 
   bracket  [.,.,.] : L x L x L -> L   keys (i<j<k), expanded by sign
   amul     A x A -> A                 keys {i<=j}, symmetric
   action   A x L -> L                 keys (a_i, l_j)
-  rho      L x L -> Der(A)            keys (i, j, a_k), both (i,j) orders
+  rho      L x L -> Der(A)            keys (i, j, a_k), stored as
+                                      L x L x A -> A, both (i,j) orders
                                       stored independently
 
 Unlisted entries are zero.  Skew symmetry of the bracket and
@@ -42,6 +45,8 @@ gives the same text for an int and the equal Fraction.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import getitem, le, lt
 from types import MappingProxyType
 
 from .groups import GroupElem, GroupSpec
@@ -91,14 +96,41 @@ def _sparse(entries, dim):
     return out
 
 
-def _stored(table, arity, key_ok, dim, message):
-    """The table with every entry made sparse by `_sparse` and the zero
-    entries dropped.  A key that is not a tuple of `arity` indices
-    satisfying `key_ok` raises ValueError(message % (key,))."""
+# name -> (the spaces of a key's arguments, the space of the values, the
+# key order): a table with a key order stores one key per set of
+# arguments, the one whose indices are in that order
+TABLES = {
+    "bracket": ("LLL", "L", "strictly increasing"),
+    "amul": ("AA", "A", "non-decreasing"),
+    "action": ("AL", "L", None),
+    "rho": ("LLA", "A", None),
+}
+
+# the comparison each two consecutive indices of a key in the order pass
+_ORDERS = {"strictly increasing": lt, "non-decreasing": le}
+
+
+def in_key_order(key, order):
+    """Whether the index tuple `key` is in the key order `order` of a
+    table of `TABLES`."""
+    return order is None or all(map(_ORDERS[order], key, key[1:]))
+
+
+def _stored(alg, name, table):
+    """Table `name` of `TABLES` with every entry made sparse by `_sparse`
+    and the zero entries dropped.  A key that is not a tuple of indices
+    in range of the argument spaces and in the key order raises
+    ValueError naming the table and the key."""
+    args, value, order = TABLES[name]
+    dims = [len(alg.basis(s)) for s in args]
+    dim = len(alg.basis(value))
     out = {}
     for key, val in table.items():
-        if len(key) != arity or not key_ok(*key):
-            raise ValueError(message % (key,))
+        if not (len(key) == len(dims) and min(key) >= 0
+                and all(map(lt, key, dims)) and in_key_order(key, order)):
+            raise ValueError("%s key %r %s" % (
+                name, key,
+                "is not %s in range" % order if order else "out of range"))
         v = _sparse(val, dim)
         if v:
             out[key] = v
@@ -195,39 +227,28 @@ class Incidence:
 
 class DegreeIndex:
     """The stored keys of one instance read by their degrees, so that
-    `decompose` tests degrees against them without scanning fibers.
+    `decompose` tests degrees against them without scanning fibers.  For
+    each table name of `TABLES`:
 
-      bracket_one         [((d0, d1, d2), entry)] over the stored triples
-                          whose degrees multiply to the identity
-      action_one          [(deg l, entry)] over the stored (a, l) with
-                          deg a deg l = 1
-      amul_one            [((deg i, deg j), entry)] over the stored
-                          (i, j) with deg i deg j = 1
-      rho_one             [((deg i, deg j), entry)] over the stored
-                          (i, j, a) with deg i deg j deg a = 1
-      bracket_degrees     {the set of degrees of a stored triple}
-      action_degrees      {(deg a, deg l) of a stored action key}
-      amul_degrees        {the set of degrees of a stored amul key}
+      one[name]       [(degrees, entry)] over the stored keys whose
+                      argument degrees multiply to the identity
+      degrees[name]   {the argument degrees of a stored key}: a frozenset
+                      for a table with a key order, which stores one key
+                      per set of arguments, else the tuple in key order
 
     Built from the stored tables on first use; the entries are the
     stored ones and must not be modified."""
 
     def __init__(self, alg):
         one = alg.group.identity()
-        L, A = alg.L.degrees, alg.A.degrees
-        bracket = [((L[i], L[j], L[k]), e)
-                   for (i, j, k), e in alg.bracket.items()]
-        amul = [((A[i], A[j]), e) for (i, j), e in alg.amul.items()]
-        self.bracket_degrees = {frozenset(ds) for ds, _ in bracket}
-        self.action_degrees = {(A[ai], L[li]) for ai, li in alg.action}
-        self.amul_degrees = {frozenset(ds) for ds, _ in amul}
-        self.bracket_one = [(ds, e) for ds, e in bracket
-                            if ds[0].mul(ds[1]).mul(ds[2]) == one]
-        self.action_one = [(L[li], e) for (ai, li), e in alg.action.items()
-                           if A[ai].mul(L[li]) == one]
-        self.amul_one = [(ds, e) for ds, e in amul if ds[0].mul(ds[1]) == one]
-        self.rho_one = [((L[i], L[j]), e) for (i, j, ak), e in alg.rho.items()
-                        if L[i].mul(L[j]).mul(A[ak]) == one]
+        self.one, self.degrees = {}, {}
+        for name, (_, _, order) in TABLES.items():
+            self.one[name] = ones = []
+            self.degrees[name] = seen = set()
+            for _, ds, g, e in alg.key_degrees(name):
+                seen.add(frozenset(ds) if order else ds)
+                if g == one:
+                    ones.append((ds, e))
 
 
 class Algebra3LR:
@@ -246,23 +267,23 @@ class Algebra3LR:
         self.group = group
         self.L = L
         self.A = A
-        nL, nA = len(L), len(A)
-        self.dim_L = nL
-        self.dim_A = nA
+        self.dim_L = len(L)
+        self.dim_A = len(A)
 
-        self.bracket = _stored(
-            bracket, 3, lambda i, j, k: 0 <= i < j < k < nL, nL,
-            "bracket key %r is not strictly increasing in range")
-        self.amul = _stored(
-            amul, 2, lambda i, j: 0 <= i <= j < nA, nA,
-            "amul key %r is not non-decreasing in range")
-        self.action = _stored(
-            action, 2, lambda ai, li: 0 <= ai < nA and 0 <= li < nL, nL,
-            "action key %r out of range")
-        self.rho = _stored(
-            rho, 3, lambda i, j, ak: (0 <= i < nL and 0 <= j < nL
-                                      and 0 <= ak < nA),
-            nA, "rho key %r out of range")
+        for name, table in zip(TABLES, (bracket, amul, action, rho)):
+            setattr(self, name, _stored(self, name, table))
+
+    def basis(self, space):
+        """The `GradedBasis` of `space`, "L" or "A"."""
+        return self.L if space == "L" else self.A
+
+    def key_degrees(self, name):
+        """(key, the degrees of its arguments, their product, entry) over
+        the stored entries of table `name` of `TABLES`."""
+        degrees = [self.basis(s).degrees for s in TABLES[name][0]]
+        for key, entry in getattr(self, name).items():
+            ds = tuple(map(getitem, degrees, key))
+            yield key, ds, reduce(GroupElem.mul, ds), entry
 
     # ---- signed lookups: sparse images of basis tuples ----
     # The result may be the stored entry itself; callers must not modify it.
@@ -328,14 +349,13 @@ class Algebra3LR:
     def fiber(self, space, g):
         """Span of the basis vectors of the given degree; `space` is
         "L" or "A"."""
-        n = self.dim_L if space == "L" else self.dim_A
-        return Subspace(n, [{i: 1} for i in self.fiber_indices(space, g)])
+        return Subspace(len(self.basis(space)),
+                        [{i: 1} for i in self.fiber_indices(space, g)])
 
     def fiber_indices(self, space, g):
         """Indices of the basis vectors of degree g, from the index the
         basis builds once."""
-        basis = self.L if space == "L" else self.A
-        return list(basis.fibers.get(g, ()))
+        return list(self.basis(space).fibers.get(g, ()))
 
     def L_unit(self, i):
         return unit_vec(self.dim_L, i)

@@ -60,13 +60,28 @@ def test_degenerate_bracket_variants_still_valid():
             rebuild(alg, bracket=scaled)) == []
 
 
+# (instance, table, key, wrong entry, witness, the expected degree)
+_WRONG_DEGREE_CASES = [
+    # a4 is graded by Z2 x Z2 with deg e1 e2 e3 = (0, 0), deg e1 = (1, 0)
+    (lambda: builtin("a4"), "bracket", (0, 1, 2), {0: 1},
+     ("bracket", 0, 1, 2, 0), (0, 0)),
+    # the rho seed: one * one lands in deg 0, not in deg t = 2
+    (rho_trace_seed, "amul", (0, 0), {1: 1}, ("amul", 0, 0, 1), (0,)),
+    # one e lands in deg e = 1, not in deg f = -1
+    (rho_trace_seed, "action", (0, 0), {1: 1}, ("action", 0, 0, 1), (1,)),
+    # rho(I, J)(t) lands in deg t = 2, not in deg one = 0
+    (rho_trace_seed, "rho", (3, 4, 1), {0: 1}, ("rho", 3, 4, 1, 0), (2,)),
+]
+
+
 def test_wrong_degree_target_breaks_grading():
-    alg = builtin("a4")
-    bad = dict(alg.bracket)
-    bad[(0, 1, 2)] = {0: 1}      # lands in the wrong fiber
-    broken = rebuild(alg, bracket=bad)
-    vs = check_grading(broken)
-    assert vs and vs[0].axiom == GRADING
+    """One entry of each table moved to a value of the wrong degree
+    gives exactly one grading violation, naming the table, the key, the
+    value index and the degree the key's arguments ask for."""
+    for make, table, key, entry, witness, expected in _WRONG_DEGREE_CASES:
+        vs = check_grading(with_entry(make(), table, key, entry))
+        assert [(v.axiom, v.witness, v.rhs) for v in vs] == [
+            (GRADING, witness, ("expected-degree",) + expected)], table
 
 
 def test_broken_action_breaks_rinehart():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import _dense_model as dm
+from _cases import rho_trace_seed
 from g3lr.axioms import run_all
 from g3lr.catalog import (BUILTIN_NAMES, LieRinehartSeed, builtin, direct_sum,
                           from_lie_trace)
@@ -73,12 +74,34 @@ def test_direct_sum_shape_and_supports():
                     alg, unit_vec(8, i), unit_vec(8, j), unit_vec(8, k)))
 
 
+# the argument spaces and the value space of each table, written out as
+# an oracle for the signatures of `model.TABLES`
+_SPACES = {"bracket": ("LLL", "L"), "amul": ("AA", "A"),
+           "action": ("AL", "L"), "rho": ("LLA", "A")}
+
+
 def test_direct_sum_restricts_to_factors():
-    x = builtin("a4")
-    alg = direct_sum(x, x)
-    for (i, j, k), entry in x.bracket.items():
-        shifted = alg.bracket[(i + 4, j + 4, k + 4)]
-        assert shifted == {m + 4: Fraction(c) for m, c in entry.items()}
+    """Every stored entry of each factor appears in the sum with each
+    index moved by the offset of its space, the second factor's offsets
+    being the dimensions of the first: rho's arguments by the L offset
+    and its values by the A offset.  Nothing else is stored."""
+    a4, dual = builtin("a4"), builtin("a4-dual-numbers")
+    seed = rho_trace_seed()
+    for x, y in ((a4, a4), (dual, seed), (seed, dual)):
+        alg = direct_sum(x, y)
+        expected = {name: {} for name in _SPACES}
+        for factor, offset in ((x, {"L": 0, "A": 0}),
+                               (y, {"L": x.dim_L, "A": x.dim_A})):
+            for name, (args, value) in _SPACES.items():
+                for key, entry in getattr(factor, name).items():
+                    shifted = tuple(i + offset[s] for i, s in zip(key, args))
+                    expected[name][shifted] = {m + offset[value]: Fraction(c)
+                                               for m, c in entry.items()}
+        for name in _SPACES:
+            assert getattr(alg, name) == expected[name], name
+        # the rho seed and the dual numbers together store every table
+        assert x is a4 or all(expected.values())
+    alg = direct_sum(a4, a4)
     assert alg.L.labels[0] == "e1.1" and alg.L.labels[4] == "e1.2"
 
 
