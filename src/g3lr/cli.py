@@ -14,9 +14,8 @@ from .axioms import run_all
 from .catalog import BUILTIN_NAMES, builtin
 from .connections import compute_supports, lambda_classes, sigma_classes
 from .decompose import check_gr_simple_A, check_gr_simple_L, decompose
-from .instio import (ParseError, axiom_report_json, canonical_json,
-                     decomposition_json, instance_digest, instance_to_dict,
-                     load_instance, report_json, REPORT_SCHEMA)
+from .instio import (ParseError, canonical_json, instance_digest,
+                     instance_to_dict, load_instance, REPORT_SCHEMA)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -53,11 +52,9 @@ def _cmd_classes(args, out):
     alg, report, code = _load(args.file, out)
     if code != EXIT_OK:
         return code
-    supports = compute_supports(alg)
-    doc = {"supports": supports,
-           "sigma_classes": sigma_classes(supports),
-           "lambda_classes": lambda_classes(supports)}
-    print(canonical_json(report_json(doc)), file=out)
+    sup = compute_supports(alg)
+    print(canonical_json({"supports": sup, "sigma_classes": sigma_classes(sup),
+                          "lambda_classes": lambda_classes(sup)}), file=out)
     return EXIT_OK
 
 
@@ -67,7 +64,7 @@ def _cmd_decompose(args, out):
         return code
     rep = decompose(alg)
     if args.json:
-        print(canonical_json(decomposition_json(rep)), file=out)
+        print(canonical_json(rep), file=out)
         return EXIT_OK
     print("sigma classes: %d, lambda classes: %d"
           % (len(rep.sigma_classes), len(rep.lambda_classes)), file=out)
@@ -101,18 +98,15 @@ def _cmd_simple(args, out):
     vA = check_gr_simple_A(alg)
     print("L graded-simple: %s" % vL.verdict, file=out)
     print("A graded-simple: %s" % vA.verdict, file=out)
-    print(canonical_json(report_json({"L": vL, "A": vA})), file=out)
+    print(canonical_json({"L": vL, "A": vA}), file=out)
     return EXIT_OK
 
 
 def _build_report_doc(alg, report):
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "instance_digest": instance_digest(alg),
-        "axioms": axiom_report_json(report),
-    }
+    doc = {"schema": REPORT_SCHEMA, "instance_digest": instance_digest(alg),
+           "axioms": report}
     if report.passed:
-        doc["decomposition"] = decomposition_json(decompose(alg))
+        doc["decomposition"] = decompose(alg)
         doc["interpretation_notes"] = [
             "the annihilator of A inside L is {x : Ax = 0}; the dual "
             "notion {a : aL = 0} is reported separately",

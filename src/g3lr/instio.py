@@ -8,12 +8,14 @@ basis labels.  Each table is read and written by its signature in
 non-decreasing product pairs) is enforced at parse time with structured
 errors; the basis rules are those of `model.GradedBasis`.
 
-A report is written by one walker, `report_json`.  Its keys are the
-field names of the report dataclasses; the shape table `_SHAPES` lists
-the few types written otherwise, so a new report key is one new field.
-Report serialization is deterministic: sorted keys, canonical echelon
-bases, fractions as strings.  Identical input therefore yields
-byte-identical output.
+`canonical_json` writes every report and instance file in one pass, by
+the exact type of each value, as the text `json.dumps(value,
+sort_keys=True, indent=1)` would give; that call itself runs the
+pure-Python encoder, which CPython 3.11 takes whenever `indent` is set.
+A report key is the field name of its report dataclass; the shape table
+`_SHAPES` lists the few types written otherwise.  Sorted keys, canonical
+echelon bases and fractions as strings make the output byte-identical
+for identical input.
 """
 
 import hashlib
@@ -21,12 +23,13 @@ import json
 import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .axioms import AxiomReport
 from .connections import ConnectionClass, SupportSets
 from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         TightnessReport)
-from .groups import GroupSpec
+from .groups import GroupElem, GroupSpec
 from .linalg import Subspace
 from .model import TABLES, Algebra3LR, GradedBasis, in_key_order
 
@@ -45,6 +48,10 @@ class ParseError(Exception):
 
 # the coefficient grammar of docs/instance.schema.json
 _RATIONAL = re.compile(r"-?([0-9]+)(?:/([1-9][0-9]*))?")
+
+# the JSON type of a parsed value that is not an array, for messages
+_JSON_TYPES = {dict: "an object", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
 
 # the most digits a coefficient's numerator or denominator may have; it
 # bounds the cost of one coefficient and stays below the limit of
@@ -74,11 +81,15 @@ def _int_list(value, where, what):
 
 def _parse_basis(data, group, where):
     try:
-        labels = data["labels"]
-        degrees = list(data["degrees"])
+        labels, degrees = data["labels"], data["degrees"]
     except (KeyError, TypeError):
         raise ParseError(where, "expected labels and degrees")
-    if type(labels) is not list or any(type(x) is not str for x in labels):
+    for key, value, item in (("labels", labels, "strings"),
+                             ("degrees", degrees, "integer arrays")):
+        if type(value) is not list:
+            raise ParseError(where, "%s must be a list of %s, not %s"
+                             % (key, item, _JSON_TYPES[type(value)]))
+    if any(type(x) is not str for x in labels):
         raise ParseError(where, "labels must be a list of strings")
     try:
         return GradedBasis(labels, [
@@ -104,7 +115,7 @@ def _parse_table(entries, bases, where):
     entries = [] if entries is None else entries
     if type(entries) is not list:
         raise ParseError(where, "a table must be an array, not %s"
-                         % type(entries).__name__)
+                         % _JSON_TYPES[type(entries)])
     table = {}
     for pos, entry in enumerate(entries):
         here = "%s[%d]" % (where, pos)
@@ -189,10 +200,6 @@ def instance_to_dict(alg):
     return doc
 
 
-def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=1)
-
-
 def save_instance(alg, path):
     with open(path, "w") as fh:
         fh.write(canonical_json(instance_to_dict(alg)))
@@ -206,37 +213,56 @@ def instance_digest(alg):
 
 
 # ---------------------------------------------------------------------------
-# report serialization
+# canonical text
 
 
-def report_json(value):
-    """The JSON form of a report value, by its exact type: a Fraction
-    becomes a string, a list or tuple a list, a dict a dict of the forms
-    of its values, a type in `_SHAPES` goes through its own function, any
-    other dataclass becomes {field name: value}, and ints, strings,
-    booleans and None stay as they are."""
+def canonical_json(value):
+    """`json.dumps(value, sort_keys=True, indent=1)`, in one pass, for a
+    JSON value or a report value; other types, floats too, are TypeErrors."""
+    out = []
+    _write(value, out.append, "\n")
+    return "".join(out)
+
+
+# the text of a leaf by its exact type; a Fraction is the string "p/q"
+_LEAVES = {str: _string, int: int.__repr__, Fraction: '"{!s}"'.format,
+           bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+def _write(value, put, nl):
+    """Put the text of `value` at the indent `nl` (a newline and one
+    space per level): a leaf, a dict with sorted keys, a list or tuple,
+    a type in `_SHAPES` by its shape, any other dataclass by `_fields`."""
     kind = type(value)
-    if kind is Fraction:
-        return str(value)
-    if kind is list or kind is tuple:
-        return [report_json(x) for x in value]
-    if kind is dict:
-        return {k: report_json(v) for k, v in value.items()}
-    shape = _SHAPES.get(kind)
-    if shape is not None:
-        return shape(value)
-    if is_dataclass(kind):
-        return _fields(value)
-    return value
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return put(leaf(value))
+    keyed = kind is dict
+    if keyed or kind is list or kind is tuple:
+        if not value:
+            return put("{}" if keyed else "[]")
+        inner = nl + " "
+        sep = ("{" if keyed else "[") + inner
+        for x in sorted(value) if keyed else value:
+            if keyed:
+                sep, x = sep + _string(x) + ": ", value[x]
+            leaf = _LEAVES.get(type(x))    # a leaf item is put in line
+            if leaf is None:
+                put(sep)
+                _write(x, put, inner)
+            else:
+                put(sep + leaf(x))
+            sep = "," + inner
+        return put(nl + ("}" if keyed else "]"))
+    shape = _SHAPES.get(kind) or (_fields if is_dataclass(kind) else None)
+    if shape is None:
+        raise TypeError("%s is not a report value" % kind.__name__)
+    _write(shape(value), put, nl)
 
 
 def _fields(obj, skip=None):
-    return {f.name: report_json(getattr(obj, f.name))
-            for f in fields(obj) if f.name != skip}
-
-
-def _sorted_coords(elems):
-    return sorted([list(g.coords) for g in elems])
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name != skip}
 
 
 def subspace_json(S):
@@ -246,56 +272,36 @@ def subspace_json(S):
 
 
 def axiom_report_json(report):
-    return {
-        "passed": report.passed,
-        "counts": dict(sorted(report.counts.items())),
-        "violations": {axiom: [_fields(v, "axiom") for v in vs]
-                       for axiom, vs in sorted(report.capped().items())
-                       if vs},
-        "notes": list(report.notes),
-    }
-
-
-def _class_json(cls):
-    return {
-        "kind": cls.kind,
-        "representative": list(cls.representative.coords),
-        "members": _sorted_coords(cls.members),
-        "witnesses": {
-            json.dumps(list(h.coords)): [list(e.coords) for e in chain]
-            for h, chain in sorted(cls.witnesses.items())},
-    }
-
-
-def _ideal_json(I):
-    return {**_fields(I, "source_class"),
-            "class": list(I.source_class.representative.coords)}
-
-
-def _pairing_json(p):
-    return {**_fields(p, "mapping"),
-            "mapping": {json.dumps(list(k)): [list(h) for h in hits]
-                        for k, hits in sorted(p.mapping.items())}}
+    return {"passed": report.passed, "counts": report.counts,
+            "notes": report.notes,
+            "violations": {axiom: [_fields(v, "axiom") for v in vs]
+                           for axiom, vs in report.capped().items() if vs}}
 
 
 def decomposition_json(rep):
     if rep.aborted:
-        return {"aborted": True, "axioms": axiom_report_json(rep.axioms)}
+        return {"aborted": True, "axioms": rep.axioms}
     holds, counterexamples = rep.orthogonality
-    return {**_fields(rep, "orthogonality"),
-            "orthogonality": {"holds": holds,
-                              "counterexamples": report_json(counterexamples)}}
+    return {**_fields(rep), "orthogonality": {
+        "holds": holds, "counterexamples": counterexamples}}
 
 
-# the report types whose JSON is not {field name: value}
+# the report types whose JSON is not {field name: value}; a degree is
+# written as its coordinates, and a set of degrees in their order
 _SHAPES = {
+    GroupElem: lambda g: g.coords,
     Subspace: subspace_json,
     AxiomReport: axiom_report_json,
-    SupportSets: lambda s: {"sigma1": _sorted_coords(s.sigma1),
-                            "lambda1": _sorted_coords(s.lambda1)},
-    ConnectionClass: _class_json,
-    IdealCandidate: _ideal_json,
-    PairingReport: _pairing_json,
+    SupportSets: lambda s: {"sigma1": sorted(s.sigma1),
+                            "lambda1": sorted(s.lambda1)},
+    ConnectionClass: lambda c: {
+        **_fields(c), "members": sorted(c.members),
+        "witnesses": {json.dumps(h.coords): w
+                      for h, w in c.witnesses.items()}},
+    IdealCandidate: lambda I: {**_fields(I, "source_class"),
+                               "class": I.source_class.representative},
+    PairingReport: lambda p: {**_fields(p), "mapping": {
+        json.dumps(k): v for k, v in p.mapping.items()}},
     TightnessReport: lambda t: {**_fields(t), "tight": t.tight},
     DecompositionReport: decomposition_json,
 }

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 from g3lr.catalog import LieRinehartSeed, builtin, direct_sum, from_lie_trace
 from g3lr.groups import GroupSpec
-from g3lr.model import Algebra3LR, GradedBasis
+from g3lr.model import TABLES, Algebra3LR, GradedBasis
 
 
 def rebuild(alg, **overrides):
-    parts = dict(bracket=alg.bracket, amul=alg.amul, action=alg.action,
-                 rho=alg.rho)
+    """`alg` with the tables named in `overrides` replaced."""
+    parts = {name: getattr(alg, name) for name in TABLES}
     parts.update(overrides)
     return Algebra3LR(alg.group, alg.L, alg.A, **parts)
 

@@ -15,9 +15,9 @@ from g3lr import cli
 from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
                      main)
-from g3lr.instio import (MAX_DIGITS, ParseError, instance_digest,
-                         instance_from_dict, instance_to_dict, load_instance,
-                         save_instance)
+from g3lr.instio import (MAX_DIGITS, ParseError, canonical_json,
+                         instance_digest, instance_from_dict,
+                         instance_to_dict, load_instance, save_instance)
 
 
 def _run(*argv):
@@ -283,6 +283,27 @@ def test_rejected_document_exits_3_naming_the_field(tmp_path, capsys, change,
     assert capsys.readouterr().err == "parse error: %s\n" % expected
 
 
+@pytest.mark.parametrize("key, items", [("degrees", "integer arrays"),
+                                        ("labels", "strings")])
+@pytest.mark.parametrize("value, kind", [("abcd", "a string"),
+                                         ({"x": 1}, "an object"),
+                                         (7, "a number")],
+                         ids=["string", "object", "number"])
+def test_basis_field_that_is_not_an_array_is_named(tmp_path, capsys, key,
+                                                   items, value, kind):
+    """A `degrees` or `labels` value that is not an array is rejected by
+    its own name and JSON type, not by its first character or key."""
+    doc = _a4_doc()
+    doc["L"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run("validate", str(path)) == (EXIT_PARSE, "")
+    assert capsys.readouterr().err == (
+        "parse error: L: %s must be a list of %s, not %s\n"
+        % (key, items, kind))
+
+
 def test_unreadable_path_exits_3_naming_it(tmp_path, capsys):
     path = str(tmp_path / "missing.json")
     capsys.readouterr()
@@ -526,3 +547,42 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys, command, target):
     assert code == EXIT_PARSE
     assert text == ""
     assert capsys.readouterr().err.startswith("cannot write %s: " % bad)
+
+
+# ---------------------------------------------------------------------------
+# the canonical writer
+
+
+# any code point, lone surrogates included, with quotes, backslashes,
+# control characters, non-ASCII and astral characters drawn often
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\x80\u00e9\u2028\ufeff\U0001f600'),
+    st.characters(exclude_categories=())), max_size=8)
+_INTS = st.one_of(st.integers(), st.sampled_from([-2 ** 64, 10 ** 40,
+                                                  -10 ** 40]))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _TEXT),
+    lambda items: st.one_of(st.lists(items), st.lists(items).map(tuple),
+                            st.dictionaries(_TEXT, items)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+def test_canonical_json_is_json_dumps_with_sorted_keys(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True,
+                                               indent=1)
+
+
+# values the writer does not know: a float, sets, bytes and a non-string
+# key, which `json.dumps` would write as a string
+_UNKNOWN = st.sampled_from([1.5, float("nan"), {1, 2}, frozenset(), b"",
+                            {1: "a"}, object()])
+
+
+@settings(max_examples=50, deadline=None)
+@given(bad=_UNKNOWN, before=_JSON_VALUES, key=_TEXT)
+def test_canonical_json_never_writes_an_unknown_value(bad, before, key):
+    for value in (bad, [before, bad], {key: [bad]}):
+        with pytest.raises(TypeError):
+            canonical_json(value)
