@@ -2,12 +2,12 @@
 sparse tables.
 
 Every check covers all relevant basis tuples, with no sampling.
-Because every structure map is multilinear, an identity verified on
-basis tuples holds for all vectors, so a pass is a proof for the
-instance at hand.  Where an identity is alternating or antisymmetric in
-a group of arguments it suffices to cover strictly increasing index
-tuples for that group; this reduction is used for the fundamental
-identity and is spelled out in the docstrings below.
+Because every structure map is linear in each argument, an identity
+verified on basis tuples holds for all vectors, so a pass is a proof
+for the instance at hand.  Where an identity is alternating or
+antisymmetric in a group of arguments it suffices to cover strictly
+increasing index tuples for that group; this reduction is used for the
+fundamental identity and is spelled out in the docstrings below.
 
 A tuple whose terms are all structurally zero, because each term has a
 factor that the stored tables make zero, holds trivially and is never

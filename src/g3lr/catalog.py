@@ -15,7 +15,7 @@ from .axioms import run_all
 from .decompose import check_tight
 from .groups import GroupSpec
 from .linalg import sparse_sum
-from .model import TABLES, Algebra3LR, GradedBasis, _perm_sign_and_sorted
+from .model import TABLES, Algebra3LR, GradedBasis
 
 
 @dataclass
@@ -189,6 +189,19 @@ def _builtin_gl2_trace():
         tau=(0, 0, 0, 2),         # the matrix trace: tau(I) = 2
     )
     return from_lie_trace(seed)
+
+
+def _perm_sign_and_sorted(i, j, k):
+    """Sort a distinct triple, tracking the permutation sign."""
+    sign = 1
+    a, b, c = i, j, k
+    if a > b:
+        a, b, sign = b, a, -sign
+    if b > c:
+        b, c, sign = c, b, -sign
+    if a > b:
+        a, b, sign = b, a, -sign
+    return sign, (a, b, c)
 
 
 def _a4_module_over_2dim(t_square):

@@ -6,12 +6,12 @@ Every subspace here is computed as an exact rational span of products of
 basis vectors, and every claimed containment or equality is checked as
 an exact subspace identity.
 
-The ideal products and the constraint rows of the structural subspaces
-are read off the instance's `model.Incidence`, so the work follows the
-stored keys that the rows reach, not the dimensions: a product that no
-stored key reaches is zero and is never formed, and an ideal triple
-whose coordinate supports no stored key connects is skipped by the
-orthogonality check.  Each skip rule sits next to its proof in the code.
+Every product is read off the instance's `model.Incidence`, so the
+work follows the stored keys that the rows reach, not the dimensions: a
+product that no stored key reaches is zero and is never formed, and an
+ideal triple whose coordinate supports no stored key connects is
+skipped by the orthogonality check.  Each skip rule sits next to its
+proof in the code.
 """
 
 from collections import Counter
@@ -21,8 +21,8 @@ from itertools import combinations, combinations_with_replacement, product
 from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
 from .linalg import (Subspace, _extend, _null_space, complement, dense_vec,
-                     full_subspace, intersect_subspaces, multilinear,
-                     solve_homogeneous, span, sparse_sum)
+                     full_subspace, intersect_subspaces, solve_homogeneous,
+                     span, sparse_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,29 @@ def _reached(row, by_index):
             yield key, v
 
 
+def _bracket(by_L, u, v, w):
+    """[u, v, w] of sparse rows, with by_L the incidence's bracket_by_L:
+    the bracket is alternating, so it is the sum over i < j of
+    (v_i w_j - v_j w_i) [u, e_i, e_j], and `_reached(u, by_L)` yields
+    the nonzero [u, e_i, e_j].  Skip: a pair whose coefficient is zero
+    adds nothing."""
+    terms = []
+    for (i, j), b in _reached(u, by_L):
+        f = v.get(i, 0) * w.get(j, 0) - v.get(j, 0) * w.get(i, 0)
+        if f:
+            terms.append((f, b))
+    return sparse_sum(terms)
+
+
+def _product(by_index, a, u):
+    """The bilinear product a u of sparse rows: the sum of a_q (e_q u)
+    over `_reached(u, by_index)`, where by_index[p] lists (q, e_q e_p)
+    over the nonzero products (`model.Incidence`): amul_by_A for the
+    product of A, action_by_L for the action of A on L.  Skip: a q
+    outside the support of a adds nothing."""
+    return sparse_sum((a[q], v) for q, v in _reached(u, by_index) if q in a)
+
+
 def _ideal_products(alg, side, old, new):
     """The products an ideal spanned by the sparse rows old + new must
     absorb that involve at least one row of new, each with its
@@ -341,22 +364,23 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
         return any(q in supp_A[b] for p in supp_A[a]
                    for q, _ in inc.amul_by_A.get(p, ()))
 
-    scans = []                    # (tag, lookup, dim, row spaces)
+    scans = []              # (tag, product, its incidence map, dim, rows)
     for i, j in combinations(range(len(L)), 2):
         # [I, J, K], then two slots from one ideal and one from the other
         for a, b, c in ([(i, j, k) for k in range(len(L)) if k not in (i, j)]
                         + [(i, i, j), (j, j, i)]):
             if bracket_meets(a, b, c):
-                scans.append((("bracket", a, b, c), alg.bracket_entry,
-                              alg.dim_L, (L[a], L[b], L[c])))
+                scans.append((("bracket", a, b, c), _bracket,
+                              inc.bracket_by_L, alg.dim_L,
+                              (L[a], L[b], L[c])))
     for i, j in combinations(range(len(A)), 2):
         if amul_meets(i, j):
-            scans.append((("amul", i, j), alg.amul_entry, alg.dim_A,
-                          (A[i], A[j])))
+            scans.append((("amul", i, j), _product, inc.amul_by_A,
+                          alg.dim_A, (A[i], A[j])))
     bad = []
-    for tag, lookup, n, spaces in scans:
+    for tag, form, by_index, n, spaces in scans:
         for args in product(*spaces):
-            r = multilinear(lookup, *args)
+            r = form(by_index, *args)
             if r:
                 bad.append(tag + (dense_vec(r, n),))
     return not bad, bad
@@ -433,11 +457,12 @@ def pair_ideals(alg, L_ideals, A_ideals, tight=None):
     it nontrivially.  On tight instances there is exactly one."""
     if tight is None:
         tight = check_tight(alg).tight
+    by_L = alg.incidence().action_by_L
     mapping = {}
     for I in L_ideals:
         hits = []
         for J in A_ideals:
-            nonzero = any(multilinear(alg.action_entry, a, x)
+            nonzero = any(_product(by_L, a, x)
                           for a in J.subspace.rows for x in I.subspace.rows)
             if nonzero:
                 hits.append(J.source_class.representative.coords)
@@ -567,21 +592,22 @@ def _gr_simple(alg, side, within, is_ideal=None, structure=None):
         is_ideal = C.dim == n or _verify_ideal(alg, side, C)[0]
     if not is_ideal:
         raise ValueError("subspace is not an ideal, simplicity undefined")
+    inc = alg.incidence()
     if side == "A":
-        if not any(multilinear(alg.amul_entry, u, v)
+        if not any(_product(inc.amul_by_A, u, v)
                    for u, v in combinations_with_replacement(C.rows, 2)):
             return SimplicityVerdict("no", False, witness="zero-product")
         verdict, witness = _close_generators(alg, "A", C, gens)
         return SimplicityVerdict(verdict, True, witness=witness)
     ker_rho = structure.ker_rho if structure else solve_homogeneous(
-        _constraints(alg.incidence().rho_by_L), n)
+        _constraints(inc.rho_by_L), n)
     ker_part = C if ker_rho.dim == n else intersect_subspaces(ker_rho, C)
 
-    bracket_nonzero = any(multilinear(alg.bracket_entry, u, v, w)
+    bracket_nonzero = any(_bracket(inc.bracket_by_L, u, v, w)
                           for u, v, w in combinations(C.rows, 3))
     AA_nonzero = bool(alg.amul)           # only nonzero entries are stored
-    AL_nonzero = any(multilinear(alg.action_entry, {ai: 1}, x)
-                     for ai in range(alg.dim_A) for x in C.rows)
+    AL_nonzero = any(next(_reached(x, inc.action_by_L), None)
+                     for x in C.rows)
     if not bracket_nonzero:
         return SimplicityVerdict("no", False, AA_nonzero, AL_nonzero,
                                  witness="zero-bracket")

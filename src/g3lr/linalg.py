@@ -7,34 +7,22 @@ nonzero coordinates only, from the stored tables through the products
 to the reduced-echelon rows of a `Subspace`, each coefficient in the
 exact view of `_view`.  Every lattice operation accepts dense or sparse
 rows and `sparse_row` brings them into the view; dense tuples, formed
-only at the public boundary (`Subspace.basis`, `eval_*` and
-certificates), pass through `dense_vec`, the one way back to Fractions.
-The coefficient invariant is stated in `model`.  `_extend` adds rows
-to a subspace without rebuilding it: each new row is reduced once
-against its shared rows and placed by the step that builds every basis
-in `_echelon`, so the lattice reuses the echelon forms it holds.
+only at the public boundary (`Subspace.basis`, certificates and
+counterexamples), pass through `dense_vec`, the one way back to
+Fractions.  The coefficient invariant is stated in `model`.  `_extend`
+adds rows to a subspace without rebuilding it: each new row is reduced
+once against its shared rows and placed by the step that builds every
+basis in `_echelon`, so the lattice reuses the echelon forms it holds.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import prod
-
-
-def vec(coords):
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 @lru_cache(maxsize=None)
 def zero_vec(n):
     return (Fraction(0),) * n
-
-
-@lru_cache(maxsize=None)
-def unit_vec(n, i):
-    assert 0 <= i < n
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
 def _view(c):
@@ -84,19 +72,6 @@ def sparse_sum(terms):
         for m, c in entry.items():
             acc[m] = acc[m] + f * c if m in acc else f * c
     return {m: c for m, c in acc.items() if c}
-
-
-def multilinear(lookup, *rows):
-    """The sparse image of sparse rows under the multilinear map whose
-    values on basis tuples `lookup` gives: over the tuples of nonzero
-    coordinates, the lookup of the index tuple times the product of the
-    coordinates, which is formed only when the lookup is nonzero."""
-    terms = []
-    for combo in product(*[r.items() for r in rows]):
-        image = lookup(*[i for i, _ in combo])
-        if image:
-            terms.append((prod([c for _, c in combo]), image))
-    return sparse_sum(terms)
 
 
 def _reduce(basis, pivots, v):

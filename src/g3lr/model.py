@@ -17,22 +17,18 @@ Unlisted entries are zero.  Skew symmetry of the bracket and
 commutativity of the product hold by storage convention; the genuinely
 checkable axioms live in `axioms`.
 
-The signed lookups (`bracket_entry`, `amul_entry`, `action_entry`,
-`rho_entry`) give the sparse image of one basis tuple under any argument
-order.  `Algebra3LR.incidence` turns the stored keys around once per
-instance: for each basis index, the keys that reach it and their signed
-entries, and the basis images of rho, the action and the product.
-Products are formed on sparse rows {index: coefficient}: the axiom suite
-reads all of its products off the incidence, and the decomposition layer
-builds its ideal products and constraint rows from the incidence alone,
-so only the keys that a row's support reaches are visited; spanning rows
-and the remaining products use the lookups with `linalg.multilinear` and
-`linalg.sparse_sum`.  Vectors are dense tuples only at the public
-boundary: `Subspace.basis`, ideal certificates, and the multilinear
-`eval_*` evaluators, which take and return dense tuples and sum over the
-nonzero coordinates only.  `Algebra3LR.degree_index` reads
-the same stored keys by degree, for the degree-1 spans and the
-multiplicative-support check of the decomposition layer.
+`Algebra3LR.incidence` turns the stored keys around once per instance:
+for each basis index, the keys that reach it and their signed entries,
+and the basis images of rho, the action and the product.  It is the one
+way to form a product: the axiom suite and the decomposition layer
+(ideal products, constraint rows, orthogonality, pairing and the
+simplicity tests) multiply sparse rows {index: coefficient} by reading
+only the keys that a row's support reaches.  Vectors are dense tuples
+only at the public boundary: `Subspace.basis`, ideal certificates and
+orthogonality counterexamples; public functions take a dense tuple or
+a sparse row.  `Algebra3LR.degree_index` reads the same stored keys by
+degree, for the degree-1 spans and the multiplicative-support check of
+the decomposition layer.
 
 Coefficients are exact, never floats.  The stored tables and every
 output hold Fractions; the incidence and the rows of every `Subspace`
@@ -50,8 +46,7 @@ from operator import getitem, le, lt
 from types import MappingProxyType
 
 from .groups import GroupElem, GroupSpec
-from .linalg import (Subspace, _view, dense_vec, multilinear, sparse_row,
-                     unit_vec)
+from .linalg import Subspace, _view
 
 
 class GradedBasis:
@@ -138,19 +133,6 @@ def _stored(alg, name, table):
 
 
 _EMPTY = MappingProxyType({})
-
-
-def _perm_sign_and_sorted(i, j, k):
-    """Sort a distinct triple, tracking the permutation sign."""
-    sign = 1
-    a, b, c = i, j, k
-    if a > b:
-        a, b, sign = b, a, -sign
-    if b > c:
-        b, c, sign = c, b, -sign
-    if a > b:
-        a, b, sign = b, a, -sign
-    return sign, (a, b, c)
 
 
 def _exact(entry):
@@ -285,29 +267,6 @@ class Algebra3LR:
             ds = tuple(map(getitem, degrees, key))
             yield key, ds, reduce(GroupElem.mul, ds), entry
 
-    # ---- signed lookups: sparse images of basis tuples ----
-    # The result may be the stored entry itself; callers must not modify it.
-
-    def bracket_entry(self, i, j, k):
-        """[x_i, x_j, x_k] as {index: Fraction}: the entry stored under
-        the sorted key, times the sign of the sorting permutation."""
-        if i == j or j == k or i == k:
-            return _EMPTY
-        sign, key = _perm_sign_and_sorted(i, j, k)
-        entry = self.bracket.get(key, _EMPTY)
-        if sign > 0:
-            return entry
-        return {m: -c for m, c in entry.items()}
-
-    def amul_entry(self, i, j):
-        return self.amul.get((i, j) if i <= j else (j, i), _EMPTY)
-
-    def action_entry(self, ai, li):
-        return self.action.get((ai, li), _EMPTY)
-
-    def rho_entry(self, i, j, ak):
-        return self.rho.get((i, j, ak), _EMPTY)
-
     def incidence(self):
         """The `Incidence` of the stored keys, built on first use and
         cached on the (immutable) instance."""
@@ -322,28 +281,6 @@ class Algebra3LR:
             self._degree_index = DegreeIndex(self)
         return self._degree_index
 
-    # ---- multilinear evaluators on dense vectors ----
-
-    def _eval(self, lookup, dim, *vectors):
-        rows = [sparse_row(v, len(v)) for v in vectors]
-        return dense_vec(multilinear(lookup, *rows), dim)
-
-    def eval_bracket(self, x, y, z):
-        assert len(x) == len(y) == len(z) == self.dim_L
-        return self._eval(self.bracket_entry, self.dim_L, x, y, z)
-
-    def eval_amul(self, a, b):
-        assert len(a) == len(b) == self.dim_A
-        return self._eval(self.amul_entry, self.dim_A, a, b)
-
-    def eval_action(self, a, x):
-        assert len(a) == self.dim_A and len(x) == self.dim_L
-        return self._eval(self.action_entry, self.dim_L, a, x)
-
-    def eval_rho(self, x, y, a):
-        assert len(x) == len(y) == self.dim_L and len(a) == self.dim_A
-        return self._eval(self.rho_entry, self.dim_A, x, y, a)
-
     # ---- degree fibers ----
 
     def fiber(self, space, g):
@@ -357,8 +294,3 @@ class Algebra3LR:
         basis builds once."""
         return list(self.basis(space).fibers.get(g, ()))
 
-    def L_unit(self, i):
-        return unit_vec(self.dim_L, i)
-
-    def A_unit(self, i):
-        return unit_vec(self.dim_A, i)

@@ -16,7 +16,7 @@ from g3lr.axioms import (A_ALGEBRA, FUNDAMENTAL, GRADING, REPRESENTATION,
                          RHO_DERIVATION, RINEHART, Violation)
 
 import _dense_model as dm
-from _ref_linalg import is_zero_vec, vec_add
+from _ref_linalg import is_zero_vec, unit_vec, vec_add
 
 ZERO = Fraction(0)
 
@@ -31,22 +31,24 @@ def check_fundamental_identity(alg):
     for i, j, k in combinations(range(n), 3):
         b_ijk = dm.bracket_basis(alg, i, j, k)
         for l, m in combinations(range(n), 2):
-            lhs = dm.eval_bracket(alg, b_ijk, alg.L_unit(l), alg.L_unit(m))
+            lhs = dm.eval_bracket(alg, b_ijk, unit_vec(n, l),
+                                  unit_vec(n, m))
             rhs = dm.eval_bracket(alg, dm.bracket_basis(alg, i, l, m),
-                                  alg.L_unit(j), alg.L_unit(k))
+                                  unit_vec(n, j), unit_vec(n, k))
             rhs = vec_add(rhs, dm.eval_bracket(
                 alg, dm.bracket_basis(alg, j, l, m),
-                alg.L_unit(k), alg.L_unit(i)))
+                unit_vec(n, k), unit_vec(n, i)))
             rhs = vec_add(rhs, dm.eval_bracket(
                 alg, dm.bracket_basis(alg, k, l, m),
-                alg.L_unit(i), alg.L_unit(j)))
+                unit_vec(n, i), unit_vec(n, j)))
             if lhs != rhs:
                 out.append(Violation(FUNDAMENTAL, (i, j, k, l, m), lhs, rhs))
     return out
 
 
 def _rho_op(alg, i, j, a_vec):
-    return dm.eval_rho(alg, alg.L_unit(i), alg.L_unit(j), a_vec)
+    n = alg.dim_L
+    return dm.eval_rho(alg, unit_vec(n, i), unit_vec(n, j), a_vec)
 
 
 def _lin(terms, dim):
@@ -79,7 +81,7 @@ def check_representation(alg):
         return out
     n, nA = alg.dim_L, alg.dim_A
     # ops[i][j][k] = rho(x_i, x_j)(a_k)
-    ops = [[[_rho_op(alg, i, j, alg.A_unit(k)) for k in range(nA)]
+    ops = [[[_rho_op(alg, i, j, unit_vec(nA, k)) for k in range(nA)]
             for j in range(n)] for i in range(n)]
 
     def op(i, j, v):
@@ -122,24 +124,26 @@ def check_rinehart_compat(alg):
     for x, y, z in product(range(nL), repeat=3):
         bxyz = dm.bracket_basis(alg, x, y, z)
         for ak in range(nA):
-            a = alg.A_unit(ak)
+            a = unit_vec(nA, ak)
             az = dm.action_basis(alg, ak, z)
-            lhs = dm.eval_bracket(alg, alg.L_unit(x), alg.L_unit(y), az)
+            lhs = dm.eval_bracket(alg, unit_vec(nL, x), unit_vec(nL, y),
+                                  az)
             rhs = dm.eval_action(alg, a, bxyz)
             rho_a = _rho_op(alg, x, y, a)
-            rhs = vec_add(rhs, dm.eval_action(alg, rho_a, alg.L_unit(z)))
+            rhs = vec_add(rhs,
+                          dm.eval_action(alg, rho_a, unit_vec(nL, z)))
             if lhs != rhs:
                 out.append(Violation(RINEHART, ("bracket", x, y, z, ak),
                                      lhs, rhs))
     for x, y in product(range(nL), repeat=2):
         for ak in range(nA):
-            a = alg.A_unit(ak)
+            a = unit_vec(nA, ak)
             ax = dm.action_basis(alg, ak, x)
             ay = dm.action_basis(alg, ak, y)
             for bk in range(nA):
-                b = alg.A_unit(bk)
-                left = dm.eval_rho(alg, ax, alg.L_unit(y), b)
-                mid = dm.eval_rho(alg, alg.L_unit(x), ay, b)
+                b = unit_vec(nA, bk)
+                left = dm.eval_rho(alg, ax, unit_vec(nL, y), b)
+                mid = dm.eval_rho(alg, unit_vec(nL, x), ay, b)
                 scaled = dm.eval_amul(alg, a, _rho_op(alg, x, y, b))
                 if left != scaled:
                     out.append(Violation(RINEHART,
@@ -162,7 +166,7 @@ def check_rho_derivation(alg):
     for x, y in product(range(nL), repeat=2):
         for ai in range(nA):
             for bi in range(ai, nA):
-                a, b = alg.A_unit(ai), alg.A_unit(bi)
+                a, b = unit_vec(nA, ai), unit_vec(nA, bi)
                 ab = dm.amul_basis(alg, ai, bi)
                 lhs = _rho_op(alg, x, y, ab)
                 rhs = vec_add(dm.eval_amul(alg, _rho_op(alg, x, y, a), b),
@@ -179,15 +183,15 @@ def check_A_algebra(alg):
     out = []
     nA, nL = alg.dim_A, alg.dim_L
     for i, j, k in product(range(nA), repeat=3):
-        lhs = dm.eval_amul(alg, dm.amul_basis(alg, i, j), alg.A_unit(k))
-        rhs = dm.eval_amul(alg, alg.A_unit(i), dm.amul_basis(alg, j, k))
+        lhs = dm.eval_amul(alg, dm.amul_basis(alg, i, j), unit_vec(nA, k))
+        rhs = dm.eval_amul(alg, unit_vec(nA, i), dm.amul_basis(alg, j, k))
         if lhs != rhs:
             out.append(Violation(A_ALGEBRA, ("assoc", i, j, k), lhs, rhs))
     for i, j in product(range(nA), repeat=2):
         for x in range(nL):
             lhs = dm.eval_action(alg, dm.amul_basis(alg, i, j),
-                                 alg.L_unit(x))
-            rhs = dm.eval_action(alg, alg.A_unit(i),
+                                 unit_vec(nL, x))
+            rhs = dm.eval_action(alg, unit_vec(nA, i),
                                  dm.action_basis(alg, j, x))
             if lhs != rhs:
                 out.append(Violation(A_ALGEBRA, ("module", i, j, x),
@@ -241,7 +245,7 @@ def rho_antisymmetry_witnesses(alg):
     n = alg.dim_L
     for i, j in combinations_with_replacement(range(n), 2):
         for ak in range(alg.dim_A):
-            a = alg.A_unit(ak)
+            a = unit_vec(alg.dim_A, ak)
             fwd = _rho_op(alg, i, j, a)
             bwd = _rho_op(alg, j, i, a)
             if not is_zero_vec(vec_add(fwd, bwd)):

@@ -1,10 +1,11 @@
 """Dense reference copy of the model's products, kept as a test oracle.
 
 These are the basis-level products (`*_basis`) and multilinear
-evaluators (`eval_*`) that `Algebra3LR` carried before the decomposition
-layer moved onto the signed lookups, rewritten as free functions of the
-instance, together with the decomposition helpers built on them: the
-ordered ideal products and the two degree-1 spans.  Every argument and
+evaluators (`eval_*`) that `Algebra3LR` once carried, rewritten as free
+functions of the instance, together with the decomposition helpers
+built on them: the ordered ideal products and the two degree-1 spans.
+The package itself has no per-tuple lookup and no dense evaluator: it
+forms every product from `model.Incidence`.  Every argument and
 result is a dense Fraction vector, and every evaluator scans all
 coordinate tuples.  The differential tests compare the sparse code with
 these, value by value and in order.
@@ -14,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from weakref import WeakKeyDictionary
 
-from _ref_linalg import is_zero_vec
-from g3lr.linalg import span, vec, zero_vec
+from _ref_linalg import is_zero_vec, unit_vec, vec
+from g3lr.linalg import span, zero_vec
 
 _CACHES = WeakKeyDictionary()
 
@@ -176,18 +177,19 @@ def ideal_products(alg, side, old, new):
     """Every product an ideal spanned by old + new must absorb that
     involves a row of new, zero products included, with its tag, in the
     order `g3lr.decompose._ideal_products` keeps."""
+    nL, nA = alg.dim_L, alg.dim_A
     if side == "A":
         for t in new:
-            for ai in range(alg.dim_A):
-                yield ("amul", ai, t), eval_amul(alg, alg.A_unit(ai), t)
+            for ai in range(nA):
+                yield ("amul", ai, t), eval_amul(alg, unit_vec(nA, ai), t)
         return
     for s in new:
-        for i, j in combinations(range(alg.dim_L), 2):
+        for i, j in combinations(range(nL), 2):
             yield (("bracket", s, i, j),
-                   eval_bracket(alg, s, alg.L_unit(i), alg.L_unit(j)))
+                   eval_bracket(alg, s, unit_vec(nL, i), unit_vec(nL, j)))
     for s in new:
-        for ai in range(alg.dim_A):
-            yield ("action", ai, s), eval_action(alg, alg.A_unit(ai), s)
+        for ai in range(nA):
+            yield ("action", ai, s), eval_action(alg, unit_vec(nA, ai), s)
     if not alg.rho:
         return
     rows = old + new
@@ -195,13 +197,13 @@ def ideal_products(alg, side, old, new):
         for q, s2 in enumerate(rows):
             if max(p, q) < len(old):
                 continue
-            for ak in range(alg.dim_A):
-                ra = eval_rho(alg, s1, s2, alg.A_unit(ak))
+            for ak in range(nA):
+                ra = eval_rho(alg, s1, s2, unit_vec(nA, ak))
                 if is_zero_vec(ra):
                     continue
-                for lj in range(alg.dim_L):
+                for lj in range(nL):
                     yield (("rho-action", s1, s2, ak, lj),
-                           eval_action(alg, ra, alg.L_unit(lj)))
+                           eval_action(alg, ra, unit_vec(nL, lj)))
 
 
 def L1_span(alg, degrees, supports):

@@ -4,24 +4,29 @@ check, kept as a test oracle.
 These are `_images`, `_L1_span`, `_A1_span` and `check_G_multiplicative`
 as `g3lr.decompose` ran them before the degree arithmetic moved onto the
 per-instance degree index: each scans the fibers of every degree pair
-or triple with `GroupElem` products and the signed lookups.  The
-differential test in `test_degrees.py` asserts that the index gives the
-same span rows, class spans, verdicts and counterexamples.
+or triple with `GroupElem` products and the dense basis products of
+`_dense_model`.  The differential test in `test_degrees.py` asserts
+that the index gives the same span rows, class spans, verdicts and
+counterexamples.
 """
 
+from functools import partial
 from itertools import combinations, combinations_with_replacement, product, \
     starmap
 
+import _dense_model as dm
+from _ref_linalg import is_zero_vec
 from g3lr.connections import compute_supports
 from g3lr.linalg import span
 
 
-def _images(alg, lookup, spaces, degrees):
-    """The nonzero sparse images under `lookup` of the basis tuples whose
-    i-th index runs over the fiber of degrees[i] in spaces[i] ("L" or
-    "A"), in lexicographic order."""
+def _images(alg, basis, spaces, degrees):
+    """The nonzero dense images under the `_dense_model` basis product
+    `basis` of the basis tuples whose i-th index runs over the fiber of
+    degrees[i] in spaces[i] ("L" or "A"), in lexicographic order."""
     fibers = [alg.fiber_indices(s, d) for s, d in zip(spaces, degrees)]
-    return [e for e in starmap(lookup, product(*fibers)) if e]
+    return [e for e in starmap(partial(basis, alg), product(*fibers))
+            if not is_zero_vec(e)]
 
 
 def _sorted_elems(elems):
@@ -35,9 +40,9 @@ def L1_span(alg, degrees, supports):
     rows = []
     for h in degrees:
         if h in supports.lambda1:
-            rows += _images(alg, alg.action_entry, "AL", (h.inv(), h))
+            rows += _images(alg, dm.action_basis, "AL", (h.inv(), h))
     for h, k in product(degrees, repeat=2):
-        rows += _images(alg, alg.bracket_entry, "LLL",
+        rows += _images(alg, dm.bracket_basis, "LLL",
                         (h, k, h.mul(k).inv()))
     return span(rows, alg.dim_L)
 
@@ -48,10 +53,10 @@ def A1_span(alg, degrees, supports):
     degrees = _sorted_elems(degrees)
     rows = []
     for mu in degrees:
-        rows += _images(alg, alg.amul_entry, "AA", (mu.inv(), mu))
+        rows += _images(alg, dm.amul_basis, "AA", (mu.inv(), mu))
     for h, k in product(degrees, repeat=2):
         if h in supports.sigma1 and k in supports.sigma1:
-            rows += _images(alg, alg.rho_entry, "LLA",
+            rows += _images(alg, dm.rho_basis, "LLA",
                             (h, k, h.mul(k).inv()))
     return span(rows, alg.dim_A)
 
@@ -63,15 +68,15 @@ def check_G_multiplicative(alg):
     bad = []
     for g, h, k in combinations(s1, 3):
         if g.mul(h).mul(k) in supports.sigma1:
-            if not _images(alg, alg.bracket_entry, "LLL", (g, h, k)):
+            if not _images(alg, dm.bracket_basis, "LLL", (g, h, k)):
                 bad.append(("bracket", g.coords, h.coords, k.coords))
     for lam in l1:
         for g in s1:
             if lam.mul(g) in supports.sigma1:
-                if not _images(alg, alg.action_entry, "AL", (lam, g)):
+                if not _images(alg, dm.action_basis, "AL", (lam, g)):
                     bad.append(("action", lam.coords, g.coords))
     for lam, mu in combinations_with_replacement(l1, 2):
         if lam.mul(mu) in supports.lambda1:
-            if not _images(alg, alg.amul_entry, "AA", (lam, mu)):
+            if not _images(alg, dm.amul_basis, "AA", (lam, mu)):
                 bad.append(("amul", lam.coords, mu.coords))
     return not bad, bad

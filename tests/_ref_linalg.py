@@ -11,12 +11,23 @@ computations.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from g3lr.linalg import unit_vec, vec, zero_vec
+from g3lr.linalg import zero_vec
 
 
 # dense vector arithmetic for the oracles and tests; the package itself
 # works on sparse rows
+
+
+def vec(coords):
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+
+
+@lru_cache(maxsize=None)
+def unit_vec(n, i):
+    assert 0 <= i < n
+    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
 def is_zero_vec(u):

@@ -26,7 +26,8 @@ from g3lr.decompose import (build_A_ideal, build_I, check_G_multiplicative,
                             verify_ideal_A, verify_ideal_L,
                             verify_triple_orthogonality)
 from g3lr.instio import instance_from_dict, instance_to_dict, save_instance
-from g3lr.linalg import full_subspace, vec, zero_vec
+from _ref_linalg import vec
+from g3lr.linalg import full_subspace, zero_vec
 from g3lr.model import Algebra3LR
 
 

@@ -180,8 +180,8 @@ def test_trace_seed_with_nonzero_rho_passes():
     report = run_all(alg)
     assert report.passed, report.counts
     I, J, t = alg.L.index("I"), alg.L.index("J"), alg.A.index("t")
-    assert alg.rho_entry(I, J, t) == {t: Fraction(1)}
-    assert alg.rho_entry(J, I, t) == {t: Fraction(-1)}
+    assert alg.rho.get((I, J, t)) == {t: Fraction(1)}
+    assert alg.rho.get((J, I, t)) == {t: Fraction(-1)}
     assert check_representation(alg) == [] and check_rho_derivation(alg) == []
 
 

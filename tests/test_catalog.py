@@ -4,12 +4,12 @@ import pytest
 
 import _dense_model as dm
 from _cases import rho_trace_seed
+from _ref_linalg import unit_vec
 from g3lr.axioms import run_all
 from g3lr.catalog import (BUILTIN_NAMES, LieRinehartSeed, builtin, direct_sum,
                           from_lie_trace)
 from g3lr.decompose import check_tight
 from g3lr.groups import GroupSpec
-from g3lr.linalg import unit_vec
 from g3lr.model import GradedBasis
 
 
@@ -29,7 +29,7 @@ def _sl2_seed(tau):
 
 def test_trace_construction_oracle_values():
     alg = from_lie_trace(_sl2_seed((0, 0, 0, 2)))
-    e, f, h, I = (alg.L_unit(i) for i in range(4))
+    e, f, h, I = (unit_vec(alg.dim_L, i) for i in range(4))
     two = Fraction(2)
     assert dm.eval_bracket(alg, e, f, I) == tuple(two * c for c in h)
     assert dm.eval_bracket(alg, e, h, I) == tuple(-2 * two * c for c in e)

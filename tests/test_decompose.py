@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import (combinations, combinations_with_replacement,
                        product)
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,8 +12,9 @@ import _dense_model as dm
 from _cases import rational_seed, rho_trace_seed
 from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
-from g3lr.decompose import (_A1_span, _L1_span, _close_generators,
+from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
                             _homogeneous_generators, _ideal_products,
+                            _product,
                             A_ideal_generated_by,
                             IdealCandidate, build_A1_class,
                             build_A_ideal, build_I, build_L1_class,
@@ -21,9 +25,9 @@ from g3lr.decompose import (_A1_span, _L1_span, _close_generators,
                             verify_ideal_A, verify_ideal_L,
                             verify_triple_orthogonality)
 from g3lr.groups import GroupSpec
-from _ref_linalg import is_zero_vec
+from _ref_linalg import is_zero_vec, unit_vec, vec
 from g3lr.linalg import (dense_vec, full_subspace, intersect_subspaces,
-                         solve_homogeneous, span, unit_vec, vec, zero_vec)
+                         solve_homogeneous, span, sparse_row, zero_vec)
 from g3lr.model import Algebra3LR, GradedBasis
 
 BUILTINS = ("trivial", "a4", "gl2-trace", "a4-dual-numbers", "tight-pair")
@@ -443,6 +447,10 @@ def test_gr_simple_A_verdicts():
     assert v.verdict == "no" and v.witness.dim == 2
     dual = builtin("a4-dual-numbers")
     assert check_gr_simple_A(dual).verdict == "no"
+    # t^2 = 0, so the A-ideal spanned by t has a zero product
+    v = check_gr_simple_A(dual, span([{1: 1}], 2))
+    assert (v.verdict, v.product_nonzero, v.witness) \
+        == ("no", False, "zero-product")
 
 
 # ---------------------------------------------------------------------------
@@ -515,25 +523,26 @@ def test_decompose_truncated_polynomials():
 
 
 def _ref_verify_L(alg, S):
+    nL, nA = alg.dim_L, alg.dim_A
     for s in S.basis:
-        for i, j in combinations(range(alg.dim_L), 2):
-            v = dm.eval_bracket(alg, s, alg.L_unit(i), alg.L_unit(j))
+        for i, j in combinations(range(nL), 2):
+            v = dm.eval_bracket(alg, s, unit_vec(nL, i), unit_vec(nL, j))
             if not S.contains(v):
                 return False, ("bracket", s, i, j, v)
     for s in S.basis:
-        for ai in range(alg.dim_A):
-            v = dm.eval_action(alg, alg.A_unit(ai), s)
+        for ai in range(nA):
+            v = dm.eval_action(alg, unit_vec(nA, ai), s)
             if not S.contains(v):
                 return False, ("action", ai, s, v)
     if alg.rho:
         for s1 in S.basis:
             for s2 in S.basis:
-                for ak in range(alg.dim_A):
-                    ra = dm.eval_rho(alg, s1, s2, alg.A_unit(ak))
+                for ak in range(nA):
+                    ra = dm.eval_rho(alg, s1, s2, unit_vec(nA, ak))
                     if is_zero_vec(ra):
                         continue
-                    for lj in range(alg.dim_L):
-                        v = dm.eval_action(alg, ra, alg.L_unit(lj))
+                    for lj in range(nL):
+                        v = dm.eval_action(alg, ra, unit_vec(nL, lj))
                         if not S.contains(v):
                             return False, ("rho-action", s1, s2, ak, lj, v)
     return True, None
@@ -542,33 +551,34 @@ def _ref_verify_L(alg, S):
 def _ref_verify_A(alg, T):
     for t in T.basis:
         for ai in range(alg.dim_A):
-            v = dm.eval_amul(alg, alg.A_unit(ai), t)
+            v = dm.eval_amul(alg, unit_vec(alg.dim_A, ai), t)
             if not T.contains(v):
                 return False, ("amul", ai, t, v)
     return True, None
 
 
 def _ref_closure_L(alg, v):
-    S = span([v], alg.dim_L)
+    nL, nA = alg.dim_L, alg.dim_A
+    S = span([v], nL)
     while True:
         rows = list(S.basis)
         for s in S.basis:
-            for i, j in combinations(range(alg.dim_L), 2):
-                rows.append(dm.eval_bracket(alg, s, alg.L_unit(i),
-                                            alg.L_unit(j)))
-            for ai in range(alg.dim_A):
-                rows.append(dm.eval_action(alg, alg.A_unit(ai), s))
+            for i, j in combinations(range(nL), 2):
+                rows.append(dm.eval_bracket(alg, s, unit_vec(nL, i),
+                                            unit_vec(nL, j)))
+            for ai in range(nA):
+                rows.append(dm.eval_action(alg, unit_vec(nA, ai), s))
         if alg.rho:
             for s1 in S.basis:
                 for s2 in S.basis:
-                    for ak in range(alg.dim_A):
-                        ra = dm.eval_rho(alg, s1, s2, alg.A_unit(ak))
+                    for ak in range(nA):
+                        ra = dm.eval_rho(alg, s1, s2, unit_vec(nA, ak))
                         if is_zero_vec(ra):
                             continue
-                        for lj in range(alg.dim_L):
+                        for lj in range(nL):
                             rows.append(
-                                dm.eval_action(alg, ra, alg.L_unit(lj)))
-        nxt = span(rows, alg.dim_L)
+                                dm.eval_action(alg, ra, unit_vec(nL, lj)))
+        nxt = span(rows, nL)
         if nxt == S:
             return S
         S = nxt
@@ -580,7 +590,7 @@ def _ref_closure_A(alg, v):
         rows = list(T.basis)
         for t in T.basis:
             for ai in range(alg.dim_A):
-                rows.append(dm.eval_amul(alg, alg.A_unit(ai), t))
+                rows.append(dm.eval_amul(alg, unit_vec(alg.dim_A, ai), t))
         nxt = span(rows, alg.dim_A)
         if nxt == T:
             return T
@@ -597,9 +607,9 @@ def _ref_null(dim, image):
 
 def _ref_structure(alg):
     """The six subspaces of `structure_ideals`, each read off the
-    oracle's dense evaluators instead of the signed lookups."""
+    oracle's dense evaluators instead of the incidence."""
     nL, nA = alg.dim_L, alg.dim_A
-    L, A = alg.L_unit, alg.A_unit
+    L, A = partial(unit_vec, nL), partial(unit_vec, nA)
 
     def flat(vectors):
         return tuple(c for v in vectors for c in v)
@@ -714,12 +724,15 @@ def test_closure_engine_matches_round_based_reference():
 # ---------------------------------------------------------------------------
 # differential check of the sparse products against the dense oracle
 #
-# `_dense_model` keeps the dense basis tables and evaluators the model had
-# before the decomposition layer moved onto the signed lookups.  The new
-# `_ideal_products` skips zero products, so the oracle's sequence is
-# compared with its zero vectors removed; tags, vectors and order must
-# otherwise agree exactly.  `_ideal_products` takes and yields sparse
-# rows, so its tags and vectors are made dense for the comparison.
+# `_dense_model` keeps the dense basis tables and evaluators the model
+# once had.  `_bracket` and `_product` form the products of sparse rows
+# off the incidence, and rho(x, y)(a) is `_product` over rho_by_pair with
+# the pairs {(i, j): x_i y_j}, as `_ideal_products` forms it; each is
+# compared with the dense evaluator.  `_ideal_products` skips zero
+# products, so the oracle's sequence is compared with its zero vectors
+# removed; tags, vectors and order must otherwise agree exactly.
+# `_ideal_products` takes and yields sparse rows, so its tags and vectors
+# are made dense for the comparison.
 
 
 def _random_vec(rng, n):
@@ -743,13 +756,21 @@ def _products_agree(alg, side, S):
 
 def _check_against_dense_oracle(alg, rng):
     nL, nA = alg.dim_L, alg.dim_A
+    inc = alg.incidence()
     for _ in range(4):
         x, y, z = (_random_vec(rng, nL) for _ in range(3))
         a, b = _random_vec(rng, nA), _random_vec(rng, nA)
-        assert alg.eval_bracket(x, y, z) == dm.eval_bracket(alg, x, y, z)
-        assert alg.eval_amul(a, b) == dm.eval_amul(alg, a, b)
-        assert alg.eval_action(a, x) == dm.eval_action(alg, a, x)
-        assert alg.eval_rho(x, y, a) == dm.eval_rho(alg, x, y, a)
+        sx, sy, sz = (sparse_row(r, nL) for r in (x, y, z))
+        sa, sb = sparse_row(a, nA), sparse_row(b, nA)
+        pairs = {(i, j): c * d for i, c in sx.items() for j, d in sy.items()}
+        assert dense_vec(_bracket(inc.bracket_by_L, sx, sy, sz), nL) \
+            == dm.eval_bracket(alg, x, y, z)
+        assert dense_vec(_product(inc.amul_by_A, sa, sb), nA) \
+            == dm.eval_amul(alg, a, b)
+        assert dense_vec(_product(inc.action_by_L, sa, sx), nL) \
+            == dm.eval_action(alg, a, x)
+        assert dense_vec(_product(inc.rho_by_pair, sa, pairs), nA) \
+            == dm.eval_rho(alg, x, y, a)
     rho_seen = False
     for v in (_random_homogeneous(rng, alg, "L") for _ in range(2)):
         rho_seen |= _products_agree(alg, "L", graded_ideal_generated_by(
@@ -854,18 +875,115 @@ def _check_orthogonality(alg, rng):
     return clean, dirty
 
 
-def test_orthogonality_matches_plain_scan():
-    rng = random.Random(7345)
+def _scan_instances(rng):
+    """The builtins, the rho seed, two direct sums and 30 random graded
+    tables with a nonzero rho."""
     instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
     instances += [direct_sum(builtin("a4"), builtin("gl2-trace")),
                   direct_sum(builtin("a4-dual-numbers"),
                              builtin("a4-dual-numbers"))]
-    instances += [_random_graded(rng) for _ in range(30)]
+    return instances + [_random_graded(rng) for _ in range(30)]
+
+
+def test_orthogonality_matches_plain_scan():
+    rng = random.Random(7345)
     clean = dirty = 0
-    for alg in instances:
+    for alg in _scan_instances(rng):
         c, d = _check_orthogonality(alg, rng)
         clean, dirty = clean + c, dirty + d
     assert clean and dirty
+
+
+def _plain_pairing(alg, L_ideals, A_ideals):
+    """The mapping of `pair_ideals` from a scan over every row pair
+    through the dense oracle."""
+    return {I.source_class.representative.coords: [
+        J.source_class.representative.coords for J in A_ideals
+        if any(not is_zero_vec(dm.eval_action(alg, a, x))
+               for a, x in product(J.subspace.basis, I.subspace.basis))]
+        for I in L_ideals}
+
+
+def _plain_simplicity(alg, side, C):
+    """(product_nonzero, AA_nonzero, AL_nonzero) of the graded ideal C
+    from scans over every row tuple through the dense oracle: [C, C, C],
+    A A and the A-basis acting on C for L; C C for A, whose verdict
+    leaves the other two at their default, True."""
+    nL, nA, rows = alg.dim_L, alg.dim_A, C.basis
+    if side == "A":
+        return (any(not is_zero_vec(dm.eval_amul(alg, u, v))
+                    for u, v in product(rows, repeat=2)), True, True)
+    return (any(not is_zero_vec(dm.eval_bracket(alg, u, v, w))
+                for u, v, w in product(rows, repeat=3)),
+            any(not is_zero_vec(dm.amul_basis(alg, i, j))
+                for i, j in product(range(nA), repeat=2)),
+            any(not is_zero_vec(dm.eval_action(alg, unit_vec(nA, ai), x))
+                for ai in range(nA) for x in rows))
+
+
+def _labelled(spaces, side):
+    """Ideal candidates whose class representatives have the coordinates
+    (side, position), as `pair_ideals` reads them."""
+    return [IdealCandidate(S, SimpleNamespace(
+        representative=SimpleNamespace(coords=(side, k))), side)
+        for k, S in enumerate(spaces)]
+
+
+def _check_pairing_and_simplicity(alg, rng, witnesses):
+    """`pair_ideals` and the verdicts of both simplicity checks against
+    the plain scans, on the cases of `_orthogonality_cases`, the class
+    ideals, the generated ideals and the whole spaces; counts the paired
+    and unpaired ideals and each witness in `witnesses`."""
+    supports = compute_supports(alg)
+    L_class = [build_I(alg, c) for c in sigma_classes(supports)]
+    A_class = [build_A_ideal(alg, c) for c in lambda_classes(supports)]
+    cases = _orthogonality_cases(alg, rng)
+    cases.append(([I.subspace for I in L_class],
+                  [J.subspace for J in A_class]))
+    for L_spaces, A_spaces in cases:
+        L_ideals, A_ideals = _labelled(L_spaces, "L"), _labelled(A_spaces, "A")
+        got = pair_ideals(alg, L_ideals, A_ideals, tight=True)
+        want = _plain_pairing(alg, L_ideals, A_ideals)
+        assert got.mapping == want
+        assert got.unique == all(len(h) == 1 for h in want.values())
+        paired = sum(map(len, want.values()))
+        witnesses["paired"] += paired
+        witnesses["unpaired"] += len(L_ideals) * len(A_ideals) - paired
+    graded = {
+        "L": [full_subspace(alg.dim_L)] + [I.subspace for I in L_class
+                                           if I.is_graded_ideal],
+        "A": [full_subspace(alg.dim_A)] + [J.subspace for J in A_class
+                                           if J.is_graded_ideal]}
+    graded["L"] += [graded_ideal_generated_by(
+        alg, _random_homogeneous(rng, alg, "L")) for _ in range(2)]
+    graded["A"] += [A_ideal_generated_by(
+        alg, _random_homogeneous(rng, alg, "A")) for _ in range(2)]
+    for side, check, zero in (("L", check_gr_simple_L, "zero-bracket"),
+                              ("A", check_gr_simple_A, "zero-product")):
+        for C in graded[side]:
+            got = check(alg, C)
+            nonzero, AA, AL = _plain_simplicity(alg, side, C)
+            assert (got.product_nonzero, got.AA_nonzero, got.AL_nonzero) \
+                == (nonzero, AA, AL)
+            if nonzero:
+                assert got.witness not in ("zero-bracket", "zero-product")
+            else:
+                assert (got.verdict, got.witness) == ("no", zero)
+            witnesses[got.witness if not nonzero else side] += 1
+            witnesses["AL" if AL else "no AL"] += side == "L"
+
+
+def test_pairing_and_simplicity_match_plain_scan():
+    """`pair_ideals`, the zero-product and zero-bracket tests, and
+    AL_nonzero read their products off the incidence; the dense oracle
+    scans every row tuple instead."""
+    rng = random.Random(5519)
+    witnesses = Counter()
+    for alg in _scan_instances(rng):
+        _check_pairing_and_simplicity(alg, rng, witnesses)
+    assert all(witnesses[k] for k in ("paired", "unpaired", "L", "A",
+                                      "zero-bracket", "zero-product", "AL",
+                                      "no AL"))
 
 
 def _fiber_meets(alg, space, C):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _ref_linalg as ref
-from _ref_linalg import is_zero_vec, vec_add, vec_scale
+from _ref_linalg import is_zero_vec, unit_vec, vec, vec_add, vec_scale
 from g3lr.linalg import (Subspace, _extend, complement, full_subspace,
                          intersect_subspaces, rref, solve_homogeneous,
-                         span, sum_subspaces, unit_vec, vec, zero_vec)
+                         span, sum_subspaces, zero_vec)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 

@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import _dense_model as dm
 from _cases import rational_seed, rational_seed_mutant, rho_trace_seed
-from _ref_linalg import is_zero_vec, vec_add, vec_scale
+from _ref_linalg import is_zero_vec, unit_vec, vec, vec_add, vec_scale
 from test_decompose import NON_INTEGRAL, _non_integral_instances, \
     _random_graded
 from g3lr.axioms import run_all
 from g3lr.catalog import builtin
-from g3lr.decompose import (decompose, graded_ideal_generated_by,
-                            structure_ideals, verify_ideal_A,
-                            verify_ideal_L)
+from g3lr.decompose import (_bracket, _product, decompose,
+                            graded_ideal_generated_by, structure_ideals,
+                            verify_ideal_A, verify_ideal_L)
 from g3lr.groups import GroupSpec
-from g3lr.linalg import Subspace, dense_vec, vec
+from g3lr.linalg import Subspace, dense_vec, sparse_row
 from g3lr.model import Algebra3LR, GradedBasis
 
 _scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -103,63 +103,57 @@ def test_zero_entries_dropped():
     assert again.bracket[(0, 1, 2)] == {3: Fraction(1)}
 
 
-def test_bracket_sign_expansion():
-    alg = builtin("a4")
-    v = alg.bracket_entry(0, 1, 2)
-    assert v and alg.bracket_entry(1, 0, 2) == {m: -c for m, c in v.items()}
-    assert alg.bracket_entry(2, 0, 1) == v
-    assert not alg.bracket_entry(0, 0, 2)
-    for key in ((0, 1, 2), (1, 0, 2), (2, 0, 1), (0, 0, 2)):
-        assert dense_vec(alg.bracket_entry(*key), 4) \
-            == dm.bracket_basis(alg, *key)
-
-
-def test_amul_symmetric_lookup():
-    alg = builtin("a4-dual-numbers")
-    assert alg.amul_entry(0, 1) == alg.amul_entry(1, 0)
-    assert dense_vec(alg.amul_entry(1, 0), 2) == dm.amul_basis(alg, 0, 1)
+def _bracket_of(alg, x, y, z):
+    """[x, y, z] of dense vectors, formed by `decompose._bracket` on
+    their sparse rows off the incidence, as a dense vector."""
+    n = alg.dim_L
+    rows = (sparse_row(r, n) for r in (x, y, z))
+    return dense_vec(_bracket(alg.incidence().bracket_by_L, *rows), n)
 
 
 @settings(max_examples=25)
 @given(st.data())
 def test_eval_bracket_alternating_and_multilinear(data):
+    """The bracket of sparse rows is alternating in every pair of slots
+    and linear in the first."""
     alg = builtin("a4")
     x = data.draw(_lvec(alg))
     y = data.draw(_lvec(alg))
     z = data.draw(_lvec(alg))
     c = data.draw(_scalars)
-    assert is_zero_vec(alg.eval_bracket(x, x, y))
-    assert alg.eval_bracket(x, y, z) == \
-        vec_scale(-1, alg.eval_bracket(y, x, z))
-    lhs = alg.eval_bracket(vec_add(x, vec_scale(c, y)), y, z)
-    assert lhs == alg.eval_bracket(x, y, z)
-    lhs2 = alg.eval_bracket(vec_add(x, vec_scale(c, z)), y, z)
-    rhs2 = vec_add(alg.eval_bracket(x, y, z),
-                   vec_scale(c, alg.eval_bracket(z, y, z)))
+    assert is_zero_vec(_bracket_of(alg, x, x, y))
+    assert _bracket_of(alg, x, y, z) == \
+        vec_scale(-1, _bracket_of(alg, y, x, z))
+    assert _bracket_of(alg, x, y, z) == \
+        vec_scale(-1, _bracket_of(alg, x, z, y))
+    lhs = _bracket_of(alg, vec_add(x, vec_scale(c, y)), y, z)
+    assert lhs == _bracket_of(alg, x, y, z)
+    lhs2 = _bracket_of(alg, vec_add(x, vec_scale(c, z)), y, z)
+    rhs2 = vec_add(_bracket_of(alg, x, y, z),
+                   vec_scale(c, _bracket_of(alg, z, y, z)))
     assert lhs2 == rhs2
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_eval_matches_basis_tables(data):
+    """The products of unit rows off the incidence are the dense basis
+    products: the bracket under any argument order, with its sign, and
+    the product of A in either order."""
     alg = builtin("tight-pair")
-    i = data.draw(st.integers(0, alg.dim_L - 1))
-    j = data.draw(st.integers(0, alg.dim_L - 1))
-    k = data.draw(st.integers(0, alg.dim_L - 1))
-    ai = data.draw(st.integers(0, alg.dim_A - 1))
-    assert alg.eval_bracket(alg.L_unit(i), alg.L_unit(j), alg.L_unit(k)) \
-        == dm.bracket_basis(alg, i, j, k)
-    assert alg.eval_action(alg.A_unit(ai), alg.L_unit(i)) \
+    nL, nA, inc = alg.dim_L, alg.dim_A, alg.incidence()
+    i = data.draw(st.integers(0, nL - 1))
+    j = data.draw(st.integers(0, nL - 1))
+    k = data.draw(st.integers(0, nL - 1))
+    ai = data.draw(st.integers(0, nA - 1))
+    aj = data.draw(st.integers(0, nA - 1))
+    assert dense_vec(_bracket(inc.bracket_by_L, {i: 1}, {j: 1}, {k: 1}),
+                     nL) == dm.bracket_basis(alg, i, j, k)
+    assert dense_vec(_product(inc.action_by_L, {ai: 1}, {i: 1}), nL) \
         == dm.action_basis(alg, ai, i)
-    assert alg.eval_amul(alg.A_unit(ai), alg.A_unit(0)) \
-        == dm.amul_basis(alg, ai, 0)
-
-
-def test_eval_rho_on_trace_instance():
-    alg = builtin("gl2-trace")
-    # rho vanishes here; the evaluator must agree
-    assert is_zero_vec(alg.eval_rho(alg.L_unit(0), alg.L_unit(3),
-                                    alg.A_unit(0)))
+    for a, b in ((ai, aj), (aj, ai)):
+        assert dense_vec(_product(inc.amul_by_A, {a: 1}, {b: 1}), nA) \
+            == dm.amul_basis(alg, ai, aj)
 
 
 def test_fibers_partition_dimensions():
@@ -179,28 +173,27 @@ def test_fiber_indices_match_fiber():
     assert alg.fiber("A", g).dim == 0
 
 
-def test_unit_helpers():
-    alg = builtin("a4")
-    assert alg.L_unit(2)[2] == 1 and sum(alg.L_unit(2)) == 1
-    assert alg.A_unit(0)[0] == 1
-
-
-def _flat(by_index, key):
-    """{key(m, other): image} over an incidence map m -> [(other, image)],
-    which must list each `other` once per m and no zero image."""
+def _flat(by_index, key, n):
+    """{key(m, other): dense image of length n} over an incidence map
+    m -> [(other, image)], which must list each `other` once per m and
+    no zero image."""
     out = {key(m, other): image
            for m, pairs in by_index.items() for other, image in pairs}
     assert len(out) == sum(map(len, by_index.values()))
     assert all(out.values())
-    return out
+    return {k: dense_vec(image, n) for k, image in out.items()}
 
 
-def _lookups(lookup, *ranges):
-    """{index tuple: image} over all basis tuples with a nonzero image."""
-    return {idx: lookup(*idx) for idx in product(*ranges) if lookup(*idx)}
+def _basis_table(alg, basis, *ranges):
+    """{index tuple: image} over all basis tuples with a nonzero image
+    under the dense, signed `_dense_model` basis product `basis`."""
+    images = {idx: basis(alg, *idx) for idx in product(*ranges)}
+    return {idx: v for idx, v in images.items() if not is_zero_vec(v)}
 
 
 def test_incidence_matches_signed_lookups():
+    """Every incidence map lists exactly the nonzero basis products of
+    the dense oracle, each signed bracket under every argument order."""
     rng = random.Random(811)
     instances = [builtin(name) for name in
                  ("trivial", "a4", "gl2-trace", "a4-dual-numbers",
@@ -210,19 +203,20 @@ def test_incidence_matches_signed_lookups():
     for alg in instances:
         inc = alg.incidence()
         assert alg.incidence() is inc
-        rL, rA = range(alg.dim_L), range(alg.dim_A)
-        brackets = _lookups(alg.bracket_entry, rL, rL, rL)
+        nL, nA = alg.dim_L, alg.dim_A
+        rL, rA = range(nL), range(nA)
+        brackets = _basis_table(alg, dm.bracket_basis, rL, rL, rL)
         assert _flat({xy: list(d.items()) for xy, d in inc.ad.items()},
-                     lambda xy, p: (p,) + xy) == brackets
-        assert _flat(inc.bracket_by_L, lambda p, ij: (p,) + ij) \
+                     lambda xy, p: (p,) + xy, nL) == brackets
+        assert _flat(inc.bracket_by_L, lambda p, ij: (p,) + ij, nL) \
             == {k: e for k, e in brackets.items() if k[1] < k[2]}
-        actions = _lookups(alg.action_entry, rA, rL)
-        assert _flat(inc.action_by_L, lambda m, ai: (ai, m)) == actions
-        assert _flat(inc.action_by_A, lambda a, lj: (a, lj)) == actions
-        assert _flat(inc.amul_by_A, lambda m, ai: (ai, m)) \
-            == _lookups(alg.amul_entry, rA, rA)
-        assert _flat(inc.rho_by_pair, lambda ij, ak: ij + (ak,)) \
-            == _lookups(alg.rho_entry, rL, rL, rA)
+        actions = _basis_table(alg, dm.action_basis, rA, rL)
+        assert _flat(inc.action_by_L, lambda m, ai: (ai, m), nL) == actions
+        assert _flat(inc.action_by_A, lambda a, lj: (a, lj), nL) == actions
+        assert _flat(inc.amul_by_A, lambda m, ai: (ai, m), nA) \
+            == _basis_table(alg, dm.amul_basis, rA, rA)
+        assert _flat(inc.rho_by_pair, lambda ij, ak: ij + (ak,), nA) \
+            == _basis_table(alg, dm.rho_basis, rL, rL, rA)
 
 
 def _view_of(c):
@@ -231,9 +225,9 @@ def _view_of(c):
 
 
 def test_incidence_images_and_coefficient_view():
-    """The image tables hold the signed lookups of every basis tuple,
-    and every coefficient of the incidence is an int exactly when it is
-    integral, a Fraction otherwise."""
+    """The image tables hold the dense basis products of `_dense_model`
+    for every basis tuple, and every coefficient of the incidence is an
+    int exactly when it is integral, a Fraction otherwise."""
     rng = random.Random(812)
     instances = [builtin(name) for name in ("trivial", "a4", "gl2-trace",
                                             "a4-dual-numbers")]
@@ -243,11 +237,16 @@ def test_incidence_images_and_coefficient_view():
     kinds = set()
     for alg in instances:
         inc = alg.incidence()
-        rL, rA = range(alg.dim_L), range(alg.dim_A)
-        assert inc.rho == [[[alg.rho_entry(x, y, a) for a in rA]
-                            for y in rL] for x in rL]
-        assert inc.act == [[alg.action_entry(a, x) for x in rL] for a in rA]
-        assert inc.mul == [[alg.amul_entry(a, b) for b in rA] for a in rA]
+        nL, nA = alg.dim_L, alg.dim_A
+        rL, rA = range(nL), range(nA)
+        assert [[[dense_vec(e, nA) for e in row] for row in plane]
+                for plane in inc.rho] \
+            == [[[dm.rho_basis(alg, x, y, a) for a in rA] for y in rL]
+                for x in rL]
+        assert [[dense_vec(e, nL) for e in row] for row in inc.act] \
+            == [[dm.action_basis(alg, a, x) for x in rL] for a in rA]
+        assert [[dense_vec(e, nA) for e in row] for row in inc.mul] \
+            == [[dm.amul_basis(alg, a, b) for b in rA] for a in rA]
         assert inc.hits == [[(key, e[p]) for key, e in alg.bracket.items()
                              if p in e] for p in rL]
         images = [e for row in inc.rho for r in row for e in r]
@@ -299,9 +298,9 @@ def _check_certificate(cert):
 
 def test_public_surface_stays_fraction():
     """The int view stays inside the kernels and the subspace rows: the
-    stored tables, subspace bases, the evaluators, violations,
-    certificates and the decomposition all carry Fractions, and subspace
-    rows the exact view, on integral and non-integral tables alike."""
+    stored tables, subspace bases, violations, certificates and the
+    decomposition all carry Fractions, and subspace rows the exact
+    view, on integral and non-integral tables alike."""
     rng = random.Random(97)
     instances = [builtin("a4"), builtin("a4-dual-numbers"), rho_trace_seed(),
                  rational_seed(), rational_seed_mutant()]
@@ -317,19 +316,12 @@ def test_public_surface_stays_fraction():
                 if v.rhs[:1] != ("expected-degree",):
                     assert _all_fraction(v.rhs)
                 violations += 1
-        nL, nA = alg.dim_L, alg.dim_A
-        x, y, z = ([rng.choice((0, 1, -2)) for _ in range(nL)]
-                   for _ in range(3))
-        a, b = ([rng.choice((0, 1, 3)) for _ in range(nA)] for _ in range(2))
-        for out in (alg.eval_bracket(x, y, z), alg.eval_amul(a, b),
-                    alg.eval_action(a, x), alg.eval_rho(x, y, a)):
-            assert _all_fraction(out)
         spaces = list(_subspaces(structure_ideals(alg)))
         for d in set(alg.L.degrees):
             F = alg.fiber("L", d)
             _check_certificate(verify_ideal_L(alg, F)[1])
             spaces += [F, graded_ideal_generated_by(
-                alg, F.basis[0] if F.dim else alg.L_unit(0))]
+                alg, F.basis[0] if F.dim else unit_vec(alg.dim_L, 0))]
         for d in set(alg.A.degrees):
             _check_certificate(verify_ideal_A(alg, alg.fiber("A", d))[1])
         if report.passed:
