@@ -18,25 +18,29 @@ visited.  Each check builds its tuples from the nonzero operators:
   (x, y), those with rho(x, y) != 0, and from the stored triples whose
   bracket reaches the first slot of a live pair;
 - the Rinehart identities, from the pairs with ad(x, y) or rho(x, y)
-  nonzero, and from the A-basis vectors that a live rho reaches;
-- the rho-derivation identity, from the live pairs.
-Each rule sits next to its proof in the code, so the work grows with
-the nonzero terms and a pass is still a proof.
+  nonzero and the action and product keys their images reach;
+- the rho-derivation identity, from the live pairs;
+- the A-algebra identities, from the nonzero products and actions.
+The fundamental, Rinehart and A-algebra checks sum each side per
+witness, one nonzero term at a time.  Each rule sits next to its proof
+in the code, so the work grows with the nonzero terms and a pass is
+still a proof.
 
 Each side of an identity is built as a sparse {index: coefficient}
 vector from the nonzero entries of the instance's `model.Incidence`,
 which is built once and shared by all checks: the maps ad(x, y), the
-bracket pairs and bracket hits of each basis index, and the basis images
-of rho, the action and the product, in the incidence's coefficient view
-(ints where integral, see `model`).  The left side of the fundamental
-identity on (i, j, k, l, m), for instance, is the sum of c_p [p, l, m]
-over the entries c_p of [i, j, k], so empty products cost nothing.  The
-two sides are compared with their zero coefficients dropped, and dense
-Fraction `lhs`/`rhs` tuples are built only for a recorded Violation.
+bracket pairs, bracket hits and action hits of each basis index, and the
+basis images of rho, the action and the product, in the incidence's
+coefficient view (ints where integral, see `model`).  The left side of
+the fundamental identity on (i, j, k, l, m), for instance, is the sum of
+c_p [p, l, m] over the entries c_p of [i, j, k], so empty products cost
+nothing.  The two sides are compared with their zero coefficients
+dropped, and dense Fraction `lhs`/`rhs` tuples are built only for a
+recorded Violation.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 
 from .linalg import dense_vec
 from .model import TABLES
@@ -229,70 +233,61 @@ def check_representation(alg):
 
 def check_rinehart_compat(alg):
     """[x,y,a z] = a[x,y,z] + (rho(x,y)a) z  and
-    rho(a x, y) = rho(x, a y) = a rho(x, y)  on all basis tuples."""
+    rho(a x, y) = rho(x, a y) = a rho(x, y)  on all basis tuples.
+
+    As in `check_fundamental_identity`, each side is summed per witness
+    over its nonzero terms, with D = ad(x, y): [x,y,a z] = sum of
+    (a z)_p D p over `acted_into[p]`, a[x,y,z] = sum of (D z)_p a p and
+    (rho(x,y)a) z = sum of (rho(x,y)a)_q q z; rho(a x, y) b = sum of
+    (a x)_p rho(p, y) b over the live pairs (p, y) and `acted_into[p]`,
+    rho(x, a y) b likewise, and a rho(x, y) b = sum of (rho(x,y)b)_q a q.
+    A witness that no term reaches has both sides zero and holds, so the
+    sorted reached witnesses, the bracket clause first and `rho-left`
+    before `rho-right`, give the violations of a full scan in order."""
     out = []
     nL, nA = alg.dim_L, alg.dim_A
     incidence = alg.incidence()
-    ad, rho, live = incidence.ad, incidence.rho, incidence.rho_by_pair
-    act, mul = incidence.act, incidence.mul
-    # acted_into[p] = [(z, a) : p in supp(a z)], over the stored action
-    acted_into = {}
-    for (ak, z), e in alg.action.items():
-        for p in e:
-            acted_into.setdefault(p, []).append((z, ak))
-    # Skip: [x,y,a z] and a[x,y,z] apply ad(x, y), and (rho(x,y)a) z
-    # applies rho(x, y); both are zero on the pairs in neither map.
+    ad, live, acted_into = (incidence.ad, incidence.rho_by_pair,
+                            incidence.acted_into)
+    by_L, by_A = incidence.action_by_L, incidence.action_by_A
+    # Skip: each term applies ad(x, y) or rho(x, y), so a pair in
+    # neither map reaches no witness.
     for x, y in sorted(ad.keys() | live.keys()):
-        row = ad.get((x, y), {})
-        bxy = [row.get(p, {}) for p in range(nL)]
-        # Skip: [x,y,a z] applies ad(x, y) to supp(a z), a[x,y,z] scales
-        # [x,y,z] = ad(x, y) z and (rho(x,y)a) z scales z by rho(x,y)a.
-        # So (z, a) has a nonzero term only if z is in the domain of
-        # ad(x, y), a in the domain of rho(x, y), or supp(a z) meets the
-        # domain of ad(x, y); these are the candidates, evaluated in the
-        # (z, a) order of a full scan.
-        todo = set(product(row, range(nA)))
-        if (x, y) in live:
-            todo.update(product(range(nL), [ak for ak, _ in live[(x, y)]]))
-        for p in row:
-            todo.update(acted_into.get(p, ()))
-        for z, ak in sorted(todo):
-            az, bxyz = act[ak][z], bxy[z]
-            lhs, rhs = {}, {}
-            _apply(lhs, az, bxy)
-            _apply(rhs, bxyz, act[ak])
-            for q, c in rho[x][y][ak].items():
-                _add(rhs, c, act[q][z])
-            _check(out, RINEHART, ("bracket", x, y, z, ak), lhs, rhs, nL)
-    # Skip: rho(a x, y) b sums rho(p, y) b over p in supp(a x),
-    # rho(x, a y) b sums rho(x, p) b over p in supp(a y), and
-    # a rho(x, y) b applies rho(x, y) to b.  So (x, y, b) has a nonzero
-    # term only if b is in the domain of a live pair (p, y) with p in
-    # supp(a x), of a live pair (x, p) with p in supp(a y), or of
-    # (x, y) itself.  reached_by[p] = {x : p in supp(a x) for some a}.
-    reached_by = {p: {x for x, _ in pairs}
-                  for p, pairs in acted_into.items()}
-    bs = {}
+        d = ad.get((x, y), {})
+        lhs, rhs = {}, {}
+        for p, dp in d.items():
+            for key, c in acted_into[p]:
+                _add(lhs.setdefault(key, {}), c, dp)
+            # a[x,y,z] at z = p
+            for q, c in dp.items():
+                for ak, e in by_L.get(q, ()):
+                    _add(rhs.setdefault((p, ak), {}), c, e)
+        for ak, r in live.get((x, y), ()):
+            for q, c in r.items():
+                for z, e in by_A.get(q, ()):
+                    _add(rhs.setdefault((z, ak), {}), c, e)
+        for key in sorted(lhs.keys() | rhs.keys()):
+            _check(out, RINEHART, ("bracket", x, y) + key,
+                   lhs.get(key, {}), rhs.get(key, {}), nL)
+    left, mid, scaled = {}, {}, {}
     for (u, v), images in live.items():
-        dom = [bk for bk, _ in images]
-        for pair in ([(u, v)] + [(x, v) for x in reached_by.get(u, ())]
-                     + [(u, y) for y in reached_by.get(v, ())]):
-            bs.setdefault(pair, set()).update(dom)
-    for (x, y), dom in sorted(bs.items()):
-        dom = sorted(dom)
-        for ak in range(nA):
-            ax, ay = act[ak][x], act[ak][y]
-            for bk in dom:
-                left, mid, scaled = {}, {}, {}
-                for p, c in ax.items():
-                    _add(left, c, rho[p][y][bk])
-                for p, c in ay.items():
-                    _add(mid, c, rho[x][p][bk])
-                _apply(scaled, rho[x][y][bk], mul[ak])
-                _check(out, RINEHART, ("rho-left", x, y, ak, bk),
-                       left, scaled, nA)
-                _check(out, RINEHART, ("rho-right", x, y, ak, bk),
-                       mid, scaled, nA)
+        for bk, r in images:
+            # (u, v) = (p, y) of rho(a x, y) b
+            for (x, ak), c in acted_into[u]:
+                _add(left.setdefault((x, v, ak, bk), {}), c, r)
+            # (u, v) = (x, p) of rho(x, a y) b
+            for (y, ak), c in acted_into[v]:
+                _add(mid.setdefault((u, y, ak, bk), {}), c, r)
+            # (u, v) = (x, y) of a rho(x, y) b
+            for q, c in r.items():
+                for ak, e in incidence.amul_by_A.get(q, ()):
+                    _add(scaled.setdefault((u, v, ak, bk), {}), c, e)
+    for key in sorted(left.keys() | mid.keys() | scaled.keys()):
+        rhs = scaled.get(key, {})
+        _check(out, RINEHART, ("rho-left",) + key, left.get(key, {}), rhs,
+               nA)
+        _check(out, RINEHART, ("rho-right",) + key, mid.get(key, {}), rhs,
+               nA)
     return out
 
 
@@ -319,24 +314,39 @@ def check_rho_derivation(alg):
 
 def check_A_algebra(alg):
     """Associativity (ab)c = a(bc) on A-basis triples and the module
-    law (ab)x = a(bx) on mixed triples.  Commutativity is structural."""
+    law (ab)x = a(bx) on mixed triples.  Commutativity is structural.
+
+    Each side is summed per witness over its nonzero terms: (ab)c and
+    (ab)x sum (ab)_p p c and (ab)_p p x, a(bc) and a(bx) sum (bc)_q a q
+    and (bx)_q a q.  A witness that no term reaches has both sides zero
+    and holds, so the sorted reached witnesses, associativity first,
+    give the violations of a full scan in order."""
     out = []
-    nA, nL = alg.dim_A, alg.dim_L
     incidence = alg.incidence()
-    act, mul = incidence.act, incidence.mul
-    for i, j, k in product(range(nA), repeat=3):
-        lhs, rhs = {}, {}
-        for p, c in mul[i][j].items():
-            _add(lhs, c, mul[p][k])
-        _apply(rhs, mul[j][k], mul[i])
-        _check(out, A_ALGEBRA, ("assoc", i, j, k), lhs, rhs, nA)
-    for i, j in product(range(nA), repeat=2):
-        for x in range(nL):
-            lhs, rhs = {}, {}
-            for p, c in mul[i][j].items():
-                _add(lhs, c, act[p][x])
-            _apply(rhs, act[j][x], act[i])
-            _check(out, A_ALGEBRA, ("module", i, j, x), lhs, rhs, nL)
+    by_L, by_A = incidence.action_by_L, incidence.action_by_A
+    mul_by_A = incidence.amul_by_A
+    assoc_l, assoc_r, module_l, module_r = {}, {}, {}, {}
+    # each ordered pair (i, j) with e_i e_j != 0, once
+    for j, products in mul_by_A.items():
+        for i, ab in products:
+            for p, c in ab.items():
+                # e = e_k e_p: a term of (ab)c at (i, j, k) and, with
+                # (i, j) as (b, c), of a(bc) at (k, i, j)
+                for k, e in mul_by_A.get(p, ()):
+                    _add(assoc_l.setdefault((i, j, k), {}), c, e)
+                    _add(assoc_r.setdefault((k, i, j), {}), c, e)
+                for x, e in by_A.get(p, ()):
+                    _add(module_l.setdefault((i, j, x), {}), c, e)
+    for j, images in by_A.items():
+        for x, bx in images:
+            for q, c in bx.items():
+                for i, e in by_L.get(q, ()):
+                    _add(module_r.setdefault((i, j, x), {}), c, e)
+    for axiom, lhs, rhs, dim in (("assoc", assoc_l, assoc_r, alg.dim_A),
+                                 ("module", module_l, module_r, alg.dim_L)):
+        for key in sorted(lhs.keys() | rhs.keys()):
+            _check(out, A_ALGEBRA, (axiom,) + key, lhs.get(key, {}),
+                   rhs.get(key, {}), dim)
     return out
 
 

@@ -67,7 +67,9 @@ def _parse_fraction(s, where):
         if digits is not None and len(digits) > MAX_DIGITS:
             raise ParseError(where, "rational %s has %d digits, over the "
                              "cap of %d" % (part, len(digits), MAX_DIGITS))
-    return Fraction(s)
+    # the value from the groups: Fraction(s) would match s again
+    num = -int(m[1]) if s[0] == "-" else int(m[1])
+    return Fraction(num, int(m[2])) if m[2] else Fraction(num)
 
 
 def _int_list(value, where, what):

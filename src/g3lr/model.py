@@ -83,7 +83,8 @@ class GradedBasis:
 def _sparse(entries, dim):
     out = {}
     for idx, c in entries.items():
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c != 0:
             if not 0 <= idx < dim:
                 raise ValueError("structure constant index out of range")
@@ -154,13 +155,14 @@ class Incidence:
       bracket_by_L[p]     [((i, j), [p, i, j])] over i < j
       hits[p]             [(T, [T]_p)] over the stored triples T whose
                           image has p
+      acted_into[p]       [((l_j, a_i), (a_i l_j)_p)] over the stored
+                          action keys whose image has p
       action_by_L[m]      [(a_i, a_i l_m)]
       action_by_A[a]      [(l_j, a l_j)]
       amul_by_A[m]        [(a_i, a_i a_m)]
       rho_by_pair[(i, j)] [(a_k, rho(i, j)(a_k))]
       rho_by_L[i]         [((j, a_k), rho(i, j)(a_k))]
       rho[x][y][a]        rho(x, y)(a)
-      act[a][x]           a x
       mul[a][b]           a b
 
     A key is present only with a nonempty list, so `(x, y) in rho_by_pair`
@@ -186,10 +188,12 @@ class Incidence:
                 self.ad.setdefault((x, y), {})[p] = v
                 if x < y:
                     self.bracket_by_L.setdefault(p, []).append(((x, y), v))
-        self.act = [[_EMPTY] * nL for _ in range(nA)]
         self.action_by_L, self.action_by_A = {}, {}
+        self.acted_into = [[] for _ in range(nL)]
         for (ai, m), e in alg.action.items():
-            self.act[ai][m] = e = _exact(e)
+            e = _exact(e)
+            for p, c in e.items():
+                self.acted_into[p].append(((m, ai), c))
             self.action_by_L.setdefault(m, []).append((ai, e))
             self.action_by_A.setdefault(ai, []).append((m, e))
         self.mul = [[_EMPTY] * nA for _ in range(nA)]

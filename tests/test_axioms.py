@@ -430,36 +430,77 @@ def test_each_representation_term_kind_is_found():
 
 def _rinehart_term_cases():
     """name -> (instance, witness): at the witness exactly one term of
-    [x,y,a z] = a[x,y,z] + (rho(x,y)a) z is nonzero, the named one, and
-    only its own source of candidates proposes the witness's (z, a)."""
+    [x,y,a z] = a[x,y,z] + (rho(x,y)a) z or of
+    rho(a x, y) b = rho(x, a y) b = a rho(x, y) b is nonzero, the named
+    one, so only that term reaches the witness."""
     return {
-        # a0 [v0, v1, v2] = a0 v0 = v0, while a0 v2 = 0: z = v2 is in
-        # the domain of ad(v0, v1)
+        # a0 [v0, v1, v2] = a0 v0 = v0, while a0 v2 = 0
         "bracket-of-z": (_bare(3, 1, {(0, 1, 2): {0: 1}}, {},
                                action={(0, 0): {0: 1}}),
                          ("bracket", 0, 1, 2, 0)),
-        # (rho(v0, v1) a0) v2 = a1 v2 = v2, with a zero bracket: a0 is
-        # in the domain of rho(v0, v1)
+        # (rho(v0, v1) a0) v2 = a1 v2 = v2, with a zero bracket
         "rho-of-a": (_bare(3, 2, {}, {(0, 1, 0): {1: 1}},
                            action={(1, 2): {2: 1}}),
                      ("bracket", 0, 1, 2, 0)),
-        # [v0, v1, a0 v3] = [v0, v1, v2] = v0, while [v0, v1, v3] = 0:
-        # supp(a0 v3) = {v2} meets the domain of ad(v0, v1)
+        # [v0, v1, a0 v3] = [v0, v1, v2] = v0, while [v0, v1, v3] = 0
         "a-times-z": (_bare(4, 1, {(0, 1, 2): {0: 1}}, {},
                             action={(0, 3): {2: 1}}),
                       ("bracket", 0, 1, 3, 0)),
+        # rho(a0 v0, v1) a0 = rho(v2, v1) a0 = a0, while a0 v1 = 0 and
+        # rho(v0, v1) = 0
+        "rho-of-a-x": (_bare(3, 1, {}, {(2, 1, 0): {0: 1}},
+                             action={(0, 0): {2: 1}}),
+                       ("rho-left", 0, 1, 0, 0)),
+        # rho(v0, a0 v1) a0 = rho(v0, v2) a0 = a0, while a0 v0 = 0 and
+        # rho(v0, v1) = 0
+        "rho-of-a-y": (_bare(3, 1, {}, {(0, 2, 0): {0: 1}},
+                             action={(0, 1): {2: 1}}),
+                       ("rho-right", 0, 1, 0, 0)),
+        # a0 rho(v0, v1) a0 = a0 a0 = a0, with a zero action
+        "a-times-rho": (_bare(2, 1, {}, {(0, 1, 0): {0: 1}},
+                              amul={(0, 0): {0: 1}}),
+                        ("rho-left", 0, 1, 0, 0)),
     }
 
 
 def test_each_rinehart_bracket_term_is_found():
-    """Each term of the Rinehart bracket clause reaches the check
-    through its own source of candidates; an instance whose witness has
-    only that term nonzero fails exactly where the dense reference
-    fails."""
+    """Each term of the Rinehart bracket clause and of the rho clauses
+    is accumulated on its own; an instance whose witness has only that
+    term nonzero fails exactly where the dense reference fails."""
     for name, (alg, witness) in _rinehart_term_cases().items():
         got = check_rinehart_compat(alg)
         assert witness in [v.witness for v in got], name
         assert _rows(got) == _rows(dense.check_rinehart_compat(alg)), name
+
+
+def _A_algebra_term_cases():
+    """name -> (instance, witness): at the witness exactly one term of
+    (ab)c = a(bc) or (ab)x = a(bx) is nonzero, the named one."""
+    return {
+        # (a0 a1) a2 = a2 a2 = a0, while a1 a2 = 0
+        "ab-c": (_bare(1, 3, {}, {}, amul={(0, 1): {2: 1}, (2, 2): {0: 1}}),
+                 ("assoc", 0, 1, 2)),
+        # a0 (a1 a2) = a0 a0 = a0, while a0 a1 = 0
+        "a-bc": (_bare(1, 3, {}, {}, amul={(1, 2): {0: 1}, (0, 0): {0: 1}}),
+                 ("assoc", 0, 1, 2)),
+        # (a0 a1) v0 = a0 v0 = v0, while a1 v0 = 0
+        "ab-x": (_bare(1, 2, {}, {}, amul={(0, 1): {0: 1}},
+                       action={(0, 0): {0: 1}}),
+                 ("module", 0, 1, 0)),
+        # a0 (a1 v0) = a0 v0 = v0, while a0 a1 = 0
+        "a-bx": (_bare(1, 2, {}, {}, action={(0, 0): {0: 1}, (1, 0): {0: 1}}),
+                 ("module", 0, 1, 0)),
+    }
+
+
+def test_each_A_algebra_term_is_found():
+    """Each term of associativity and of the module law is accumulated
+    on its own; an instance whose witness has only that term nonzero
+    fails exactly where the dense reference fails."""
+    for name, (alg, witness) in _A_algebra_term_cases().items():
+        got = check_A_algebra(alg)
+        assert witness in [v.witness for v in got], name
+        assert _rows(got) == _rows(dense.check_A_algebra(alg)), name
 
 
 def test_diagonal_rho_entry_breaks_antisymmetry():

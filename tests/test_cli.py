@@ -146,7 +146,9 @@ def test_non_integer_degree_string_is_a_parse_error(tmp_path):
     assert code == EXIT_PARSE
 
 
-@pytest.mark.parametrize("value", ["1e3", "0.5", " 1", "1/-2", "+1", 1])
+# "007/010": the grammar allows leading zeros in the numerator only
+@pytest.mark.parametrize("value", ["1e3", "0.5", " 1", "1/-2", "+1", 1,
+                                   "007/010"])
 def test_rejects_rationals_outside_the_schema_grammar(value):
     doc = _a4_doc()
     doc["bracket"][0]["value"] = {"e4": value}
@@ -171,6 +173,47 @@ def test_rationals_at_the_digit_cap_parse():
     alg = instance_from_dict(doc)
     assert alg.bracket[(0, 1, 2)] == {
         3: Fraction(-int("7" * MAX_DIGITS), 10 ** (MAX_DIGITS - 1))}
+
+
+def _parsed_coefficient(s):
+    """The coefficient stored for the string s in the first bracket entry
+    of a4, or None when no entry is stored."""
+    doc = _a4_doc()
+    doc["bracket"][0]["value"] = {"e4": s}
+    return instance_from_dict(doc).bracket.get((0, 1, 2), {}).get(3)
+
+
+def _assert_parses_as_fraction(s):
+    got = _parsed_coefficient(s)
+    if Fraction(s) == 0:
+        assert got is None, s
+    else:
+        assert got == Fraction(s) and type(got) is Fraction, s
+
+
+@pytest.mark.parametrize("s", [
+    "6/4", "-12/8", "007/10", "1", "-1", "0010", "-0", "0", "0/7", "-0/7",
+    pytest.param("9" * MAX_DIGITS, id="numerator-at-cap"),
+    pytest.param("-" + "0" * (MAX_DIGITS - 1) + "3/" + "9" * MAX_DIGITS,
+                 id="both-at-cap"),
+    pytest.param("1/1" + "0" * (MAX_DIGITS - 1), id="denominator-at-cap")])
+def test_coefficient_parses_as_its_fraction(s):
+    _assert_parses_as_fraction(s)
+
+
+# strings of the coefficient grammar of docs/instance.schema.json
+_RATIONALS = st.builds(
+    lambda sign, num, den: sign + num + ("/" + den if den else ""),
+    st.sampled_from(("", "-")), st.text("0123456789", min_size=1,
+                                        max_size=30),
+    st.one_of(st.none(), st.builds(str.__add__, st.sampled_from("123456789"),
+                                   st.text("0123456789", max_size=30))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_RATIONALS)
+def test_every_coefficient_of_the_grammar_parses_as_its_fraction(s):
+    _assert_parses_as_fraction(s)
 
 
 def _validate_exit_code(tmp_path, doc):

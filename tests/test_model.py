@@ -226,7 +226,8 @@ def _view_of(c):
 
 def test_incidence_images_and_coefficient_view():
     """The image tables hold the dense basis products of `_dense_model`
-    for every basis tuple, and every coefficient of the incidence is an
+    for every basis tuple, `hits` and `acted_into` list the stored keys
+    that reach each index, and every coefficient of the incidence is an
     int exactly when it is integral, a Fraction otherwise."""
     rng = random.Random(812)
     instances = [builtin(name) for name in ("trivial", "a4", "gl2-trace",
@@ -243,21 +244,27 @@ def test_incidence_images_and_coefficient_view():
                 for plane in inc.rho] \
             == [[[dm.rho_basis(alg, x, y, a) for a in rA] for y in rL]
                 for x in rL]
-        assert [[dense_vec(e, nL) for e in row] for row in inc.act] \
-            == [[dm.action_basis(alg, a, x) for x in rL] for a in rA]
+        action = [[dm.action_basis(alg, a, x) for x in rL] for a in rA]
+        assert [[dense_vec(dict(inc.action_by_A.get(a, ())).get(x, {}), nL)
+                 for x in rL] for a in rA] == action
+        assert [[dense_vec(dict(inc.action_by_L.get(x, ())).get(a, {}), nL)
+                 for x in rL] for a in rA] == action
         assert [[dense_vec(e, nA) for e in row] for row in inc.mul] \
             == [[dm.amul_basis(alg, a, b) for b in rA] for a in rA]
         assert inc.hits == [[(key, e[p]) for key, e in alg.bracket.items()
                              if p in e] for p in rL]
+        assert inc.acted_into == [[((z, a), e[p])
+                                   for (a, z), e in alg.action.items()
+                                   if p in e] for p in rL]
         images = [e for row in inc.rho for r in row for e in r]
-        images += [e for row in inc.act + inc.mul for e in row]
+        images += [e for row in inc.mul for e in row]
         images += [e for d in inc.ad.values() for e in d.values()]
         images += [e for by_index in (inc.bracket_by_L, inc.action_by_L,
                                       inc.action_by_A, inc.amul_by_A,
                                       inc.rho_by_pair)
                    for pairs in by_index.values() for _, e in pairs]
         coeffs = [c for e in images for c in e.values()]
-        coeffs += [c for hits in inc.hits for _, c in hits]
+        coeffs += [c for hits in inc.hits + inc.acted_into for _, c in hits]
         for c in coeffs:
             assert type(c) is type(_view_of(Fraction(c))), c
             kinds.add(type(c))
