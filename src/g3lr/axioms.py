@@ -9,38 +9,33 @@ antisymmetric in a group of arguments it suffices to cover strictly
 increasing index tuples for that group; this reduction is used for the
 fundamental identity and is spelled out in the docstrings below.
 
-A tuple whose terms are all structurally zero, because each term has a
-factor that the stored tables make zero, holds trivially and is never
-visited.  Each check builds its tuples from the nonzero operators:
+Every identity is summed per witness: each side is a sparse
+{index: coefficient} vector per witness, and each nonzero term is added
+to the witnesses it reaches, read off the instance's `model.Incidence`
+(built once and shared by all checks, in its coefficient view: ints
+where integral, see `model`).  The terms of each check come from the
+nonzero operators:
 - the fundamental identity, from the pairs (l, m) with ad(l, m) != 0
   and the triples they reach;
-- the representation identities, from the ordered pairs of live pairs
-  (x, y), those with rho(x, y) != 0, and from the stored triples whose
-  bracket reaches the first slot of a live pair;
+- the representation identities, from the compositions of two live
+  pairs (x, y), those with rho(x, y) != 0, and from the ordered triples
+  whose bracket reaches the first slot of a live pair;
 - the Rinehart identities, from the pairs with ad(x, y) or rho(x, y)
   nonzero and the action and product keys their images reach;
-- the rho-derivation identity, from the live pairs;
+- the rho-derivation identity, from the live pairs, the nonzero
+  products and the domains of the live pairs;
 - the A-algebra identities, from the nonzero products and actions.
-The fundamental, Rinehart and A-algebra checks sum each side per
-witness, one nonzero term at a time.  Each rule sits next to its proof
-in the code, so the work grows with the nonzero terms and a pass is
-still a proof.
-
-Each side of an identity is built as a sparse {index: coefficient}
-vector from the nonzero entries of the instance's `model.Incidence`,
-which is built once and shared by all checks: the maps ad(x, y), the
-bracket pairs, bracket hits and action hits of each basis index, and the
-basis images of rho, the action and the product, in the incidence's
-coefficient view (ints where integral, see `model`).  The left side of
-the fundamental identity on (i, j, k, l, m), for instance, is the sum of
-c_p [p, l, m] over the entries c_p of [i, j, k], so empty products cost
-nothing.  The two sides are compared with their zero coefficients
-dropped, and dense Fraction `lhs`/`rhs` tuples are built only for a
-recorded Violation.
+A witness that no term reaches has both sides zero, holds trivially and
+is never formed, so the work grows with the nonzero terms and a pass is
+still a proof; each rule sits next to its proof in the code.  The left
+side of the fundamental identity on (i, j, k, l, m), for instance, is
+the sum of c_p [p, l, m] over the entries c_p of [i, j, k].  The two
+sides are compared with their zero coefficients dropped, the violations
+are sorted into the order of a full scan, and dense Fraction
+`lhs`/`rhs` tuples are built only for a recorded Violation.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .linalg import dense_vec
 from .model import TABLES
@@ -95,12 +90,6 @@ def _add(acc, coeff, entry):
         acc[t] = acc.get(t, 0) + coeff * c
 
 
-def _apply(acc, v, images):
-    """acc += f(v) for the linear map f with basis images `images`."""
-    for q, c in v.items():
-        _add(acc, c, images[q])
-
-
 def _check(out, axiom, witness, lhs, rhs, dim):
     """Record a Violation when the two sparse sides differ."""
     if lhs == rhs:
@@ -110,6 +99,20 @@ def _check(out, axiom, witness, lhs, rhs, dim):
     if lhs != rhs:
         out.append(Violation(axiom, witness, dense_vec(lhs, dim),
                              dense_vec(rhs, dim)))
+
+
+def _compare(out, axiom, dim, *clauses):
+    """Check each clause (head, lhs, rhs), whose sides map a key to a
+    sparse side, at the witness head + key.  The keys that any side
+    reaches are visited in sorted order, and each key in the clauses'
+    order."""
+    keys = set()
+    for _, lhs, rhs in clauses:
+        keys.update(lhs, rhs)
+    for key in sorted(keys):
+        for head, lhs, rhs in clauses:
+            _check(out, axiom, head + key, lhs.get(key, {}),
+                   rhs.get(key, {}), dim)
 
 
 def check_fundamental_identity(alg):
@@ -168,66 +171,61 @@ def check_representation(alg):
     (ii) rho([x1,x2,x3],x4) = rho(x1,x2)rho(x3,x4) + rho(x2,x3)rho(x1,x4)
                               + rho(x3,x1)rho(x2,x4)
 
-    No symmetry in the x's is assumed.  Each term, applied to a, is of
-    one of two kinds, and only the (x1, x2, x3, x4, a) where some term
-    can be nonzero are evaluated; every other tuple has only zero terms
-    and holds.
-
-    - A composition rho(P) rho(Q) a is zero unless the pair Q is live on
-      a (rho(Q) a != 0) and P is live.  The commutator of (i) puts
-      (P, Q) at ((x1,x2), (x3,x4)) with Q or P live on a; (ii) puts it
-      at ((x1,x2), (x3,x4)), ((x2,x3), (x1,x4)) or ((x3,x1), (x2,x4)).
-    - rho(p, x4) a summed over p in supp[x1,x2,x3], and rho(p, x3) a
-      over p in supp[x1,x2,x4], are zero unless some pair (p, y) live
-      on a has p in the image of a stored triple, and the x's order that
-      triple with y in slot 4 or in slot 3.
-
-    The candidates are evaluated in sorted order, the
-    (x1, x2, x3, x4)-major, a-minor order of a full scan, so the
-    violation list is the one a full scan gives.
-    """
+    No symmetry in the x's is assumed.  Each side is summed per witness
+    (x1, x2, x3, x4, a) over its nonzero terms, which are of two kinds:
+    - a composition rho(P) rho(Q) a, the sum of (rho(Q)a)_q rho(P) q
+      over the live pairs Q with a in their domain and P live on q.  It
+      enters the commutator of (i) at (P, Q) and, negated, at (Q, P),
+      and the right side of (ii) at (P, Q), (q1, p1, p2, q2) and
+      (p2, q1, p1, q2);
+    - a bracket term rho([x1,x2,x3], y) a, the sum of [x1,x2,x3]_p
+      rho(p, y) a over the live pairs (p, y) with a in their domain and
+      the ordered triples whose bracket reaches p.  It enters the left
+      side of (ii) and the right side of (i) at (x1, x2, x3, y) and,
+      negated, the right side of (i) at (x1, x2, y, x3).
+    Every witness ends in the a that its innermost rho acts on, so the
+    sums are formed one a at a time.  A witness that no term reaches has
+    both sides zero and holds.  The violations are sorted into the
+    (x1, x2, x3, x4)-major, a-minor order of a full scan, (i) before
+    (ii)."""
     out = []
     incidence = alg.incidence()
-    rho, ad, hits = incidence.rho, incidence.ad, incidence.hits
-    # domain[(x, y)] = the a with rho(x, y) a != 0, over the live pairs
-    domain = {pair: [ak for ak, _ in images]
-              for pair, images in incidence.rho_by_pair.items()}
-    todo = set()
-    for (p1, p2), dom_p in domain.items():
-        for (q1, q2), dom_q in domain.items():
-            # rho(P) rho(Q) a at its three places in (ii), the first of
-            # them also in (i)
-            for ak in dom_q:
-                todo.update(((p1, p2, q1, q2, ak), (q1, p1, p2, q2, ak),
-                             (p2, q1, p1, q2, ak)))
-            # rho(Q) rho(P) a in the commutator of (i)
-            todo.update((p1, p2, q1, q2, ak) for ak in dom_p)
-    for (p, y), dom in domain.items():
-        for key, _ in hits[p]:
-            for u, v, w in permutations(key):
-                for ak in dom:
-                    todo.update(((u, v, w, y, ak), (u, v, y, w, ak)))
-    for x1, x2, x3, x4, ak in sorted(todo):
-        ad12 = ad.get((x1, x2), {})
-        r12, r34 = rho[x1][x2], rho[x3][x4]
-        commutator = {}
-        _apply(commutator, r34[ak], r12)
-        for q, c in r12[ak].items():
-            _add(commutator, -c, r34[q])
-        rho_b123_x4 = {}
-        for p, c in ad12.get(x3, {}).items():
-            _add(rho_b123_x4, c, rho[p][x4][ak])
-        rhs_i = dict(rho_b123_x4)
-        for p, c in ad12.get(x4, {}).items():
-            _add(rhs_i, -c, rho[p][x3][ak])
-        _check(out, REPRESENTATION, ("i", x1, x2, x3, x4, ak),
-               commutator, rhs_i, alg.dim_A)
-        rhs_ii = {}
-        _apply(rhs_ii, r34[ak], r12)
-        _apply(rhs_ii, rho[x1][x4][ak], rho[x2][x3])
-        _apply(rhs_ii, rho[x2][x4][ak], rho[x3][x1])
-        _check(out, REPRESENTATION, ("ii", x1, x2, x3, x4, ak),
-               rho_b123_x4, rhs_ii, alg.dim_A)
+    # on[a] = [(pair, rho(pair) a)] over the live pairs with a in their
+    # domain; every term applies rho, so rho = 0 leaves nothing to sum
+    on = {}
+    for pair, images in incidence.rho_by_pair.items():
+        for ak, r in images:
+            on.setdefault(ak, []).append((pair, r))
+    if not on:
+        return out
+    # into[p] = [((x1, x2, x3), [x1,x2,x3]_p)] over the ordered triples
+    into = {}
+    for (x2, x3), d in incidence.ad.items():
+        for x1, e in d.items():
+            for p, c in e.items():
+                into.setdefault(p, []).append(((x1, x2, x3), c))
+    for ak, live in on.items():
+        comm, rhs_i, lhs_ii, rhs_ii = {}, {}, {}, {}
+        for (q1, q2), r in live:
+            comps = {}
+            for q, c in r.items():
+                for pair, e in on.get(q, ()):
+                    _add(comps.setdefault(pair, {}), c, e)
+            for (p1, p2), comp in comps.items():
+                _add(comm.setdefault((p1, p2, q1, q2, ak), {}), 1, comp)
+                _add(comm.setdefault((q1, q2, p1, p2, ak), {}), -1, comp)
+                for key in ((p1, p2, q1, q2, ak), (q1, p1, p2, q2, ak),
+                            (p2, q1, p1, q2, ak)):
+                    _add(rhs_ii.setdefault(key, {}), 1, comp)
+            # (q1, q2) = (p, y) of rho([x1,x2,x3], y) a
+            for (x1, x2, x3), c in into.get(q1, ()):
+                key = (x1, x2, x3, q2, ak)
+                _add(lhs_ii.setdefault(key, {}), c, r)
+                _add(rhs_i.setdefault(key, {}), c, r)
+                _add(rhs_i.setdefault((x1, x2, q2, x3, ak), {}), -c, r)
+        _compare(out, REPRESENTATION, alg.dim_A, (("i",), comm, rhs_i),
+                 (("ii",), lhs_ii, rhs_ii))
+    out.sort(key=lambda v: v.witness[1:] + v.witness[:1])
     return out
 
 
@@ -245,7 +243,6 @@ def check_rinehart_compat(alg):
     sorted reached witnesses, the bracket clause first and `rho-left`
     before `rho-right`, give the violations of a full scan in order."""
     out = []
-    nL, nA = alg.dim_L, alg.dim_A
     incidence = alg.incidence()
     ad, live, acted_into = (incidence.ad, incidence.rho_by_pair,
                             incidence.acted_into)
@@ -266,9 +263,7 @@ def check_rinehart_compat(alg):
             for q, c in r.items():
                 for z, e in by_A.get(q, ()):
                     _add(rhs.setdefault((z, ak), {}), c, e)
-        for key in sorted(lhs.keys() | rhs.keys()):
-            _check(out, RINEHART, ("bracket", x, y) + key,
-                   lhs.get(key, {}), rhs.get(key, {}), nL)
+        _compare(out, RINEHART, alg.dim_L, (("bracket", x, y), lhs, rhs))
     left, mid, scaled = {}, {}, {}
     for (u, v), images in live.items():
         for bk, r in images:
@@ -282,33 +277,43 @@ def check_rinehart_compat(alg):
             for q, c in r.items():
                 for ak, e in incidence.amul_by_A.get(q, ()):
                     _add(scaled.setdefault((u, v, ak, bk), {}), c, e)
-    for key in sorted(left.keys() | mid.keys() | scaled.keys()):
-        rhs = scaled.get(key, {})
-        _check(out, RINEHART, ("rho-left",) + key, left.get(key, {}), rhs,
-               nA)
-        _check(out, RINEHART, ("rho-right",) + key, mid.get(key, {}), rhs,
-               nA)
+    _compare(out, RINEHART, alg.dim_A, (("rho-left",), left, scaled),
+             (("rho-right",), mid, scaled))
     return out
 
 
 def check_rho_derivation(alg):
     """rho(x,y)(ab) = (rho(x,y)a)b + a(rho(x,y)b): the operators land
     in Der(A).  The product is symmetric, so pairs a <= b suffice, and
-    only the live pairs (x, y) are visited: both sides apply rho(x, y)."""
+    only the live pairs (x, y) are visited: both sides apply rho(x, y).
+
+    Each side is summed per witness (a, b) over its nonzero terms.  The
+    left side is the sum of (ab)_q rho(x,y) q over the nonzero products
+    ab.  On the right, for d in the domain of rho(x, y) and a nonzero
+    product q o, the term (rho(x,y)d)_q q o is (rho(x,y)a)b at (d, o)
+    when d <= o and a(rho(x,y)b) at (o, d) when o <= d, so both when
+    d = o.  A witness that no term reaches has both sides zero and
+    holds, so the sorted reached witnesses give the violations of a full
+    scan in order."""
     out = []
-    nA = alg.dim_A
     incidence = alg.incidence()
-    rho, mul = incidence.rho, incidence.mul
-    for x, y in sorted(incidence.rho_by_pair):
-        r = rho[x][y]
-        for ai in range(nA):
-            for bi in range(ai, nA):
-                lhs, rhs = {}, {}
-                _apply(lhs, mul[ai][bi], r)
-                for q, c in r[ai].items():
-                    _add(rhs, c, mul[q][bi])
-                _apply(rhs, r[bi], mul[ai])
-                _check(out, RHO_DERIVATION, (x, y, ai, bi), lhs, rhs, nA)
+    mul_by_A = incidence.amul_by_A
+    for (x, y), images in sorted(incidence.rho_by_pair.items()):
+        r = dict(images)
+        lhs, rhs = {}, {}
+        for m, products in mul_by_A.items():
+            for i, ab in products:
+                for q, c in ab.items():
+                    if i <= m and q in r:
+                        _add(lhs.setdefault((i, m), {}), c, r[q])
+        for d, rd in images:
+            for q, c in rd.items():
+                for o, e in mul_by_A.get(q, ()):
+                    if d <= o:
+                        _add(rhs.setdefault((d, o), {}), c, e)
+                    if o <= d:
+                        _add(rhs.setdefault((o, d), {}), c, e)
+        _compare(out, RHO_DERIVATION, alg.dim_A, ((x, y), lhs, rhs))
     return out
 
 
@@ -342,11 +347,8 @@ def check_A_algebra(alg):
             for q, c in bx.items():
                 for i, e in by_L.get(q, ()):
                     _add(module_r.setdefault((i, j, x), {}), c, e)
-    for axiom, lhs, rhs, dim in (("assoc", assoc_l, assoc_r, alg.dim_A),
-                                 ("module", module_l, module_r, alg.dim_L)):
-        for key in sorted(lhs.keys() | rhs.keys()):
-            _check(out, A_ALGEBRA, (axiom,) + key, lhs.get(key, {}),
-                   rhs.get(key, {}), dim)
+    _compare(out, A_ALGEBRA, alg.dim_A, (("assoc",), assoc_l, assoc_r))
+    _compare(out, A_ALGEBRA, alg.dim_L, (("module",), module_l, module_r))
     return out
 
 
@@ -371,14 +373,14 @@ def rho_antisymmetry_witnesses(alg):
     rho(x,y)a != -rho(y,x)a; a pair x = y is a witness wherever
     rho(x,x) != 0.  Not an axiom: the defining identities never require
     antisymmetry, so this is reported as a note only."""
-    rho = alg.incidence().rho
+    rho = alg.rho
     out = []
     # Skip: rho(x, y)(a) + rho(y, x)(a) is zero unless one of the two
     # is stored.
     for i, j, ak in sorted({(min(x, y), max(x, y), ak)
-                            for x, y, ak in alg.rho}):
-        total = dict(rho[i][j][ak])
-        _add(total, 1, rho[j][i][ak])
+                            for x, y, ak in rho}):
+        total = dict(rho.get((i, j, ak), {}))
+        _add(total, 1, rho.get((j, i, ak), {}))
         if any(total.values()):
             out.append((i, j, ak))
     return out

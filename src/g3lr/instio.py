@@ -109,11 +109,11 @@ def _label_index(basis, label, where):
 
 def _parse_table(entries, bases, where):
     """entries: list of {"args": [labels], "value": {label: rational}}
-    of the table `where` of `TABLES`, on the bases of the instance
-    `bases`; the argument indices must be in the table's key order."""
+    of the table `where` of `TABLES`, on `bases`, the `GradedBasis` of
+    each space; the argument indices must be in the table's key order."""
     arg_spaces, value_space, order = TABLES[where]
-    arg_bases = [bases.basis(s) for s in arg_spaces]
-    value_basis = bases.basis(value_space)
+    arg_bases = [bases[s] for s in arg_spaces]
+    value_basis = bases[value_space]
     entries = [] if entries is None else entries
     if type(entries) is not list:
         raise ParseError(where, "a table must be an array, not %s"
@@ -159,8 +159,8 @@ def instance_from_dict(data):
         raise ParseError("group", str(e))
     L = _parse_basis(data.get("L", {}), group, "L")
     A = _parse_basis(data.get("A", {}), group, "A")
-    bases = Algebra3LR(group, L, A, {}, {}, {}, {})    # no tables yet
-    tables = [_parse_table(data.get(name), bases, name) for name in TABLES]
+    tables = [_parse_table(data.get(name), {"L": L, "A": A}, name)
+              for name in TABLES]
     try:
         return Algebra3LR(group, L, A, *tables)
     except ValueError as e:

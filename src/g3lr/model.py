@@ -18,17 +18,18 @@ commutativity of the product hold by storage convention; the genuinely
 checkable axioms live in `axioms`.
 
 `Algebra3LR.incidence` turns the stored keys around once per instance:
-for each basis index, the keys that reach it and their signed entries,
-and the basis images of rho, the action and the product.  It is the one
-way to form a product: the axiom suite and the decomposition layer
-(ideal products, constraint rows, orthogonality, pairing and the
-simplicity tests) multiply sparse rows {index: coefficient} by reading
-only the keys that a row's support reaches.  Vectors are dense tuples
-only at the public boundary: `Subspace.basis`, ideal certificates and
-orthogonality counterexamples; public functions take a dense tuple or
-a sparse row.  `Algebra3LR.degree_index` reads the same stored keys by
-degree, for the degree-1 spans and the multiplicative-support check of
-the decomposition layer.
+for each basis index, the keys that reach it and their signed entries.
+It is the one way to form a product: the axiom suite sums each side of
+an identity per witness over the nonzero terms it lists, and the
+decomposition layer (ideal products, constraint rows, orthogonality,
+pairing and the simplicity tests) multiplies sparse rows
+{index: coefficient} by reading only the keys that a row's support
+reaches.  Vectors are dense tuples only at the public boundary:
+`Subspace.basis`, ideal certificates and orthogonality counterexamples;
+public functions take a dense tuple or a sparse row.
+`Algebra3LR.degree_index` reads the same stored keys by degree, for the
+degree-1 spans and the multiplicative-support check of the
+decomposition layer.
 
 Coefficients are exact, never floats.  The stored tables and every
 output hold Fractions; the incidence and the rows of every `Subspace`
@@ -43,7 +44,6 @@ gives the same text for an int and the equal Fraction.
 from fractions import Fraction
 from functools import reduce
 from operator import getitem, le, lt
-from types import MappingProxyType
 
 from .groups import GroupElem, GroupSpec
 from .linalg import Subspace, _view
@@ -133,9 +133,6 @@ def _stored(alg, name, table):
     return out
 
 
-_EMPTY = MappingProxyType({})
-
-
 def _exact(entry):
     """The entry with every coefficient in the exact view of
     `linalg._view`: an int when integral, else the stored Fraction."""
@@ -144,12 +141,13 @@ def _exact(entry):
 
 class Incidence:
     """The stored keys of one instance, indexed by each basis index they
-    reach, and the basis images the axiom checks read.  Each `*_by_*`
-    map sends a key to [(other, image)] over the nonzero images only,
-    where the image is linear in the indexed basis vector; so the product
-    of a sparse row with the other basis vector is the sum of c * image
-    over the row's coordinates and their lists, and an `other` absent
-    from all of those lists gives a zero product.
+    reach: the nonzero terms from which every axiom check sums each side
+    of an identity per witness, and every product of `decompose`.  Each
+    `*_by_*` map sends a key to [(other, image)] over the nonzero images
+    only, where the image is linear in the indexed basis vector; so the
+    product of a sparse row with the other basis vector is the sum of
+    c * image over the row's coordinates and their lists, and an `other`
+    absent from all of those lists gives a zero product.
 
       ad[(x, y)]          {p: [p, x, y]} over ordered pairs, ad(x, y) != 0
       bracket_by_L[p]     [((i, j), [p, i, j])] over i < j
@@ -162,8 +160,6 @@ class Incidence:
       amul_by_A[m]        [(a_i, a_i a_m)]
       rho_by_pair[(i, j)] [(a_k, rho(i, j)(a_k))]
       rho_by_L[i]         [((j, a_k), rho(i, j)(a_k))]
-      rho[x][y][a]        rho(x, y)(a)
-      mul[a][b]           a b
 
     A key is present only with a nonempty list, so `(x, y) in rho_by_pair`
     says whether rho(x, y) != 0.  Built once from the stored tables, with
@@ -171,7 +167,7 @@ class Incidence:
     new dicts, shared among these maps, and must not be modified."""
 
     def __init__(self, alg):
-        nL, nA = alg.dim_L, alg.dim_A
+        nL = alg.dim_L
         # the entry E of (k0, k1, k2) is [k0, k1, k2] = [k1, k2, k0]
         # = [k2, k0, k1], and the odd permutations give -E
         self.ad, self.bracket_by_L = {}, {}
@@ -196,17 +192,15 @@ class Incidence:
                 self.acted_into[p].append(((m, ai), c))
             self.action_by_L.setdefault(m, []).append((ai, e))
             self.action_by_A.setdefault(ai, []).append((m, e))
-        self.mul = [[_EMPTY] * nA for _ in range(nA)]
         self.amul_by_A = {}
         for (i, j), e in alg.amul.items():
-            self.mul[i][j] = self.mul[j][i] = e = _exact(e)
+            e = _exact(e)
             self.amul_by_A.setdefault(j, []).append((i, e))
             if i != j:
                 self.amul_by_A.setdefault(i, []).append((j, e))
-        self.rho = [[[_EMPTY] * nA for _ in range(nL)] for _ in range(nL)]
         self.rho_by_pair, self.rho_by_L = {}, {}
         for (i, j, ak), e in alg.rho.items():
-            self.rho[i][j][ak] = e = _exact(e)
+            e = _exact(e)
             self.rho_by_pair.setdefault((i, j), []).append((ak, e))
             self.rho_by_L.setdefault(i, []).append(((j, ak), e))
 

@@ -367,9 +367,14 @@ def _term_kind_cases():
     """
     E, F = {1: 1}, {0: 1}
     return {
-        # [rho(0,1), rho(2,3)] a0 = E F a0 - F E a0 = -a0
-        "commutator": (_bare(4, 2, {}, {(0, 1, 0): E, (2, 3, 1): F}),
-                       ("i", 0, 1, 2, 3, 0)),
+        # [rho(0,1), rho(2,3)] a0 = F E a0 - E F a0 = a0, from the first
+        # half alone
+        "commutator-first": (_bare(4, 2, {}, {(0, 1, 1): F, (2, 3, 0): E}),
+                             ("i", 0, 1, 2, 3, 0)),
+        # [rho(0,1), rho(2,3)] a0 = E F a0 - F E a0 = -a0, from the
+        # subtracted half alone
+        "commutator-second": (_bare(4, 2, {}, {(0, 1, 0): E, (2, 3, 1): F}),
+                              ("i", 0, 1, 2, 3, 0)),
         # rho([v0,v1,v2], v4) a0 = rho(v3, v4) a0 = a1, and rho(v3, v4)
         # squares to zero, so no composition is nonzero anywhere
         "bracket-term": (_bare(5, 2, {(0, 1, 2): {3: 1}}, {(3, 4, 0): E}),
@@ -420,11 +425,51 @@ def test_rho_layer_matches_dense_reference_on_rho_rich_tables():
 
 def test_each_representation_term_kind_is_found():
     """Each term of (i) and (ii) reaches the check through its own
-    source of candidates; an instance whose witness has only that term
-    nonzero fails exactly where the dense reference fails."""
+    term; an instance whose witness has only that term nonzero fails
+    exactly where the dense reference fails."""
     for name, (alg, witness) in _term_kind_cases().items():
         assert witness in [v.witness for v in check_representation(alg)], \
             name
+        _assert_rho_layer_matches(alg)
+
+
+def _rho_derivation_term_cases():
+    """name -> (instance, witness): at the witness (0, 1, a, b) exactly
+    one term of rho(x,y)(ab) = (rho(x,y)a)b + a(rho(x,y)b) is nonzero,
+    the named one, except at a = b, where the two right-hand terms are
+    equal and both nonzero."""
+    return {
+        # rho(v0, v1)(a0 a1) = rho(v0, v1) a2 = a0, while rho(v0, v1)
+        # is zero on a0 and a1
+        "rho-of-ab": (_bare(2, 3, {}, {(0, 1, 2): {0: 1}},
+                            amul={(0, 1): {2: 1}}),
+                      (0, 1, 0, 1)),
+        # (rho(v0, v1) a0) a1 = a2 a1 = a0, while a0 a1 = 0 and
+        # rho(v0, v1) a1 = 0
+        "rho-a-times-b": (_bare(2, 3, {}, {(0, 1, 0): {2: 1}},
+                                amul={(1, 2): {0: 1}}),
+                          (0, 1, 0, 1)),
+        # a0 (rho(v0, v1) a1) = a0 a2 = a1, while a0 a1 = 0 and
+        # rho(v0, v1) a0 = 0
+        "a-times-rho-b": (_bare(2, 3, {}, {(0, 1, 1): {2: 1}},
+                                amul={(0, 2): {1: 1}}),
+                          (0, 1, 0, 1)),
+        # (rho(v0, v1) a0) a0 + a0 (rho(v0, v1) a0) = 2 a1 a0 = 2 a2,
+        # while a0 a0 = 0
+        "a-equals-b": (_bare(2, 3, {}, {(0, 1, 0): {1: 1}},
+                             amul={(0, 1): {2: 1}}),
+                       (0, 1, 0, 0)),
+    }
+
+
+def test_each_rho_derivation_term_is_found():
+    """Each term of the rho-derivation identity is accumulated on its
+    own, and at a = b both right-hand terms reach the one witness; an
+    instance whose witness has only that term nonzero fails exactly
+    where the dense reference fails."""
+    for name, (alg, witness) in _rho_derivation_term_cases().items():
+        got = check_rho_derivation(alg)
+        assert witness in [v.witness for v in got], name
         _assert_rho_layer_matches(alg)
 
 

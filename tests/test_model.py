@@ -225,8 +225,8 @@ def _view_of(c):
 
 
 def test_incidence_images_and_coefficient_view():
-    """The image tables hold the dense basis products of `_dense_model`
-    for every basis tuple, `hits` and `acted_into` list the stored keys
+    """The action maps hold the dense basis products of `_dense_model`
+    for every basis pair, `hits` and `acted_into` list the stored keys
     that reach each index, and every coefficient of the incidence is an
     int exactly when it is integral, a Fraction otherwise."""
     rng = random.Random(812)
@@ -240,25 +240,17 @@ def test_incidence_images_and_coefficient_view():
         inc = alg.incidence()
         nL, nA = alg.dim_L, alg.dim_A
         rL, rA = range(nL), range(nA)
-        assert [[[dense_vec(e, nA) for e in row] for row in plane]
-                for plane in inc.rho] \
-            == [[[dm.rho_basis(alg, x, y, a) for a in rA] for y in rL]
-                for x in rL]
         action = [[dm.action_basis(alg, a, x) for x in rL] for a in rA]
         assert [[dense_vec(dict(inc.action_by_A.get(a, ())).get(x, {}), nL)
                  for x in rL] for a in rA] == action
         assert [[dense_vec(dict(inc.action_by_L.get(x, ())).get(a, {}), nL)
                  for x in rL] for a in rA] == action
-        assert [[dense_vec(e, nA) for e in row] for row in inc.mul] \
-            == [[dm.amul_basis(alg, a, b) for b in rA] for a in rA]
         assert inc.hits == [[(key, e[p]) for key, e in alg.bracket.items()
                              if p in e] for p in rL]
         assert inc.acted_into == [[((z, a), e[p])
                                    for (a, z), e in alg.action.items()
                                    if p in e] for p in rL]
-        images = [e for row in inc.rho for r in row for e in r]
-        images += [e for row in inc.mul for e in row]
-        images += [e for d in inc.ad.values() for e in d.values()]
+        images = [e for d in inc.ad.values() for e in d.values()]
         images += [e for by_index in (inc.bracket_by_L, inc.action_by_L,
                                       inc.action_by_A, inc.amul_by_A,
                                       inc.rho_by_pair)
