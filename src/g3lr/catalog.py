@@ -8,7 +8,7 @@ instance re-verifies each tightness clause at build time.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from operator import add
 
 from .axioms import run_all
@@ -138,16 +138,6 @@ def direct_sum(x, y):
 # built-in instances
 
 
-# the 4-dimensional simple 3-Lie algebra: nonzero brackets on the
-# ordered basis (e1, e2, e3, e4)
-_A4_TABLE = {
-    (0, 1, 2): {3: 1},            # [e1,e2,e3] = e4
-    (0, 1, 3): {2: 1},            # [e1,e2,e4] = e3
-    (0, 2, 3): {1: -1},           # [e1,e3,e4] = -e2
-    (1, 2, 3): {0: 1},            # [e2,e3,e4] = e1
-}
-
-
 def _unital_scalar_A(group):
     return GradedBasis(("one",), (group.identity(),))
 
@@ -160,6 +150,7 @@ def _builtin_trivial():
 
 
 def _builtin_a4():
+    """The 4-dimensional simple 3-Lie algebra over F."""
     group = GroupSpec((2, 2))
     L = GradedBasis(("e1", "e2", "e3", "e4"),
                     (group.elem((1, 0)), group.elem((0, 1)),
@@ -167,7 +158,13 @@ def _builtin_a4():
     A = _unital_scalar_A(group)
     amul = {(0, 0): {0: 1}}
     action = {(0, li): {li: 1} for li in range(4)}
-    return Algebra3LR(group, L, A, dict(_A4_TABLE), amul, action, {})
+    bracket = {
+        (0, 1, 2): {3: 1},        # [e1,e2,e3] = e4
+        (0, 1, 3): {2: 1},        # [e1,e2,e4] = e3
+        (0, 2, 3): {1: -1},       # [e1,e3,e4] = -e2
+        (1, 2, 3): {0: 1},        # [e2,e3,e4] = e1
+    }
+    return Algebra3LR(group, L, A, bracket, amul, action, {})
 
 
 def _builtin_gl2_trace():
@@ -191,72 +188,40 @@ def _builtin_gl2_trace():
     return from_lie_trace(seed)
 
 
-def _perm_sign_and_sorted(i, j, k):
-    """Sort a distinct triple, tracking the permutation sign."""
-    sign = 1
-    a, b, c = i, j, k
-    if a > b:
-        a, b, sign = b, a, -sign
-    if b > c:
-        b, c, sign = c, b, -sign
-    if a > b:
-        a, b, sign = b, a, -sign
-    return sign, (a, b, c)
+def _a4_module_over_2dim(s):
+    """L = A4 tensor A for A = F[t]/(t^2 - s), graded over Z2^3 with the
+    A4 degrees in the first two coordinates and deg t = (0,0,1).  Index
+    i + 4p stands for e_(i+1) t^p in L, and p for t^p in A.  A product
+    with n factors of t is scaled by s^(n // 2) and keeps t^(n % 2):
 
+        [x t^p, y t^q, z t^r] = [x, y, z] t^(p+q+r)
+        t^a (x t^p) = x t^(a+p)            t^a t^b = t^(a+b)
 
-def _a4_module_over_2dim(t_square):
-    """L = A4 tensor A for the two-dimensional algebra A = span{1, t}
-    with t^2 = t_square * 1, graded over Z2^3 with the A4 degrees in the
-    first two coordinates and deg t = (0,0,1)."""
+    where [x, y, z], with its sign, is read off the incidence of the
+    `a4` instance.  Algebra3LR drops the zero coefficients and the
+    emptied entries that s = 0 leaves."""
+    s = Fraction(s)
+    a4 = _builtin_a4()
+    ad = a4.incidence().ad
     group = GroupSpec((2, 2, 2))
-    a4_deg = [(1, 0), (0, 1), (1, 1), (0, 0)]
-    L_labels = tuple("e%d" % (i + 1) for i in range(4)) \
-        + tuple("e%dt" % (i + 1) for i in range(4))
-    L_degrees = tuple(group.elem(d + (0,)) for d in a4_deg) \
-        + tuple(group.elem(d + (1,)) for d in a4_deg)
-    L = GradedBasis(L_labels, L_degrees)
-    A = GradedBasis(("one", "t"),
-                    (group.identity(), group.elem((0, 0, 1))))
+    L = GradedBasis(
+        [label + "t" * p for p in (0, 1) for label in a4.L.labels],
+        [group.elem(d.coords + (p,)) for p in (0, 1) for d in a4.L.degrees])
+    A = GradedBasis(("one", "t"), [group.elem((0, 0, p)) for p in (0, 1)])
 
-    amul = {(0, 0): {0: 1}, (0, 1): {1: 1}}
-    if t_square:
-        amul[(1, 1)] = {0: Fraction(t_square)}
-
-    action = {}
-    for i in range(8):
-        action[(0, i)] = {i: 1}
-    for i in range(4):
-        action[(1, i)] = {i + 4: 1}           # t * (e tensor 1)
-        if t_square:
-            action[(1, i + 4)] = {i: Fraction(t_square)}
+    def times_t(n, entry, stride):
+        # entry t^n, where index m + stride * p stands for (index m) t^p
+        return {m + stride * (n % 2): s ** (n // 2) * c
+                for m, c in entry.items()}
 
     bracket = {}
-
-    def add(i, j, k, entry):
-        # i, j, k are distinct: they differ mod 4
-        sign, key = _perm_sign_and_sorted(i, j, k)
-        tgt = bracket.setdefault(key, {})
-        for m, c in entry.items():
-            tgt[m] = tgt.get(m, 0) + sign * c
-
-    for (i, j, k), entry in _A4_TABLE.items():
-        for di in (0, 1):
-            for dj in (0, 1):
-                for dk in (0, 1):
-                    nt = di + dj + dk
-                    if nt == 0:
-                        factor, dl = Fraction(1), 0
-                    elif nt == 1:
-                        factor, dl = Fraction(1), 1
-                    elif t_square:
-                        factor = Fraction(t_square) ** (nt // 2)
-                        dl = nt % 2
-                    else:
-                        continue
-                    add(i + 4 * di, j + 4 * dj, k + 4 * dk,
-                        {m + 4 * dl: factor * c for m, c in entry.items()})
-
-    # Algebra3LR drops the zero coefficients and the emptied entries
+    for i, j, k in combinations(range(8), 3):
+        e = ad.get((j % 4, k % 4), {}).get(i % 4, {})    # the A4 factor
+        bracket[(i, j, k)] = times_t(i // 4 + j // 4 + k // 4, e, 4)
+    action = {(a, m): times_t(a + m // 4, {m % 4: 1}, 4)
+              for a in range(2) for m in range(8)}
+    amul = {(a, b): times_t(a + b, {0: 1}, 1)
+            for a, b in combinations_with_replacement(range(2), 2)}
     return Algebra3LR(group, L, A, bracket, amul, action, {})
 
 

@@ -619,12 +619,15 @@ def _gr_simple(alg, side, within, is_ideal=None, structure=None):
 # the full pipeline
 
 
-def _coarse_sum(n, comp, ideals):
-    """(covers, direct) for the sum of a degree-1 complement and the
-    class ideals in F^n."""
+def _coarse_sum(alg, side, degree_one, ideals):
+    """(comp, covers, direct): the canonical complement of the degree-1
+    span in the identity fiber of `side`, and whether comp and the class
+    ideals sum to the whole space, and whether directly."""
+    n, one = len(alg.basis(side)), alg.group.identity()
+    comp = complement(degree_one, within=alg.fiber(side, one))
     spaces = [comp] + [I.subspace for I in ideals]
     total = _extend(comp, [r for S in spaces[1:] for r in S.rows]).dim
-    return total == n, total == n and sum(S.dim for S in spaces) == total
+    return comp, total == n, total == n and sum(S.dim for S in spaces) == total
 
 
 def decompose(alg):
@@ -643,7 +646,6 @@ def decompose(alg):
     report.supports = supports
     report.sigma_classes = sigma_classes(supports)
     report.lambda_classes = lambda_classes(supports)
-    one = alg.group.identity()
 
     report.L_ideals = [build_I(alg, c, supports)
                        for c in report.sigma_classes]
@@ -651,13 +653,10 @@ def decompose(alg):
                        for c in report.lambda_classes]
 
     spans = _degree_one_spans(alg, supports)
-    report.U_complement = complement(spans[0], within=alg.fiber("L", one))
-    report.L_covers, report.L_direct = _coarse_sum(
-        alg.dim_L, report.U_complement, report.L_ideals)
-
-    report.V_complement = complement(spans[1], within=alg.fiber("A", one))
-    report.A_covers, report.A_direct = _coarse_sum(
-        alg.dim_A, report.V_complement, report.A_ideals)
+    report.U_complement, report.L_covers, report.L_direct = _coarse_sum(
+        alg, "L", spans[0], report.L_ideals)
+    report.V_complement, report.A_covers, report.A_direct = _coarse_sum(
+        alg, "A", spans[1], report.A_ideals)
 
     structure = structure_ideals(alg)
     report.structure = structure
@@ -687,17 +686,16 @@ def decompose(alg):
                and report.supports_symmetric)
     report.fine_attempted = fine_ok
     if fine_ok:
-        for I in report.L_ideals:
-            verdict = _gr_simple(alg, "L", I.subspace, I.is_graded_ideal,
-                                 structure)
-            I.is_gr_simple = verdict.verdict
-            report.fine_components.append(FineComponent(
-                I.subspace, I.source_class.representative.coords, verdict))
-        for J in report.A_ideals:
-            verdict = _gr_simple(alg, "A", J.subspace, J.is_graded_ideal)
-            J.is_gr_simple = verdict.verdict
-            report.fine_components_A.append(FineComponent(
-                J.subspace, J.source_class.representative.coords, verdict))
+        for side, ideals, components in (
+                ("L", report.L_ideals, report.fine_components),
+                ("A", report.A_ideals, report.fine_components_A)):
+            for I in ideals:
+                verdict = _gr_simple(alg, side, I.subspace,
+                                     I.is_graded_ideal, structure)
+                I.is_gr_simple = verdict.verdict
+                components.append(FineComponent(
+                    I.subspace, I.source_class.representative.coords,
+                    verdict))
         # the note is pinned by stored report digests, so it stays
         if not gmult:
             report.notes.append(

@@ -19,12 +19,12 @@ checkable axioms live in `axioms`.
 
 `Algebra3LR.incidence` turns the stored keys around once per instance:
 for each basis index, the keys that reach it and their signed entries.
-It is the one way to form a product: the axiom suite sums each side of
-an identity per witness over the nonzero terms it lists, and the
-decomposition layer (ideal products, constraint rows, orthogonality,
-pairing and the simplicity tests) multiplies sparse rows
-{index: coefficient} by reading only the keys that a row's support
-reaches.  Vectors are dense tuples only at the public boundary:
+It is the one way to form a product, in the catalog too: the axiom
+suite sums each side of an identity per witness over the nonzero terms
+it lists, and the decomposition layer (ideal products, constraint
+rows, orthogonality, pairing and the simplicity tests) multiplies
+sparse rows {index: coefficient} by reading only the keys that a row's
+support reaches.  Vectors are dense tuples only at the public boundary:
 `Subspace.basis`, ideal certificates and orthogonality counterexamples;
 public functions take a dense tuple or a sparse row.
 `Algebra3LR.degree_index` reads the same stored keys by degree, for the

@@ -1,6 +1,7 @@
-"""Shared test instances: the valid trace seed with a nonzero rho, and
-invalid instances that together fail every axiom group, all but one a
-single-entry change of a valid instance."""
+"""Shared test instances: two valid instances with a nonzero rho, the
+trace seed and one whose rho is not antisymmetric, and invalid instances
+that together fail every axiom group, all but one a single-entry change
+of a valid instance."""
 
 from fractions import Fraction
 
@@ -46,6 +47,20 @@ def rho_seed_square():
     with the four nonzero rho values of the two copies."""
     seed = rho_trace_seed()
     return direct_sum(seed, seed)
+
+
+def rho_not_antisymmetric():
+    """A valid instance whose rho is not antisymmetric in its
+    L-arguments: trivially graded, L = {x}, A = {one, s, t} with `one`
+    the unit and every other product zero, `one` acting as the identity
+    on L, and rho(x, x)(s) = t."""
+    group = GroupSpec(())
+    one = group.identity()
+    return Algebra3LR(
+        group, GradedBasis(("x",), (one,)),
+        GradedBasis(("one", "s", "t"), (one,) * 3), {},
+        {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}},
+        {(0, 0): {0: 1}}, {(0, 0, 1): {2: 1}})
 
 
 def rho_square_overflow():

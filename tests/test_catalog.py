@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,8 @@ import _dense_model as dm
 from _cases import rho_trace_seed
 from _ref_linalg import unit_vec
 from g3lr.axioms import run_all
-from g3lr.catalog import (BUILTIN_NAMES, LieRinehartSeed, builtin, direct_sum,
+from g3lr.catalog import (BUILTIN_NAMES, LieRinehartSeed,
+                          _a4_module_over_2dim, builtin, direct_sum,
                           from_lie_trace)
 from g3lr.decompose import check_tight
 from g3lr.groups import GroupSpec
@@ -122,6 +124,38 @@ def test_dual_numbers_not_tight():
     t = check_tight(builtin("a4-dual-numbers"))
     assert not t.tight
     assert not t.A1_generation         # t*t = 0 cannot reach the unit
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 4)])
+def test_dual_number_module_is_the_tensor_rule(s):
+    """A4 tensor F[t]/(t^2 - s) is valid for every s, and each product
+    of basis vectors is the dense tensor rule on the dense model of a4:
+    [x a, y b, z c] = [x, y, z] abc and a (x b) = x ab, where the basis
+    vector e_(i+1) t^p of L has index i + 4p and t^p of A has index p."""
+    alg = _a4_module_over_2dim(s)
+    assert run_all(alg).passed and not alg.rho
+    a4, s = builtin("a4"), Fraction(s)
+
+    def mul(a, b):                # (a0 + a1 t)(b0 + b1 t) with t^2 = s
+        return (a[0] * b[0] + s * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def tensor(x, a):             # the dense L vector of x tensor a
+        return tuple(x[m] * a[p] for p in range(2) for m in range(4))
+
+    def split(i):                 # e_(i+1) t^p as (A4 vector, A vector)
+        return unit_vec(4, i % 4), unit_vec(2, i // 4)
+
+    for i, j, k in product(range(8), repeat=3):
+        (x, a), (y, b), (z, c) = split(i), split(j), split(k)
+        assert dm.eval_bracket(alg, *(unit_vec(8, n) for n in (i, j, k))) \
+            == tensor(dm.eval_bracket(a4, x, y, z), mul(mul(a, b), c))
+    for p, i in product(range(2), range(8)):
+        x, b = split(i)
+        assert dm.eval_action(alg, unit_vec(2, p), unit_vec(8, i)) \
+            == tensor(x, mul(unit_vec(2, p), b))
+    for p, q in product(range(2), repeat=2):
+        assert dm.eval_amul(alg, unit_vec(2, p), unit_vec(2, q)) \
+            == mul(unit_vec(2, p), unit_vec(2, q))
 
 
 def test_unknown_builtin():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _cases import rho_not_antisymmetric
 from g3lr import cli
 from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
@@ -442,6 +443,23 @@ def test_validate_ok(tmp_path):
     path = _emit(tmp_path, "a4")
     code, text = _run("validate", str(path))
     assert code == EXIT_OK and "no violations" in text
+
+
+def test_rho_antisymmetry_note_on_a_valid_instance(tmp_path):
+    """rho(x, x) != 0 is permitted: validate exits 0 and prints the note,
+    and the report carries it among the axiom notes."""
+    path = tmp_path / "rho.json"
+    save_instance(rho_not_antisymmetric(), str(path))
+    note = ("rho is not antisymmetric in its L-arguments on 1 basis "
+            "pair(s); this is permitted")
+    code, text = _run("validate", str(path))
+    assert code == EXIT_OK
+    assert text.splitlines() == [
+        "ok: 6 axiom group(s) checked, no violations", "note: " + note]
+    code, text = _run("report", str(path))
+    assert code == EXIT_OK
+    axioms = json.loads(text)["axioms"]
+    assert axioms["passed"] is True and axioms["notes"] == [note]
 
 
 def test_validate_flags_violations(tmp_path):

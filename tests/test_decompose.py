@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +26,7 @@ from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
                             verify_ideal_A, verify_ideal_L,
                             verify_triple_orthogonality)
 from g3lr.groups import GroupSpec
+from g3lr.instio import canonical_json
 from _ref_linalg import is_zero_vec, unit_vec, vec
 from g3lr.linalg import (dense_vec, full_subspace, intersect_subspaces,
                          solve_homogeneous, span, sparse_row, zero_vec)
@@ -483,6 +485,10 @@ def test_decompose_aborts_on_invalid_input():
                         alg.action, alg.rho)
     r = decompose(broken)
     assert r.aborted and not r.axioms.passed
+    # the report of an aborted run holds the axioms and nothing else
+    doc = json.loads(canonical_json(r))
+    assert sorted(doc) == ["aborted", "axioms"]
+    assert doc["aborted"] is True and doc["axioms"]["passed"] is False
 
 
 def test_decompose_tight_pair_fine():

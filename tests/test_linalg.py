@@ -78,6 +78,15 @@ def test_contains_ambient_mismatch():
         span([vec((1, 0))], 2).contains(vec((1, 0, 0)))
     with pytest.raises(ValueError):
         span([vec((1, 0))], 2).contains({2: Fraction(1)})
+    s, t = span([vec((1, 0))], 2), span([vec((1, 0, 0))], 3)
+    for op in (Subspace.contains_subspace, sum_subspaces,
+               intersect_subspaces):
+        for a, b in ((s, t), (t, s)):
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                op(a, b)
+    for a, b in ((s, t), (t, s)):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            complement(a, within=b)
 
 
 def _view_of(c):

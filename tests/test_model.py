@@ -82,6 +82,20 @@ def test_rejected_key_names_the_key(table, key, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("table, key, value", [
+    (0, (0, 1, 2), 4), (1, (0, 0), 1), (2, (0, 0), 4), (3, (0, 1, 0), 1),
+])
+def test_value_index_at_the_dimension_is_rejected(table, key, value):
+    """a4 has dim L 4 and dim A 1: each entry's value coordinate is the
+    dimension of its table's value space, one past the last index."""
+    alg = builtin("a4")
+    tables = [{}, {}, {}, {}]
+    tables[table] = {key: {value: 1}}
+    with pytest.raises(ValueError) as exc:
+        Algebra3LR(alg.group, alg.L, alg.A, *tables)
+    assert str(exc.value) == "structure constant index out of range"
+
+
 @pytest.mark.parametrize("table, key", [
     (0, (0, 1)), (0, (0, 1, 2, 3)), (1, (0,)), (1, (0, 0, 0)),
     (2, (0,)), (2, (0, 1, 2)), (3, (0, 1)), (3, (0, 1, 0, 0)),
