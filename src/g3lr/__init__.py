@@ -10,17 +10,15 @@ from .linalg import (Subspace, complement, full_subspace,
 from .model import Algebra3LR, GradedBasis
 from .axioms import AxiomReport, Violation, run_all
 from .connections import (ConnectionClass, SupportSets, compute_supports,
-                          lambda_classes, lambda_connected,
-                          replay_lambda_chain, replay_sigma_chain,
-                          sigma_classes, sigma_connected)
+                          connected, lambda_classes, replay_chain,
+                          sigma_classes)
 from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         SimplicityVerdict, StructureIdeals, TightnessReport,
-                        A_ideal_generated_by, build_A1_class, build_A_ideal,
-                        build_I, build_L1_class, check_G_multiplicative,
+                        build_A1_class, build_A_ideal, build_I,
+                        build_L1_class, check_G_multiplicative,
                         check_gr_simple_A, check_gr_simple_L,
-                        check_maximal_length, check_tight,
-                        graded_ideal_generated_by, pair_ideals,
-                        structure_ideals, verify_ideal_A, verify_ideal_L,
+                        check_maximal_length, check_tight, ideal_generated_by,
+                        pair_ideals, structure_ideals, verify_ideal,
                         verify_triple_orthogonality)
 from .catalog import (FactorEmbedding, LieRinehartSeed, builtin,
                       direct_sum, from_lie_trace, BUILTIN_NAMES)

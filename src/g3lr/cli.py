@@ -24,6 +24,8 @@ EXIT_INTERNAL = 4
 
 
 def _load(path, out):
+    """The instance at path, its axiom report and the exit code of the
+    axiom gate: EXIT_VIOLATIONS, after a summary, or EXIT_OK."""
     alg = load_instance(path)
     report = run_all(alg)
     if not report.passed:
@@ -38,30 +40,22 @@ def _load(path, out):
     return alg, report, EXIT_OK
 
 
-def _cmd_validate(args, out):
-    alg, report, code = _load(args.file, out)
-    if code == EXIT_OK:
-        print("ok: %d axiom group(s) checked, no violations"
-              % len(report.counts), file=out)
-        for note in report.notes:
-            print("note: %s" % note, file=out)
-    return code
+def _cmd_validate(alg, report, args, out):
+    print("ok: %d axiom group(s) checked, no violations"
+          % len(report.counts), file=out)
+    for note in report.notes:
+        print("note: %s" % note, file=out)
+    return EXIT_OK
 
 
-def _cmd_classes(args, out):
-    alg, report, code = _load(args.file, out)
-    if code != EXIT_OK:
-        return code
+def _cmd_classes(alg, report, args, out):
     sup = compute_supports(alg)
     print(canonical_json({"supports": sup, "sigma_classes": sigma_classes(sup),
                           "lambda_classes": lambda_classes(sup)}), file=out)
     return EXIT_OK
 
 
-def _cmd_decompose(args, out):
-    alg, report, code = _load(args.file, out)
-    if code != EXIT_OK:
-        return code
+def _cmd_decompose(alg, report, args, out):
     rep = decompose(alg)
     if args.json:
         print(canonical_json(rep), file=out)
@@ -90,12 +84,8 @@ def _cmd_decompose(args, out):
     return EXIT_OK
 
 
-def _cmd_simple(args, out):
-    alg, report, code = _load(args.file, out)
-    if code != EXIT_OK:
-        return code
-    vL = check_gr_simple_L(alg)
-    vA = check_gr_simple_A(alg)
+def _cmd_simple(alg, report, args, out):
+    vL, vA = check_gr_simple_L(alg), check_gr_simple_A(alg)
     print("L graded-simple: %s" % vL.verdict, file=out)
     print("A graded-simple: %s" % vA.verdict, file=out)
     print(canonical_json({"L": vL, "A": vA}), file=out)
@@ -138,17 +128,30 @@ def _write(text, path, out):
     return EXIT_OK
 
 
-def _cmd_report(args, out):
-    alg, report, code = _load(args.file, out)
+def _cmd_report(alg, report, args, out):
     doc = _build_report_doc(alg, report)
-    # a failed write outranks the verdict of the axiom suite
-    return _write(canonical_json(doc) + "\n", args.out, out) or code
+    return _write(canonical_json(doc) + "\n", args.out, out)
 
 
 def _cmd_builtin(args, out):
     alg = builtin(args.name)
     return _write(canonical_json(instance_to_dict(alg)) + "\n", args.emit,
                   out)
+
+
+# name, help, handler, and (name or flag, options) per argument; a file
+# command gets (alg, report, args, out) from the axiom gate in `main`.
+_FILE = ("file", {})
+_SUBCOMMANDS = (
+    ("validate", "run the axiom suite", _cmd_validate, [_FILE]),
+    ("classes", "supports and connection classes", _cmd_classes, [_FILE]),
+    ("decompose", "ideal decomposition report", _cmd_decompose,
+     [_FILE, ("--json", {"action": "store_true"})]),
+    ("simple", "graded simplicity verdicts", _cmd_simple, [_FILE]),
+    ("report", "full JSON report", _cmd_report, [_FILE, ("--out", {})]),
+    ("builtin", "emit a catalog instance", _cmd_builtin,
+     [("name", {"choices": list(BUILTIN_NAMES)}), ("--emit", {})]),
+)
 
 
 @cache
@@ -159,34 +162,11 @@ def build_parser():
         prog="g3lr",
         description="analyze graded 3-Lie-Rinehart algebra instances")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="run the axiom suite")
-    sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_validate)
-
-    sp = sub.add_parser("classes", help="supports and connection classes")
-    sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_classes)
-
-    sp = sub.add_parser("decompose", help="ideal decomposition report")
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_decompose)
-
-    sp = sub.add_parser("simple", help="graded simplicity verdicts")
-    sp.add_argument("file")
-    sp.set_defaults(fn=_cmd_simple)
-
-    sp = sub.add_parser("report", help="full JSON report")
-    sp.add_argument("file")
-    sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_report)
-
-    sp = sub.add_parser("builtin", help="emit a catalog instance")
-    sp.add_argument("name", choices=list(BUILTIN_NAMES))
-    sp.add_argument("--emit")
-    sp.set_defaults(fn=_cmd_builtin)
-
+    for name, help_, fn, arguments in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_)
+        for arg, options in arguments:
+            sp.add_argument(arg, **options)
+        sp.set_defaults(fn=fn)
     return p
 
 
@@ -194,7 +174,13 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, out)
+        if "file" not in args:
+            return args.fn(args, out)
+        alg, report, code = _load(args.file, out)
+        if code != EXIT_OK and args.fn is not _cmd_report:
+            return code
+        # a failed write outranks the verdict of the axiom suite
+        return args.fn(alg, report, args, out) or code
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE

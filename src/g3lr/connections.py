@@ -5,9 +5,9 @@ A chain from g to h starts at g, appends letters from the alphabet
 Sigma u Lambda u {1} of the instance, and connects g to h when its total
 product is h or h^{-1}.  Letters are appended one step at a time, and a
 rule says, for each letter of a step, the set the partial product must
-lie in once that letter is appended; `_rules` holds both rules, and the
-search, the connection test, the class partition and the replay all
-read them from there.
+lie in once that letter is appended; `_rules` holds both rules, kind
+"sigma" on Sigma and kind "lambda" on Lambda, and the search, the class
+partition, `connected` and `replay_chain` all read them from there.
 
 On the L-side a step appends two letters: the first product must lie in
 Sigma u Lambda, the second in Sigma, so a chain has odd length.
@@ -77,7 +77,9 @@ def _rules(supports, kind):
     if kind == "sigma":
         return ("L", supports.sigma1,
                 (supports.sigma | supports.lambda_, supports.sigma))
-    return "A", supports.lambda1, (supports.lambda_,)
+    if kind == "lambda":
+        return "A", supports.lambda1, (supports.lambda_,)
+    raise ValueError("unknown connection kind %r" % (kind,))
 
 
 def _search(supports, kind, start):
@@ -110,7 +112,11 @@ def _witness(chains, end):
     return chains.get(end) or chains.get(end.inv())
 
 
-def _connected(supports, kind, start, end):
+def connected(supports, kind, start, end):
+    """A connection chain of `kind`, "sigma" or "lambda", from start to
+    end, or None; both must lie in the support that kind partitions.
+    Chains found are minimal in length for the breadth-first order; any
+    chain satisfying the partial-product conditions is equally valid."""
     side, support, _ = _rules(supports, kind)
     if start not in support or end not in support:
         raise ValueError("arguments must lie in the %s-support" % side)
@@ -133,8 +139,9 @@ def _classes(supports, kind):
     return out
 
 
-def _replay(supports, kind, chain, start, end):
-    """Check a chain against the rule of `kind`: start and end lie in the
+def replay_chain(supports, kind, chain, start, end):
+    """Check a chain against the rule of `kind`, "sigma" or "lambda"
+    (see `_rules` and the module docstring): start and end lie in the
     support the rule partitions, the chain starts at start, has whole
     steps after it, uses alphabet letters only, each proper partial
     product of length len(step) or more lies in its letter's set, and
@@ -155,17 +162,6 @@ def _replay(supports, kind, chain, start, end):
     return partial in (end, end.inv())
 
 
-def sigma_connected(supports, g, h):
-    """A connection chain from g to h, or None.  Chains found are
-    minimal in length for the breadth-first order; any chain satisfying
-    the partial-product conditions is equally valid."""
-    return _connected(supports, "sigma", g, h)
-
-
-def lambda_connected(supports, lam, mu):
-    return _connected(supports, "lambda", lam, mu)
-
-
 def sigma_classes(supports):
     """Partition of the L-support into connection classes; empty
     support gives the empty partition."""
@@ -174,13 +170,3 @@ def sigma_classes(supports):
 
 def lambda_classes(supports):
     return _classes(supports, "lambda")
-
-
-def replay_sigma_chain(supports, chain, g, h):
-    """Check a chain against the defining conditions (see `_rules` and
-    the module docstring)."""
-    return _replay(supports, "sigma", chain, g, h)
-
-
-def replay_lambda_chain(supports, chain, lam, mu):
-    return _replay(supports, "lambda", chain, lam, mu)

@@ -191,7 +191,7 @@ def _class_ideal(alg, side, cls, degree_one):
     fibers, with its ideal check."""
     sub = _extend(degree_one, [{i: 1} for g in sorted(cls.members)
                                for i in alg.fiber_indices(side, g)])
-    return IdealCandidate(sub, cls, side, *_verify_ideal(alg, side, sub))
+    return IdealCandidate(sub, cls, side, *verify_ideal(alg, side, sub))
 
 
 def build_I(alg, cls, supports=None):
@@ -292,10 +292,15 @@ def _ideal_products(alg, side, old, new):
                     yield ("rho-action", s1, s2, ak, lj), v
 
 
-def _verify_ideal(alg, side, S):
-    """(ok, certificate): the certificate is the tag of the first
-    product escaping S and the product, with every row made dense."""
-    n = S.ambient_dim
+def verify_ideal(alg, side, S):
+    """Ideal conditions for a subspace S of `side`: on "L" closed under
+    bracketing with L in the remaining slots, the A-action and the action
+    of rho(S, S)(A) on L; on "A" closed under multiplication by A.
+    (ok, certificate): the tag of the first product escaping S and the
+    product, rows made dense.  Another side or ambient raises ValueError."""
+    n = len(alg.basis(side))
+    if S.ambient_dim != n:
+        raise ValueError("ambient mismatch")
     for tag, v in _ideal_products(alg, side, (), S.rows):
         if not S.contains(v):
             return False, tuple(dense_vec(x, n) if type(x) is dict else x
@@ -324,19 +329,6 @@ def _ideal_closure(alg, side, v, bound=None):
                 added.append(w)
         old, new = old + new, tuple(added)
     return S
-
-
-def verify_ideal_L(alg, S):
-    """Ideal conditions for a subspace of L: closed under bracketing
-    with L in the remaining slots, under the A-action, and under the
-    action of rho(S, S)(A) on L.  Returns (ok, certificate); the
-    certificate names the first product escaping S."""
-    return _verify_ideal(alg, "L", S)
-
-
-def verify_ideal_A(alg, T):
-    """A-side ideal condition: A T inside T."""
-    return _verify_ideal(alg, "A", T)
 
 
 def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
@@ -518,16 +510,11 @@ def check_maximal_length(alg):
 # generated ideals and graded simplicity
 
 
-def graded_ideal_generated_by(alg, v):
-    """Least subspace containing the homogeneous vector v and closed
-    under bracketing with L, the A-action, and rho-derived actions."""
-    return _ideal_closure(alg, "L", v)
-
-
-def A_ideal_generated_by(alg, v):
-    """A-side analogue: closure of a homogeneous vector of A under
-    multiplication by A."""
-    return _ideal_closure(alg, "A", v)
+def ideal_generated_by(alg, side, v):
+    """Least ideal of `side` containing the homogeneous vector v: closed
+    under bracketing with L, the A-action and rho-derived actions on "L",
+    under multiplication by A on "A"."""
+    return _ideal_closure(alg, side, v)
 
 
 def _homogeneous_generators(alg, space, C):
@@ -571,8 +558,8 @@ def check_gr_simple_L(alg, within=None, structure=None):
     vector is the whole thing or the kernel part.  The test is conclusive
     only when all support fibers met are one-dimensional; otherwise a
     passing run yields "undetermined".  `within` must be a graded ideal:
-    a non-homogeneous row, or a failed ideal check unless it is the whole
-    space, raises ValueError before any test."""
+    another ambient dimension, a non-homogeneous row, or a failed ideal
+    check unless it is the whole space, raises ValueError before any test."""
     return _gr_simple(alg, "L", within, structure=structure)
 
 
@@ -587,9 +574,11 @@ def _gr_simple(alg, side, within, is_ideal=None, structure=None):
     verified."""
     n = len(alg.basis(side))
     C = within if within is not None else full_subspace(n)
+    if C.ambient_dim != n:
+        raise ValueError("ambient mismatch")
     gens = _homogeneous_generators(alg, side, C)
     if is_ideal is None:
-        is_ideal = C.dim == n or _verify_ideal(alg, side, C)[0]
+        is_ideal = C.dim == n or verify_ideal(alg, side, C)[0]
     if not is_ideal:
         raise ValueError("subspace is not an ideal, simplicity undefined")
     inc = alg.incidence()

@@ -254,8 +254,10 @@ class Algebra3LR:
             setattr(self, name, _stored(self, name, table))
 
     def basis(self, space):
-        """The `GradedBasis` of `space`, "L" or "A"."""
-        return self.L if space == "L" else self.A
+        """The `GradedBasis` of `space`, "L" or "A", else ValueError."""
+        if space in ("L", "A"):
+            return getattr(self, space)
+        raise ValueError("unknown space %r" % (space,))
 
     def key_degrees(self, name):
         """(key, the degrees of its arguments, their product, entry) over

@@ -24,22 +24,28 @@ def with_entry(alg, table, key, entry):
     return rebuild(alg, **{table: changed})
 
 
+def trace_seed(rep=None):
+    """The seed of `rho_trace_seed`, with `rep` in place of its
+    representation rep(J)(t) = t when given."""
+    g = GroupSpec((0,))
+    L = GradedBasis(("e", "f", "h", "I", "J"),
+                    tuple(g.elem((d,)) for d in (1, -1, 0, 0, 0)))
+    A = GradedBasis(("one", "t"), (g.identity(), g.elem((2,))))
+    return LieRinehartSeed(
+        group=g, L=L, A=A,
+        lie_bracket={(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
+        amul={(0, 0): {0: 1}, (0, 1): {1: 1}},
+        action={(0, li): {li: 1} for li in range(5)},
+        rep={(4, 1): {1: 1}} if rep is None else rep,
+        tau=(0, 0, 0, 1, 0))
+
+
 def rho_trace_seed():
     """The trace construction of Bai, Bai & Wang on L = sl2 + span{I, J}
     over the dual numbers A = span{1, t}: deg e = 1, deg f = -1,
     deg t = 2, t acts as zero on L, rep(J)(t) = t and tau(I) = 1, so
     rho(I, J)(t) = t."""
-    g = GroupSpec((0,))
-    L = GradedBasis(("e", "f", "h", "I", "J"),
-                    tuple(g.elem((d,)) for d in (1, -1, 0, 0, 0)))
-    A = GradedBasis(("one", "t"), (g.identity(), g.elem((2,))))
-    return from_lie_trace(LieRinehartSeed(
-        group=g, L=L, A=A,
-        lie_bracket={(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
-        amul={(0, 0): {0: 1}, (0, 1): {1: 1}},
-        action={(0, li): {li: 1} for li in range(5)},
-        rep={(4, 1): {1: 1}},
-        tau=(0, 0, 0, 1, 0)))
+    return from_lie_trace(trace_seed())
 
 
 def rho_seed_square():

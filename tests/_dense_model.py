@@ -2,21 +2,21 @@
 
 These are the basis-level products (`*_basis`) and multilinear
 evaluators (`eval_*`) that `Algebra3LR` once carried, rewritten as free
-functions of the instance, together with the decomposition helpers
-built on them: the ordered ideal products and the two degree-1 spans.
-The package itself has no per-tuple lookup and no dense evaluator: it
-forms every product from `model.Incidence`.  Every argument and
+functions of the instance, together with the decomposition helper
+built on them: the ordered ideal products.  The package itself has no
+per-tuple lookup and no dense evaluator: it forms every product from
+`model.Incidence`.  Every argument and
 result is a dense Fraction vector, and every evaluator scans all
 coordinate tuples.  The differential tests compare the sparse code with
 these, value by value and in order.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from weakref import WeakKeyDictionary
 
 from _ref_linalg import is_zero_vec, unit_vec, vec
-from g3lr.linalg import span, zero_vec
+from g3lr.linalg import zero_vec
 
 _CACHES = WeakKeyDictionary()
 
@@ -204,39 +204,3 @@ def ideal_products(alg, side, old, new):
                 for lj in range(nL):
                     yield (("rho-action", s1, s2, ak, lj),
                            eval_action(alg, ra, unit_vec(nL, lj)))
-
-
-def L1_span(alg, degrees, supports):
-    """Span of A_{h^-1} L_h over h in the A-support plus
-    [L_h, L_k, L_{(hk)^-1}] over pairs, from the dense basis rows."""
-    degrees = sorted(degrees, key=lambda e: e.coords)
-    rows = []
-    for h in degrees:
-        if h in supports.lambda1:
-            rows += [action_basis(alg, ai, li)
-                     for ai in alg.fiber_indices("A", h.inv())
-                     for li in alg.fiber_indices("L", h)]
-    for h, k in product(degrees, repeat=2):
-        rows += [bracket_basis(alg, i, j, m)
-                 for i in alg.fiber_indices("L", h)
-                 for j in alg.fiber_indices("L", k)
-                 for m in alg.fiber_indices("L", h.mul(k).inv())]
-    return span(rows, alg.dim_L)
-
-
-def A1_span(alg, degrees, supports):
-    """Span of A_{mu^-1} A_mu plus rho(L_h, L_k)(A_{(hk)^-1}) over pairs
-    in the L-support, from the dense basis rows."""
-    degrees = sorted(degrees, key=lambda e: e.coords)
-    rows = []
-    for mu in degrees:
-        rows += [amul_basis(alg, i, j)
-                 for i in alg.fiber_indices("A", mu.inv())
-                 for j in alg.fiber_indices("A", mu)]
-    for h, k in product(degrees, repeat=2):
-        if h in supports.sigma1 and k in supports.sigma1:
-            rows += [rho_basis(alg, i, j, ak)
-                     for i in alg.fiber_indices("L", h)
-                     for j in alg.fiber_indices("L", k)
-                     for ak in alg.fiber_indices("A", h.mul(k).inv())]
-    return span(rows, alg.dim_A)

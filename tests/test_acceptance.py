@@ -22,9 +22,8 @@ from g3lr.cli import EXIT_OK, EXIT_VIOLATIONS, main
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
 from g3lr.decompose import (build_A_ideal, build_I, check_G_multiplicative,
                             check_maximal_length, check_tight, decompose,
-                            graded_ideal_generated_by, structure_ideals,
-                            verify_ideal_A, verify_ideal_L,
-                            verify_triple_orthogonality)
+                            ideal_generated_by, structure_ideals,
+                            verify_ideal, verify_triple_orthogonality)
 from g3lr.instio import instance_from_dict, instance_to_dict, save_instance
 from _ref_linalg import vec
 from g3lr.linalg import full_subspace, zero_vec
@@ -97,11 +96,11 @@ def test_criterion_3_class_ideals():
         for cls in sigma_classes(supports):
             cand = build_I(alg, cls)
             ok = ok and cand.is_graded_ideal \
-                and verify_ideal_L(alg, cand.subspace) == (True, None)
+                and verify_ideal(alg, "L", cand.subspace) == (True, None)
         for cls in lambda_classes(supports):
             cand = build_A_ideal(alg, cls)
             ok = ok and cand.is_graded_ideal \
-                and verify_ideal_A(alg, cand.subspace) == (True, None)
+                and verify_ideal(alg, "A", cand.subspace) == (True, None)
     _verdict(3, ok)
 
 
@@ -192,8 +191,8 @@ def test_criterion_8_closure_oracle():
         if not any(v):
             continue
         checked += 1
-        C = graded_ideal_generated_by(alg, v)
-        ok = ok and verify_ideal_L(alg, C)[0] and C.contains(v)
+        C = ideal_generated_by(alg, "L", v)
+        ok = ok and verify_ideal(alg, "L", C)[0] and C.contains(v)
         ideals = [build_I(alg, c).subspace
                   for c in sigma_classes(compute_supports(alg))]
         ideals.append(full_subspace(alg.dim_L))

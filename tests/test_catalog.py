@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import _dense_model as dm
-from _cases import rho_trace_seed
+from _cases import rho_trace_seed, trace_seed
 from _ref_linalg import unit_vec
 from g3lr.axioms import run_all
 from g3lr.catalog import (BUILTIN_NAMES, LieRinehartSeed,
@@ -12,7 +12,7 @@ from g3lr.catalog import (BUILTIN_NAMES, LieRinehartSeed,
                           from_lie_trace)
 from g3lr.decompose import check_tight
 from g3lr.groups import GroupSpec
-from g3lr.model import GradedBasis
+from g3lr.model import Algebra3LR, GradedBasis
 
 
 def _sl2_seed(tau):
@@ -57,6 +57,30 @@ def test_trace_module_compatibility_checked():
     seed.action[(0, 3)] = {3: 2}          # unit acts by 2 on I only
     with pytest.raises(ValueError):
         from_lie_trace(seed)
+
+
+def test_trace_construction_rejects_an_invalid_result():
+    """rep(J)(1) = 1 passes both checks on the seed, the trace property
+    and trace-module compatibility, but the instance built from it fails
+    the Rinehart and rho-derivation identities."""
+    with pytest.raises(ValueError, match="trace construction produced an "
+                       "invalid instance") as err:
+        from_lie_trace(trace_seed(rep={(4, 0): {0: 1}}))
+    assert "'rinehart-compatibility': 14" in str(err.value)
+    assert "'rho-derivation': 4" in str(err.value)
+
+
+def test_direct_sum_rejects_an_invalid_factor():
+    """a4 with the unit acting by 2 on its first basis vector fails the
+    Rinehart and A-algebra identities, and so does its sum with a4."""
+    a4 = builtin("a4")
+    bad = Algebra3LR(a4.group, a4.L, a4.A, a4.bracket, a4.amul,
+                     {**a4.action, (0, 0): {0: 2}}, a4.rho)
+    with pytest.raises(ValueError, match="direct sum produced an invalid "
+                       "instance") as err:
+        direct_sum(bad, a4)
+    assert "'rinehart-compatibility': 12" in str(err.value)
+    assert "'A-algebra': 1" in str(err.value)
 
 
 def test_direct_sum_shape_and_supports():

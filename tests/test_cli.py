@@ -472,12 +472,16 @@ def test_validate_flags_violations(tmp_path):
 
 
 def test_decompose_gates_on_validity(tmp_path):
+    """Both forms of decompose stop at the axiom gate and print what
+    validate prints."""
     doc = _a4_doc()
     doc["bracket"][0]["value"] = {"e1": "1"}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, _ = _run("decompose", str(path))
-    assert code == EXIT_VIOLATIONS
+    validate = _run("validate", str(path))
+    assert _run("decompose", str(path)) == validate
+    assert _run("decompose", str(path), "--json") == validate
+    assert validate[0] == EXIT_VIOLATIONS
 
 
 @pytest.mark.parametrize("command", ["classes", "simple"])
@@ -489,6 +493,7 @@ def test_classes_and_simple_gate_on_validity(tmp_path, command):
     code, text = _run(command, str(path))
     assert code == EXIT_VIOLATIONS
     assert text.startswith("axiom violations in %s:" % path)
+    assert (code, text) == _run("validate", str(path))
 
 
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys,
@@ -557,6 +562,21 @@ def test_report_on_invalid_instance_keeps_axioms(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["axioms"]["passed"] is False
     assert "decomposition" not in rep
+
+
+def test_unwritable_report_outranks_violations(tmp_path, capsys):
+    """On an instance that fails its axioms, report still runs, and a
+    report that cannot be written exits 3, not 2."""
+    doc = _a4_doc()
+    doc["bracket"][0]["value"] = {"e1": "1"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    bad = str(tmp_path / "missing-dir" / "r.json")
+    capsys.readouterr()
+    code, text = _run("report", str(path), "--out", bad)
+    assert code == EXIT_PARSE
+    assert text == _run("validate", str(path))[1]
+    assert capsys.readouterr().err.startswith("cannot write %s: " % bad)
 
 
 def _fresh_process(*argv):

@@ -4,9 +4,9 @@ replaced.
 `_close_generators` stops each closure at dim C, for an ideal C that
 its callers have verified; `_ref_closure` keeps the closures that ran
 to the end.  On every valid instance of the family below, for the whole
-space on both sides and for every class ideal that `verify_ideal_L/A`
-accepts, both must give the same verdict and the same witness rows.
-The products that `_ideal_products` yields are counted on both sides:
+space on both sides and for every class ideal that `verify_ideal`
+accepts on its side, both must give the same verdict and the same
+witness rows.  The products that `_ideal_products` yields are counted on both sides:
 the bounded closures may form no more than the unbounded ones on any
 case, and, with any ideal check made inside counted too, they must form
 fewer in total.  The simplicity checks verify C before their product
@@ -67,7 +67,7 @@ def _targets(alg):
 def test_bounded_closures_match_the_unbounded_ones(monkeypatch):
     counts = {}
     stage = ["closure"]
-    products, verify = D._ideal_products, D._verify_ideal
+    products, verify = D._ideal_products, D.verify_ideal
 
     def counted_products(*args):
         for item in products(*args):
@@ -81,7 +81,7 @@ def test_bounded_closures_match_the_unbounded_ones(monkeypatch):
         finally:
             stage[0] = "closure"
     monkeypatch.setattr(D, "_ideal_products", counted_products)
-    monkeypatch.setattr(D, "_verify_ideal", counted_verify)
+    monkeypatch.setattr(D, "verify_ideal", counted_verify)
 
     family = _family(random.Random(1414))
     verdicts, total = {}, {"ref": 0, "closure": 0, "verify": 0}

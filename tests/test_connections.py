@@ -4,10 +4,8 @@ import random
 import pytest
 
 from g3lr.catalog import builtin, direct_sum
-from g3lr.connections import (SupportSets, compute_supports, lambda_classes,
-                              lambda_connected, replay_lambda_chain,
-                              replay_sigma_chain, sigma_classes,
-                              sigma_connected)
+from g3lr.connections import (SupportSets, compute_supports, connected,
+                              lambda_classes, replay_chain, sigma_classes)
 import g3lr.groups as groups
 from g3lr.groups import GroupElem, GroupSpec
 
@@ -29,9 +27,9 @@ def test_supports_empty():
 def test_sigma_reflexive_chain():
     s = compute_supports(builtin("a4"))
     g = s.group.elem((1, 0))
-    chain = sigma_connected(s, g, g)
+    chain = connected(s, "sigma", g, g)
     assert chain == (g,)
-    assert replay_sigma_chain(s, chain, g, g)
+    assert replay_chain(s, "sigma", chain, g, g)
 
 
 def test_a4_single_class_with_valid_witnesses():
@@ -41,15 +39,15 @@ def test_a4_single_class_with_valid_witnesses():
     cls = classes[0]
     assert cls.members == s.sigma1
     for h, chain in cls.witnesses.items():
-        assert replay_sigma_chain(s, chain, cls.representative, h)
+        assert replay_chain(s, "sigma", chain, cls.representative, h)
 
 
 def test_arguments_outside_support_rejected():
     s = compute_supports(builtin("a4"))
     with pytest.raises(ValueError):
-        sigma_connected(s, s.group.identity(), s.group.elem((1, 0)))
+        connected(s, "sigma", s.group.identity(), s.group.elem((1, 0)))
     with pytest.raises(ValueError):
-        lambda_connected(s, s.group.elem((1, 0)), s.group.elem((1, 0)))
+        connected(s, "lambda", s.group.elem((1, 0)), s.group.elem((1, 0)))
 
 
 def test_cancelling_chain_is_rejected():
@@ -60,8 +58,8 @@ def test_cancelling_chain_is_rejected():
     h = s.group.elem((0, 0, 0, 1, 0, 0))
     assert g in s.sigma1 and h in s.sigma1
     chain = (g, g.inv(), h)
-    assert not replay_sigma_chain(s, chain, g, h)
-    assert sigma_connected(s, g, h) is None
+    assert not replay_chain(s, "sigma", chain, g, h)
+    assert connected(s, "sigma", g, h) is None
 
 
 def test_direct_sum_supports_stay_separate():
@@ -80,9 +78,9 @@ def test_gl2_inverse_pair_connected():
     s = compute_supports(builtin("gl2-trace"))
     one = s.group.elem((1,))
     minus = s.group.elem((-1,))
-    chain = sigma_connected(s, one, minus)
+    chain = connected(s, "sigma", one, minus)
     assert chain is not None
-    assert replay_sigma_chain(s, chain, one, minus)
+    assert replay_chain(s, "sigma", chain, one, minus)
 
 
 def test_lambda_chain_through_powers():
@@ -90,9 +88,9 @@ def test_lambda_chain_through_powers():
     G = GroupSpec((4,))
     lam, lam2 = G.elem((1,)), G.elem((2,))
     s = SupportSets(G, frozenset(), frozenset((lam, lam2)))
-    chain = lambda_connected(s, lam, lam2)
+    chain = connected(s, "lambda", lam, lam2)
     assert chain is not None
-    assert replay_lambda_chain(s, chain, lam, lam2)
+    assert replay_chain(s, "lambda", chain, lam, lam2)
     assert len(lambda_classes(s)) == 1
 
 
@@ -144,7 +142,7 @@ def _check_equivalence(s):
         assert not (cls.members & seen), "classes overlap"
         seen |= cls.members
         for h, chain in cls.witnesses.items():
-            assert replay_sigma_chain(s, chain, cls.representative, h)
+            assert replay_chain(s, "sigma", chain, cls.representative, h)
         for h in cls.members:
             if h.inv() in s.sigma1:
                 assert h.inv() in cls.members
@@ -157,8 +155,8 @@ def _check_equivalence(s):
     sig = sorted(s.sigma1, key=lambda e: e.coords)
     for g, h in itertools.product(sig, repeat=2):
         same = by_elem[g] == by_elem[h]
-        assert (sigma_connected(s, g, h) is not None) == same
-        assert (sigma_connected(s, h, g) is not None) == same
+        assert (connected(s, "sigma", g, h) is not None) == same
+        assert (connected(s, "sigma", h, g) is not None) == same
 
     l_classes = lambda_classes(s)
     l_seen = set()
@@ -166,7 +164,7 @@ def _check_equivalence(s):
         assert not (cls.members & l_seen)
         l_seen |= cls.members
         for h, chain in cls.witnesses.items():
-            assert replay_lambda_chain(s, chain, cls.representative, h)
+            assert replay_chain(s, "lambda", chain, cls.representative, h)
     assert l_seen == s.lambda1
     lby = {}
     for cls in l_classes:
@@ -175,8 +173,8 @@ def _check_equivalence(s):
     lam = sorted(s.lambda1, key=lambda e: e.coords)
     for a, b in itertools.product(lam, repeat=2):
         same = lby[a] == lby[b]
-        assert (lambda_connected(s, a, b) is not None) == same
-        assert (lambda_connected(s, b, a) is not None) == same
+        assert (connected(s, "lambda", a, b) is not None) == same
+        assert (connected(s, "lambda", b, a) is not None) == same
 
 
 def test_randomized_supports_form_equivalences():
@@ -229,10 +227,10 @@ def test_merged_engine_matches_the_reference_searches_and_replays():
 
     rng = random.Random(20261018)
     kinds = (
-        ("sigma1", sigma_classes, ref.sigma_classes, sigma_connected,
-         ref.sigma_connected, replay_sigma_chain, ref.replay_sigma_chain),
-        ("lambda1", lambda_classes, ref.lambda_classes, lambda_connected,
-         ref.lambda_connected, replay_lambda_chain, ref.replay_lambda_chain),
+        ("sigma", "sigma1", sigma_classes, ref.sigma_classes,
+         ref.sigma_connected, ref.replay_sigma_chain),
+        ("lambda", "lambda1", lambda_classes, ref.lambda_classes,
+         ref.lambda_connected, ref.replay_lambda_chain),
     )
     free = accepted = 0
     for _ in range(200):
@@ -242,8 +240,7 @@ def test_merged_engine_matches_the_reference_searches_and_replays():
                           key=lambda e: e.coords)
         # letters of the alphabet, and a few group elements outside it
         pool = alphabet + rng.sample(elems, min(3, len(elems)))
-        for attr, classes, ref_classes, conn, ref_conn, replay, ref_replay \
-                in kinds:
+        for kind, attr, classes, ref_classes, ref_conn, ref_replay in kinds:
             got, want = classes(s), ref_classes(s)
             assert [(c.representative, c.members, c.kind, c.witnesses)
                     for c in got] == [
@@ -251,10 +248,10 @@ def test_merged_engine_matches_the_reference_searches_and_replays():
                 for c in want]
             support = sorted(getattr(s, attr), key=lambda e: e.coords)
             for g, h in itertools.product(support, repeat=2):
-                assert conn(s, g, h) == ref_conn(s, g, h)
+                assert connected(s, kind, g, h) == ref_conn(s, g, h)
 
             def same_verdict(chain, g, h):
-                verdict = replay(s, chain, g, h)
+                verdict = replay_chain(s, kind, chain, g, h)
                 assert verdict == (g in support and h in support
                                    and ref_replay(s, chain, g, h)), \
                     (chain, g, h)
@@ -287,10 +284,10 @@ def test_replay_rejects_ends_outside_the_support():
     G = GroupSpec((5,))
     e = [G.elem((i,)) for i in range(5)]
     s = SupportSets(G, frozenset({e[1], e[4]}), frozenset({e[2], e[3]}))
-    assert not replay_sigma_chain(s, (e[2], e[1], e[4]), e[2], e[3])
-    assert not replay_sigma_chain(s, (e[0],), e[0], e[0])
-    assert not replay_lambda_chain(s, (e[0],), e[0], e[0])
+    assert not replay_chain(s, "sigma", (e[2], e[1], e[4]), e[2], e[3])
+    assert not replay_chain(s, "sigma", (e[0],), e[0], e[0])
+    assert not replay_chain(s, "lambda", (e[0],), e[0], e[0])
     # the one-letter chain of a support element still connects it to
     # itself
-    assert replay_sigma_chain(s, (e[1],), e[1], e[1])
-    assert replay_lambda_chain(s, (e[2],), e[2], e[2])
+    assert replay_chain(s, "sigma", (e[1],), e[1], e[1])
+    assert replay_chain(s, "lambda", (e[2],), e[2], e[2])

@@ -10,20 +10,19 @@ from types import SimpleNamespace
 import pytest
 
 import _dense_model as dm
+import _ref_degrees as ref_degrees
 from _cases import rational_seed, rho_trace_seed
 from g3lr.catalog import builtin, direct_sum
-from g3lr.connections import compute_supports, lambda_classes, sigma_classes
+from g3lr.connections import (compute_supports, connected, lambda_classes,
+                              replay_chain, sigma_classes)
 from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
                             _homogeneous_generators, _ideal_products,
-                            _product,
-                            A_ideal_generated_by,
-                            IdealCandidate, build_A1_class,
+                            _product, IdealCandidate, build_A1_class,
                             build_A_ideal, build_I, build_L1_class,
                             check_G_multiplicative, check_gr_simple_A,
                             check_gr_simple_L, check_maximal_length,
-                            check_tight, decompose, graded_ideal_generated_by,
-                            pair_ideals, structure_ideals,
-                            verify_ideal_A, verify_ideal_L,
+                            check_tight, decompose, ideal_generated_by,
+                            pair_ideals, structure_ideals, verify_ideal,
                             verify_triple_orthogonality)
 from g3lr.groups import GroupSpec
 from g3lr.instio import canonical_json
@@ -144,8 +143,8 @@ def test_A1_class_of_truncated_polynomials():
 
 def test_verify_ideal_full_and_proper():
     alg = builtin("a4")
-    assert verify_ideal_L(alg, full_subspace(4)) == (True, None)
-    ok, cert = verify_ideal_L(alg, span([unit_vec(4, 0)], 4))
+    assert verify_ideal(alg, "L", full_subspace(4)) == (True, None)
+    ok, cert = verify_ideal(alg, "L", span([unit_vec(4, 0)], 4))
     assert not ok and cert[0] == "bracket"
 
 
@@ -153,13 +152,13 @@ def test_center_is_always_an_ideal():
     for name in BUILTINS:
         alg = builtin(name)
         center = structure_ideals(alg).center
-        assert verify_ideal_L(alg, center)[0]
+        assert verify_ideal(alg, "L", center)[0]
 
 
 def test_verify_ideal_A():
     alg = _truncated_poly()
-    assert verify_ideal_A(alg, span([unit_vec(3, 1), unit_vec(3, 2)], 3))[0]
-    ok, cert = verify_ideal_A(alg, span([unit_vec(3, 0)], 3))
+    assert verify_ideal(alg, "A", span([unit_vec(3, 1), unit_vec(3, 2)], 3))[0]
+    ok, cert = verify_ideal(alg, "A", span([unit_vec(3, 0)], 3))
     assert not ok and cert[0] == "amul"
 
 
@@ -292,35 +291,77 @@ def test_maximal_length():
 
 
 # ---------------------------------------------------------------------------
+def _wrong_argument_calls():
+    """(id, call, message): each call passes a4 (dim L 4, dim A 1) a
+    side, kind or ambient that is not its own."""
+    a4 = builtin("a4")
+    s = compute_supports(a4)
+    g, one = s.group.elem((1, 0)), a4.group.identity()
+    L4, A1 = full_subspace(4), full_subspace(1)
+    return [
+        ("verify_ideal-ambient", lambda: verify_ideal(a4, "A", L4),
+         "ambient mismatch"),
+        ("verify_ideal-side", lambda: verify_ideal(a4, "l", L4),
+         "unknown space 'l'"),
+        ("ideal_generated_by-side",
+         lambda: ideal_generated_by(a4, "B", unit_vec(4, 0)),
+         "unknown space 'B'"),
+        ("ideal_generated_by-ambient",
+         lambda: ideal_generated_by(a4, "A", unit_vec(4, 0)),
+         "row length 4 in ambient of dim 1"),
+        ("check_gr_simple_L-ambient",
+         lambda: check_gr_simple_L(a4, within=A1), "ambient mismatch"),
+        ("check_gr_simple_A-ambient",
+         lambda: check_gr_simple_A(a4, within=L4), "ambient mismatch"),
+        ("fiber-side", lambda: a4.fiber("B", one), "unknown space 'B'"),
+        ("connected-kind", lambda: connected(s, "Sigma", g, g),
+         "unknown connection kind 'Sigma'"),
+        ("replay_chain-kind",
+         lambda: replay_chain(s, "sigma1", (g,), g, g),
+         "unknown connection kind 'sigma1'"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, message", [pytest.param(call, message, id=name)
+                      for name, call, message in _wrong_argument_calls()])
+def test_wrong_side_kind_or_ambient_raises(call, message):
+    """A side other than "L" and "A", a kind other than "sigma" and
+    "lambda", or a subspace of the other side's ambient is refused by
+    name, never run as the other side."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # generated ideals and graded simplicity
 
 
 def test_closure_of_zero_and_of_generator():
     alg = builtin("a4")
-    assert graded_ideal_generated_by(alg, zero_vec(4)).dim == 0
-    assert graded_ideal_generated_by(alg, unit_vec(4, 0)) == full_subspace(4)
+    assert ideal_generated_by(alg, "L", zero_vec(4)).dim == 0
+    assert ideal_generated_by(alg, "L", unit_vec(4, 0)) == full_subspace(4)
 
 
 def test_closure_rejects_inhomogeneous():
     alg = builtin("a4")
     with pytest.raises(ValueError):
-        graded_ideal_generated_by(alg, vec((1, 1, 0, 0)))
+        ideal_generated_by(alg, "L", vec((1, 1, 0, 0)))
 
 
 def test_closure_idempotent_and_ideal():
     alg = direct_sum(builtin("a4"), builtin("gl2-trace"))
     for i in range(alg.dim_L):
-        C = graded_ideal_generated_by(alg, unit_vec(alg.dim_L, i))
-        assert verify_ideal_L(alg, C)[0]
+        C = ideal_generated_by(alg, "L", unit_vec(alg.dim_L, i))
+        assert verify_ideal(alg, "L", C)[0]
         for row in C.basis:
-            assert C.contains_subspace(graded_ideal_generated_by(alg, row))
+            assert C.contains_subspace(ideal_generated_by(alg, "L", row))
 
 
 def test_A_closure():
     alg = _truncated_poly()
-    assert A_ideal_generated_by(alg, unit_vec(3, 1)) \
+    assert ideal_generated_by(alg, "A", unit_vec(3, 1)) \
         == span([unit_vec(3, 1), unit_vec(3, 2)], 3)
-    assert A_ideal_generated_by(alg, unit_vec(3, 0)) == full_subspace(3)
+    assert ideal_generated_by(alg, "A", unit_vec(3, 0)) == full_subspace(3)
 
 
 def test_gr_simple_L_verdicts():
@@ -362,13 +403,13 @@ def test_gr_simple_L_within_non_ideal_rejected():
     two = direct_sum(builtin("a4"), builtin("a4"))
     for j in range(4, 8):
         bad = span([unit_vec(8, i) for i in range(4)] + [unit_vec(8, j)], 8)
-        assert not verify_ideal_L(two, bad)[0]
+        assert not verify_ideal(two, "L", bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_L(two, within=bad)
     # rows with a zero bracket: the check must come before the bracket
     # test, which would answer "no" on its own
     bad = span([unit_vec(4, 0), unit_vec(4, 1)], 4)
-    assert not verify_ideal_L(alg, bad)[0]
+    assert not verify_ideal(alg, "L", bad)[0]
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=bad)
 
@@ -380,7 +421,7 @@ def test_gr_simple_A_within_non_ideal_rejected():
                    (direct_sum(builtin("a4"), dual), 1)):
         n = alg.dim_A
         bad = span([unit_vec(n, i) for i in range(j)] + [unit_vec(n, j)], n)
-        assert not verify_ideal_A(alg, bad)[0]
+        assert not verify_ideal(alg, "A", bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_A(alg, within=bad)
     # rows with a zero product, which must not answer before the check:
@@ -396,7 +437,7 @@ def test_gr_simple_A_within_non_ideal_rejected():
             (direct_sum(dual, dual), span([{1: 1, 3: 1}], 4)),
             (Algebra3LR(G, L, A, {}, amul, {(0, 0): {0: 1}}, {}),
              span([unit_vec(4, 1)], 4))):
-        assert not verify_ideal_A(alg, bad)[0]
+        assert not verify_ideal(alg, "A", bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_A(alg, within=bad)
 
@@ -414,7 +455,7 @@ def test_gr_simple_within_non_graded_ideal_rejected():
     alg = Algebra3LR(G, GradedBasis(("x",), (G.identity(),)), A, {}, amul,
                      {(0, 0): {0: 1}}, {})
     C = span([{1: 1, 2: 1}, {3: 1}], 4)
-    assert verify_ideal_A(alg, C)[0]
+    assert verify_ideal(alg, "A", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_A(alg, within=C)
     # with su = 0, span{s + u} is an ideal with a zero product
@@ -422,7 +463,7 @@ def test_gr_simple_within_non_graded_ideal_rejected():
     alg = Algebra3LR(G, alg.L, A, {}, {(0, i): {i: 1} for i in range(3)},
                      {(0, 0): {0: 1}}, {})
     C = span([{1: 1, 2: 1}], 3)
-    assert verify_ideal_A(alg, C)[0]
+    assert verify_ideal(alg, "A", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_A(alg, within=C)
     # a4 plus central z1, z2 of distinct degrees, A = F acting as the
@@ -433,12 +474,12 @@ def test_gr_simple_within_non_graded_ideal_rejected():
     alg = Algebra3LR(G, L, one, a4.bracket, {(0, 0): {0: 1}},
                      {(0, i): {i: 1} for i in range(6)}, {})
     C = span([unit_vec(6, i) for i in range(4)] + [{4: 1, 5: 1}], 6)
-    assert verify_ideal_L(alg, C)[0]
+    assert verify_ideal(alg, "L", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=C)
     # span{z1 + z2} there: an ideal with a zero bracket
     C = span([{4: 1, 5: 1}], 6)
-    assert verify_ideal_L(alg, C)[0]
+    assert verify_ideal(alg, "L", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=C)
 
@@ -697,22 +738,22 @@ def _check_closure_engine(alg, rng):
                      for _ in range(2)], nL)]
     for _ in range(3):
         v = _random_homogeneous(rng, alg, "L")
-        closure = graded_ideal_generated_by(alg, v)
+        closure = ideal_generated_by(alg, "L", v)
         assert closure == _ref_closure_L(alg, v)
         # closed under brackets and actions, perhaps not under rho
         L_tests += [closure, _ref_closure_L(no_rho, v)]
     A_tests = [span([_random_homogeneous(rng, alg, "A")], nA)]
     for _ in range(2):
         v = _random_homogeneous(rng, alg, "A")
-        closure = A_ideal_generated_by(alg, v)
+        closure = ideal_generated_by(alg, "A", v)
         assert closure == _ref_closure_A(alg, v)
         A_tests.append(closure)
     for S in L_tests:
-        got = verify_ideal_L(alg, S)
+        got = verify_ideal(alg, "L", S)
         assert got == _ref_verify_L(alg, S)
         rho_certs += got[1] is not None and got[1][0] == "rho-action"
     for T in A_tests:
-        assert verify_ideal_A(alg, T) == _ref_verify_A(alg, T)
+        assert verify_ideal(alg, "A", T) == _ref_verify_A(alg, T)
     s = structure_ideals(alg)
     assert (s.z_L, s.ker_rho, s.center, s.ann_A, s.ann_L_A,
             s.ann_A_on_L) == _ref_structure(alg)
@@ -779,12 +820,12 @@ def _check_against_dense_oracle(alg, rng):
             == dm.eval_rho(alg, x, y, a)
     rho_seen = False
     for v in (_random_homogeneous(rng, alg, "L") for _ in range(2)):
-        rho_seen |= _products_agree(alg, "L", graded_ideal_generated_by(
-            alg, v))
+        rho_seen |= _products_agree(alg, "L", ideal_generated_by(
+            alg, "L", v))
     rho_seen |= _products_agree(alg, "L", alg.fiber(
         "L", rng.choice(alg.L.degrees)))
-    _products_agree(alg, "A", A_ideal_generated_by(
-        alg, _random_homogeneous(rng, alg, "A")))
+    _products_agree(alg, "A", ideal_generated_by(
+        alg, "A", _random_homogeneous(rng, alg, "A")))
     _products_agree(alg, "A", full_subspace(nA))
     s = structure_ideals(alg)
     assert (s.z_L, s.ker_rho, s.center, s.ann_A, s.ann_L_A,
@@ -793,11 +834,11 @@ def _check_against_dense_oracle(alg, rng):
     for degrees in [supports.sigma1] + [
             c.members for c in sigma_classes(supports)]:
         assert _L1_span(alg, degrees, supports) \
-            == dm.L1_span(alg, degrees, supports)
+            == ref_degrees.L1_span(alg, degrees, supports)
     for degrees in [supports.lambda1] + [
             c.members for c in lambda_classes(supports)]:
         assert _A1_span(alg, degrees, supports) \
-            == dm.A1_span(alg, degrees, supports)
+            == ref_degrees.A1_span(alg, degrees, supports)
     return rho_seen
 
 
@@ -851,10 +892,10 @@ def _orthogonality_cases(alg, rng):
         basis = alg.L if space == "L" else alg.A
         return [alg.fiber(space, d) for d in
                 sorted(set(basis.degrees), key=lambda e: e.coords)]
-    closures = [graded_ideal_generated_by(
-        alg, _random_homogeneous(rng, alg, "L")) for _ in range(3)]
-    A_closures = [A_ideal_generated_by(
-        alg, _random_homogeneous(rng, alg, "A")) for _ in range(2)]
+    closures = [ideal_generated_by(
+        alg, "L", _random_homogeneous(rng, alg, "L")) for _ in range(3)]
+    A_closures = [ideal_generated_by(
+        alg, "A", _random_homogeneous(rng, alg, "A")) for _ in range(2)]
     X = span([_random_vec(rng, alg.dim_L) for _ in range(2)], alg.dim_L)
     return [(fibers("L"), fibers("A")), (closures, A_closures),
             ([X, X], A_closures[:1] * 2), ([X] + fibers("L")[:2] + [X], [])]
@@ -960,10 +1001,10 @@ def _check_pairing_and_simplicity(alg, rng, witnesses):
                                            if I.is_graded_ideal],
         "A": [full_subspace(alg.dim_A)] + [J.subspace for J in A_class
                                            if J.is_graded_ideal]}
-    graded["L"] += [graded_ideal_generated_by(
-        alg, _random_homogeneous(rng, alg, "L")) for _ in range(2)]
-    graded["A"] += [A_ideal_generated_by(
-        alg, _random_homogeneous(rng, alg, "A")) for _ in range(2)]
+    graded["L"] += [ideal_generated_by(
+        alg, "L", _random_homogeneous(rng, alg, "L")) for _ in range(2)]
+    graded["A"] += [ideal_generated_by(
+        alg, "A", _random_homogeneous(rng, alg, "A")) for _ in range(2)]
     for side, check, zero in (("L", check_gr_simple_L, "zero-bracket"),
                               ("A", check_gr_simple_A, "zero-product")):
         for C in graded[side]:
@@ -1013,9 +1054,8 @@ def _check_fiber_meets(alg, rng):
                          for r in alg.fiber(space, d).rows], n)]
         spaces += [span([_random_vec(rng, n) for _ in range(k)], n)
                    for k in (1, max(n - 1, 1), n)]
-        close = (graded_ideal_generated_by if space == "L"
-                 else A_ideal_generated_by)
-        spaces.append(close(alg, _random_homogeneous(rng, alg, space)))
+        spaces.append(ideal_generated_by(
+            alg, space, _random_homogeneous(rng, alg, space)))
         for C in spaces:
             want = _fiber_meets(alg, space, C)
             if len(want) == C.dim:

@@ -14,8 +14,8 @@ from test_decompose import NON_INTEGRAL, _non_integral_instances, \
 from g3lr.axioms import run_all
 from g3lr.catalog import builtin
 from g3lr.decompose import (_bracket, _product, decompose,
-                            graded_ideal_generated_by, structure_ideals,
-                            verify_ideal_A, verify_ideal_L)
+                            ideal_generated_by, structure_ideals,
+                            verify_ideal)
 from g3lr.groups import GroupSpec
 from g3lr.linalg import Subspace, dense_vec, sparse_row
 from g3lr.model import Algebra3LR, GradedBasis
@@ -332,11 +332,11 @@ def test_public_surface_stays_fraction():
         spaces = list(_subspaces(structure_ideals(alg)))
         for d in set(alg.L.degrees):
             F = alg.fiber("L", d)
-            _check_certificate(verify_ideal_L(alg, F)[1])
-            spaces += [F, graded_ideal_generated_by(
-                alg, F.basis[0] if F.dim else unit_vec(alg.dim_L, 0))]
+            _check_certificate(verify_ideal(alg, "L", F)[1])
+            spaces += [F, ideal_generated_by(
+                alg, "L", F.basis[0] if F.dim else unit_vec(alg.dim_L, 0))]
         for d in set(alg.A.degrees):
-            _check_certificate(verify_ideal_A(alg, alg.fiber("A", d))[1])
+            _check_certificate(verify_ideal(alg, "A", alg.fiber("A", d))[1])
         if report.passed:
             rep = decompose(alg)
             spaces += list(_subspaces(rep))
