@@ -9,12 +9,10 @@ antisymmetric in a group of arguments it suffices to cover strictly
 increasing index tuples for that group; this reduction is used for the
 fundamental identity and is spelled out in the docstrings below.
 
-Every identity is summed per witness: each side is a sparse
-{index: coefficient} vector per witness, and each nonzero term is added
-to the witnesses it reaches, read off the instance's `model.Incidence`
-(built once and shared by all checks, in its coefficient view: ints
-where integral, see `model`).  The terms of each check come from the
-nonzero operators:
+Every identity is summed from its nonzero terms, read off the
+instance's `model.Incidence` (built once and shared by all checks, in
+its coefficient view: ints where integral, see `model`).  The terms of
+each check come from the nonzero operators:
 - the fundamental identity, from the pairs (l, m) with ad(l, m) != 0
   and the triples they reach;
 - the representation identities, from the compositions of two live
@@ -29,10 +27,20 @@ A witness that no term reaches has both sides zero, holds trivially and
 is never formed, so the work grows with the nonzero terms and a pass is
 still a proof; each rule sits next to its proof in the code.  The left
 side of the fundamental identity on (i, j, k, l, m), for instance, is
-the sum of c_p [p, l, m] over the entries c_p of [i, j, k].  The two
-sides are compared with their zero coefficients dropped, the violations
-are sorted into the order of a full scan, and dense Fraction
-`lhs`/`rhs` tuples are built only for a recorded Violation.
+the sum of c_p [p, l, m] over the entries c_p of [i, j, k].
+
+Verdict first (`_decide`).  A check splits its witnesses into units: a
+pair (l, m) of the fundamental identity, a pair (x, y) of the Rinehart
+bracket clause or of the rho-derivation identity, the Rinehart rho
+clauses, each A-algebra law.  A unit is decided by one signed sum,
+lhs - rhs over all its witnesses in one flat dict keyed by a
+mixed-radix code, and only a unit that fails has its sides formed; the
+violations keep the order of a full scan, and dense Fraction `lhs`/`rhs`
+tuples are built only for a recorded Violation.  The representation
+check does not use it: it still sums each side per witness and compares
+the two (`_compare`).  On a fully dense rho every unit fails, and the
+second sum of a failing unit forms every composition rho(P) rho(Q) a
+again, so there the verdict-first check measured about 15 % slower.
 """
 
 from dataclasses import dataclass, field
@@ -81,38 +89,106 @@ class AxiomReport:
                 for axiom, vs in self.violations.items()}
 
 
-# ---- sparse vectors: {index: coefficient}, absent means zero ----
+# ---- summing the terms of an identity ----
 
 
-def _add(acc, coeff, entry):
-    """acc += coeff * entry."""
+def _code(digits, radices):
+    """The mixed-radix code of `digits`, each below its radix.  Codes
+    sort like the digit tuples: digit i counts P_i, the product of the
+    radices after it, and all later digits together stay below P_i, so
+    the first digit in which two tuples differ decides."""
+    code = 0
+    for d, r in zip(digits, radices):
+        code = code * r + d
+    return code
+
+
+def _digits(code, radices):
+    """The digits of `code` in `radices`, inverting `_code`."""
+    out = []
+    for r in reversed(radices):
+        code, d = divmod(code, r)
+        out.append(d)
+    out.reverse()
+    return tuple(out)
+
+
+def _add(acc, code, coeff, entry):
+    """acc += coeff * entry, with the entry's coordinate t at code + t."""
     for t, c in entry.items():
-        acc[t] = acc.get(t, 0) + coeff * c
-
-
-def _check(out, axiom, witness, lhs, rhs, dim):
-    """Record a Violation when the two sparse sides differ."""
-    if lhs == rhs:
-        return
-    lhs = {t: c for t, c in lhs.items() if c}
-    rhs = {t: c for t, c in rhs.items() if c}
-    if lhs != rhs:
-        out.append(Violation(axiom, witness, dense_vec(lhs, dim),
-                             dense_vec(rhs, dim)))
+        acc[code + t] = acc.get(code + t, 0) + coeff * c
 
 
 def _compare(out, axiom, dim, *clauses):
     """Check each clause (head, lhs, rhs), whose sides map a key to a
-    sparse side, at the witness head + key.  The keys that any side
-    reaches are visited in sorted order, and each key in the clauses'
-    order."""
+    sparse side, at the witness head + key, and record a Violation
+    where the sides differ with their zero coefficients dropped.  The
+    keys that any side reaches are visited in sorted order, and each key
+    in the clauses' order."""
     keys = set()
     for _, lhs, rhs in clauses:
         keys.update(lhs, rhs)
     for key in sorted(keys):
         for head, lhs, rhs in clauses:
-            _check(out, axiom, head + key, lhs.get(key, {}),
-                   rhs.get(key, {}), dim)
+            left, right = lhs.get(key, {}), rhs.get(key, {})
+            if left == right:
+                continue
+            left = {t: c for t, c in left.items() if c}
+            right = {t: c for t, c in right.items() if c}
+            if left != right:
+                out.append(Violation(axiom, head + key, dense_vec(left, dim),
+                                     dense_vec(right, dim)))
+
+
+def _decide(out, axiom, terms, units, radices, witness):
+    """Decide each unit of an identity by one signed sum, and record the
+    violations of a unit that fails, in the order of their witnesses.
+
+    `terms(unit, lhs, rhs)` adds each left-side term of the unit's
+    witnesses to lhs and subtracts each right-side term from rhs, at the
+    `_code` in `radices` of the witness digits followed by the
+    coordinate t, the last radix; with rhs None it adds the left side
+    only.  `witness(unit, digits)` is the witness tuple.
+
+    Exactness: terms(unit, acc, acc) leaves acc = lhs - rhs in one dict.
+    A witness fails iff its sides differ at some coordinate, that is iff
+    lhs - rhs is nonzero there.  Arithmetic is exact, so acc is zero
+    throughout iff every witness of the unit holds, and then nothing
+    more is formed.  A failing unit sums its left side again, and its
+    right side is lhs - acc: every code that a left term reaches is in
+    acc, and a code absent from acc has both sides zero.  The witnesses
+    with a nonzero acc are recorded, each with its sides as dense
+    Fraction tuples, so a coefficient that cancelled to zero is dropped
+    as in a dense evaluation.
+
+    Order: code // dim is the code of the witness digits, and codes sort
+    like digit tuples, so each unit records its violations in the order
+    of its digits.  The caller passes the units in the order of the
+    digits that `witness` puts ahead of them, or sorts the result."""
+    dim = radices[-1]
+    decoded = {}
+    for unit in units:
+        acc = {}
+        terms(unit, acc, acc)
+        if not any(acc.values()):
+            continue
+        lhs = {}
+        terms(unit, lhs, None)
+        sides = {code // dim: ({}, {}) for code, c in acc.items() if c}
+        for code, c in acc.items():
+            w = code // dim
+            if w in sides:
+                left = lhs.get(code, 0)
+                if left:
+                    sides[w][0][code - w * dim] = left
+                if left != c:
+                    sides[w][1][code - w * dim] = left - c
+        for w in sorted(sides):
+            if w not in decoded:
+                decoded[w] = _digits(w, radices[:-1])
+            left, right = sides[w]
+            out.append(Violation(axiom, witness(unit, decoded[w]),
+                                 dense_vec(left, dim), dense_vec(right, dim)))
 
 
 def check_fundamental_identity(alg):
@@ -122,43 +198,49 @@ def check_fundamental_identity(alg):
     index tuples cover everything.
 
     With D = ad(l, m) = [., l, m] the identity on (i, j, k, l, m) reads
-    D[i,j,k] = [Di,j,k] + [i,Dj,k] + [i,j,Dk]: D is a derivation.  Both
-    sides are built per pair with D != 0 and per triple they reach, so
-    the work grows with the nonzero terms.  Every other tuple holds
-    trivially: a pair with D = 0 has D in every term, and for a triple
-    T that neither meets P = {p : Dp != 0} nor has [T] meeting P, every
-    term applies D to a basis vector outside P.  Violations are sorted
-    by witness, the (i, j, k)-major order of the plain enumeration."""
+    D[i,j,k] = [Di,j,k] + [i,Dj,k] + [i,j,Dk]: D is a derivation.  A
+    unit is one pair (l, m) with D != 0, with the triples (i, j, k) as
+    the witness digits.  Every other tuple holds trivially: a pair with
+    D = 0 has D in every term, and for a triple T that neither meets
+    P = {p : Dp != 0} nor has [T] meeting P, every term applies D to a
+    basis vector outside P.  Violations are sorted by witness, the
+    (i, j, k)-major order of the plain enumeration."""
     out = []
     n = alg.dim_L
     incidence = alg.incidence()
-    ad, pairs_of, hits = incidence.ad, incidence.bracket_by_L, incidence.hits
-    # Skip: a pair with ad(l, m) = 0 has no entry in ad, and each term
-    # of its tuples applies D = 0.
-    for (l, m), d in ad.items():
-        if l > m:
-            continue
-        lhs, rhs = {}, {}
-        for p, dp in d.items():
+    ad, pairs_of = incidence.ad, incidence.bracket_by_L
+    # hits[p] with each stored triple T as the code of (T, 0)
+    hits = [[(_code(key, (n, n, n)) * n, c) for key, c in h]
+            for h in incidence.hits]
+
+    def terms(lm, lhs, rhs):
+        # the sums of `_add`, written out: this is the hottest loop
+        for p, dp in ad[lm].items():
             # D[T] = sum of [T]_p D p
-            for key, c in hits[p]:
-                _add(lhs.setdefault(key, {}), c, dp)
+            for code, c in hits[p]:
+                for t, e in dp.items():
+                    lhs[code + t] = lhs.get(code + t, 0) + c * e
+            if rhs is None:
+                continue
             # the term of T = {p, a, b} with D in p's slot is
             # sign * [Dp, a, b], the sign of moving p to the front
             for q, c in dp.items():
                 for (a, b), v in pairs_of.get(q, ()):
                     if p < a:
-                        key, f = (p, a, b), c
+                        code, f = ((p * n + a) * n + b) * n, -c
                     elif a < p < b:
-                        key, f = (a, p, b), -c
+                        code, f = ((a * n + p) * n + b) * n, c
                     elif b < p:
-                        key, f = (a, b, p), c
+                        code, f = ((a * n + b) * n + p) * n, -c
                     else:
                         continue
-                    _add(rhs.setdefault(key, {}), f, v)
-        for key in lhs.keys() | rhs.keys():
-            _check(out, FUNDAMENTAL, key + (l, m), lhs.get(key, {}),
-                   rhs.get(key, {}), n)
+                    for t, e in v.items():
+                        rhs[code + t] = rhs.get(code + t, 0) + f * e
+
+    # Skip: a pair with ad(l, m) = 0 has no entry in ad, and each term
+    # of its tuples applies D = 0.
+    _decide(out, FUNDAMENTAL, terms, [lm for lm in ad if lm[0] < lm[1]],
+            (n, n, n, n), lambda lm, ijk: ijk + lm)
     out.sort(key=lambda v: v.witness)
     return out
 
@@ -210,19 +292,20 @@ def check_representation(alg):
             comps = {}
             for q, c in r.items():
                 for pair, e in on.get(q, ()):
-                    _add(comps.setdefault(pair, {}), c, e)
+                    _add(comps.setdefault(pair, {}), 0, c, e)
             for (p1, p2), comp in comps.items():
-                _add(comm.setdefault((p1, p2, q1, q2, ak), {}), 1, comp)
-                _add(comm.setdefault((q1, q2, p1, p2, ak), {}), -1, comp)
+                _add(comm.setdefault((p1, p2, q1, q2, ak), {}), 0, 1, comp)
+                _add(comm.setdefault((q1, q2, p1, p2, ak), {}), 0, -1, comp)
                 for key in ((p1, p2, q1, q2, ak), (q1, p1, p2, q2, ak),
                             (p2, q1, p1, q2, ak)):
-                    _add(rhs_ii.setdefault(key, {}), 1, comp)
+                    _add(rhs_ii.setdefault(key, {}), 0, 1, comp)
             # (q1, q2) = (p, y) of rho([x1,x2,x3], y) a
             for (x1, x2, x3), c in into.get(q1, ()):
                 key = (x1, x2, x3, q2, ak)
-                _add(lhs_ii.setdefault(key, {}), c, r)
-                _add(rhs_i.setdefault(key, {}), c, r)
-                _add(rhs_i.setdefault((x1, x2, q2, x3, ak), {}), -c, r)
+                _add(lhs_ii.setdefault(key, {}), 0, c, r)
+                _add(rhs_i.setdefault(key, {}), 0, c, r)
+                _add(rhs_i.setdefault((x1, x2, q2, x3, ak), {}), 0, -c,
+                     r)
         _compare(out, REPRESENTATION, alg.dim_A, (("i",), comm, rhs_i),
                  (("ii",), lhs_ii, rhs_ii))
     out.sort(key=lambda v: v.witness[1:] + v.witness[:1])
@@ -233,52 +316,66 @@ def check_rinehart_compat(alg):
     """[x,y,a z] = a[x,y,z] + (rho(x,y)a) z  and
     rho(a x, y) = rho(x, a y) = a rho(x, y)  on all basis tuples.
 
-    As in `check_fundamental_identity`, each side is summed per witness
-    over its nonzero terms, with D = ad(x, y): [x,y,a z] = sum of
-    (a z)_p D p over `acted_into[p]`, a[x,y,z] = sum of (D z)_p a p and
+    As in `check_fundamental_identity`, each side is summed over its
+    nonzero terms, with D = ad(x, y): [x,y,a z] = sum of (a z)_p D p
+    over `acted_into[p]`, a[x,y,z] = sum of (D z)_p a p and
     (rho(x,y)a) z = sum of (rho(x,y)a)_q q z; rho(a x, y) b = sum of
     (a x)_p rho(p, y) b over the live pairs (p, y) and `acted_into[p]`,
     rho(x, a y) b likewise, and a rho(x, y) b = sum of (rho(x,y)b)_q a q.
-    A witness that no term reaches has both sides zero and holds, so the
-    sorted reached witnesses, the bracket clause first and `rho-left`
-    before `rho-right`, give the violations of a full scan in order."""
+    A unit of the bracket clause is one pair (x, y) with ad(x, y) or
+    rho(x, y) nonzero, with witness digits (z, a); the rho clauses are
+    one unit, with witness digits (x, y, a, b, clause), `rho-left`
+    before `rho-right`.  A witness that no term reaches has both sides
+    zero and holds, so the units in order, the bracket clause first,
+    give the violations of a full scan in order."""
     out = []
+    nL, nA = alg.dim_L, alg.dim_A
     incidence = alg.incidence()
     ad, live, acted_into = (incidence.ad, incidence.rho_by_pair,
                             incidence.acted_into)
     by_L, by_A = incidence.action_by_L, incidence.action_by_A
+
+    def bracket_terms(xy, lhs, rhs):
+        for p, dp in ad.get(xy, {}).items():
+            for (z, ak), c in acted_into[p]:
+                _add(lhs, (z * nA + ak) * nL, c, dp)
+            if rhs is not None:
+                # a[x,y,z] at z = p
+                for q, c in dp.items():
+                    for ak, e in by_L.get(q, ()):
+                        _add(rhs, (p * nA + ak) * nL, -c, e)
+        if rhs is not None:
+            for ak, r in live.get(xy, ()):
+                for q, c in r.items():
+                    for z, e in by_A.get(q, ()):
+                        _add(rhs, (z * nA + ak) * nL, -c, e)
+
+    def at(x, y, ak, bk, clause):
+        return ((((x * nL + y) * nA + ak) * nA + bk) * 2 + clause) * nA
+
+    def rho_terms(_, lhs, rhs):
+        for (u, v), images in live.items():
+            for bk, r in images:
+                # (u, v) = (p, y) of rho(a x, y) b
+                for (x, ak), c in acted_into[u]:
+                    _add(lhs, at(x, v, ak, bk, 0), c, r)
+                # (u, v) = (x, p) of rho(x, a y) b
+                for (y, ak), c in acted_into[v]:
+                    _add(lhs, at(u, y, ak, bk, 1), c, r)
+                if rhs is None:
+                    continue
+                # (u, v) = (x, y) of a rho(x, y) b, in both clauses
+                for q, c in r.items():
+                    for ak, e in incidence.amul_by_A.get(q, ()):
+                        _add(rhs, at(u, v, ak, bk, 0), -c, e)
+                        _add(rhs, at(u, v, ak, bk, 1), -c, e)
+
     # Skip: each term applies ad(x, y) or rho(x, y), so a pair in
     # neither map reaches no witness.
-    for x, y in sorted(ad.keys() | live.keys()):
-        d = ad.get((x, y), {})
-        lhs, rhs = {}, {}
-        for p, dp in d.items():
-            for key, c in acted_into[p]:
-                _add(lhs.setdefault(key, {}), c, dp)
-            # a[x,y,z] at z = p
-            for q, c in dp.items():
-                for ak, e in by_L.get(q, ()):
-                    _add(rhs.setdefault((p, ak), {}), c, e)
-        for ak, r in live.get((x, y), ()):
-            for q, c in r.items():
-                for z, e in by_A.get(q, ()):
-                    _add(rhs.setdefault((z, ak), {}), c, e)
-        _compare(out, RINEHART, alg.dim_L, (("bracket", x, y), lhs, rhs))
-    left, mid, scaled = {}, {}, {}
-    for (u, v), images in live.items():
-        for bk, r in images:
-            # (u, v) = (p, y) of rho(a x, y) b
-            for (x, ak), c in acted_into[u]:
-                _add(left.setdefault((x, v, ak, bk), {}), c, r)
-            # (u, v) = (x, p) of rho(x, a y) b
-            for (y, ak), c in acted_into[v]:
-                _add(mid.setdefault((u, y, ak, bk), {}), c, r)
-            # (u, v) = (x, y) of a rho(x, y) b
-            for q, c in r.items():
-                for ak, e in incidence.amul_by_A.get(q, ()):
-                    _add(scaled.setdefault((u, v, ak, bk), {}), c, e)
-    _compare(out, RINEHART, alg.dim_A, (("rho-left",), left, scaled),
-             (("rho-right",), mid, scaled))
+    _decide(out, RINEHART, bracket_terms, sorted(ad.keys() | live.keys()),
+            (nL, nA, nL), lambda xy, za: ("bracket",) + xy + za)
+    _decide(out, RINEHART, rho_terms, (None,), (nL, nL, nA, nA, 2, nA),
+            lambda _, d: (("rho-left", "rho-right")[d[4]],) + d[:4])
     return out
 
 
@@ -287,33 +384,38 @@ def check_rho_derivation(alg):
     in Der(A).  The product is symmetric, so pairs a <= b suffice, and
     only the live pairs (x, y) are visited: both sides apply rho(x, y).
 
-    Each side is summed per witness (a, b) over its nonzero terms.  The
-    left side is the sum of (ab)_q rho(x,y) q over the nonzero products
-    ab.  On the right, for d in the domain of rho(x, y) and a nonzero
-    product q o, the term (rho(x,y)d)_q q o is (rho(x,y)a)b at (d, o)
-    when d <= o and a(rho(x,y)b) at (o, d) when o <= d, so both when
-    d = o.  A witness that no term reaches has both sides zero and
-    holds, so the sorted reached witnesses give the violations of a full
-    scan in order."""
+    A unit is one live pair, with witness digits (a, b).  The left side
+    is the sum of (ab)_q rho(x,y) q over the nonzero products ab.  On
+    the right, for d in the domain of rho(x, y) and a nonzero product
+    q o, the term (rho(x,y)d)_q q o is (rho(x,y)a)b at (d, o) when
+    d <= o and a(rho(x,y)b) at (o, d) when o <= d, so both when d = o.
+    A witness that no term reaches has both sides zero and holds, so
+    the units in order give the violations of a full scan in order."""
     out = []
+    nA = alg.dim_A
     incidence = alg.incidence()
-    mul_by_A = incidence.amul_by_A
-    for (x, y), images in sorted(incidence.rho_by_pair.items()):
+    live, mul_by_A = incidence.rho_by_pair, incidence.amul_by_A
+
+    def terms(xy, lhs, rhs):
+        images = live[xy]
         r = dict(images)
-        lhs, rhs = {}, {}
         for m, products in mul_by_A.items():
             for i, ab in products:
                 for q, c in ab.items():
                     if i <= m and q in r:
-                        _add(lhs.setdefault((i, m), {}), c, r[q])
+                        _add(lhs, (i * nA + m) * nA, c, r[q])
+        if rhs is None:
+            return
         for d, rd in images:
             for q, c in rd.items():
                 for o, e in mul_by_A.get(q, ()):
                     if d <= o:
-                        _add(rhs.setdefault((d, o), {}), c, e)
+                        _add(rhs, (d * nA + o) * nA, -c, e)
                     if o <= d:
-                        _add(rhs.setdefault((o, d), {}), c, e)
-        _compare(out, RHO_DERIVATION, alg.dim_A, ((x, y), lhs, rhs))
+                        _add(rhs, (o * nA + d) * nA, -c, e)
+
+    _decide(out, RHO_DERIVATION, terms, sorted(live), (nA, nA, nA),
+            lambda xy, ab: xy + ab)
     return out
 
 
@@ -321,34 +423,50 @@ def check_A_algebra(alg):
     """Associativity (ab)c = a(bc) on A-basis triples and the module
     law (ab)x = a(bx) on mixed triples.  Commutativity is structural.
 
-    Each side is summed per witness over its nonzero terms: (ab)c and
-    (ab)x sum (ab)_p p c and (ab)_p p x, a(bc) and a(bx) sum (bc)_q a q
-    and (bx)_q a q.  A witness that no term reaches has both sides zero
-    and holds, so the sorted reached witnesses, associativity first,
-    give the violations of a full scan in order."""
+    Each side is summed over its nonzero terms: (ab)c and (ab)x sum
+    (ab)_p p c and (ab)_p p x, a(bc) and a(bx) sum (bc)_q a q and
+    (bx)_q a q.  Each law is one unit, with witness digits (a, b, c)
+    and (a, b, x).  A witness that no term reaches has both sides zero
+    and holds, so the units in order, associativity first, give the
+    violations of a full scan in order."""
     out = []
+    nA, nL = alg.dim_A, alg.dim_L
     incidence = alg.incidence()
     by_L, by_A = incidence.action_by_L, incidence.action_by_A
     mul_by_A = incidence.amul_by_A
-    assoc_l, assoc_r, module_l, module_r = {}, {}, {}, {}
-    # each ordered pair (i, j) with e_i e_j != 0, once
-    for j, products in mul_by_A.items():
-        for i, ab in products:
-            for p, c in ab.items():
-                # e = e_k e_p: a term of (ab)c at (i, j, k) and, with
-                # (i, j) as (b, c), of a(bc) at (k, i, j)
-                for k, e in mul_by_A.get(p, ()):
-                    _add(assoc_l.setdefault((i, j, k), {}), c, e)
-                    _add(assoc_r.setdefault((k, i, j), {}), c, e)
-                for x, e in by_A.get(p, ()):
-                    _add(module_l.setdefault((i, j, x), {}), c, e)
-    for j, images in by_A.items():
-        for x, bx in images:
-            for q, c in bx.items():
-                for i, e in by_L.get(q, ()):
-                    _add(module_r.setdefault((i, j, x), {}), c, e)
-    _compare(out, A_ALGEBRA, alg.dim_A, (("assoc",), assoc_l, assoc_r))
-    _compare(out, A_ALGEBRA, alg.dim_L, (("module",), module_l, module_r))
+
+    def assoc_terms(_, lhs, rhs):
+        # each ordered pair (i, j) with e_i e_j != 0, once
+        for j, products in mul_by_A.items():
+            for i, ab in products:
+                for p, c in ab.items():
+                    # e = e_k e_p: a term of (ab)c at (i, j, k) and, with
+                    # (i, j) as (b, c), of a(bc) at (k, i, j)
+                    for k, e in mul_by_A.get(p, ()):
+                        _add(lhs, ((i * nA + j) * nA + k) * nA, c, e)
+                        if rhs is not None:
+                            _add(rhs, ((k * nA + i) * nA + j) * nA, -c, e)
+
+    def module_terms(_, lhs, rhs):
+        for j, products in mul_by_A.items():
+            for i, ab in products:
+                for p, c in ab.items():
+                    for x, e in by_A.get(p, ()):
+                        _add(lhs, ((i * nA + j) * nL + x) * nL, c, e)
+        if rhs is None:
+            return
+        for j, images in by_A.items():
+            for x, bx in images:
+                for q, c in bx.items():
+                    for i, e in by_L.get(q, ()):
+                        _add(rhs, ((i * nA + j) * nL + x) * nL, -c, e)
+
+    # Skip: every term of associativity reads a product, and every term
+    # of the module law an action.
+    _decide(out, A_ALGEBRA, assoc_terms, (None,) if mul_by_A else (),
+            (nA, nA, nA, nA), lambda _, ijk: ("assoc",) + ijk)
+    _decide(out, A_ALGEBRA, module_terms, (None,) if by_A else (),
+            (nA, nA, nL, nL), lambda _, ijx: ("module",) + ijx)
     return out
 
 
@@ -379,9 +497,8 @@ def rho_antisymmetry_witnesses(alg):
     # is stored.
     for i, j, ak in sorted({(min(x, y), max(x, y), ak)
                             for x, y, ak in rho}):
-        total = dict(rho.get((i, j, ak), {}))
-        _add(total, 1, rho.get((j, i, ak), {}))
-        if any(total.values()):
+        fwd, bwd = rho.get((i, j, ak), {}), rho.get((j, i, ak), {})
+        if any(fwd.get(t, 0) + bwd.get(t, 0) for t in fwd.keys() | bwd):
             out.append((i, j, ak))
     return out
 

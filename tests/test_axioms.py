@@ -12,6 +12,7 @@ import _dense_axioms as dense
 from test_acceptance import _perturb
 from test_decompose import _non_integral_instances, _random_graded
 
+from g3lr import axioms
 from g3lr.axioms import (A_ALGEBRA, ALL_AXIOMS, FUNDAMENTAL, GRADING,
                          REPRESENTATION, RHO_DERIVATION, RINEHART,
                          VIOLATION_CAP, Violation, check_A_algebra,
@@ -261,6 +262,10 @@ def _differential_cases():
               for name in ("a4", "gl2-trace") for _ in range(20)]
     for name in ("a4", "gl2-trace"):
         cases += _single_entry_mutants(builtin(name))
+    # a4-dual-numbers (dim L 8) is the base of the slowest mutations of
+    # the benchmark's reject-seeded workload
+    rng = random.Random(2626)
+    cases += rng.sample(_single_entry_mutants(builtin("a4-dual-numbers")), 12)
     cases.append(rho_trace_seed())
     rng = random.Random(5150)
     cases += [_random_graded(rng) for _ in range(40)]
@@ -557,3 +562,76 @@ def test_diagonal_rho_entry_breaks_antisymmetry():
         == dense.rho_antisymmetry_witnesses(alg)
     assert any("antisymmetric" in n and "1 basis pair" in n
                for n in run_all(alg).notes)
+
+
+# ---------------------------------------------------------------------------
+# the engine: witness codes, and failing units with passing witnesses
+
+
+def test_witness_codes_sort_like_witnesses(monkeypatch):
+    """Every check decides its units on flat sums keyed by the
+    mixed-radix code of the witness digits and the coordinate.  For the
+    radices of each identity on four builtins (among them radix-1 spaces:
+    A = span{1} in a4, gl2-trace and trivial, and dim L 1 in trivial),
+    the codes of all digit tuples, digits at radix - 1 included, are
+    0, 1, ... in the order of the tuples, and `_digits` inverts
+    `_code`."""
+    seen = []
+    decide = axioms._decide
+
+    def spy(out, axiom, terms, units, radices, witness):
+        seen.append(radices)
+        decide(out, axiom, terms, units, radices, witness)
+
+    monkeypatch.setattr(axioms, "_decide", spy)
+    rng = random.Random(26)
+    for name in ("trivial", "a4", "gl2-trace", "a4-dual-numbers"):
+        alg = builtin(name)
+        del seen[:]
+        for check in (check_fundamental_identity, check_rinehart_compat,
+                      check_rho_derivation, check_A_algebra):
+            assert check(alg) == []
+        # fundamental, the two Rinehart kinds, rho-derivation and the two
+        # A-algebra laws
+        assert len(seen) == 6, name
+        for radices in seen:
+            tuples = list(product(*map(range, radices)))
+            rng.shuffle(tuples)
+            codes = [axioms._code(d, radices) for d in tuples]
+            assert sorted(codes) == list(range(len(tuples))), radices
+            assert [axioms._digits(c, radices) for c in codes] == tuples
+            by_code = [d for _, d in sorted(zip(codes, tuples))]
+            assert by_code == sorted(tuples), radices
+        if name == "trivial":
+            assert (1, 1, 1, 1) in seen
+        elif name != "a4-dual-numbers":
+            assert any(1 in radices for radices in seen), name
+
+
+def test_failing_unit_keeps_passing_witnesses_and_cancelled_sides():
+    """One unit of the Rinehart bracket clause, the pair (v0, v2) with
+    D = [., v0, v2], holds at one of its reached witnesses and fails at
+    another, where one side's terms cancel to an explicit zero.  On
+    L = span{v0, ..., v3} over A = span{1}, [v0, v2, v3] = v1,
+    [v0, v1, v2] = -v1, and 1 acts as the identity except
+    1 v3 = v3 - v1; so D v1 = D v3 = v1.
+    - z = v3: [v0, v2, 1 v3] = D v3 - D v1 = v1 - v1 = 0, against
+      1 [v0, v2, v3] = 1 v1 = v1: a violation whose left side is zero.
+    - z = v1: [v0, v2, 1 v1] = D v1 = v1 = 1 D v1: it holds, and is no
+      violation, although its unit fails.
+    The recorded sides drop the cancelled coefficient as the dense
+    reference does, and every check matches that reference."""
+    G = GroupSpec(())
+    L = GradedBasis(("v0", "v1", "v2", "v3"), (G.identity(),) * 4)
+    A = GradedBasis(("one",), (G.identity(),))
+    action = {(0, i): {i: 1} for i in range(3)}
+    action[(0, 3)] = {3: 1, 1: -1}
+    alg = Algebra3LR(G, L, A, {(0, 2, 3): {1: 1}, (0, 1, 2): {1: -1}},
+                     {(0, 0): {0: 1}}, action, {})
+    got = {v.witness: v for v in check_rinehart_compat(alg)}
+    zero, v1 = (Fraction(0),) * 4, tuple(map(Fraction, (0, 1, 0, 0)))
+    failing = got[("bracket", 0, 2, 3, 0)]
+    assert (failing.lhs, failing.rhs) == (zero, v1)
+    assert ("bracket", 0, 2, 1, 0) not in got
+    for axiom, reference in dense.DENSE_CHECKS:
+        assert _rows(SPARSE_CHECKS[axiom](alg)) == _rows(reference(alg))
