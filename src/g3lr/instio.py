@@ -167,14 +167,28 @@ def instance_from_dict(data):
         raise ParseError("tables", str(e))
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is rejected, where
+    `json.load` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError("duplicate key %r" % (key,))
+            seen.add(key)
+    return obj
+
+
 def load_instance(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ParseError(str(path), "cannot read: %s" % e)
     except (ValueError, RecursionError) as e:
-        # JSONDecodeError, UnicodeDecodeError, or nesting too deep to parse
+        # JSONDecodeError, UnicodeDecodeError, a duplicate key, or nesting
+        # too deep to parse
         raise ParseError(str(path), "invalid JSON: %s" % e)
     return instance_from_dict(data)
 

@@ -1,7 +1,7 @@
 """Shared test instances: two valid instances with a nonzero rho, the
-trace seed and one whose rho is not antisymmetric, and invalid instances
+trace seed and one whose rho is not antisymmetric, invalid instances
 that together fail every axiom group, all but one a single-entry change
-of a valid instance."""
+of a valid instance, and an invalid instance with a fully dense rho."""
 
 from fractions import Fraction
 
@@ -75,6 +75,25 @@ def rho_square_overflow():
     than VIOLATION_CAP witnesses of both kinds (i) and (ii)."""
     sq = rho_seed_square()
     return with_entry(sq, "rho", (2, 4, 1), {1: Fraction(1)})
+
+
+def dense_rho():
+    """A rho with every key stored: trivially graded, dim L 8, dim A 3,
+    every bracket triple [v_i, v_j, v_k] = v_(i+j+k mod 8), every rho key
+    rho(v_i, v_j)(a_k) = (1 + (ij mod 3)) a_(i+j+k mod 3), and a zero
+    product and action.  Every representation unit fails, on 20,412
+    witnesses."""
+    G = GroupSpec(())
+    n, nA = 8, 3
+    L = GradedBasis(tuple("v%d" % i for i in range(n)), (G.identity(),) * n)
+    A = GradedBasis(tuple("a%d" % i for i in range(nA)),
+                    (G.identity(),) * nA)
+    bracket = {(i, j, k): {(i + j + k) % n: 1}
+               for i in range(n) for j in range(i + 1, n)
+               for k in range(j + 1, n)}
+    rho = {(i, j, k): {(i + j + k) % nA: 1 + i * j % 3}
+           for i in range(n) for j in range(n) for k in range(nA)}
+    return Algebra3LR(G, L, A, bracket, {}, {}, rho)
 
 
 def rescaled(alg, L_scale, A_scale):

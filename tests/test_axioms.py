@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from _cases import (garbage_ungraded, rational_seed, rational_seed_mutant,
-                    rebuild, rho_seed_square, rho_square_overflow,
-                    rho_trace_seed, with_entry)
+from _cases import (dense_rho, garbage_ungraded, rational_seed,
+                    rational_seed_mutant, rebuild, rho_seed_square,
+                    rho_square_overflow, rho_trace_seed, with_entry)
 import _dense_axioms as dense
 from test_acceptance import _perturb
 from test_decompose import _non_integral_instances, _random_graded
@@ -417,7 +417,7 @@ def _assert_rho_layer_matches(alg):
 
 def test_rho_layer_matches_dense_reference_on_rho_rich_tables():
     seed, square = rho_trace_seed(), rho_seed_square()
-    cases = [square, rho_square_overflow()]
+    cases = [square, rho_square_overflow(), dense_rho()]
     cases += _single_entry_mutants(seed) + _single_entry_mutants(square)
     rng = random.Random(1010)
     cases += [_random_rho_rich(rng) for _ in range(30)]
@@ -572,10 +572,11 @@ def test_witness_codes_sort_like_witnesses(monkeypatch):
     """Every check decides its units on flat sums keyed by the
     mixed-radix code of the witness digits and the coordinate.  For the
     radices of each identity on four builtins (among them radix-1 spaces:
-    A = span{1} in a4, gl2-trace and trivial, and dim L 1 in trivial),
-    the codes of all digit tuples, digits at radix - 1 included, are
-    0, 1, ... in the order of the tuples, and `_digits` inverts
-    `_code`."""
+    A = span{1} in a4, gl2-trace and trivial, and dim L 1 in trivial)
+    and on the rho seed and its square (the representation radices, with
+    the clause digit; the builtins have rho = 0), the codes of all digit
+    tuples, digits at radix - 1 included, are 0, 1, ... in the order of
+    the tuples, and `_digits` inverts `_code`."""
     seen = []
     decide = axioms._decide
 
@@ -585,15 +586,19 @@ def test_witness_codes_sort_like_witnesses(monkeypatch):
 
     monkeypatch.setattr(axioms, "_decide", spy)
     rng = random.Random(26)
-    for name in ("trivial", "a4", "gl2-trace", "a4-dual-numbers"):
-        alg = builtin(name)
+    cases = [(name, builtin(name))
+             for name in ("trivial", "a4", "gl2-trace", "a4-dual-numbers")]
+    cases += [("rho-seed", rho_trace_seed()),
+              ("rho-seed-x2", rho_seed_square())]
+    for name, alg in cases:
         del seen[:]
-        for check in (check_fundamental_identity, check_rinehart_compat,
-                      check_rho_derivation, check_A_algebra):
+        for check in (check_fundamental_identity, check_representation,
+                      check_rinehart_compat, check_rho_derivation,
+                      check_A_algebra):
             assert check(alg) == []
-        # fundamental, the two Rinehart kinds, rho-derivation and the two
-        # A-algebra laws
-        assert len(seen) == 6, name
+        # fundamental, representation where rho != 0, the two Rinehart
+        # kinds, rho-derivation and the two A-algebra laws
+        assert len(seen) == (7 if alg.rho else 6), name
         for radices in seen:
             tuples = list(product(*map(range, radices)))
             rng.shuffle(tuples)
@@ -604,6 +609,9 @@ def test_witness_codes_sort_like_witnesses(monkeypatch):
             assert by_code == sorted(tuples), radices
         if name == "trivial":
             assert (1, 1, 1, 1) in seen
+        elif alg.rho:
+            nL, nA = alg.dim_L, alg.dim_A
+            assert (nL, nL, nL, nL, 2, nA) in seen, name
         elif name != "a4-dual-numbers":
             assert any(1 in radices for radices in seen), name
 
@@ -633,5 +641,31 @@ def test_failing_unit_keeps_passing_witnesses_and_cancelled_sides():
     failing = got[("bracket", 0, 2, 3, 0)]
     assert (failing.lhs, failing.rhs) == (zero, v1)
     assert ("bracket", 0, 2, 1, 0) not in got
+    for axiom, reference in dense.DENSE_CHECKS:
+        assert _rows(SPARSE_CHECKS[axiom](alg)) == _rows(reference(alg))
+
+
+def test_failing_representation_unit_keeps_passing_witnesses():
+    """The representation unit a0 fails at one witness, where its left
+    side cancels to an explicit zero, and holds at another that it
+    reaches.  On L = span{v0, ..., v4} over A = span{a0, a1} with a zero
+    product and action, [v0, v1, v2] = v4, rho(v2, v3) is the identity,
+    rho(v0, v1) a0 = a1 and rho(v4, v3) a0 = a1.
+    - (i) on (v0, v1, v2, v3): [rho(v0, v1), rho(v2, v3)] a0 = a1 - a1
+      cancels to 0, against rho([v0, v1, v2], v3) a0 = rho(v4, v3) a0
+      = a1: a violation whose left side is zero.
+    - (ii) on (v0, v1, v2, v3): rho([v0, v1, v2], v3) a0 = a1 =
+      rho(v0, v1) rho(v2, v3) a0, and the other two compositions are
+      zero: it holds, and is no violation, although its unit fails.
+    The recorded sides drop the cancelled coefficient as the dense
+    reference does, and every check matches that reference."""
+    alg = _bare(5, 2, {(0, 1, 2): {4: 1}},
+                {(2, 3, 0): {0: 1}, (2, 3, 1): {1: 1}, (0, 1, 0): {1: 1},
+                 (4, 3, 0): {1: 1}})
+    got = {v.witness: v for v in check_representation(alg)}
+    zero, a1 = (Fraction(0),) * 2, (Fraction(0), Fraction(1))
+    failing = got[("i", 0, 1, 2, 3, 0)]
+    assert (failing.lhs, failing.rhs) == (zero, a1)
+    assert ("ii", 0, 1, 2, 3, 0) not in got
     for axiom, reference in dense.DENSE_CHECKS:
         assert _rows(SPARSE_CHECKS[axiom](alg)) == _rows(reference(alg))

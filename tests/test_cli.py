@@ -276,6 +276,41 @@ def test_cli_undecodable_input_is_a_parse_error(tmp_path, raw):
     assert _run("validate", str(path))[0] == EXIT_PARSE
 
 
+def _duplicate_value_label(doc):
+    doc["action"][0]["value"]["DUP"] = "5"
+    return "e1"
+
+
+def _duplicate_table(doc):
+    doc["DUP"] = doc["bracket"][1:]
+    return "bracket"
+
+
+def _duplicate_args(doc):
+    doc["bracket"][0]["DUP"] = doc["bracket"].pop(1)["args"]
+    return "args"
+
+
+@pytest.mark.parametrize("change", [_duplicate_value_label, _duplicate_table,
+                                    _duplicate_args],
+                         ids=lambda f: f.__name__)
+def test_duplicate_key_is_a_parse_error(tmp_path, capsys, change):
+    """A JSON object that gives one key twice is rejected by name, where
+    `json.load` would keep the last value: a second coefficient for the
+    label e1 of a4's first action value, a second bracket table, a
+    second args array in a bracket entry (the args of the next entry,
+    which is dropped).  `DUP` stands in for the repeated key, which a
+    dict cannot hold twice."""
+    doc = _a4_doc()
+    key = change(doc)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc).replace('"DUP"', '"%s"' % key))
+    capsys.readouterr()
+    assert _run("validate", str(path)) == (EXIT_PARSE, "")
+    assert capsys.readouterr().err == (
+        "parse error: %s: invalid JSON: duplicate key '%s'\n" % (path, key))
+
+
 def _drop_L_degrees(doc):
     del doc["L"]["degrees"]
 
