@@ -2,11 +2,12 @@
 
 Exit codes: 0 success with all checks clean, 2 axiom violations found,
 3 input or output error (a file that does not parse or cannot be read,
-an output path that cannot be written), 4 internal invariant failure
-(always a bug).
+an output path that cannot be written, an output stream whose reader
+has closed it), 4 internal invariant failure (always a bug).
 """
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -175,14 +176,24 @@ def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
     try:
         if "file" not in args:
-            return args.fn(args, out)
-        alg, report, code = _load(args.file, out)
-        if code != EXIT_OK and args.fn is not _cmd_report:
-            return code
-        # a failed write outranks the verdict of the axiom suite
-        return args.fn(alg, report, args, out) or code
+            code = args.fn(args, out)
+        else:
+            alg, report, code = _load(args.file, out)
+            if code == EXIT_OK or args.fn is _cmd_report:
+                # a failed write outranks the verdict of the axiom suite
+                code = args.fn(alg, report, args, out) or code
+        out.flush()
+        return code
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
+        return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader closed the output early (`g3lr report F | head`):
+        # an output error, not a bug.  What standard output still holds
+        # goes to the null device, so the flush at interpreter exit
+        # raises nothing.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return EXIT_PARSE
     except Exception as e:                      # noqa: BLE001
         print("internal error: %r" % (e,), file=sys.stderr)

@@ -22,6 +22,16 @@ product stays inside Lambda.  The breadth-first state space is a subset
 of the finite alphabet plus the two targets, so the search always
 terminates; it forms only products of two letters, so the product memo
 of `groups` stays bounded even when the group has a free factor.
+
+The search reads those products from one table per supports,
+`SupportSets.letter_products`: for each letter s, the pairs (u, s u)
+over the letters u, in alphabet order, whose product is again a letter.
+It is built with one product per ordered pair of letters and kept, so
+every search and both partitions on the same supports share it.
+Reading the table instead of multiplying is exact: every state of a
+search is a letter, and every set a rule allows lies in the alphabet,
+so a product the table leaves out is rejected by every rule, and the
+ones it keeps come in the order the search tried them.
 """
 
 from dataclasses import dataclass
@@ -50,6 +60,16 @@ class SupportSets:
         tries the letters."""
         return tuple(sorted(self.sigma | self.lambda_
                             | {self.group.identity()}))
+
+    @cached_property
+    def letter_products(self):
+        """{s: ((u, s u), ...)} over the letters s, the letters u in
+        alphabet order for which s u is again a letter."""
+        alpha = self.alphabet
+        letters = frozenset(alpha)
+        return {s: tuple((u, p) for u in alpha
+                         if (p := s.mul(u)) in letters)
+                for s in alpha}
 
 
 @dataclass
@@ -87,9 +107,10 @@ def _search(supports, kind, start):
     reached at the end of a step.  Letters are tried in alphabet order,
     and an end is recorded the first time a step reaches it, so each
     chain is minimal in length and the first in that order.  Every
-    allowed set lies in the alphabet, so every state is a letter."""
+    allowed set lies in the alphabet, so every state is a letter and its
+    products are read from `letter_products`."""
     step = _rules(supports, kind)[2]
-    alpha = supports.alphabet
+    table = supports.letter_products
     chains = {start: (start,)}
     frontier = [start]
     while frontier:
@@ -97,8 +118,8 @@ def _search(supports, kind, start):
         for s in frontier:
             ends = [(s, ())]
             for ok in step:
-                ends = [(p, word + (u,)) for q, word in ends for u in alpha
-                        if (p := q.mul(u)) in ok]
+                ends = [(p, word + (u,)) for q, word in ends
+                        for u, p in table[q] if p in ok]
             for p, word in ends:
                 if p not in chains:
                     chains[p] = chains[s] + word

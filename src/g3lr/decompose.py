@@ -308,15 +308,26 @@ def verify_ideal(alg, side, S):
     return True, None
 
 
-def _ideal_closure(alg, side, v, bound=None):
+def _ideal_closure(alg, side, v, C=None, full=None):
     """Least ideal containing the homogeneous vector v, dense or sparse.
     Worklist closure: each round multiplies only the rows added in the
-    round before, so every product is formed once.  Stop rule: given
-    `bound` = dim C for an ideal C containing v, it returns once its span
-    has that dimension.  Proof: the least ideal containing v lies in C,
-    and a subspace of C of dim C is C; a closure below it runs to the end."""
-    S = span([v], len(alg.basis(side)))
+    round before, so every product is formed once.
+
+    Stop rule: given an ideal C containing v, it returns C as soon as
+    its span has dim C or contains a row of `full`, {degree: rows of C}
+    whose closures are each known to be C.  Proof: the least ideal
+    containing v lies in C, and a subspace of C of dim C is C; a span
+    that contains such a row g lies in the least ideal containing v, so
+    that ideal contains the closure of g, which is C.  Only the rows of
+    `full` at the degree of an added product are tested: on a graded
+    instance the products are homogeneous, and the span meets the fiber
+    of degree d in more only when a product of degree d is added.  A
+    test left out only stops the closure later.  A closure that
+    reaches neither runs to the end."""
+    degrees = alg.basis(side).degrees
+    S = span([v], len(degrees))
     _homogeneous_generators(alg, side, S)     # raises unless homogeneous
+    bound, full = (None if C is None else C.dim), full or {}
     old, new = (), S.rows
     while new and S.dim != bound:
         added = []
@@ -324,8 +335,10 @@ def _ideal_closure(alg, side, v, bound=None):
             T = _extend(S, (w,))
             if T is not S:
                 S = T
-                if S.dim == bound:
-                    return S
+                if S.dim == bound or any(
+                        map(S.contains, full.get(degrees[next(iter(w))],
+                                                 ()))):
+                    return C
                 added.append(w)
         old, new = old + new, tuple(added)
     return S
@@ -477,17 +490,33 @@ def check_G_multiplicative(alg, supports=None):
     is nonzero exactly when a stored key has those degrees: as a set for
     the bracket and the product, where the triple is distinct and a
     repeated pair is the same one-element set on both sides, and in the
-    order (A, L) for the action."""
+    order (A, L) for the action.
+
+    The bracket triples are found with O(|Sigma1|^2) products, not one
+    per triple.  `under` lists, for each q = s k^-1 with s, k in Sigma1,
+    the positions of its k in the sorted Sigma1.  Then g h k lies in
+    Sigma1 exactly when k is listed under g h: g h k = s iff
+    g h = s k^-1.  A k is listed at most once under each q, since q and
+    k fix s.  The lists are filled with k ascending, and the pairs
+    g < h are taken in `combinations` order, so reading each list's
+    k > h in turn yields the triples g < h < k in the order of
+    `combinations(s1, 3)`, which is the order of the report."""
     if supports is None:
         supports = compute_supports(alg)
     seen = alg.degree_index().degrees
     in_s1, in_l1 = supports.sigma1, supports.lambda1
     s1, l1 = sorted(in_s1), sorted(in_l1)
+    under = {}
+    for c, k in enumerate(s1):
+        k_inv = k.inv()
+        for s in s1:
+            under.setdefault(s.mul(k_inv), []).append(c)
     bad = []
-    for g, h, k in combinations(s1, 3):
-        if (g.mul(h).mul(k) in in_s1
-                and frozenset((g, h, k)) not in seen["bracket"]):
-            bad.append(("bracket", g.coords, h.coords, k.coords))
+    for a, b in combinations(range(len(s1)), 2):
+        g, h = s1[a], s1[b]
+        for c in under.get(g.mul(h), ()):
+            if c > b and frozenset((g, h, s1[c])) not in seen["bracket"]:
+                bad.append(("bracket", g.coords, h.coords, s1[c].coords))
     for lam in l1:
         for g in s1:
             if lam.mul(g) in in_s1 and (lam, g) not in seen["action"]:
@@ -540,11 +569,19 @@ def _close_generators(alg, side, C, gens, allowed=None):
     """Close the generators `gens` of the ideal C (`_homogeneous_generators`):
     ("no", ideal) for the first proper ideal inside C other than `allowed`,
     else "yes", or "undetermined" with no witness when a non-identity fiber
-    of C has dimension over one.  Each closure lies in C and stops at dim C,
-    where it is C (`_ideal_closure`), so a proper one is the same witness."""
+    of C has dimension over one.  The generators whose closure is C are
+    kept by degree and handed to every later closure, which returns C
+    once it has dim C or contains one of them (`_ideal_closure`).  Proof:
+    a closure of v that contains such a generator g contains the closure
+    of g, which is C, and lies in C.  So a closure stops early only when
+    it is C, and a proper one runs to the end: the first proper closure
+    is the same witness."""
+    full = {}
     for d, v in gens:
-        closure = _ideal_closure(alg, side, v, C.dim)
-        if closure != C and closure != allowed:
+        closure = _ideal_closure(alg, side, v, C, full)
+        if closure == C:
+            full.setdefault(d, []).append(v)
+        elif closure != allowed:
             return "no", closure
     fiber_dims = Counter(d for d, v in gens if not d.is_identity())
     if max(fiber_dims.values(), default=0) > 1:

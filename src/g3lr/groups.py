@@ -15,6 +15,18 @@ letters of a finite alphabet stays bounded even with a free factor.
 Elements of distinct but equal specs compare, hash and multiply as
 equal.  Elements are ordered by coordinates, the canonical degree order.
 
+A memo hit is one dict lookup.  A first product pays for the rest, so
+its path is kept short: operands of the same spec object skip
+`GroupSpec.__eq__` (an object equals itself), the coordinates are added
+and reduced by `map` over `operator.add` and `operator.mod` unless a
+factor is free (no modulus to reduce by, so only then a genexpr picks
+the factors to reduce), and the slots of a new element are set one by
+one.  The result is the interned element of the normal form, which is
+unique, so the path changes the cost of a product and not its value.
+On CPython 3.11 (x86-64, 2 shared cores) a first product of two
+elements of (Z/2)^6 or Z x Z/2 costs about 1.1-1.3 us, against 0.13 us
+for a memo hit.
+
     >>> G = GroupSpec((2, 2))
     >>> a = G.elem((1, 0)); b = G.elem((0, 1))
     >>> a.mul(b).coords
@@ -31,6 +43,8 @@ equal.  Elements are ordered by coordinates, the canonical degree order.
     (2,)
 """
 
+from operator import add, mod
+
 
 class GroupSpec:
     """Moduli of the cyclic factors.  No modulus may equal 1; the empty
@@ -42,6 +56,7 @@ class GroupSpec:
             if m < 0 or m == 1:
                 raise ValueError("modulus must be 0 or >= 2, got %r" % (m,))
         self.moduli = moduli
+        self._free = 0 in moduli       # some factor is infinite cyclic
         self._elems = {}               # normal form -> its element
 
     def __eq__(self, other):
@@ -81,10 +96,11 @@ class GroupElem:
         p = self._products.get(other)
         if p is None:
             # a hit implies equal specs, so only a miss checks them
-            if self.spec != other.spec:
+            spec = self.spec
+            if other.spec is not spec and other.spec != spec:
                 raise ValueError("elements of different groups")
             p = self._products[other] = _elem(
-                self.spec, [a + b for a, b in zip(self.coords, other.coords)])
+                spec, map(add, self.coords, other.coords))
         return p
 
     def inv(self):
@@ -108,20 +124,27 @@ class GroupElem:
         return "GroupElem%r" % (self.coords,)
 
 
+_set = object.__setattr__
+
+
 def _elem(spec, coords):
-    """The interned element of spec with the int coordinates `coords`,
-    which have the spec's arity, reduced into range; made on first use.
-    `mul`, `inv` and `identity` build their arguments from normalised
-    operands, so the conversion and the arity check of
-    `GroupElem(spec, coords)` are skipped."""
-    coords = tuple(c % m if m else c for c, m in zip(coords, spec.moduli))
+    """The interned element of spec with the int coordinates `coords`
+    (any iterable), which have the spec's arity, reduced into range;
+    made on first use.  `mul`, `inv` and `identity` build their
+    arguments from normalised operands, so the conversion and the arity
+    check of `GroupElem(spec, coords)` are skipped."""
+    moduli = spec.moduli
+    if spec._free:
+        coords = tuple(c % m if m else c for c, m in zip(coords, moduli))
+    else:
+        coords = tuple(map(mod, coords, moduli))
     e = spec._elems.get(coords)
     if e is None:
         e = spec._elems[coords] = object.__new__(GroupElem)
-        for name, value in (("spec", spec), ("coords", coords),
-                            ("_hash", hash((spec.moduli, coords))),
-                            ("_products", {})):
-            object.__setattr__(e, name, value)
+        _set(e, "spec", spec)
+        _set(e, "coords", coords)
+        _set(e, "_hash", hash((moduli, coords)))
+        _set(e, "_products", {})
     return e
 
 

@@ -614,6 +614,31 @@ def test_unwritable_report_outranks_violations(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("cannot write %s: " % bad)
 
 
+class _ClosedPipe(io.StringIO):
+    """An output whose reader has gone: every write raises, as a write
+    to a pipe with its read end closed does."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_closed_output_is_an_output_error(tmp_path, capsys, valid):
+    """A reader that closes the output early is not a bug: report exits
+    3, the code for output that cannot be written, on an instance that
+    passes its axioms and on one that fails them, and prints no
+    internal error."""
+    path = _emit(tmp_path, "a4")
+    if not valid:
+        doc = _a4_doc()
+        doc["bracket"][0]["value"] = {"e1": "1"}
+        path.write_text(json.dumps(doc))
+        assert _run("report", str(path))[0] == EXIT_VIOLATIONS
+    capsys.readouterr()
+    assert main(["report", str(path)], out=_ClosedPipe()) == EXIT_PARSE
+    assert capsys.readouterr().err == ""
+
+
 def _fresh_process(*argv):
     """(exit code, stdout) of one CLI call in a new interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")

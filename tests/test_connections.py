@@ -123,15 +123,25 @@ def test_second_class_pass_forms_no_group_element(monkeypatch):
 
 
 def _random_supports(rng):
-    moduli = rng.choice([(2,), (3,), (4,), (5,), (7,), (8,), (12,),
-                         (2, 2), (2, 4), (3, 3), (2, 2, 2), (16,), (2, 6)])
-    G = GroupSpec(moduli)
+    """Random supports in a finite group or in one with a free factor
+    (modulus 0, coordinates drawn from -3..3)."""
+    return _draw_supports(rng, [
+        (2,), (3,), (4,), (5,), (7,), (8,), (12,), (2, 2), (2, 4), (3, 3),
+        (2, 2, 2), (16,), (2, 6), (0,), (0, 2), (0, 3), (0, 0)])[0]
+
+
+def _draw_supports(rng, choices):
+    """(supports, elements of the window): Sigma1 and Lambda1 drawn from
+    the non-identity elements of a group drawn from `choices`, with
+    coordinates in range for a finite factor and in -3..3 for a free
+    one."""
+    G = GroupSpec(rng.choice(choices))
     elems = [G.elem(c) for c in itertools.product(
-        *[range(m) for m in moduli])]
+        *[range(m) if m else range(-3, 4) for m in G.moduli])]
     nonid = [e for e in elems if not e.is_identity()]
     sigma1 = frozenset(rng.sample(nonid, rng.randint(0, min(6, len(nonid)))))
     lambda1 = frozenset(rng.sample(nonid, rng.randint(0, min(4, len(nonid)))))
-    return SupportSets(G, sigma1, lambda1)
+    return SupportSets(G, sigma1, lambda1), elems
 
 
 def _check_equivalence(s):
@@ -178,9 +188,24 @@ def _check_equivalence(s):
 
 
 def test_randomized_supports_form_equivalences():
+    """The classes are equivalence classes with replayable witnesses,
+    and equal those of the searches kept in `_ref_connections`, which
+    multiply at every state instead of reading the letter table: in
+    finite groups and in groups with a free factor."""
+    import _ref_connections as ref
+
     rng = random.Random(20240817)
+    free = 0
     for _ in range(50):
-        _check_equivalence(_random_supports(rng))
+        s = _random_supports(rng)
+        free += 0 in s.group.moduli
+        _check_equivalence(s)
+        for got, want in ((sigma_classes(s), ref.sigma_classes(s)),
+                          (lambda_classes(s), ref.lambda_classes(s))):
+            assert [(c.representative, c.members, c.witnesses)
+                    for c in got] == [
+                (c.representative, c.members, c.witnesses) for c in want]
+    assert 5 <= free <= 25        # both free and finite groups are drawn
 
 
 def test_builtin_supports_form_equivalences():
@@ -191,15 +216,9 @@ def test_builtin_supports_form_equivalences():
 def _random_mixed_supports(rng):
     """Random supports in a group with finite factors, free factors
     (modulus 0, coordinates drawn from -3..3) or both."""
-    moduli = rng.choice([(0,), (0, 0), (0, 2), (3, 0), (0, 0, 2), (2,),
-                         (4,), (6,), (2, 2), (3, 3), (2, 4), (8,)])
-    G = GroupSpec(moduli)
-    elems = [G.elem(c) for c in itertools.product(
-        *[range(m) if m else range(-3, 4) for m in moduli])]
-    nonid = [e for e in elems if not e.is_identity()]
-    sigma1 = frozenset(rng.sample(nonid, rng.randint(0, min(6, len(nonid)))))
-    lambda1 = frozenset(rng.sample(nonid, rng.randint(0, min(4, len(nonid)))))
-    return SupportSets(G, sigma1, lambda1), elems
+    return _draw_supports(rng, [(0,), (0, 0), (0, 2), (3, 0), (0, 0, 2),
+                                (2,), (4,), (6,), (2, 2), (3, 3), (2, 4),
+                                (8,)])
 
 
 def _perturbations(chain, pool):

@@ -9,6 +9,7 @@ order.
 """
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 
@@ -74,7 +75,8 @@ def _subsets(rng, alg):
 
 def _check(alg, rng):
     """Compare every span, class span and the multiplicative-support
-    check; returns the number of counterexamples and of nonzero spans."""
+    check; returns the counterexamples counted by clause and the number
+    of nonzero spans."""
     supports = compute_supports(alg)
     sigma, lam = sigma_classes(supports), lambda_classes(supports)
     nonzero = 0
@@ -94,7 +96,7 @@ def _check(alg, rng):
     got = check_G_multiplicative(alg)
     assert got == ref.check_G_multiplicative(alg)
     assert check_G_multiplicative(alg, supports) == got
-    return len(got[1]), nonzero
+    return Counter(c[0] for c in got[1]), nonzero
 
 
 def test_degree_index_matches_the_fiber_scans():
@@ -109,10 +111,12 @@ def test_degree_index_matches_the_fiber_scans():
     pools = _pools()
     regraded = [_regraded(rng, rng.choice(bases), rng.choice(pools))
                 for _ in range(240)]
-    bad = nonzero = 0
+    bad, nonzero = Counter(), 0
     for alg in cases + regraded:
         b, n = _check(alg, rng)
         bad, nonzero = bad + b, nonzero + n
     free = sum(0 in alg.group.moduli for alg in regraded)
     assert 60 <= free <= 180      # both free and finite groups are drawn
-    assert bad >= 50 and nonzero >= 200, (bad, nonzero)
+    # every clause, the bracket triples included, has counterexamples
+    assert (bad["bracket"] >= 150 and bad["action"] >= 50
+            and bad["amul"] >= 3 and nonzero >= 200), (bad, nonzero)
