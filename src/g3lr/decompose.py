@@ -20,9 +20,9 @@ from itertools import combinations, combinations_with_replacement, product
 
 from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
-from .linalg import (Subspace, _extend, _null_space, complement, dense_vec,
-                     full_subspace, intersect_subspaces, solve_homogeneous,
-                     span, sparse_sum)
+from .linalg import (Subspace, _echelon, _extend, _from_echelon, _insert,
+                     _null_space, _reduce, complement, dense_vec,
+                     full_subspace, intersect_subspaces, span, sparse_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +218,16 @@ def _reached(row, by_index):
     c * f_key(e_p) over the coordinates c at p of the sparse row and
     by_index[p] lists (key, f_key(e_p)) over the nonzero images (see
     `model.Incidence`); zero sums are dropped.  Skip: a key that no
-    coordinate of the row reaches has every term zero."""
+    coordinate of the row reaches has every term zero.  A key reached by
+    one coordinate, of 1, yields the image itself, which is shared and
+    must not be modified: a path that reduces a product copies it."""
     terms = {}
     for p, c in row.items():
         for key, image in by_index.get(p, ()):
             terms.setdefault(key, []).append((c, image))
     for key in sorted(terms):
-        v = sparse_sum(terms[key])
+        t = terms[key]
+        v = t[0][1] if len(t) == 1 and t[0][0] == 1 else sparse_sum(t)
         if v:
             yield key, v
 
@@ -297,12 +300,13 @@ def verify_ideal(alg, side, S):
     bracketing with L in the remaining slots, the A-action and the action
     of rho(S, S)(A) on L; on "A" closed under multiplication by A.
     (ok, certificate): the tag of the first product escaping S and the
-    product, rows made dense.  Another side or ambient raises ValueError."""
+    product, rows made dense.  Another side or ambient raises ValueError.
+    A copy of each product, formed in the view, is reduced as it is."""
     n = len(alg.basis(side))
     if S.ambient_dim != n:
         raise ValueError("ambient mismatch")
     for tag, v in _ideal_products(alg, side, (), S.rows):
-        if not S.contains(v):
+        if _reduce(S.rows, S._pivots, dict(v)):
             return False, tuple(dense_vec(x, n) if type(x) is dict else x
                                 for x in tag + (v,))
     return True, None
@@ -323,25 +327,25 @@ def _ideal_closure(alg, side, v, C=None, full=None):
     instance the products are homogeneous, and the span meets the fiber
     of degree d in more only when a product of degree d is added.  A
     test left out only stops the closure later.  A closure that
-    reaches neither runs to the end."""
+    reaches neither runs to the end.  The span is one echelon basis that
+    grows in place by a copy of each product, made a `Subspace` once."""
     degrees = alg.basis(side).degrees
     S = span([v], len(degrees))
     _homogeneous_generators(alg, side, S)     # raises unless homogeneous
     bound, full = (None if C is None else C.dim), full or {}
+    basis, pivots = list(S.rows), list(S._pivots)
     old, new = (), S.rows
-    while new and S.dim != bound:
+    while new and len(basis) != bound:
         added = []
         for _, w in _ideal_products(alg, side, old, new):
-            T = _extend(S, (w,))
-            if T is not S:
-                S = T
-                if S.dim == bound or any(
-                        map(S.contains, full.get(degrees[next(iter(w))],
-                                                 ()))):
+            if _insert(basis, pivots, dict(w)):
+                if len(basis) == bound or any(
+                        not _reduce(basis, pivots, dict(g))
+                        for g in full.get(degrees[next(iter(w))], ())):
                     return C
                 added.append(w)
         old, new = old + new, tuple(added)
-    return S
+    return _from_echelon(S.ambient_dim, basis, pivots)
 
 
 def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
@@ -395,17 +399,18 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
 # structural subspaces and predicates
 
 
-def _constraints(by_index):
-    """Constraint rows of the common null space of the linear maps f_key,
-    where by_index[m] lists (key, f_key(e_m)) over the nonzero images:
-    one sparse row {m: f_key(e_m)_t} per key and output coordinate t.
-    Skip: the row of a (key, t) that no image reaches is zero."""
+def _constraints(by_index, n):
+    """The span in F^n of the constraint rows of the common null space
+    of the maps f_key, where by_index[m] lists (key, f_key(e_m)) over
+    the nonzero images: one new row {m: f_key(e_m)_t}, in the exact
+    view, per key and output coordinate t.  Skip: the row of a (key, t)
+    that no image reaches is zero."""
     rows = {}
     for m, images in by_index.items():
         for key, image in images:
             for t, c in image.items():
                 rows.setdefault((key, t), {})[m] = c
-    return list(rows.values())
+    return _from_echelon(n, *_echelon(rows.values(), n))
 
 
 def structure_ideals(alg):
@@ -416,14 +421,14 @@ def structure_ideals(alg):
     ann_A from x a_j, ann_L_A from a_i x and ann_A_on_L from x l_j."""
     inc = alg.incidence()
     nL, nA = alg.dim_L, alg.dim_A
-    z, r = (Subspace(nL, _constraints(inc.bracket_by_L)),
-            Subspace(nL, _constraints(inc.rho_by_L)))
+    z, r = (_constraints(inc.bracket_by_L, nL),
+            _constraints(inc.rho_by_L, nL))
     z_L = _null_space(z)
     return StructureIdeals(
         z_L, _null_space(r), _null_space(_extend(z, r.rows)) if r.dim else z_L,
-        ann_A=solve_homogeneous(_constraints(inc.amul_by_A), nA),
-        ann_L_A=solve_homogeneous(_constraints(inc.action_by_L), nL),
-        ann_A_on_L=solve_homogeneous(_constraints(inc.action_by_A), nA))
+        ann_A=_null_space(_constraints(inc.amul_by_A, nA)),
+        ann_L_A=_null_space(_constraints(inc.action_by_L, nL)),
+        ann_A_on_L=_null_space(_constraints(inc.action_by_A, nA)))
 
 
 def _degree_one_spans(alg, supports):
@@ -625,8 +630,8 @@ def _gr_simple(alg, side, within, is_ideal=None, structure=None):
             return SimplicityVerdict("no", False, witness="zero-product")
         verdict, witness = _close_generators(alg, "A", C, gens)
         return SimplicityVerdict(verdict, True, witness=witness)
-    ker_rho = structure.ker_rho if structure else solve_homogeneous(
-        _constraints(inc.rho_by_L), n)
+    ker_rho = structure.ker_rho if structure else _null_space(
+        _constraints(inc.rho_by_L, n))
     ker_part = C if ker_rho.dim == n else intersect_subspaces(ker_rho, C)
 
     bracket_nonzero = any(_bracket(inc.bracket_by_L, u, v, w)

@@ -5,14 +5,16 @@ no tolerance anywhere.
 Vectors are sparse rows {index: coefficient} internally, holding the
 nonzero coordinates only, from the stored tables through the products
 to the reduced-echelon rows of a `Subspace`, each coefficient in the
-exact view of `_view`.  Every lattice operation accepts dense or sparse
-rows and `sparse_row` brings them into the view; dense tuples, formed
-only at the public boundary (`Subspace.basis`, certificates and
-counterexamples), pass through `dense_vec`, the one way back to
-Fractions.  The coefficient invariant is stated in `model`.  `_extend`
-adds rows to a subspace without rebuilding it: each new row is reduced
-once against its shared rows and placed by the step that builds every
-basis in `_echelon`, so the lattice reuses the echelon forms it holds.
+exact view of `_view`.  Public operations take dense or sparse rows,
+which `sparse_row` brings into the view; a row formed in the view (a
+`sparse_sum`, a constraint or null-space row) is eliminated as it is.
+Dense tuples, formed only at the public boundary (`Subspace.basis`,
+certificates and counterexamples), pass through `dense_vec`, the one
+way back to Fractions.  The coefficient invariant is stated in `model`.
+Every basis grows by one step, `_insert`: `_echelon` loops over it,
+`_extend` adds rows to a subspace without rebuilding it, and an ideal
+closure or a complement grows one basis in place and builds its
+`Subspace` once, by `_from_echelon`.
 """
 
 from bisect import bisect_left
@@ -66,12 +68,13 @@ def dense_vec(entry, n):
 
 def sparse_sum(terms):
     """The sparse vector sum of f * entry over (f, entry) pairs of
-    scalars and sparse vectors, without zero coefficients."""
+    scalars and sparse vectors, without zero coefficients, in the exact
+    view."""
     acc = {}
     for f, entry in terms:
         for m, c in entry.items():
             acc[m] = acc[m] + f * c if m in acc else f * c
-    return {m: c for m, c in acc.items() if c}
+    return {m: c if type(c) is int else _view(c) for m, c in acc.items() if c}
 
 
 def _reduce(basis, pivots, v):
@@ -93,42 +96,56 @@ def _reduce(basis, pivots, v):
     return v
 
 
+def _insert(basis, pivots, v):
+    """Whether the sparse row v, in the exact view, grows the span of the
+    reduced echelon lists `basis` and `pivots`, which it joins in place:
+    v is reduced in place, scaled to a leading 1 (by negation or exact
+    quotients), cleared from copies of the rows with its pivot, so no
+    row is modified, and inserted by pivot."""
+    v = _reduce(basis, pivots, v)
+    if not v:
+        return False
+    p = min(v)
+    f = v[p]
+    if f == -1:
+        v = {j: -c for j, c in v.items()}
+    elif f != 1:
+        v = {j: _quotient(c, f) for j, c in v.items()}
+    for i, row in enumerate(basis):
+        if p in row:
+            basis[i] = _reduce((v,), (p,), dict(row))
+    k = bisect_left(pivots, p)
+    basis.insert(k, v)
+    pivots.insert(k, p)
+    return True
+
+
 def _echelon(rows, n, basis=(), pivots=()):
     """The reduced echelon basis, sorted by pivot, and the pivots of the
     span of the reduced rows `basis` (with `pivots`) and the sparse rows
-    of F^n.  Each row is reduced, in place, against the basis so far,
-    scaled to a leading 1 (by negation or exact quotients), cleared from
-    copies of the rows that have its pivot, so no given row is modified,
-    and inserted by pivot.  Rows after the basis spans F^n are skipped."""
+    of F^n, each added by `_insert`, which reduces it in place.  Rows
+    after the basis spans F^n are skipped."""
     basis, pivots = list(basis), list(pivots)
     for r in rows:
         if len(basis) == n:
             break
-        new = _reduce(basis, pivots, r)
-        if not new:
-            continue
-        p = min(new)
-        f = new[p]
-        if f == -1:
-            new = {j: -c for j, c in new.items()}
-        elif f != 1:
-            new = {j: _quotient(c, f) for j, c in new.items()}
-        for i, row in enumerate(basis):
-            if p in row:
-                basis[i] = _reduce((new,), (p,), dict(row))
-        k = bisect_left(pivots, p)
-        basis.insert(k, new)
-        pivots.insert(k, p)
+        _insert(basis, pivots, r)
     return tuple(basis), tuple(pivots)
+
+
+def _from_echelon(n, basis, pivots):
+    """The Subspace of F^n on reduced echelon `basis` and `pivots`."""
+    S = Subspace.__new__(Subspace)
+    S.ambient_dim, S.rows, S._pivots = n, tuple(basis), tuple(pivots)
+    return S
 
 
 def _extend(S, rows):
     """S + span(rows), rows dense or sparse, each brought into the view
     and reduced once; S is unchanged, and is the result if it has them."""
     n = S.ambient_dim
-    out = Subspace.__new__(Subspace)
-    out.ambient_dim, (out.rows, out._pivots) = n, _echelon(
-        [sparse_row(r, n) for r in rows], n, S.rows, S._pivots)
+    out = _from_echelon(n, *_echelon([sparse_row(r, n) for r in rows], n,
+                                     S.rows, S._pivots))
     return S if out.dim == S.dim else out
 
 
@@ -210,7 +227,7 @@ def _null_space(c):
         for f, x in row.items():
             if f != p:
                 sols[f][p] = -x
-    return Subspace(n, sols.values())
+    return _from_echelon(n, *_echelon(sols.values(), n))
 
 
 def intersect_subspaces(s, t):
@@ -237,13 +254,11 @@ def complement(s, within=None):
     candidates = [{j: 1} for j in range(n)
                   if j not in pivots and within.contains({j: 1})]
     candidates += within.rows
-    picked, cur = [], s
+    basis, pivots, picked = list(s.rows), list(s._pivots), []
     for v in candidates:
-        if cur.dim == within.dim:
+        if len(basis) == within.dim:
             break
-        nxt = _extend(cur, (v,))
-        if nxt is not cur:
+        if _insert(basis, pivots, dict(v)):
             picked.append(v)
-            cur = nxt
-    assert cur.dim == within.dim
+    assert len(basis) == within.dim
     return Subspace(n, picked)

@@ -36,7 +36,9 @@ output hold Fractions; the incidence and the rows of every `Subspace`
 hold the exact view of `linalg._view` (an int when integral, else a
 Fraction), so integral instances run their kernels and eliminations on
 ints, which mix, compare and hash exactly with Fractions.  `sparse_row`
-brings rows into the view; `dense_vec` is the one way back to Fractions.
+keeps the view at the public boundary, `sparse_sum` for every product
+formed, and the incidence for its images, which products may share and
+must not modify; `dense_vec` is the one way back to Fractions.
 A report writes the rows of a subspace straight to strings, and `str`
 gives the same text for an int and the equal Fraction.
 """

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from collections import Counter
@@ -1105,3 +1106,27 @@ def test_decompose_differentials_on_non_integral_tables():
         counts = [a + b for a, b in zip(counts, found)]
     assert all(counts), counts
 
+
+def test_products_leave_the_incidence_unchanged():
+    """`_reached` may yield an image of the incidence itself, shared and
+    read-only, so every path that reduces a product copies it first:
+    `decompose`, both whole-space simplicity checks, ideal checks that
+    fail and ideal closures leave every incidence map as they found it,
+    on integral and non-integral tables."""
+    rng = random.Random(3017)
+    instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
+    instances += [_random_graded(rng, NON_INTEGRAL) for _ in range(8)]
+    failed = 0
+    for alg in instances:
+        inc = alg.incidence()
+        before = copy.deepcopy(vars(inc))
+        decompose(alg)
+        check_gr_simple_L(alg)
+        check_gr_simple_A(alg)
+        for side in "LA":
+            for d in sorted(set(alg.basis(side).degrees)):
+                F = alg.fiber(side, d)
+                failed += not verify_ideal(alg, side, F)[0]
+                ideal_generated_by(alg, side, F.rows[0])
+        assert vars(inc) == before
+    assert failed >= 10, failed

@@ -7,7 +7,7 @@ import _ref_linalg as ref
 from _ref_linalg import is_zero_vec, unit_vec, vec, vec_add, vec_scale
 from g3lr.linalg import (Subspace, _extend, complement, full_subspace,
                          intersect_subspaces, rref, solve_homogeneous,
-                         span, sum_subspaces, zero_vec)
+                         span, sparse_sum, sum_subspaces, zero_vec)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -348,3 +348,16 @@ def test_extend_by_one_row_matches_rebuild(case, form, sparse, rnd):
     assert T.dim == S.dim + 1 and T.contains(v) and T.contains_subspace(S)
     assert all(type(c) is type(_view_of(c)) for r in T.rows
                for c in r.values())
+
+
+def test_sparse_sum_is_in_the_exact_view():
+    """A product goes from `sparse_sum` to an echelon basis as it is, so
+    the sum is in the exact view: an int where a coefficient is
+    integral, a Fraction otherwise, and no zero coefficient."""
+    got = sparse_sum([(Fraction(1, 2), {0: 2})])
+    assert got == {0: 1} and type(got[0]) is int
+    got = sparse_sum([(Fraction(1, 2), {0: 2, 1: 1, 2: 4}), (1, {2: -2}),
+                      (Fraction(2, 3), {3: Fraction(3, 2)})])
+    assert [(j, c, type(c)) for j, c in got.items()] == [
+        (0, 1, int), (1, Fraction(1, 2), Fraction), (3, 1, int)]
+    assert sparse_sum([(1, {0: 1}), (-1, {0: 1})]) == {}

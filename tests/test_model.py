@@ -13,11 +13,12 @@ from test_decompose import NON_INTEGRAL, _non_integral_instances, \
     _random_graded
 from g3lr.axioms import run_all
 from g3lr.catalog import builtin
-from g3lr.decompose import (_bracket, _product, decompose,
+from g3lr.decompose import (_bracket, _product, check_gr_simple_A,
+                            check_gr_simple_L, decompose,
                             ideal_generated_by, structure_ideals,
                             verify_ideal)
 from g3lr.groups import GroupSpec
-from g3lr.linalg import Subspace, dense_vec, sparse_row
+from g3lr.linalg import Subspace, complement, dense_vec, span, sparse_row
 from g3lr.model import Algebra3LR, GradedBasis
 
 _scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -313,12 +314,14 @@ def test_public_surface_stays_fraction():
     """The int view stays inside the kernels and the subspace rows: the
     stored tables, subspace bases, violations, certificates and the
     decomposition all carry Fractions, and subspace rows the exact
-    view, on integral and non-integral tables alike."""
+    view, on integral and non-integral tables alike.  The closures, the
+    complements and the `no` witnesses of the whole-space simplicity
+    checks grow their bases from products without `sparse_row`."""
     rng = random.Random(97)
     instances = [builtin("a4"), builtin("a4-dual-numbers"), rho_trace_seed(),
                  rational_seed(), rational_seed_mutant()]
     instances += [_random_graded(rng, NON_INTEGRAL) for _ in range(4)]
-    violations = decomposed = 0
+    violations = decomposed = witnesses = 0
     for alg in instances:
         report = run_all(alg)
         for table in (alg.bracket, alg.amul, alg.action, alg.rho):
@@ -333,8 +336,15 @@ def test_public_surface_stays_fraction():
         for d in set(alg.L.degrees):
             F = alg.fiber("L", d)
             _check_certificate(verify_ideal(alg, "L", F)[1])
-            spaces += [F, ideal_generated_by(
-                alg, "L", F.basis[0] if F.dim else unit_vec(alg.dim_L, 0))]
+            v = F.basis[0] if F.dim else unit_vec(alg.dim_L, 0)
+            closure = ideal_generated_by(alg, "L", v)
+            spaces += [F, closure,
+                       complement(span([v], alg.dim_L), within=closure)]
+        for check in (check_gr_simple_L, check_gr_simple_A):
+            witness = check(alg).witness
+            if isinstance(witness, Subspace):
+                spaces.append(witness)
+                witnesses += 1
         for d in set(alg.A.degrees):
             _check_certificate(verify_ideal(alg, "A", alg.fiber("A", d))[1])
         if report.passed:
@@ -347,5 +357,5 @@ def test_public_surface_stays_fraction():
             decomposed += 1
         for S in spaces:
             _check_subspace(S)
-    assert violations and decomposed >= 4
+    assert violations and decomposed >= 4 and witnesses >= 10, witnesses
 
