@@ -4,9 +4,11 @@ The instance format stores the grading group, the two labelled graded
 bases, and the four structure tables of `model.TABLES` with rational
 coefficients written as strings ("2", "-1/3").  Table entries refer to
 basis labels.  Each table is read and written by its signature in
-`TABLES`, and its key order (strictly increasing bracket triples,
-non-decreasing product pairs) is enforced at parse time with structured
-errors; the basis rules are those of `model.GradedBasis`.
+`TABLES`.  A file is checked once, by the parser, whose errors name the
+entry: key order (strictly increasing bracket triples, non-decreasing
+product pairs), labels and coefficients, each distinct coefficient string
+parsed once per document; it builds the stored tables itself.  The basis
+rules are those of `model.GradedBasis`.
 
 `canonical_json` writes every report and instance file in one pass, by
 the exact type of each value, as the text `json.dumps(value,
@@ -59,14 +61,14 @@ _JSON_TYPES = {dict: "an object", str: "a string", int: "a number",
 MAX_DIGITS = 1000
 
 
-def _parse_fraction(s, where):
+def _parse_fraction(s):
     m = _RATIONAL.fullmatch(s) if type(s) is str else None
     if m is None:
-        raise ParseError(where, "malformed rational %r" % (s,))
+        raise ValueError("malformed rational %r" % (s,))
     for part, digits in zip(("numerator", "denominator"), m.groups()):
         if digits is not None and len(digits) > MAX_DIGITS:
-            raise ParseError(where, "rational %s has %d digits, over the "
-                             "cap of %d" % (part, len(digits), MAX_DIGITS))
+            raise ValueError("rational %s has %d digits, over the cap of %d"
+                             % (part, len(digits), MAX_DIGITS))
     # the value from the groups: Fraction(s) would match s again
     num = -int(m[1]) if s[0] == "-" else int(m[1])
     return Fraction(num, int(m[2])) if m[2] else Fraction(num)
@@ -100,48 +102,47 @@ def _parse_basis(data, group, where):
         raise ParseError(where, str(e))
 
 
-def _label_index(basis, label, where):
-    try:
-        return basis.index(label)
-    except ValueError:
-        raise ParseError(where, "unknown label %r" % (label,))
-
-
-def _parse_table(entries, bases, where):
+def _parse_table(entries, bases, where, rationals):
     """entries: list of {"args": [labels], "value": {label: rational}}
-    of the table `where` of `TABLES`, on `bases`, the `GradedBasis` of
-    each space; the argument indices must be in the table's key order."""
+    of the table `where` of `TABLES` on `bases` ({space: `GradedBasis`}),
+    in its key order, as `model._stored` stores it; `rationals` holds the
+    values of the coefficient strings of the document parsed so far."""
     arg_spaces, value_space, order = TABLES[where]
-    arg_bases = [bases[s] for s in arg_spaces]
-    value_basis = bases[value_space]
+    arg_index = [bases[s].index for s in arg_spaces]
+    value_index = bases[value_space].index
     entries = [] if entries is None else entries
     if type(entries) is not list:
         raise ParseError(where, "a table must be an array, not %s"
                          % _JSON_TYPES[type(entries)])
     table = {}
-    for pos, entry in enumerate(entries):
-        here = "%s[%d]" % (where, pos)
-        try:
-            args, value = entry["args"], entry["value"]
-        except (KeyError, TypeError):
-            raise ParseError(here, "expected args and value")
-        if type(args) is not list or type(value) is not dict:
-            raise ParseError(here, "args must be an array and value an "
-                             "object: %r" % (entry,))
-        if len(args) != len(arg_bases):
-            raise ParseError(here, "expected %d arguments" % len(arg_bases))
-        idx = tuple(_label_index(b, a, here)
-                    for b, a in zip(arg_bases, args))
-        if not in_key_order(idx, order):
-            raise ParseError(here, "non-canonical %s order %r"
-                             % (("pair", "triple")[len(args) - 2], args))
-        if idx in table:
-            raise ParseError(here, "duplicate entry for %r" % (args,))
-        table[idx] = {
-            _label_index(value_basis, lbl, here):
-            _parse_fraction(c, here)
-            for lbl, c in value.items()}
-    return table
+    try:
+        for pos, entry in enumerate(entries):
+            try:
+                args, value = entry["args"], entry["value"]
+            except (KeyError, TypeError):
+                raise ValueError("expected args and value")
+            if type(args) is not list or type(value) is not dict:
+                raise ValueError("args must be an array and value an "
+                                 "object: %r" % (entry,))
+            if len(args) != len(arg_index):
+                raise ValueError("expected %d arguments" % len(arg_index))
+            idx = tuple([index(a) for index, a in zip(arg_index, args)])
+            if not in_key_order(idx, order):
+                raise ValueError("non-canonical %s order %r"
+                                 % (("pair", "triple")[len(args) - 2], args))
+            if idx in table:
+                raise ValueError("duplicate entry for %r" % (args,))
+            table[idx] = row = {}
+            for lbl, c in value.items():
+                m = value_index(lbl)
+                q = rationals.get(c) if type(c) is str else None
+                if q is None:
+                    q = rationals[c] = _parse_fraction(c)
+                if q:
+                    row[m] = q
+    except ValueError as e:     # the position text is built only here
+        raise ParseError("%s[%d]" % (where, pos), str(e)) from None
+    return {idx: row for idx, row in table.items() if row}
 
 
 def instance_from_dict(data):
@@ -159,12 +160,10 @@ def instance_from_dict(data):
         raise ParseError("group", str(e))
     L = _parse_basis(data.get("L", {}), group, "L")
     A = _parse_basis(data.get("A", {}), group, "A")
-    tables = [_parse_table(data.get(name), {"L": L, "A": A}, name)
-              for name in TABLES]
-    try:
-        return Algebra3LR(group, L, A, *tables)
-    except ValueError as e:
-        raise ParseError("tables", str(e))
+    bases, rationals = {"L": L, "A": A}, {}
+    return Algebra3LR._from_stored(group, L, A, [
+        _parse_table(data.get(name), bases, name, rationals)
+        for name in TABLES])
 
 
 def _unique_keys(pairs):
@@ -200,7 +199,7 @@ def _table_entries(alg, name):
     table = getattr(alg, name)
     return [{"args": [labels[i] for labels, i in zip(arg_labels, key)],
              "value": {value_labels[m]: str(c)
-                       for m, c in sorted(table[key].items())}}
+                       for m, c in table[key].items()}}
             for key in sorted(table)]
 
 
@@ -241,7 +240,8 @@ def canonical_json(value):
 
 
 # the text of a leaf by its exact type; a Fraction is the string "p/q"
-_LEAVES = {str: _string, int: int.__repr__, Fraction: '"{!s}"'.format,
+_LEAVES = {str: _string, int: int.__repr__,
+           Fraction: lambda f: '"' + str(f) + '"',
            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
 
 

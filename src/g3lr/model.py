@@ -114,14 +114,15 @@ def in_key_order(key, order):
     return order is None or all(map(_ORDERS[order], key, key[1:]))
 
 
-def _stored(alg, name, table):
-    """Table `name` of `TABLES` with every entry made sparse by `_sparse`
-    and the zero entries dropped.  A key that is not a tuple of indices
-    in range of the argument spaces and in the key order raises
-    ValueError naming the table and the key."""
+def _stored(name, table, bases):
+    """Table `name` of `TABLES` on `bases` ({space: `GradedBasis`}) for
+    every caller of the constructor (`instio` checks files itself): each
+    entry made sparse by `_sparse`, zero entries dropped.  A key that is
+    not a tuple of indices in range of the argument spaces and in the key
+    order raises ValueError naming the table and the key."""
     args, value, order = TABLES[name]
-    dims = [len(alg.basis(s)) for s in args]
-    dim = len(alg.basis(value))
+    dims = [len(bases[s]) for s in args]
+    dim = len(bases[value])
     out = {}
     for key, val in table.items():
         if not (len(key) == len(dims) and min(key) >= 0
@@ -235,7 +236,9 @@ class DegreeIndex:
 
 class Algebra3LR:
     """Immutable instance; construction validates indices and storage
-    canonicity, not the axioms (see `axioms.run_all`)."""
+    canonicity by `_stored`, not the axioms (see `axioms.run_all`).  An
+    instance file is checked once, by `instio`'s parser, which builds the
+    stored tables itself and calls `_from_stored`, which checks nothing."""
 
     _incidence = None
     _degree_index = None
@@ -246,14 +249,21 @@ class Algebra3LR:
         for d in L.degrees + A.degrees:
             if d.spec != group:
                 raise ValueError("degree from a different group")
-        self.group = group
-        self.L = L
-        self.A = A
-        self.dim_L = len(L)
-        self.dim_A = len(A)
+        bases = {"L": L, "A": A}
+        self._set(group, L, A, [_stored(name, table, bases) for name, table
+                                in zip(TABLES, (bracket, amul, action, rho))])
 
-        for name, table in zip(TABLES, (bracket, amul, action, rho)):
-            setattr(self, name, _stored(self, name, table))
+    @classmethod
+    def _from_stored(cls, group, L, A, tables):
+        """The instance of `tables`, in the order and form of `_stored`."""
+        alg = cls.__new__(cls)
+        alg._set(group, L, A, tables)
+        return alg
+
+    def _set(self, group, L, A, tables):
+        self.group, self.L, self.A = group, L, A
+        self.dim_L, self.dim_A = len(L), len(A)
+        self.bracket, self.amul, self.action, self.rho = tables
 
     def basis(self, space):
         """The `GradedBasis` of `space`, "L" or "A", else ValueError."""

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
 from g3lr.instio import (MAX_DIGITS, ParseError, canonical_json,
                          instance_digest, instance_from_dict,
                          instance_to_dict, load_instance, save_instance)
+from g3lr.model import TABLES, Algebra3LR
 
 
 def _run(*argv):
@@ -181,7 +183,9 @@ def _parsed_coefficient(s):
     of a4, or None when no entry is stored."""
     doc = _a4_doc()
     doc["bracket"][0]["value"] = {"e4": s}
-    return instance_from_dict(doc).bracket.get((0, 1, 2), {}).get(3)
+    bracket = instance_from_dict(doc).bracket
+    # a zero leaves the key absent: an entry stored as {} fails here
+    return bracket[(0, 1, 2)][3] if (0, 1, 2) in bracket else None
 
 
 def _assert_parses_as_fraction(s):
@@ -339,6 +343,46 @@ def _modulus_one(doc):
     doc["group"]["moduli"][0] = 1
 
 
+def _unknown_argument_label(doc):
+    doc["bracket"][2]["args"][1] = "e9"
+
+
+def _unknown_value_label(doc):
+    doc["action"][3]["value"] = {"x": "1"}
+
+
+def _unhashable_label(doc):
+    doc["bracket"][1]["args"][0] = ["e1"]
+
+
+def _malformed_rational_in_rho(doc):
+    doc["rho"] = [{"args": ["e1", "e2", "one"], "value": {"one": "1"}},
+                  {"args": ["e1", "e3", "one"], "value": {"one": "1/0"}}]
+
+
+def _rational_over_the_cap(doc):
+    doc["action"][2]["value"]["e3"] = "1" * (MAX_DIGITS + 1)
+
+
+def _noncanonical_pair(doc):
+    doc = json.loads(json.dumps(instance_to_dict(builtin("a4-dual-numbers"))))
+    doc["amul"].append({"args": ["t", "one"], "value": {"t": "1"}})
+    return doc
+
+
+def _noncanonical_triple(doc):
+    doc["bracket"][3]["args"] = ["e3", "e2", "e4"]
+
+
+def _duplicate_all_zero_entry(doc):
+    doc["bracket"][1]["value"] = {"e3": "0"}
+    doc["bracket"].append(copy.deepcopy(doc["bracket"][1]))
+
+
+def _duplicate_all_zero_amul_entry(doc):
+    doc["amul"] = [{"args": ["one", "one"], "value": {"one": "-0"}}] * 2
+
+
 @pytest.mark.parametrize("change, expected", [
     (_drop_L_degrees, "L: expected labels and degrees"),
     (_short_L_degrees, "L: labels and degrees differ in length"),
@@ -348,6 +392,20 @@ def _modulus_one(doc):
     (_drop_moduli, "group: expected group.moduli"),
     (_modulus_one, "group: modulus must be 0 or >= 2, got 1"),
     (list, "document: expected a JSON object"),
+    (_unknown_argument_label, "bracket[2]: unknown label 'e9'"),
+    (_unknown_value_label, "action[3]: unknown label 'x'"),
+    (_unhashable_label, "bracket[1]: unknown label ['e1']"),
+    (_malformed_rational_in_rho, "rho[1]: malformed rational '1/0'"),
+    (_rational_over_the_cap, "action[2]: rational numerator has %d digits, "
+                             "over the cap of %d"
+                             % (MAX_DIGITS + 1, MAX_DIGITS)),
+    (_noncanonical_pair, "amul[2]: non-canonical pair order ['t', 'one']"),
+    (_noncanonical_triple,
+     "bracket[3]: non-canonical triple order ['e3', 'e2', 'e4']"),
+    (_duplicate_all_zero_entry,
+     "bracket[4]: duplicate entry for ['e1', 'e2', 'e4']"),
+    (_duplicate_all_zero_amul_entry,
+     "amul[1]: duplicate entry for ['one', 'one']"),
 ], ids=lambda p: getattr(p, "__name__", None))
 def test_rejected_document_exits_3_naming_the_field(tmp_path, capsys, change,
                                                      expected):
@@ -468,6 +526,89 @@ def test_mutated_examples_never_exit_internal(tmp_path, doc):
     path.write_text(json.dumps(doc))
     code, _ = _run("report", str(path))
     assert code in (EXIT_OK, EXIT_VIOLATIONS, EXIT_PARSE)
+
+
+# ---------------------------------------------------------------------------
+# the stored form built by the parser
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def _edited_a4_dual_numbers(seed):
+    """The a4-dual-numbers document after seeded edits: zero coefficients
+    ("0", "-0", "0/7") added to entries, non-canonical strings ("6/4",
+    "007/10"), one coefficient string repeated across entries, one entry
+    made all zero, the entries of every table and the items of every
+    value shuffled; one table is removed first."""
+    rng = random.Random(seed)
+    doc = json.loads(json.dumps(instance_to_dict(builtin("a4-dual-numbers"))))
+    del doc[rng.choice(("bracket", "amul", "action"))]
+    labels = {space: doc[space]["labels"] for space in "LA"}
+    entries = [(e, labels[TABLES[name][1]]) for name in TABLES
+               for e in doc.get(name, ())]
+    for entry, values in rng.sample(entries, 6):
+        entry["value"][rng.choice(values)] = rng.choice(("0", "-0", "0/7"))
+    for entry, _ in rng.sample(entries, 4):
+        value = entry["value"]
+        value[rng.choice(sorted(value))] = rng.choice(("6/4", "007/10"))
+    *repeated, (zero, values) = rng.sample(entries, 4)
+    for entry, _ in repeated:
+        entry["value"][rng.choice(sorted(entry["value"]))] = "-3/5"
+    zero["value"] = {lbl: "0" for lbl in rng.sample(values, 2)}
+    for name in TABLES:
+        rng.shuffle(doc.get(name, []))
+        for entry in doc.get(name, ()):
+            items = list(entry["value"].items())
+            rng.shuffle(items)
+            entry["value"] = dict(items)
+    return doc
+
+
+def _stored_form_input(kind, name):
+    if kind == "builtin":
+        return json.loads(json.dumps(instance_to_dict(builtin(name))))
+    if kind == "edited":
+        return _edited_a4_dual_numbers(name)
+    return json.loads(((EXAMPLES, FIXTURES)[kind == "fixture"]
+                       / name).read_text())
+
+
+def _constructed(alg, doc):
+    """The instance that the public constructor makes of the tables of
+    doc on the bases of alg: each coefficient as `Fraction` of its
+    string, zeros and all-zero entries left for the constructor to
+    drop."""
+    bases = {"L": alg.L, "A": alg.A}
+    tables = [{tuple(bases[s].index(a) for s, a in zip(args, e["args"])): {
+        bases[value].index(lbl): Fraction(c) for lbl, c in e["value"].items()}
+        for e in doc.get(name) or ()}
+        for name, (args, value, _) in TABLES.items()]
+    return Algebra3LR(alg.group, alg.L, alg.A, *tables)
+
+
+@pytest.mark.parametrize("kind, name", [
+    *(("builtin", n) for n in BUILTIN_NAMES),
+    *(("example", p.name) for p in sorted(EXAMPLES.glob("*.json"))),
+    *(("fixture", p.name) for p in sorted(FIXTURES.glob("*.json"))),
+    *(("edited", seed) for seed in range(8))])
+def test_parsed_stored_form_equals_the_constructors(kind, name):
+    """The parser builds the stored tables itself; they equal what
+    `Algebra3LR` stores of the same entries, in the same dict order
+    (violation lists follow it), with every coefficient a Fraction and
+    no empty entry, and the instance writes the same file and digest."""
+    doc = _stored_form_input(kind, name)
+    alg = instance_from_dict(doc)
+    ref = _constructed(alg, doc)
+    for table in TABLES:
+        got, want = getattr(alg, table), getattr(ref, table)
+        assert got == want, table
+        assert [(k, list(v)) for k, v in got.items()] \
+            == [(k, list(v)) for k, v in want.items()], table
+        assert all(v and all(type(c) is Fraction for c in v.values())
+                   for v in got.values()), table
+    assert instance_to_dict(alg) == instance_to_dict(ref)
+    assert instance_digest(alg) == instance_digest(ref)
 
 
 # ---------------------------------------------------------------------------
