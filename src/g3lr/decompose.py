@@ -220,7 +220,14 @@ def _reached(row, by_index):
     `model.Incidence`); zero sums are dropped.  Skip: a key that no
     coordinate of the row reaches has every term zero.  A key reached by
     one coordinate, of 1, yields the image itself, which is shared and
-    must not be modified: a path that reduces a product copies it."""
+    must not be modified: a path that reduces a product copies it.  A
+    row {p: c} reads by_index[p] sorted by key, where each key is listed
+    once: each sum is the one term c * image, which is not zero."""
+    if len(row) == 1:
+        (p, c), = row.items()
+        for key, image in sorted(by_index.get(p, ())):
+            yield key, image if c == 1 else sparse_sum(((c, image),))
+        return
     terms = {}
     for p, c in row.items():
         for key, image in by_index.get(p, ()):
@@ -313,9 +320,9 @@ def verify_ideal(alg, side, S):
 
 
 def _ideal_closure(alg, side, v, C=None, full=None):
-    """Least ideal containing the homogeneous vector v, dense or sparse.
-    Worklist closure: each round multiplies only the rows added in the
-    round before, so every product is formed once.
+    """Least ideal containing v, a reduced homogeneous sparse row such as
+    a row of C.  Worklist closure: each round multiplies only the rows
+    added in the round before, so every product is formed once.
 
     Stop rule: given an ideal C containing v, it returns C as soon as
     its span has dim C or contains a row of `full`, {degree: rows of C}
@@ -328,13 +335,10 @@ def _ideal_closure(alg, side, v, C=None, full=None):
     of degree d in more only when a product of degree d is added.  A
     test left out only stops the closure later.  A closure that
     reaches neither runs to the end.  The span is one echelon basis that
-    grows in place by a copy of each product, made a `Subspace` once."""
+    grows from [v] by a copy of each product, made a `Subspace` once."""
     degrees = alg.basis(side).degrees
-    S = span([v], len(degrees))
-    _homogeneous_generators(alg, side, S)     # raises unless homogeneous
     bound, full = (None if C is None else C.dim), full or {}
-    basis, pivots = list(S.rows), list(S._pivots)
-    old, new = (), S.rows
+    basis, pivots, old, new = [v], [min(v)], (), (v,)
     while new and len(basis) != bound:
         added = []
         for _, w in _ideal_products(alg, side, old, new):
@@ -345,7 +349,7 @@ def _ideal_closure(alg, side, v, C=None, full=None):
                     return C
                 added.append(w)
         old, new = old + new, tuple(added)
-    return _from_echelon(S.ambient_dim, basis, pivots)
+    return _from_echelon(len(degrees), basis, pivots)
 
 
 def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
@@ -548,7 +552,9 @@ def ideal_generated_by(alg, side, v):
     """Least ideal of `side` containing the homogeneous vector v: closed
     under bracketing with L, the A-action and rho-derived actions on "L",
     under multiplication by A on "A"."""
-    return _ideal_closure(alg, side, v)
+    S = span([v], len(alg.basis(side)))
+    _homogeneous_generators(alg, side, S)     # raises unless homogeneous
+    return _ideal_closure(alg, side, S.rows[0]) if S.rows else S
 
 
 def _homogeneous_generators(alg, space, C):

@@ -14,7 +14,8 @@ way back to Fractions.  The coefficient invariant is stated in `model`.
 Every basis grows by one step, `_insert`: `_echelon` loops over it,
 `_extend` adds rows to a subspace without rebuilding it, and an ideal
 closure or a complement grows one basis in place and builds its
-`Subspace` once, by `_from_echelon`.
+`Subspace` once, by `_from_echelon`.  `_reduce` visits only the rows
+whose pivots are coordinates of the row it reduces.
 """
 
 from bisect import bisect_left
@@ -79,13 +80,15 @@ def sparse_sum(terms):
 
 def _reduce(basis, pivots, v):
     """The sparse row v, in place, minus the multiples of the reduced
-    rows `basis` (1 at the pivot) that clear it at every pivot.  Only
-    rows whose pivot coordinate in v is nonzero are subtracted, and only
-    at their own nonzero coordinates; v stays in the exact view."""
-    for row, p in zip(basis, pivots):
-        f = v.get(p)
-        if f:
-            for j, c in row.items():
+    rows `basis` (1 at the sorted `pivots`) that clear it at every pivot;
+    v stays in the exact view and no row is modified.  Each row is found
+    by bisecting a coordinate of v into `pivots`, with that coordinate as
+    its multiplier: each row is 0 at every other row's pivot, so
+    subtracting it leaves v unchanged there, in any order."""
+    for p, f in list(v.items()):
+        k = bisect_left(pivots, p)
+        if k < len(pivots) and pivots[k] == p:
+            for j, c in basis[k].items():
                 d = v.get(j, 0) - f * c
                 if not d:
                     del v[j]
@@ -204,7 +207,8 @@ def span(vectors, ambient_dim):
 
 
 def full_subspace(ambient_dim):
-    return Subspace(ambient_dim, [{i: 1} for i in range(ambient_dim)])
+    return _from_echelon(ambient_dim, [{i: 1} for i in range(ambient_dim)],
+                         range(ambient_dim))
 
 
 def sum_subspaces(s, t):

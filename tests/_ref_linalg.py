@@ -144,3 +144,21 @@ def complement(s, within, n):
             cur = rref(list(cur) + [v])
     assert len(cur) == len(within)
     return rref(picked)
+
+
+def reduce_sequential(basis, pivots, v):
+    """`g3lr.linalg._reduce` as it was before it found its rows by pivot
+    lookup: a scan over every basis row in pivot order, subtracting the
+    rows whose pivot coordinate in v is nonzero at that point."""
+    for row, p in zip(basis, pivots):
+        f = v.get(p)
+        if f:
+            for j, c in row.items():
+                d = v.get(j, 0) - f * c
+                if not d:
+                    del v[j]
+                elif type(d) is int or d.denominator != 1:
+                    v[j] = d
+                else:
+                    v[j] = d.numerator
+    return v

@@ -12,13 +12,13 @@ import pytest
 
 import _dense_model as dm
 import _ref_degrees as ref_degrees
-from _cases import rational_seed, rho_trace_seed
+from _cases import rational_seed, rebuild, rho_trace_seed
 from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import (compute_supports, connected, lambda_classes,
                               replay_chain, sigma_classes)
 from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
                             _homogeneous_generators, _ideal_products,
-                            _product, IdealCandidate, build_A1_class,
+                            _product, _reached, IdealCandidate, build_A1_class,
                             build_A_ideal, build_I, build_L1_class,
                             check_G_multiplicative, check_gr_simple_A,
                             check_gr_simple_L, check_maximal_length,
@@ -30,7 +30,7 @@ from g3lr.instio import canonical_json
 from _ref_linalg import is_zero_vec, unit_vec, vec
 from g3lr.linalg import (dense_vec, full_subspace, intersect_subspaces,
                          solve_homogeneous, span, sparse_row, zero_vec)
-from g3lr.model import Algebra3LR, GradedBasis
+from g3lr.model import TABLES, Algebra3LR, GradedBasis
 
 BUILTINS = ("trivial", "a4", "gl2-trace", "a4-dual-numbers", "tight-pair")
 
@@ -1130,3 +1130,54 @@ def test_products_leave_the_incidence_unchanged():
                 ideal_generated_by(alg, side, F.rows[0])
         assert vars(inc) == before
     assert failed >= 10, failed
+
+
+def _reached_by_sum(row, by_index):
+    """`_reached` as a plain sum: for each key, in ascending order, the
+    sum of c * image over every coordinate c at p of the row and every
+    (key, image) listed at p, with the zero sums dropped."""
+    sums = {}
+    for p, c in row.items():
+        for key, image in by_index.get(p, ()):
+            acc = sums.setdefault(key, {})
+            for m, x in image.items():
+                acc[m] = acc.get(m, 0) + c * x
+    sums = {key: {m: x for m, x in acc.items() if x}
+            for key, acc in sums.items()}
+    return [(key, sums[key]) for key in sorted(sums) if sums[key]]
+
+
+def test_reached_on_one_coordinate_rows_is_the_plain_sum():
+    """A row {p: c} reads its incidence list sorted by key: the keys,
+    images and order of the plain sum, every coefficient in the exact
+    view, and with c = 1 the incidence's own image objects.  Each
+    instance is also built with its tables in reverse order, so that
+    the lists are not in key order as stored."""
+    instances = [builtin(name) for name in BUILTINS] + [rho_trace_seed()]
+    # its amul, action and rho hold non-integral coefficients
+    last = _random_graded(random.Random(3), NON_INTEGRAL)
+    instances.append(last)
+    assert all(any(x.denominator > 1 for e in table.values()
+                   for x in e.values())
+               for table in (last.amul, last.action, last.rho))
+    instances += [rebuild(alg, **{name: dict(reversed(getattr(
+        alg, name).items())) for name in TABLES}) for alg in instances]
+    shared = scaled = 0
+    for alg in instances:
+        inc = alg.incidence()
+        for name in sorted(n for n in vars(inc) if "_by_" in n):
+            by_index = getattr(inc, name)
+            for p, listed in by_index.items():
+                images = dict(listed)
+                for c in (1, -1, 2, Fraction(1, 3)):
+                    got = list(_reached({p: c}, by_index))
+                    assert got == _reached_by_sum({p: c}, by_index)
+                    assert all(type(x) is type(x.numerator
+                                              if x.denominator == 1 else x)
+                               for _, v in got for x in v.values())
+                    if c == 1:
+                        assert all(v is images[key] for key, v in got)
+                        shared += len(got)
+                    scaled += c != 1 and len(got)
+            assert list(_reached({-1: 1}, by_index)) == []
+    assert shared and scaled

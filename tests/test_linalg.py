@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import _ref_linalg as ref
 from _ref_linalg import is_zero_vec, unit_vec, vec, vec_add, vec_scale
-from g3lr.linalg import (Subspace, _extend, complement, full_subspace,
-                         intersect_subspaces, rref, solve_homogeneous,
-                         span, sparse_sum, sum_subspaces, zero_vec)
+from g3lr.linalg import (Subspace, _extend, _reduce, complement,
+                         full_subspace, intersect_subspaces, rref,
+                         solve_homogeneous, span, sparse_row, sparse_sum,
+                         sum_subspaces, zero_vec)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -348,6 +349,52 @@ def test_extend_by_one_row_matches_rebuild(case, form, sparse, rnd):
     assert T.dim == S.dim + 1 and T.contains(v) and T.contains_subspace(S)
     assert all(type(c) is type(_view_of(c)) for r in T.rows
                for c in r.values())
+
+
+# `_reduce` finds the rows it subtracts by bisecting the coordinates of
+# v into the pivots; the scan over every row that it replaced is the
+# oracle.  The probes meet several pivots and non-pivot columns at once.
+
+_NONZERO = (1, -1, 2, Fraction(1, 3), Fraction(-5, 2), Fraction(3, 4))
+
+
+@settings(max_examples=200)
+@given(_lattice_case(), st.sampled_from(["fraction", "view", "mixed"]),
+       st.randoms(use_true_random=False))
+def test_reduce_by_pivot_lookup_matches_sequential_scan(case, form, rnd):
+    n, rows_s, rows_t, _, v = case
+    if form != "fraction":
+        rows_s = [tuple(_view_of(c) if form == "view" or rnd.random() < 0.5
+                        else c for c in r) for r in rows_s]
+    S = Subspace(n, rows_s)
+    pivots, shared = S.pivots(), S.rows
+    before = [[(j, c, type(c)) for j, c in r.items()] for r in S.rows]
+
+    def picked(columns, share):
+        return {j: _view_of(rnd.choice(_NONZERO)) for j in columns
+                if rnd.random() < share}
+    probes = [picked(range(n), 1), picked(range(n), 0.6),
+              picked(pivots, 0.8), sparse_row(v, n)]
+    probes += [sparse_row(r, n) for r in rows_t]
+    for probe in probes:
+        want = ref.reduce_sequential(S.rows, pivots, dict(probe))
+        got = dict(probe)
+        assert _reduce(S.rows, pivots, got) is got
+        assert got == want and not set(got) & set(pivots)
+        assert all(c and type(c) is type(_view_of(c)) for c in got.values())
+        assert S.rows is shared and all(a is b for a, b in zip(S.rows,
+                                                                shared))
+        assert [[(j, c, type(c)) for j, c in r.items()] for r in S.rows] \
+            == before
+
+
+def test_full_subspace_is_the_unit_row_span():
+    for n in range(7):
+        F, want = full_subspace(n), Subspace(n, [{i: 1} for i in range(n)])
+        assert F.rows == want.rows and F.basis == want.basis
+        assert F.pivots() == want.pivots() == tuple(range(n))
+        assert [type(c) for r in F.rows for c in r.values()] == [int] * n
+        assert all(type(c) is Fraction for b in F.basis for c in b)
 
 
 def test_sparse_sum_is_in_the_exact_view():
