@@ -23,15 +23,17 @@ of the finite alphabet plus the two targets, so the search always
 terminates; it forms only products of two letters, so the product memo
 of `groups` stays bounded even when the group has a free factor.
 
-The search reads those products from one table per supports,
-`SupportSets.letter_products`: for each letter s, the pairs (u, s u)
-over the letters u, in alphabet order, whose product is again a letter.
-It is built with one product per ordered pair of letters and kept, so
-every search and both partitions on the same supports share it.
-Reading the table instead of multiplying is exact: every state of a
-search is a letter, and every set a rule allows lies in the alphabet,
-so a product the table leaves out is rejected by every rule, and the
-ones it keeps come in the order the search tried them.
+The search runs on letter indices.  `SupportSets.index_products`
+numbers the sorted alphabet once and lists, for each letter index i,
+the pairs (u, p) of indices, u in alphabet order, such that letter i
+times letter u is letter p; it is built with one product per ordered
+pair of letters and kept, so every search and both partitions on the
+same supports share it.  Each set a rule allows becomes a membership
+list over the indices, and the word of a step is formed only for an end
+the search records.  Reading the table instead of multiplying is exact:
+every state of a search is a letter, and every set a rule allows lies
+in the alphabet, so a product the table leaves out is rejected by every
+rule, and the ones it keeps come in the order the search tried them.
 """
 
 from dataclasses import dataclass
@@ -62,14 +64,13 @@ class SupportSets:
                             | {self.group.identity()}))
 
     @cached_property
-    def letter_products(self):
-        """{s: ((u, s u), ...)} over the letters s, the letters u in
-        alphabet order for which s u is again a letter."""
+    def index_products(self):
+        """For each letter index i, the pairs (u, p) of letter indices,
+        u in alphabet order, whose letters multiply as i u = p."""
         alpha = self.alphabet
-        letters = frozenset(alpha)
-        return {s: tuple((u, p) for u in alpha
-                         if (p := s.mul(u)) in letters)
-                for s in alpha}
+        index = {a: i for i, a in enumerate(alpha)}
+        return [[(u, p) for u, b in enumerate(alpha)
+                 if (p := index.get(a.mul(b))) is not None] for a in alpha]
 
 
 @dataclass
@@ -107,25 +108,35 @@ def _search(supports, kind, start):
     reached at the end of a step.  Letters are tried in alphabet order,
     and an end is recorded the first time a step reaches it, so each
     chain is minimal in length and the first in that order.  Every
-    allowed set lies in the alphabet, so every state is a letter and its
-    products are read from `letter_products`."""
-    step = _rules(supports, kind)[2]
-    table = supports.letter_products
-    chains = {start: (start,)}
-    frontier = [start]
+    allowed set lies in the alphabet, so every state is a letter: the
+    search walks letter indices through `index_products`, with a loop
+    for each step length (one letter on the A-side, two on the L-side),
+    and only the recorded chains are turned back into letters."""
+    alpha, table = supports.alphabet, supports.index_products
+    step = [[a in ok for a in alpha] for ok in _rules(supports, kind)[2]]
+    first = alpha.index(start)
+    chains = {first: (first,)}
+    frontier = [first]
     while frontier:
         nxt = []
         for s in frontier:
-            ends = [(s, ())]
-            for ok in step:
-                ends = [(p, word + (u,)) for q, word in ends
-                        for u, p in table[q] if p in ok]
-            for p, word in ends:
-                if p not in chains:
-                    chains[p] = chains[s] + word
-                    nxt.append(p)
+            if len(step) == 1:
+                ok = step[0]
+                for u, p in table[s]:
+                    if ok[p] and p not in chains:
+                        chains[p] = chains[s] + (u,)
+                        nxt.append(p)
+            else:
+                mid, last = step
+                for u1, q in table[s]:
+                    if mid[q]:
+                        for u2, p in table[q]:
+                            if last[p] and p not in chains:
+                                chains[p] = chains[s] + (u1, u2)
+                                nxt.append(p)
         frontier = nxt
-    return chains
+    return {alpha[p]: tuple(alpha[i] for i in chain)
+            for p, chain in chains.items()}
 
 
 def _witness(chains, end):

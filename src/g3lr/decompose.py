@@ -408,13 +408,20 @@ def _constraints(by_index, n):
     of the maps f_key, where by_index[m] lists (key, f_key(e_m)) over
     the nonzero images: one new row {m: f_key(e_m)_t}, in the exact
     view, per key and output coordinate t.  Skip: the row of a (key, t)
-    that no image reaches is zero."""
+    that no image reaches is zero.  A row {m: c} with one coordinate
+    spans the line of e_m, so the unit rows of those lines, already a
+    reduced echelon basis, start the basis and only the other rows are
+    inserted: the span, and with it the canonical echelon basis, is
+    that of all the rows."""
     rows = {}
     for m, images in by_index.items():
         for key, image in images:
             for t, c in image.items():
                 rows.setdefault((key, t), {})[m] = c
-    return _from_echelon(n, *_echelon(rows.values(), n))
+    lines = sorted({min(r) for r in rows.values() if len(r) == 1})
+    return _from_echelon(n, *_echelon(
+        [r for r in rows.values() if len(r) > 1], n,
+        [{m: 1} for m in lines], lines))
 
 
 def structure_ideals(alg):

@@ -103,8 +103,9 @@ def _insert(basis, pivots, v):
     """Whether the sparse row v, in the exact view, grows the span of the
     reduced echelon lists `basis` and `pivots`, which it joins in place:
     v is reduced in place, scaled to a leading 1 (by negation or exact
-    quotients), cleared from copies of the rows with its pivot, so no
-    row is modified, and inserted by pivot."""
+    quotients), cleared from copies of the rows with its pivot p, so no
+    row is modified, and inserted by pivot.  Only the rows before the
+    insertion point can hold p: a reduced row is 0 left of its pivot."""
     v = _reduce(basis, pivots, v)
     if not v:
         return False
@@ -114,10 +115,10 @@ def _insert(basis, pivots, v):
         v = {j: -c for j, c in v.items()}
     elif f != 1:
         v = {j: _quotient(c, f) for j, c in v.items()}
-    for i, row in enumerate(basis):
-        if p in row:
-            basis[i] = _reduce((v,), (p,), dict(row))
     k = bisect_left(pivots, p)
+    for i in range(k):
+        if p in basis[i]:
+            basis[i] = _reduce((v,), (p,), dict(basis[i]))
     basis.insert(k, v)
     pivots.insert(k, p)
     return True

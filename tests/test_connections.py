@@ -1,13 +1,17 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from g3lr.catalog import builtin, direct_sum
+from g3lr.catalog import BUILTIN_NAMES, builtin, direct_sum
 from g3lr.connections import (SupportSets, compute_supports, connected,
                               lambda_classes, replay_chain, sigma_classes)
 import g3lr.groups as groups
 from g3lr.groups import GroupElem, GroupSpec
+from g3lr.instio import load_instance
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def test_supports_a4():
@@ -190,7 +194,7 @@ def _check_equivalence(s):
 def test_randomized_supports_form_equivalences():
     """The classes are equivalence classes with replayable witnesses,
     and equal those of the searches kept in `_ref_connections`, which
-    multiply at every state instead of reading the letter table: in
+    multiply at every state instead of reading the index table: in
     finite groups and in groups with a free factor."""
     import _ref_connections as ref
 
@@ -293,6 +297,59 @@ def test_merged_engine_matches_the_reference_searches_and_replays():
                 accepted += same_verdict(chain, g, rng.choice(elems))
     assert 60 <= free <= 140      # both free and finite groups are drawn
     assert accepted >= 1000
+
+
+def _rung_supports(base, copies):
+    """The supports of the ladder rung of `copies` copies of base summed
+    by `direct_sum`: each copy's degrees embedded in its own factors of
+    the product group.  The rung itself is not built, since building it
+    reruns the axiom suite."""
+    s, m = compute_supports(base), base.group.moduli
+    G = GroupSpec(m * copies)
+    pad = (0,) * len(m)
+
+    def embed(degrees):
+        return frozenset(G.elem(pad * i + d.coords + pad * (copies - 1 - i))
+                         for i in range(copies) for d in degrees)
+    return SupportSets(G, embed(s.sigma1), embed(s.lambda1))
+
+
+def test_rung_supports_are_those_of_the_direct_sum():
+    dual = builtin("a4-dual-numbers")
+    got, want = _rung_supports(dual, 2), compute_supports(
+        direct_sum(dual, dual))
+    assert (got.group, got.sigma1, got.lambda1) == (
+        want.group, want.sigma1, want.lambda1)
+
+
+def test_engine_matches_the_reference_on_real_alphabets():
+    """The index search against the searches kept in `_ref_connections`
+    on the supports of every builtin, every `docs/examples` file and the
+    dim-24 and dim-32 ladder rungs: classes with representatives,
+    members and witness chains, and the connection answer on every pair
+    of support elements."""
+    import _ref_connections as ref
+
+    dual = builtin("a4-dual-numbers")
+    cases = [compute_supports(builtin(n)) for n in BUILTIN_NAMES]
+    cases += [compute_supports(load_instance(str(p)))
+              for p in sorted(EXAMPLES.glob("*.json"))]
+    rungs = [_rung_supports(dual, copies) for copies in (3, 4)]
+    assert min(len(s.alphabet) for s in rungs) >= 15
+    kinds = (("sigma", "sigma1", sigma_classes, ref.sigma_classes,
+              ref.sigma_connected),
+             ("lambda", "lambda1", lambda_classes, ref.lambda_classes,
+              ref.lambda_connected))
+    for s in cases + rungs:
+        for kind, attr, classes, ref_classes, ref_conn in kinds:
+            got, want = classes(s), ref_classes(s)
+            assert [(c.representative, c.members, c.kind, c.witnesses)
+                    for c in got] == [
+                (c.representative, c.members, c.kind, c.witnesses)
+                for c in want]
+            support = sorted(getattr(s, attr))
+            for g, h in itertools.product(support, repeat=2):
+                assert connected(s, kind, g, h) == ref_conn(s, g, h)
 
 
 def test_replay_rejects_ends_outside_the_support():

@@ -17,7 +17,7 @@ from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import (compute_supports, connected, lambda_classes,
                               replay_chain, sigma_classes)
 from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
-                            _homogeneous_generators, _ideal_products,
+                            _constraints, _homogeneous_generators, _ideal_products,
                             _product, _reached, IdealCandidate, build_A1_class,
                             build_A_ideal, build_I, build_L1_class,
                             check_G_multiplicative, check_gr_simple_A,
@@ -27,9 +27,11 @@ from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
                             verify_triple_orthogonality)
 from g3lr.groups import GroupSpec
 from g3lr.instio import canonical_json
+import _ref_linalg
 from _ref_linalg import is_zero_vec, unit_vec, vec
-from g3lr.linalg import (dense_vec, full_subspace, intersect_subspaces,
-                         solve_homogeneous, span, sparse_row, zero_vec)
+from g3lr.linalg import (_null_space, dense_vec, full_subspace,
+                         intersect_subspaces, solve_homogeneous, span,
+                         sparse_row, zero_vec)
 from g3lr.model import TABLES, Algebra3LR, GradedBasis
 
 BUILTINS = ("trivial", "a4", "gl2-trace", "a4-dual-numbers", "tight-pair")
@@ -180,6 +182,48 @@ def test_orthogonality_detects_overlap():
 
 # ---------------------------------------------------------------------------
 # structural subspaces, tightness, pairing
+
+
+def _dense_constraints(by_index, n):
+    """Every constraint row of `by_index`, one per (key, t), dense."""
+    rows = {}
+    for m, images in by_index.items():
+        for key, image in images:
+            for t, c in image.items():
+                rows.setdefault((key, t), list(zero_vec(n)))[m] = Fraction(c)
+    return [tuple(r) for r in rows.values()]
+
+
+def test_one_constraint_row_per_line_keeps_the_null_space():
+    """`_constraints` starts its basis from the unit rows of the columns
+    that one-coordinate rows reach and eliminates only the other rows;
+    its echelon basis and null space are those of every row, computed
+    densely by `_ref_linalg`: a column hit by several one-coordinate
+    rows with int and Fraction coefficients, a multi-coordinate row over
+    that column, columns no row reaches, an empty map, and random maps
+    whose images are mostly single coordinates."""
+    n = 5
+    lines = {1: [("a", {0: 3, 1: Fraction(-2, 3)}), ("c", {0: -1})],
+             3: [("b", {0: 4}), ("b", {1: Fraction(5, 7)})]}
+    mixed = {1: lines[1] + [("d", {0: 7})], 3: [("d", {0: Fraction(1, 2)})],
+             4: [("a", {2: -2})]}
+    cases = [lines, mixed, {}]
+    rng = random.Random(33)
+    for _ in range(60):
+        cases.append({m: [(rng.randrange(3), {t: rng.choice(
+            (1, -1, 2, Fraction(3, 4))) for t in rng.sample(range(3),
+                                                          rng.randint(1, 2))})
+                          for _ in range(rng.randint(1, 3))]
+                      for m in rng.sample(range(n), rng.randint(0, n))})
+    for by_index in cases:
+        dense = _dense_constraints(by_index, n)
+        c = _constraints(by_index, n)
+        assert list(c.basis) == _ref_linalg.rref(dense)
+        assert list(_null_space(c).basis) == \
+            _ref_linalg.solve_homogeneous(dense, n)
+    assert _constraints({}, n).dim == 0
+    assert _null_space(_constraints(lines, n)).basis == (
+        unit_vec(n, 0), unit_vec(n, 2), unit_vec(n, 4))
 
 
 def test_structure_ideals_of_a4():

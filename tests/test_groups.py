@@ -107,3 +107,11 @@ def test_interned_elements_and_memoised_products(spec_elems):
 
 def test_repr_mentions_coords():
     assert "1" in repr(GroupSpec((2,)).elem((1,)))
+
+
+def test_equal_specs_hash_equal_and_repr_their_moduli():
+    a, b = GroupSpec((2, 0, 5)), GroupSpec(["2", 0, 5])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, GroupSpec((2, 5, 0))}) == 2
+    assert repr(a) == "GroupSpec((2, 0, 5))"
+    assert repr(GroupSpec(())) == "GroupSpec(())"
