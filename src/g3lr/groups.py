@@ -82,7 +82,7 @@ class GroupElem:
     __slots__ = ("spec", "coords", "_hash", "_products")
 
     def __new__(cls, spec, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != len(spec.moduli):
             raise ValueError(
                 "coordinate length %d does not match group arity %d"
@@ -131,8 +131,9 @@ def _elem(spec, coords):
     """The interned element of spec with the int coordinates `coords`
     (any iterable), which have the spec's arity, reduced into range;
     made on first use.  `mul`, `inv` and `identity` build their
-    arguments from normalised operands, so the conversion and the arity
-    check of `GroupElem(spec, coords)` are skipped."""
+    arguments from normalised operands, and the parser checks a file's
+    degrees itself, so the conversion and the arity check of
+    `GroupElem(spec, coords)` are skipped."""
     moduli = spec.moduli
     if spec._free:
         coords = tuple(c % m if m else c for c, m in zip(coords, moduli))

@@ -8,7 +8,8 @@ basis labels.  Each table is read and written by its signature in
 entry: key order (strictly increasing bracket triples, non-decreasing
 product pairs), labels and coefficients, each distinct coefficient string
 parsed once per document; it builds the stored tables itself.  The basis
-rules are those of `model.GradedBasis`.
+rules are those of `model.GradedBasis`.  `instance_digest` is the SHA-256 of
+`json.dumps(instance_to_dict(alg), sort_keys=True, separators=(",", ":"))`.
 
 `canonical_json` writes every report and instance file in one pass, by
 the exact type of each value, as the text `json.dumps(value,
@@ -17,7 +18,8 @@ pure-Python encoder, which CPython 3.11 takes whenever `indent` is set.
 A report key is the field name of its report dataclass; the shape table
 `_SHAPES` lists the few types written otherwise.  Sorted keys, canonical
 echelon bases and fractions as strings make the output byte-identical
-for identical input.
+for identical input.  A leaf item is put on its own: a join of a run of
+one leaf type costs more than it saves on the short vectors of a report.
 """
 
 import hashlib
@@ -25,18 +27,24 @@ import json
 import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
+from operator import getitem
 
 from .axioms import AxiomReport
 from .connections import ConnectionClass, SupportSets
 from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         TightnessReport)
-from .groups import GroupElem, GroupSpec
+from .groups import GroupElem, GroupSpec, _elem
 from .linalg import Subspace
 from .model import TABLES, Algebra3LR, GradedBasis, in_key_order
 
 INSTANCE_SCHEMA = "g3lr-instance/1"
 REPORT_SCHEMA = "g3lr-report/1"
+# the digest's encoder; `instance_to_dict` makes a new tree, never a cycle
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
 
 
 class ParseError(Exception):
@@ -93,11 +101,15 @@ def _parse_basis(data, group, where):
         if type(value) is not list:
             raise ParseError(where, "%s must be a list of %s, not %s"
                              % (key, item, _JSON_TYPES[type(value)]))
-    if any(type(x) is not str for x in labels):
+    if not {*map(type, labels)} <= {str}:
         raise ParseError(where, "labels must be a list of strings")
     try:
-        return GradedBasis(labels, [
-            group.elem(_int_list(d, where, "a degree")) for d in degrees])
+        if not ({*map(type, degrees)} <= {list}
+                and {*map(len, degrees)} <= {len(group.moduli)}
+                and {*map(type, chain.from_iterable(degrees))} <= {int}):
+            for d in degrees:               # raise the degree's message
+                group.elem(_int_list(d, where, "a degree"))
+        return GradedBasis(labels, [_elem(group, d) for d in degrees])
     except ValueError as e:
         raise ParseError(where, str(e))
 
@@ -108,8 +120,8 @@ def _parse_table(entries, bases, where, rationals):
     in its key order, as `model._stored` stores it; `rationals` holds the
     values of the coefficient strings of the document parsed so far."""
     arg_spaces, value_space, order = TABLES[where]
-    arg_index = [bases[s].index for s in arg_spaces]
-    value_index = bases[value_space].index
+    arg_index = [bases[s]._index for s in arg_spaces]
+    value_index = bases[value_space]._index
     entries = [] if entries is None else entries
     if type(entries) is not list:
         raise ParseError(where, "a table must be an array, not %s"
@@ -126,7 +138,11 @@ def _parse_table(entries, bases, where, rationals):
                                  "object: %r" % (entry,))
             if len(args) != len(arg_index):
                 raise ValueError("expected %d arguments" % len(arg_index))
-            idx = tuple([index(a) for index, a in zip(arg_index, args)])
+            try:
+                idx = tuple(map(dict.__getitem__, arg_index, args))
+            except (KeyError, TypeError):   # raise the label's message
+                for s, a in zip(arg_spaces, args):
+                    bases[s].index(a)
             if not in_key_order(idx, order):
                 raise ValueError("non-canonical %s order %r"
                                  % (("pair", "triple")[len(args) - 2], args))
@@ -134,7 +150,9 @@ def _parse_table(entries, bases, where, rationals):
                 raise ValueError("duplicate entry for %r" % (args,))
             table[idx] = row = {}
             for lbl, c in value.items():
-                m = value_index(lbl)
+                m = value_index.get(lbl)
+                if m is None:
+                    bases[value_space].index(lbl)
                 q = rationals.get(c) if type(c) is str else None
                 if q is None:
                     q = rationals[c] = _parse_fraction(c)
@@ -197,7 +215,7 @@ def _table_entries(alg, name):
     arg_labels = [alg.basis(s).labels for s in args]
     value_labels = alg.basis(value).labels
     table = getattr(alg, name)
-    return [{"args": [labels[i] for labels, i in zip(arg_labels, key)],
+    return [{"args": list(map(getitem, arg_labels, key)),
              "value": {value_labels[m]: str(c)
                        for m, c in table[key].items()}}
             for key in sorted(table)]
@@ -222,8 +240,7 @@ def save_instance(alg, path):
 
 
 def instance_digest(alg):
-    compact = json.dumps(instance_to_dict(alg), sort_keys=True,
-                         separators=(",", ":"))
+    compact = _COMPACT.encode(instance_to_dict(alg))
     return hashlib.sha256(compact.encode()).hexdigest()
 
 
@@ -243,6 +260,8 @@ def canonical_json(value):
 _LEAVES = {str: _string, int: int.__repr__,
            Fraction: lambda f: '"' + str(f) + '"',
            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+# the field names of a dataclass, read once per class
+_names = cache(lambda kind: [f.name for f in fields(kind)])
 
 
 def _write(value, put, nl):
@@ -277,8 +296,8 @@ def _write(value, put, nl):
 
 
 def _fields(obj, skip=None):
-    return {f.name: getattr(obj, f.name) for f in fields(obj)
-            if f.name != skip}
+    return {name: getattr(obj, name) for name in _names(type(obj))
+            if name != skip}
 
 
 def subspace_json(S):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from _cases import rho_not_antisymmetric
 from g3lr import cli
+from g3lr.axioms import VIOLATION_CAP, run_all
 from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
                      main)
@@ -46,6 +48,27 @@ def test_emit_parse_round_trip(tmp_path):
         again = load_instance(str(path))
         assert instance_to_dict(again) == instance_to_dict(builtin(name))
         assert instance_digest(again) == instance_digest(builtin(name))
+
+
+def _non_ascii_instance():
+    """a4 with its label e1 renamed to one that JSON writes escaped."""
+    text = json.dumps(instance_to_dict(builtin("a4")))
+    return instance_from_dict(json.loads(
+        text.replace('"e1"', '"\\u00e9\\u2028\\ud83d\\ude00"')))
+
+
+def test_instance_digest_is_sha256_of_the_compact_sorted_dump():
+    """The digest is defined by these bytes; it is pinned on every
+    builtin, every example file and a label outside ASCII."""
+    algs = [builtin(name) for name in BUILTIN_NAMES]
+    algs += [load_instance(str(p)) for p in sorted(EXAMPLES.glob("*.json"))]
+    algs.append(_non_ascii_instance())
+    assert "\u00e9\u2028\U0001f600" in algs[-1].L.labels
+    for alg in algs:
+        compact = json.dumps(instance_to_dict(alg), sort_keys=True,
+                             separators=(",", ":"))
+        assert instance_digest(alg) \
+            == hashlib.sha256(compact.encode()).hexdigest()
 
 
 def test_save_load_round_trip(tmp_path):
@@ -355,6 +378,22 @@ def _unhashable_label(doc):
     doc["bracket"][1]["args"][0] = ["e1"]
 
 
+def _int_label(doc):
+    doc["bracket"][2]["args"][1] = 7
+
+
+def _null_label(doc):
+    doc["bracket"][0]["args"][2] = None
+
+
+def _A_label_in_an_L_slot(doc):
+    doc["action"][1]["args"][1] = "one"
+
+
+def _degree_arity_mismatch(doc):
+    doc["L"]["degrees"][0] = [1]
+
+
 def _malformed_rational_in_rho(doc):
     doc["rho"] = [{"args": ["e1", "e2", "one"], "value": {"one": "1"}},
                   {"args": ["e1", "e3", "one"], "value": {"one": "1/0"}}]
@@ -395,6 +434,11 @@ def _duplicate_all_zero_amul_entry(doc):
     (_unknown_argument_label, "bracket[2]: unknown label 'e9'"),
     (_unknown_value_label, "action[3]: unknown label 'x'"),
     (_unhashable_label, "bracket[1]: unknown label ['e1']"),
+    (_int_label, "bracket[2]: unknown label 7"),
+    (_null_label, "bracket[0]: unknown label None"),
+    (_A_label_in_an_L_slot, "action[1]: unknown label 'one'"),
+    (_degree_arity_mismatch,
+     "L: coordinate length 1 does not match group arity 2"),
     (_malformed_rational_in_rho, "rho[1]: malformed rational '1/0'"),
     (_rational_over_the_cap, "action[2]: rational numerator has %d digits, "
                              "over the cap of %d"
@@ -842,18 +886,54 @@ _TEXT = st.text(st.one_of(
     st.characters(exclude_categories=())), max_size=8)
 _INTS = st.one_of(st.integers(), st.sampled_from([-2 ** 64, 10 ** 40,
                                                   -10 ** 40]))
-_JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), _INTS, _TEXT),
+_FRACTIONS = st.one_of(st.fractions(), st.sampled_from(
+    [Fraction(0), Fraction(-1), Fraction(10 ** 40, 3)]))
+# a run: a list or tuple whose items share one leaf type, empty and
+# one-item runs drawn often
+_RUNS = st.one_of([st.lists(leaf, max_size=3) for leaf in
+                   (_INTS, _TEXT, _FRACTIONS, st.booleans(), st.none())])
+# the values the writer takes: JSON values, tuples and Fractions; named
+# apart from the `_JSON_VALUES` that retype a node of an example above
+_REPORT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _TEXT, _FRACTIONS),
     lambda items: st.one_of(st.lists(items), st.lists(items).map(tuple),
-                            st.dictionaries(_TEXT, items)),
+                            st.dictionaries(_TEXT, items),
+                            _RUNS, _RUNS.map(tuple)),
     max_leaves=20)
 
 
+def _dumps(value):
+    """The canonical text by its definition: `json.dumps` with sorted
+    keys and indent 1, each Fraction written as the string `str` gives."""
+    return json.dumps(value, sort_keys=True, indent=1, default=str)
+
+
 @settings(max_examples=200, deadline=None)
-@given(value=_JSON_VALUES)
+@given(value=_REPORT_VALUES)
 def test_canonical_json_is_json_dumps_with_sorted_keys(value):
-    assert canonical_json(value) == json.dumps(value, sort_keys=True,
-                                               indent=1)
+    assert canonical_json(value) == _dumps(value)
+
+
+def test_axiom_report_of_a_mutation_is_json_dumps_of_its_plain_form():
+    """The report of a seeded single-entry mutation of a4-dual-numbers:
+    violation vectors are runs of Fractions, witnesses mix ints and
+    strings."""
+    doc = instance_to_dict(builtin("a4-dual-numbers"))
+    entry = random.Random(34).choice(doc["action"])
+    label = next(iter(entry["value"]))
+    entry["value"][label] = str(2 * Fraction(entry["value"][label]))
+    report = run_all(instance_from_dict(doc))
+    assert not report.passed
+    plain = {"passed": False, "counts": report.counts,
+             "notes": report.notes,
+             "violations": {axiom: [{"witness": list(v.witness),
+                                     "lhs": list(v.lhs), "rhs": list(v.rhs)}
+                                    for v in vs[:VIOLATION_CAP]]
+                            for axiom, vs in report.violations.items()
+                            if vs}}
+    assert any(type(c) is Fraction for vs in plain["violations"].values()
+               for v in vs for c in v["lhs"])
+    assert canonical_json(report) == _dumps(plain)
 
 
 # values the writer does not know: a float, sets, bytes and a non-string
@@ -863,7 +943,7 @@ _UNKNOWN = st.sampled_from([1.5, float("nan"), {1, 2}, frozenset(), b"",
 
 
 @settings(max_examples=50, deadline=None)
-@given(bad=_UNKNOWN, before=_JSON_VALUES, key=_TEXT)
+@given(bad=_UNKNOWN, before=_REPORT_VALUES, key=_TEXT)
 def test_canonical_json_never_writes_an_unknown_value(bad, before, key):
     for value in (bad, [before, bad], {key: [bad]}):
         with pytest.raises(TypeError):
