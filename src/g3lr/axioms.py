@@ -19,7 +19,8 @@ each check come from the nonzero operators:
   pairs (x, y), those with rho(x, y) != 0, and from the ordered triples
   whose bracket reaches the first slot of a live pair;
 - the Rinehart identities, from the pairs with ad(x, y) or rho(x, y)
-  nonzero and the action and product keys their images reach;
+  nonzero and the action and product keys their images reach, a pair
+  (y, x) without rho only when its mirror (x, y) fails;
 - the rho-derivation identity, from the live pairs, the nonzero
   products and the domains of the live pairs;
 - the A-algebra identities, from the nonzero products and actions.
@@ -307,8 +308,17 @@ def check_rinehart_compat(alg):
     rho(x, y) nonzero, with witness digits (z, a); the rho clauses are
     one unit, with witness digits (x, y, a, b, clause), `rho-left`
     before `rho-right`.  A witness that no term reaches has both sides
-    zero and holds, so the units in order, the bracket clause first,
-    give the violations of a full scan in order."""
+    zero and holds.
+
+    Mirrors: a pair (y, x) with x < y and neither rho(x, y) nor
+    rho(y, x) live is decided only when (x, y) fails.  The stored
+    bracket is skew, so ad(y, x) = -ad(x, y); without rho every term of
+    the unit (y, x) is the negation of the same term of (x, y), at the
+    same witness digits, so the two sums are negatives, and the units
+    fail together, with negated sides.  Pairs with rho live in either
+    order, and the pairs x = y, are decided on their own.  The bracket
+    violations are sorted by witness, and the rho clauses follow, which
+    is the order of a full scan."""
     out = []
     nL, nA = alg.dim_L, alg.dim_A
     incidence = alg.incidence()
@@ -317,19 +327,26 @@ def check_rinehart_compat(alg):
     by_L, by_A = incidence.action_by_L, incidence.action_by_A
 
     def bracket_terms(xy, lhs, rhs):
+        # the sums of `_add`, written out as in the fundamental identity
         for p, dp in ad.get(xy, {}).items():
             for (z, ak), c in acted_into[p]:
-                _add(lhs, (z * nA + ak) * nL, c, dp)
+                code = (z * nA + ak) * nL
+                for t, e in dp.items():
+                    lhs[code + t] = lhs.get(code + t, 0) + c * e
             if rhs is not None:
                 # a[x,y,z] at z = p
                 for q, c in dp.items():
                     for ak, e in by_L.get(q, ()):
-                        _add(rhs, (p * nA + ak) * nL, -c, e)
+                        code = (p * nA + ak) * nL
+                        for t, f in e.items():
+                            rhs[code + t] = rhs.get(code + t, 0) - c * f
         if rhs is not None:
             for ak, r in live.get(xy, ()):
                 for q, c in r.items():
                     for z, e in by_A.get(q, ()):
-                        _add(rhs, (z * nA + ak) * nL, -c, e)
+                        code = (z * nA + ak) * nL
+                        for t, f in e.items():
+                            rhs[code + t] = rhs.get(code + t, 0) - c * f
 
     def at(x, y, ak, bk, clause):
         return ((((x * nL + y) * nA + ak) * nA + bk) * 2 + clause) * nA
@@ -352,9 +369,19 @@ def check_rinehart_compat(alg):
                         _add(rhs, at(u, v, ak, bk, 1), -c, e)
 
     # Skip: each term applies ad(x, y) or rho(x, y), so a pair in
-    # neither map reaches no witness.
-    _decide(out, RINEHART, bracket_terms, sorted(ad.keys() | live.keys()),
-            (nL, nA, nL), lambda xy, za: ("bracket",) + xy + za)
+    # neither map reaches no witness; a mirror is decided only when its
+    # pair fails (see Mirrors above).
+    radices, witness = (nL, nA, nL), lambda xy, za: ("bracket",) + xy + za
+    mirrors = {(y, x) for x, y in ad.keys() - live.keys()
+               if x < y and (y, x) not in live}
+    _decide(out, RINEHART, bracket_terms,
+            sorted(ad.keys() - mirrors | live.keys()), radices, witness)
+    if out:
+        failed = {v.witness[1:3] for v in out}
+        _decide(out, RINEHART, bracket_terms,
+                sorted(yx for yx in mirrors if yx[::-1] in failed),
+                radices, witness)
+        out.sort(key=lambda v: v.witness)
     _decide(out, RINEHART, rho_terms, (None,), (nL, nL, nA, nA, 2, nA),
             lambda _, d: (("rho-left", "rho-right")[d[4]],) + d[:4])
     return out

@@ -20,6 +20,10 @@ A report key is the field name of its report dataclass; the shape table
 echelon bases and fractions as strings make the output byte-identical
 for identical input.  A leaf item is put on its own: a join of a run of
 one leaf type costs more than it saves on the short vectors of a report.
+An axiom `Violation` is the exception: its item types are known, so
+`_write_violation` writes each of its three vectors in one join, and the
+zero that `linalg.zero_vec` shares, most of a dense side, by identity
+(`str` gives "0" for every zero Fraction, so the text is the same).
 """
 
 import hashlib
@@ -32,12 +36,12 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from operator import getitem
 
-from .axioms import AxiomReport
+from .axioms import AxiomReport, Violation
 from .connections import ConnectionClass, SupportSets
 from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         TightnessReport)
 from .groups import GroupElem, GroupSpec, _elem
-from .linalg import Subspace
+from .linalg import ZERO, Subspace
 from .model import TABLES, Algebra3LR, GradedBasis, in_key_order
 
 INSTANCE_SCHEMA = "g3lr-instance/1"
@@ -289,10 +293,30 @@ def _write(value, put, nl):
                 put(sep + leaf(x))
             sep = "," + inner
         return put(nl + ("}" if keyed else "]"))
+    if kind is Violation:
+        return _write_violation(value, put, nl)
     shape = _SHAPES.get(kind) or (_fields if is_dataclass(kind) else None)
     if shape is None:
         raise TypeError("%s is not a report value" % kind.__name__)
     _write(shape(value), put, nl)
+
+
+def _write_violation(v, put, nl):
+    """Put the text of `_fields(v, "axiom")`, each vector of leaves in
+    one join; a zero of `zero_vec`, most of a dense side, is known by
+    identity and skips `Fraction.__str__`.  A vector with an item that
+    is no leaf falls back to `_write`, which raises on an unknown value."""
+    inner = nl + " "
+    item = inner + " "
+    try:
+        lhs, rhs, witness = ["[" + item + ("," + item).join(
+            ['"0"' if x is ZERO else _LEAVES[type(x)](x) for x in vec])
+            + inner + "]" if vec else "[]"
+            for vec in (v.lhs, v.rhs, v.witness)]
+    except KeyError:
+        return _write(_fields(v, "axiom"), put, nl)
+    put("{" + inner + '"lhs": ' + lhs + "," + inner + '"rhs": ' + rhs
+        + "," + inner + '"witness": ' + witness + nl + "}")
 
 
 def _fields(obj, skip=None):
@@ -309,8 +333,8 @@ def subspace_json(S):
 def axiom_report_json(report):
     return {"passed": report.passed, "counts": report.counts,
             "notes": report.notes,
-            "violations": {axiom: [_fields(v, "axiom") for v in vs]
-                           for axiom, vs in report.capped().items() if vs}}
+            "violations": {axiom: vs for axiom, vs
+                           in report.capped().items() if vs}}
 
 
 def decomposition_json(rep):

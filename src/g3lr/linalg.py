@@ -23,9 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+# the one zero of every `zero_vec`, so a writer can tell it by identity
+ZERO = Fraction(0)
+
+
 @lru_cache(maxsize=None)
 def zero_vec(n):
-    return (Fraction(0),) * n
+    return (ZERO,) * n
 
 
 def _view(c):
@@ -225,9 +229,13 @@ def solve_homogeneous(constraint_rows, ambient_dim):
 
 def _null_space(c):
     """Null space of the rows of the Subspace c: one solution per free
-    column f, e_f minus the rows' coordinates at f on their pivots."""
+    column f, e_f minus the rows' coordinates at f on their pivots.  When
+    every row is a unit row the solutions are the unit rows e_f, already
+    a reduced echelon basis, and are taken as they are."""
     n, pivots = c.ambient_dim, set(c.pivots())
     sols = {f: {f: 1} for f in range(n) if f not in pivots}
+    if all(len(row) == 1 for row in c.rows):
+        return _from_echelon(n, sols.values(), sols)
     for row, p in zip(c.rows, c.pivots()):
         for f, x in row.items():
             if f != p:

@@ -523,6 +523,77 @@ def test_each_rinehart_bracket_term_is_found():
         assert _rows(got) == _rows(dense.check_rinehart_compat(alg)), name
 
 
+def _bracket_pairs(violations):
+    return [v.witness[1:3] for v in violations if v.witness[0] == "bracket"]
+
+
+def test_mirrored_rinehart_pair_is_decided_when_its_pair_fails():
+    """The first single-entry mutation of a4-dual-numbers moves a bracket
+    target and breaks the Rinehart bracket clause on three pairs x < y
+    and their mirrors; rho = 0, so each mirror (y, x) is decided only
+    because (x, y) fails, and its sides are those of (x, y) negated.
+    The violations interleave the pairs in the order of a full scan."""
+    alg = _single_entry_mutants(builtin("a4-dual-numbers"))[0]
+    assert not alg.rho
+    got = check_rinehart_compat(alg)
+    assert _rows(got) == _rows(dense.check_rinehart_compat(alg))
+    by_witness = {v.witness: v for v in got}
+    mirrored = 0
+    for (kind, x, y, z, a), v in by_witness.items():
+        if kind == "bracket" and x < y:
+            w = by_witness[(kind, y, x, z, a)]
+            assert w.lhs == tuple(-c for c in v.lhs)
+            assert w.rhs == tuple(-c for c in v.rhs)
+            mirrored += 1
+    assert mirrored and 2 * mirrored == len(_bracket_pairs(got))
+    assert len(set(_bracket_pairs(got))) > 2
+
+
+def _one_sided_rho_cases():
+    """name -> (instance, which of (v0, v1) and (v1, v0) fail the
+    bracket clause) on L = span{v0, v1, v2} over A = span{a0}, with
+    [v0, v1, v2] = v2 and rho live on one order of the pair (v0, v1)
+    only."""
+    bracket = {(0, 1, 2): {2: 1}}
+    return {
+        # at z = v2: [v0, v1, a0 v2] = 0 = a0 v2 + (rho(v0, v1) a0) v2
+        # = v0 - v0, while a0 [v1, v0, v2] = -v0 and rho(v1, v0) = 0
+        "rho(x, y)": (_bare(3, 1, bracket, {(0, 1, 0): {0: -1}},
+                            action={(0, 2): {0: 1}}), [(1, 0)]),
+        # a0 v2 = v2 commutes with ad(v0, v1), and rho(v1, v0) a0 = a0
+        # adds (rho(v1, v0) a0) v2 = v2 to the right side of (v1, v0)
+        "rho(y, x)": (_bare(3, 1, bracket, {(1, 0, 0): {0: 1}},
+                            action={(0, 2): {2: 1}}), [(1, 0)]),
+        # at z = v2: a0 [v0, v1, v2] = v0 against [v0, v1, a0 v2] = 0, and
+        # -v0 + (rho(v1, v0) a0) v2 = v0 against [v1, v0, a0 v2] = 0
+        "rho(y, x), both failing": (
+            _bare(3, 1, bracket, {(1, 0, 0): {0: 2}},
+                  action={(0, 2): {0: 1}}), [(0, 1), (1, 0)]),
+    }
+
+
+def test_rinehart_pairs_with_rho_live_on_one_order_are_each_decided():
+    """A pair with rho live in either order is decided on its own, once:
+    where (v0, v1) holds and (v1, v0) fails, deciding the mirror only
+    when its pair fails would miss it, and where both fail, deciding the
+    live mirror again would record its violations twice."""
+    for name, (alg, failing) in _one_sided_rho_cases().items():
+        got = check_rinehart_compat(alg)
+        assert _rows(got) == _rows(dense.check_rinehart_compat(alg)), name
+        pairs = set(_bracket_pairs(got)) & {(0, 1), (1, 0)}
+        assert sorted(pairs) == failing, name
+
+
+def test_rinehart_pair_with_diagonal_rho_is_decided():
+    """rho(v0, v0) a0 = a0 with a0 v2 = v2: the unit (v0, v0), which has
+    no bracket, fails through (rho(v0, v0) a0) v2 alone."""
+    alg = _bare(3, 1, {(0, 1, 2): {2: 1}}, {(0, 0, 0): {0: 1}},
+                action={(0, 2): {2: 1}})
+    got = check_rinehart_compat(alg)
+    assert _rows(got) == _rows(dense.check_rinehart_compat(alg))
+    assert (0, 0) in _bracket_pairs(got)
+
+
 def _A_algebra_term_cases():
     """name -> (instance, witness): at the witness exactly one term of
     (ab)c = a(bc) or (ab)x = a(bx) is nonzero, the named one."""

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from _cases import rho_not_antisymmetric
 from g3lr import cli
-from g3lr.axioms import VIOLATION_CAP, run_all
+from g3lr.axioms import (ALL_AXIOMS, RINEHART, VIOLATION_CAP, Violation,
+                         run_all)
 from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
                      main)
 from g3lr.instio import (MAX_DIGITS, ParseError, canonical_json,
                          instance_digest, instance_from_dict,
                          instance_to_dict, load_instance, save_instance)
+from g3lr.linalg import zero_vec
 from g3lr.model import TABLES, Algebra3LR
 
 
@@ -934,6 +936,63 @@ def test_axiom_report_of_a_mutation_is_json_dumps_of_its_plain_form():
     assert any(type(c) is Fraction for vs in plain["violations"].values()
                for v in vs for c in v["lhs"])
     assert canonical_json(report) == _dumps(plain)
+
+
+# the items of a violation's sides: the shared zero of `zero_vec` (most of
+# a dense side), fresh zeros, ints, negative and huge Fractions
+_SIDE_ITEMS = st.one_of(st.just(zero_vec(1)[0]), st.just(Fraction(0)),
+                        _INTS, _FRACTIONS,
+                        _FRACTIONS.map(lambda f: -abs(f) - 1))
+_SIDES = st.one_of(
+    st.lists(_SIDE_ITEMS, max_size=4).map(tuple),
+    # a dense side: shared zeros ahead of a few other items
+    st.lists(_SIDE_ITEMS, min_size=1, max_size=4).map(
+        lambda v: zero_vec(8 - len(v)) + tuple(v)),
+    # the right side of a grading violation
+    st.lists(st.integers(-3, 3), max_size=3).map(
+        lambda d: ("expected-degree",) + tuple(d)))
+_VIOLATIONS = st.tuples(
+    st.sampled_from(ALL_AXIOMS),
+    st.lists(st.one_of(st.integers(0, 9), _TEXT), max_size=6).map(tuple),
+    _SIDES, _SIDES).filter(lambda t: t[2] != t[3]).map(
+        lambda t: Violation(*t))
+
+
+def _nested(depth):
+    """Violations inside `depth` levels of lists and dicts."""
+    values = _VIOLATIONS
+    for _ in range(depth):
+        values = st.one_of(st.lists(values, max_size=3),
+                           st.dictionaries(_TEXT, values, max_size=3))
+    return values
+
+
+def _plain(value):
+    """Each Violation as its plain {witness, lhs, rhs} form."""
+    if type(value) is Violation:
+        return {"witness": list(value.witness), "lhs": list(value.lhs),
+                "rhs": list(value.rhs)}
+    if type(value) is dict:
+        return {k: _plain(v) for k, v in value.items()}
+    return [_plain(v) for v in value]
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.integers(0, 3).flatmap(_nested))
+def test_canonical_json_of_violations_is_json_dumps_of_their_plain_form(
+        value):
+    assert canonical_json(value) == _dumps(_plain(value))
+
+
+@pytest.mark.parametrize("side", ["witness", "lhs", "rhs"])
+def test_canonical_json_never_writes_a_violation_holding_a_float(side):
+    sides = {"witness": ("bracket", 0), "lhs": zero_vec(2),
+             "rhs": (Fraction(1), Fraction(0))}
+    sides[side] += (1.5,)
+    v = Violation(RINEHART, **sides)
+    for value in (v, [v], {"a": [v]}):
+        with pytest.raises(TypeError):
+            canonical_json(value)
 
 
 # values the writer does not know: a float, sets, bytes and a non-string

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _ref_linalg as ref
 from _ref_linalg import is_zero_vec, unit_vec, vec, vec_add, vec_scale
@@ -156,6 +156,24 @@ def test_solve_homogeneous_is_null_space(rows):
 
 def test_solve_no_constraints():
     assert solve_homogeneous([], 3) == full_subspace(3)
+
+
+@settings(max_examples=100)
+@example((3, []))
+@example((4, [2, 2, 0, 2]))
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), max_size=2 * n))))
+def test_null_space_of_unit_rows_is_the_free_unit_rows(case):
+    """Constraints that are all unit rows, columns repeated and the
+    empty set included: the null space holds the unit rows of the free
+    columns, taken as they are, with their columns as its pivots."""
+    n, columns = case
+    rows = [unit_vec(n, j) for j in columns]
+    null = solve_homogeneous(rows, n)
+    assert list(null.basis) == ref.solve_homogeneous(rows, n)
+    free = tuple(j for j in range(n) if j not in columns)
+    assert null.rows == tuple({j: 1} for j in free)
+    assert null.pivots() == free == Subspace(n, null.basis).pivots()
 
 
 def test_zero_and_unit_vectors():
