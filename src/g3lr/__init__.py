@@ -3,10 +3,9 @@ exact axiom checking, support connection classes, class ideals, and the
 coarse and fine decompositions, with a JSON instance format and CLI.
 """
 
-from .groups import GroupElem, GroupSpec, product_many
+from .groups import GroupElem, GroupSpec
 from .linalg import (Subspace, complement, full_subspace,
-                     intersect_subspaces, rref, solve_homogeneous, span,
-                     sum_subspaces)
+                     intersect_subspaces, span)
 from .model import Algebra3LR, GradedBasis
 from .axioms import AxiomReport, Violation, run_all
 from .connections import (ConnectionClass, SupportSets, compute_supports,
@@ -14,8 +13,7 @@ from .connections import (ConnectionClass, SupportSets, compute_supports,
                           sigma_classes)
 from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         SimplicityVerdict, StructureIdeals, TightnessReport,
-                        build_A1_class, build_A_ideal, build_I,
-                        build_L1_class, check_G_multiplicative,
+                        build_A_ideal, build_I, check_G_multiplicative,
                         check_gr_simple_A, check_gr_simple_L,
                         check_maximal_length, check_tight, ideal_generated_by,
                         pair_ideals, structure_ideals, verify_ideal,

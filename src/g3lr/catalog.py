@@ -7,7 +7,6 @@ instance re-verifies each tightness clause at build time.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from operator import add
 
@@ -245,7 +244,6 @@ _BUILDERS = {
 BUILTIN_NAMES = tuple(sorted(_BUILDERS))
 
 
-@lru_cache(maxsize=None)
 def builtin(name):
     """A named catalog instance; every build runs the full axiom suite
     and raises on any violation."""

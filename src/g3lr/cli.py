@@ -66,7 +66,8 @@ def _cmd_decompose(alg, report, args, out):
     for I in rep.L_ideals:
         print("L-ideal [%r]: dim %d, graded ideal: %s, gr-simple: %s"
               % (I.source_class.representative.coords, I.subspace.dim,
-                 I.is_graded_ideal, I.is_gr_simple), file=out)
+                 I.is_graded_ideal, I.is_gr_simple if rep.fine_attempted
+                 else "not attempted"), file=out)
     for J in rep.A_ideals:
         print("A-ideal [%r]: dim %d, graded ideal: %s"
               % (J.source_class.representative.coords, J.subspace.dim,
@@ -75,9 +76,10 @@ def _cmd_decompose(alg, report, args, out):
           "A covers: %s direct: %s"
           % (rep.U_complement.dim, rep.V_complement.dim, rep.L_covers,
              rep.L_direct, rep.A_covers, rep.A_direct), file=out)
-    print("tight: %s, maximal length: %s, multiplicative supports: %s"
-          % (rep.tightness.tight, rep.maximal_length, rep.g_multiplicative),
-          file=out)
+    print("tight: %s, maximal length: %s, symmetric supports: %s, "
+          "multiplicative supports: %s"
+          % (rep.tightness.tight, rep.maximal_length, rep.supports_symmetric,
+             rep.g_multiplicative), file=out)
     print("fine decomposition attempted: %s (%d component(s))"
           % (rep.fine_attempted, len(rep.fine_components)), file=out)
     for note in rep.notes:
@@ -158,7 +160,10 @@ _SUBCOMMANDS = (
 @cache
 def build_parser():
     """The argument parser, built once per process: it holds no state
-    between calls, since `parse_args` returns a new namespace."""
+    between calls, since `parse_args` returns a new namespace.  The
+    cache serves the in-process benchmark and the tests, which run `main`
+    once per operation: a build costs about 0.6 ms, against about 2 ms
+    for a warm report."""
     p = argparse.ArgumentParser(
         prog="g3lr",
         description="analyze graded 3-Lie-Rinehart algebra instances")

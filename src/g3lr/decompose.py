@@ -179,13 +179,6 @@ def _check_class(alg, cls, kind, supports):
 # class ideals
 
 
-def build_L1_class(alg, cls, supports=None):
-    """Degree-1 part attached to a sigma-class (see `_L1_span`).  The
-    supports are computed when not given."""
-    return _L1_span(alg, cls.members,
-                    _check_class(alg, cls, "sigma", supports))
-
-
 def _class_ideal(alg, side, cls, degree_one):
     """The degree-1 part extended by the basis vectors of the class
     fibers, with its ideal check."""
@@ -195,18 +188,18 @@ def _class_ideal(alg, side, cls, degree_one):
 
 
 def build_I(alg, cls, supports=None):
-    """The graded ideal of a sigma-class: its degree-1 part plus the sum
-    of the class fibers."""
-    return _class_ideal(alg, "L", cls, build_L1_class(alg, cls, supports))
-
-
-def build_A1_class(alg, cls, supports=None):
-    return _A1_span(alg, cls.members,
-                    _check_class(alg, cls, "lambda", supports))
+    """The graded ideal of a sigma-class: its degree-1 part (`_L1_span`)
+    plus the sum of the class fibers.  The supports are computed when
+    not given."""
+    supports = _check_class(alg, cls, "sigma", supports)
+    return _class_ideal(alg, "L", cls, _L1_span(alg, cls.members, supports))
 
 
 def build_A_ideal(alg, cls, supports=None):
-    return _class_ideal(alg, "A", cls, build_A1_class(alg, cls, supports))
+    """The graded ideal of a lambda-class: its degree-1 part
+    (`_A1_span`) plus the sum of the class fibers."""
+    supports = _check_class(alg, cls, "lambda", supports)
+    return _class_ideal(alg, "A", cls, _A1_span(alg, cls.members, supports))
 
 
 # ---------------------------------------------------------------------------

@@ -147,11 +147,3 @@ def _elem(spec, coords):
         _set(e, "_hash", hash((moduli, coords)))
         _set(e, "_products", {})
     return e
-
-
-def product_many(spec, elems):
-    """Product of a sequence of elements; identity for the empty sequence."""
-    acc = spec.identity()
-    for e in elems:
-        acc = acc.mul(e)
-    return acc

@@ -22,8 +22,9 @@ for identical input.  A leaf item is put on its own: a join of a run of
 one leaf type costs more than it saves on the short vectors of a report.
 An axiom `Violation` is the exception: its item types are known, so
 `_write_violation` writes each of its three vectors in one join, and the
-zero that `linalg.zero_vec` shares, most of a dense side, by identity
-(`str` gives "0" for every zero Fraction, so the text is the same).
+one zero `linalg.ZERO` that `dense_vec` fills in, most of a dense side,
+by identity (`str` gives "0" for every zero Fraction, so the text is the
+same).
 """
 
 import hashlib
@@ -264,7 +265,9 @@ def canonical_json(value):
 _LEAVES = {str: _string, int: int.__repr__,
            Fraction: lambda f: '"' + str(f) + '"',
            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
-# the field names of a dataclass, read once per class
+# the field names of a dataclass, read once per class: `_fields` runs on
+# every dataclass value written, and `dataclasses.fields` costs about
+# 2 us a call
 _names = cache(lambda kind: [f.name for f in fields(kind)])
 
 
@@ -303,9 +306,10 @@ def _write(value, put, nl):
 
 def _write_violation(v, put, nl):
     """Put the text of `_fields(v, "axiom")`, each vector of leaves in
-    one join; a zero of `zero_vec`, most of a dense side, is known by
-    identity and skips `Fraction.__str__`.  A vector with an item that
-    is no leaf falls back to `_write`, which raises on an unknown value."""
+    one join; the zero `ZERO` of `dense_vec`, most of a dense side, is
+    known by identity and skips `Fraction.__str__`.  A vector with an
+    item that is no leaf falls back to `_write`, which raises on an
+    unknown value."""
     inner = nl + " "
     item = inner + " "
     try:

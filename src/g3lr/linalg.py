@@ -20,16 +20,10 @@ whose pivots are coordinates of the row it reduces.
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 
 
-# the one zero of every `zero_vec`, so a writer can tell it by identity
+# the one zero of every `dense_vec`, so a writer can tell it by identity
 ZERO = Fraction(0)
-
-
-@lru_cache(maxsize=None)
-def zero_vec(n):
-    return (ZERO,) * n
 
 
 def _view(c):
@@ -65,7 +59,7 @@ def sparse_row(r, n):
 def dense_vec(entry, n):
     """The sparse vector {index: coefficient} as a dense tuple of length
     n of Fractions."""
-    out = list(zero_vec(n))
+    out = [ZERO] * n
     for m, c in entry.items():
         out[m] = c if type(c) is Fraction else Fraction(c)
     return tuple(out)
@@ -157,14 +151,6 @@ def _extend(S, rows):
     return S if out.dim == S.dim else out
 
 
-def rref(rows):
-    """Reduced row echelon form of a list of equal-length tuples.
-    Returns the nonzero rows, pivots scaled to 1, pivot columns cleared
-    above and below, pivot columns strictly increasing.  Rows of unequal
-    length raise ValueError."""
-    return list(Subspace(len(rows[0]) if rows else 0, rows).basis)
-
-
 class Subspace:
     """A subspace of F^n held as its canonical reduced-echelon basis of
     sparse rows, `rows`; these are shared and must not be modified.  Two
@@ -214,17 +200,6 @@ def span(vectors, ambient_dim):
 def full_subspace(ambient_dim):
     return _from_echelon(ambient_dim, [{i: 1} for i in range(ambient_dim)],
                          range(ambient_dim))
-
-
-def sum_subspaces(s, t):
-    if s.ambient_dim != t.ambient_dim:
-        raise ValueError("ambient mismatch")
-    return _extend(s, t.rows)
-
-
-def solve_homogeneous(constraint_rows, ambient_dim):
-    """Null space of the stacked constraint matrix, as a Subspace."""
-    return _null_space(Subspace(ambient_dim, constraint_rows))
 
 
 def _null_space(c):

@@ -15,8 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from weakref import WeakKeyDictionary
 
-from _ref_linalg import is_zero_vec, unit_vec, vec
-from g3lr.linalg import zero_vec
+from _ref_linalg import is_zero_vec, unit_vec, vec, zero_vec
 
 _CACHES = WeakKeyDictionary()
 

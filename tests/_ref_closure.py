@@ -17,7 +17,7 @@ them before it read them off the rows of C.
 from collections import Counter
 
 from g3lr import decompose as D
-from g3lr.linalg import Subspace, solve_homogeneous, span, sparse_sum
+from g3lr.linalg import Subspace, _null_space, span, sparse_sum
 
 
 def homogeneous_generators(alg, space, C):
@@ -40,8 +40,8 @@ def homogeneous_generators(alg, space, C):
         # combination of them lies in F_d
         if all(degrees[t] != d for t in cols):
             continue
-        lams = solve_homogeneous(
-            [col for t, col in cols.items() if degrees[t] != d], C.dim)
+        lams = _null_space(span(
+            [col for t, col in cols.items() if degrees[t] != d], C.dim))
         B = Subspace(C.ambient_dim, [
             sparse_sum((c, C.rows[r]) for r, c in lam.items())
             for lam in lams.rows])

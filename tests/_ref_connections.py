@@ -10,7 +10,14 @@ witness chains, connection answers and replay verdicts.
 """
 
 from g3lr.connections import ConnectionClass
-from g3lr.groups import product_many
+
+
+def product_many(spec, elems):
+    """Product of a sequence of elements; identity for the empty sequence."""
+    acc = spec.identity()
+    for e in elems:
+        acc = acc.mul(e)
+    return acc
 
 
 def _alphabet(supports):

@@ -13,11 +13,18 @@ computations.
 from fractions import Fraction
 from functools import lru_cache
 
-from g3lr.linalg import zero_vec
+from g3lr.linalg import ZERO
 
 
 # dense vector arithmetic for the oracles and tests; the package itself
 # works on sparse rows
+
+
+def zero_vec(n):
+    """The zero of F^n, each coordinate the one `ZERO` that
+    `g3lr.linalg.dense_vec` fills in, which the report writer knows by
+    identity."""
+    return (ZERO,) * n
 
 
 def vec(coords):

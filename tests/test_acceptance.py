@@ -25,8 +25,8 @@ from g3lr.decompose import (build_A_ideal, build_I, check_G_multiplicative,
                             ideal_generated_by, structure_ideals,
                             verify_ideal, verify_triple_orthogonality)
 from g3lr.instio import instance_from_dict, instance_to_dict, save_instance
-from _ref_linalg import vec
-from g3lr.linalg import full_subspace, zero_vec
+from _ref_linalg import vec, zero_vec
+from g3lr.linalg import full_subspace
 from g3lr.model import Algebra3LR
 
 

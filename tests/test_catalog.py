@@ -136,10 +136,6 @@ def test_all_builtins_valid():
         assert run_all(builtin(name)).passed, name
 
 
-def test_builtin_cached():
-    assert builtin("a4") is builtin("a4")
-
-
 def test_tight_pair_is_tight():
     assert check_tight(builtin("tight-pair")).tight
 

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _cases import rho_not_antisymmetric
+from _ref_linalg import zero_vec
 from g3lr import cli
 from g3lr.axioms import (ALL_AXIOMS, RINEHART, VIOLATION_CAP, Violation,
                          run_all)
@@ -23,7 +24,6 @@ from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
 from g3lr.instio import (MAX_DIGITS, ParseError, canonical_json,
                          instance_digest, instance_from_dict,
                          instance_to_dict, load_instance, save_instance)
-from g3lr.linalg import zero_vec
 from g3lr.model import TABLES, Algebra3LR
 
 
@@ -752,6 +752,43 @@ def test_decompose_text_and_json(tmp_path):
     assert doc["tightness"]["tight"] is False
 
 
+def test_decompose_text_names_unattempted_verdicts(tmp_path):
+    """With no fine stage, an L-ideal's verdict was never computed and
+    reads "not attempted"; the three fine-stage hypotheses all show."""
+    code, text = _run("decompose", str(_emit(tmp_path, "a4")))
+    assert code == EXIT_OK
+    assert "gr-simple: not attempted" in text and "undetermined" not in text
+    assert "tight: False, maximal length: True, symmetric supports: True" \
+        in text
+    code, text = _run("decompose", str(_emit(tmp_path, "tight-pair")))
+    assert code == EXIT_OK and text.count("gr-simple: yes") == 2
+    assert "fine decomposition attempted: True" in text
+
+
+def test_runtime_is_standard_library_only():
+    """A fresh interpreter without site-packages imports g3lr and its CLI
+    and writes a report; every module it then holds is the standard
+    library's or g3lr's."""
+    script = "\n".join([
+        "import json, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import g3lr, g3lr.cli",
+        "code = g3lr.cli.main(['report', sys.argv[2]])",
+        "sys.stdout.flush()",
+        "foreign = sorted(m for m in sys.modules if m != '__main__'",
+        "                 and m.partition('.')[0] not in",
+        "                 sys.stdlib_module_names | {'g3lr'})",
+        "print(json.dumps([code, foreign]), file=sys.stderr)"])
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(src),
+         str(EXAMPLES / "simple_four_dim.json")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [EXIT_OK, []]
+    assert json.loads(proc.stdout)["axioms"]["passed"] is True
+
+
 def test_simple_command(tmp_path):
     path = _emit(tmp_path, "a4")
     code, text = _run("simple", str(path))
@@ -938,8 +975,9 @@ def test_axiom_report_of_a_mutation_is_json_dumps_of_its_plain_form():
     assert canonical_json(report) == _dumps(plain)
 
 
-# the items of a violation's sides: the shared zero of `zero_vec` (most of
-# a dense side), fresh zeros, ints, negative and huge Fractions
+# the items of a violation's sides: the shared zero `ZERO` of `zero_vec`
+# and `dense_vec` (most of a dense side), fresh zeros, ints, negative and
+# huge Fractions
 _SIDE_ITEMS = st.one_of(st.just(zero_vec(1)[0]), st.just(Fraction(0)),
                         _INTS, _FRACTIONS,
                         _FRACTIONS.map(lambda f: -abs(f) - 1))

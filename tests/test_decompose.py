@@ -18,9 +18,8 @@ from g3lr.connections import (compute_supports, connected, lambda_classes,
                               replay_chain, sigma_classes)
 from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
                             _constraints, _homogeneous_generators, _ideal_products,
-                            _product, _reached, IdealCandidate, build_A1_class,
-                            build_A_ideal, build_I, build_L1_class,
-                            check_G_multiplicative, check_gr_simple_A,
+                            _product, _reached, IdealCandidate, build_A_ideal,
+                            build_I, check_G_multiplicative, check_gr_simple_A,
                             check_gr_simple_L, check_maximal_length,
                             check_tight, decompose, ideal_generated_by,
                             pair_ideals, structure_ideals, verify_ideal,
@@ -28,10 +27,9 @@ from g3lr.decompose import (_A1_span, _L1_span, _bracket, _close_generators,
 from g3lr.groups import GroupSpec
 from g3lr.instio import canonical_json
 import _ref_linalg
-from _ref_linalg import is_zero_vec, unit_vec, vec
+from _ref_linalg import is_zero_vec, unit_vec, vec, zero_vec
 from g3lr.linalg import (_null_space, dense_vec, full_subspace,
-                         intersect_subspaces, solve_homogeneous, span,
-                         sparse_row, zero_vec)
+                         intersect_subspaces, span, sparse_row)
 from g3lr.model import TABLES, Algebra3LR, GradedBasis
 
 BUILTINS = ("trivial", "a4", "gl2-trace", "a4-dual-numbers", "tight-pair")
@@ -93,15 +91,15 @@ def _single_class(alg, kind="sigma"):
 
 def test_L1_class_of_a4_is_identity_fiber():
     alg = builtin("a4")
-    sub = build_L1_class(alg, _single_class(alg))
+    sub = _L1_span(alg, _single_class(alg).members, compute_supports(alg))
     assert sub == span([unit_vec(4, 3)], 4)
 
 
 def test_L1_class_zero_without_products():
     alg = _zero_bracket_chain()
-    classes = sigma_classes(compute_supports(alg))
-    for cls in classes:
-        assert build_L1_class(alg, cls).dim == 0
+    supports = compute_supports(alg)
+    for cls in sigma_classes(supports):
+        assert _L1_span(alg, cls.members, supports).dim == 0
 
 
 def test_I_of_a4_is_everything():
@@ -125,16 +123,16 @@ def test_class_kind_and_origin_validated():
     alg = builtin("a4-dual-numbers")
     lam_cls = _single_class(alg, "lambda")
     with pytest.raises(ValueError):
-        build_L1_class(alg, lam_cls)
+        build_I(alg, lam_cls)
     with pytest.raises(ValueError):
-        build_A1_class(builtin("a4"), lam_cls)
+        build_A_ideal(builtin("a4"), lam_cls)
 
 
 def test_A1_class_of_truncated_polynomials():
     alg = _truncated_poly()
     cls = _single_class(alg, "lambda")
     assert cls.members == {alg.group.elem((1,)), alg.group.elem((2,))}
-    assert build_A1_class(alg, cls).dim == 0
+    assert _A1_span(alg, cls.members, compute_supports(alg)).dim == 0
     cand = build_A_ideal(alg, cls)
     assert cand.subspace == span([unit_vec(3, 1), unit_vec(3, 2)], 3)
     assert cand.is_graded_ideal
@@ -693,8 +691,8 @@ def _ref_null(dim, image):
     """Null space of the linear map x -> image(x) on F^dim, read off the
     images of the unit vectors."""
     cols = [image(unit_vec(dim, m)) for m in range(dim)]
-    return solve_homogeneous(
-        [tuple(c[t] for c in cols) for t in range(len(cols[0]))], dim)
+    return span(_ref_linalg.solve_homogeneous(
+        [tuple(c[t] for c in cols) for t in range(len(cols[0]))], dim), dim)
 
 
 def _ref_structure(alg):

