@@ -80,8 +80,12 @@ def _cmd_decompose(alg, report, args, out):
           "multiplicative supports: %s"
           % (rep.tightness.tight, rep.maximal_length, rep.supports_symmetric,
              rep.g_multiplicative), file=out)
-    print("fine decomposition attempted: %s (%d component(s))"
-          % (rep.fine_attempted, len(rep.fine_components)), file=out)
+    failing = [name for name, ok in vars(rep.tightness).items() if not ok]
+    if failing:
+        print("tightness clauses failing: %s" % ", ".join(failing), file=out)
+    print("fine decomposition attempted: %s (%d L and %d A component(s))"
+          % (rep.fine_attempted, len(rep.fine_components),
+             len(rep.fine_components_A)), file=out)
     for note in rep.notes:
         print("note: %s" % note, file=out)
     return EXIT_OK

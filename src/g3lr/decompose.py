@@ -15,7 +15,7 @@ proof in the code.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
 
 from .axioms import run_all
@@ -61,7 +61,7 @@ class TightnessReport:
 
     @property
     def tight(self):
-        return all(getattr(self, f.name) for f in fields(self))
+        return all(vars(self).values())
 
 
 @dataclass
@@ -164,42 +164,37 @@ def _A1_span(alg, degrees, supports):
     return span(rows, alg.dim_A)
 
 
-def _check_class(alg, cls, kind, supports):
-    if cls.kind != kind:
-        raise ValueError("expected a %s-class" % kind)
-    if supports is None:
-        supports = compute_supports(alg)
-    pool = supports.sigma1 if kind == "sigma" else supports.lambda1
-    if not cls.members <= pool:
-        raise ValueError("class does not come from this instance")
-    return supports
-
-
 # ---------------------------------------------------------------------------
 # class ideals
 
 
-def _class_ideal(alg, side, cls, degree_one):
-    """The degree-1 part extended by the basis vectors of the class
-    fibers, with its ideal check."""
-    sub = _extend(degree_one, [{i: 1} for g in sorted(cls.members)
-                               for i in alg.fiber_indices(side, g)])
+def _class_ideal(alg, cls, kind, supports):
+    """The graded ideal of a `kind`-class: its degree-1 part (`_L1_span`
+    or `_A1_span`) plus the sum of the class fibers, with its ideal
+    check.  The supports are computed when not given."""
+    if cls.kind != kind:
+        raise ValueError("expected a %s-class" % kind)
+    if supports is None:
+        supports = compute_supports(alg)
+    side, pool, degree_one = (("L", supports.sigma1, _L1_span)
+                              if kind == "sigma"
+                              else ("A", supports.lambda1, _A1_span))
+    if not cls.members <= pool:
+        raise ValueError("class does not come from this instance")
+    sub = _extend(degree_one(alg, cls.members, supports),
+                  [{i: 1} for g in sorted(cls.members)
+                   for i in alg.fiber_indices(side, g)])
     return IdealCandidate(sub, cls, side, *verify_ideal(alg, side, sub))
 
 
 def build_I(alg, cls, supports=None):
-    """The graded ideal of a sigma-class: its degree-1 part (`_L1_span`)
-    plus the sum of the class fibers.  The supports are computed when
-    not given."""
-    supports = _check_class(alg, cls, "sigma", supports)
-    return _class_ideal(alg, "L", cls, _L1_span(alg, cls.members, supports))
+    """The graded ideal of a sigma-class (`_class_ideal`)."""
+    return _class_ideal(alg, cls, "sigma", supports)
 
 
 def build_A_ideal(alg, cls, supports=None):
-    """The graded ideal of a lambda-class: its degree-1 part
-    (`_A1_span`) plus the sum of the class fibers."""
-    supports = _check_class(alg, cls, "lambda", supports)
-    return _class_ideal(alg, "A", cls, _A1_span(alg, cls.members, supports))
+    """The graded ideal of a lambda-class (`_class_ideal`)."""
+    return _class_ideal(alg, cls, "lambda", supports)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +349,7 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
     A = [J.subspace.rows for J in A_ideals]
     supp_L = [{t for r in rows for t in r} for rows in L]
     supp_A = [{t for r in rows for t in r} for rows in A]
-    inc = alg.incidence()
+    inc, nL, nA = alg.incidence(), alg.dim_L, alg.dim_A
 
     # Skip: every product of rows of I_a, I_b, I_c sums u_p v_i w_j
     # [p, i, j] over their coordinates, so it is zero unless a stored key
@@ -370,25 +365,20 @@ def verify_triple_orthogonality(alg, L_ideals, A_ideals=()):
         return any(q in supp_A[b] for p in supp_A[a]
                    for q, _ in inc.amul_by_A.get(p, ()))
 
-    scans = []              # (tag, product, its incidence map, dim, rows)
+    bad = []
     for i, j in combinations(range(len(L)), 2):
         # [I, J, K], then two slots from one ideal and one from the other
         for a, b, c in ([(i, j, k) for k in range(len(L)) if k not in (i, j)]
                         + [(i, i, j), (j, j, i)]):
             if bracket_meets(a, b, c):
-                scans.append((("bracket", a, b, c), _bracket,
-                              inc.bracket_by_L, alg.dim_L,
-                              (L[a], L[b], L[c])))
+                for u, v, w in product(L[a], L[b], L[c]):
+                    if r := _bracket(inc.bracket_by_L, u, v, w):
+                        bad.append(("bracket", a, b, c, dense_vec(r, nL)))
     for i, j in combinations(range(len(A)), 2):
         if amul_meets(i, j):
-            scans.append((("amul", i, j), _product, inc.amul_by_A,
-                          alg.dim_A, (A[i], A[j])))
-    bad = []
-    for tag, form, by_index, n, spaces in scans:
-        for args in product(*spaces):
-            r = form(by_index, *args)
-            if r:
-                bad.append(tag + (dense_vec(r, n),))
+            for u, v in product(A[i], A[j]):
+                if r := _product(inc.amul_by_A, u, v):
+                    bad.append(("amul", i, j, dense_vec(r, nA)))
     return not bad, bad
 
 
@@ -679,8 +669,7 @@ def decompose(alg):
         return DecompositionReport(axioms=ax, aborted=True)
 
     report = DecompositionReport(axioms=ax)
-    supports = compute_supports(alg)
-    report.supports = supports
+    report.supports = supports = compute_supports(alg)
     report.sigma_classes = sigma_classes(supports)
     report.lambda_classes = lambda_classes(supports)
 
@@ -695,8 +684,7 @@ def decompose(alg):
     report.V_complement, report.A_covers, report.A_direct = _coarse_sum(
         alg, "A", spans[1], report.A_ideals)
 
-    structure = structure_ideals(alg)
-    report.structure = structure
+    report.structure = structure = structure_ideals(alg)
     tightness = check_tight(alg, structure=structure, spans=spans)
     report.tightness = tightness
     report.L_directness_certified = (tightness.center_zero
@@ -710,9 +698,8 @@ def decompose(alg):
                                  tight=tightness.tight)
 
     report.maximal_length = check_maximal_length(alg)
-    gmult, gm_bad = check_G_multiplicative(alg, supports)
-    report.g_multiplicative = gmult
-    report.g_mult_counterexamples = gm_bad
+    report.g_multiplicative, report.g_mult_counterexamples = (
+        check_G_multiplicative(alg, supports))
     report.supports_symmetric = (supports.sigma1 == supports.sigma
                                  and supports.lambda1 == supports.lambda_)
     report.notes.append(
@@ -734,7 +721,7 @@ def decompose(alg):
                     I.subspace, I.source_class.representative.coords,
                     verdict))
         # the note is pinned by stored report digests, so it stays
-        if not gmult:
+        if not report.g_multiplicative:
             report.notes.append(
                 "multiplicative-support condition fails; the two-ideal "
                 "split of non-simple components is not attempted")

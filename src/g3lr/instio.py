@@ -30,9 +30,8 @@ same).
 import hashlib
 import json
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from operator import getitem
@@ -265,16 +264,12 @@ def canonical_json(value):
 _LEAVES = {str: _string, int: int.__repr__,
            Fraction: lambda f: '"' + str(f) + '"',
            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
-# the field names of a dataclass, read once per class: `_fields` runs on
-# every dataclass value written, and `dataclasses.fields` costs about
-# 2 us a call
-_names = cache(lambda kind: [f.name for f in fields(kind)])
 
 
 def _write(value, put, nl):
     """Put the text of `value` at the indent `nl` (a newline and one
     space per level): a leaf, a dict with sorted keys, a list or tuple,
-    a type in `_SHAPES` by its shape, any other dataclass by `_fields`."""
+    a type in `_SHAPES` by its shape, any other dataclass by `vars`."""
     kind = type(value)
     leaf = _LEAVES.get(kind)
     if leaf is not None:
@@ -298,7 +293,7 @@ def _write(value, put, nl):
         return put(nl + ("}" if keyed else "]"))
     if kind is Violation:
         return _write_violation(value, put, nl)
-    shape = _SHAPES.get(kind) or (_fields if is_dataclass(kind) else None)
+    shape = _SHAPES.get(kind) or (vars if is_dataclass(kind) else None)
     if shape is None:
         raise TypeError("%s is not a report value" % kind.__name__)
     _write(shape(value), put, nl)
@@ -323,9 +318,8 @@ def _write_violation(v, put, nl):
         + "," + inner + '"witness": ' + witness + nl + "}")
 
 
-def _fields(obj, skip=None):
-    return {name: getattr(obj, name) for name in _names(type(obj))
-            if name != skip}
+def _fields(obj, skip):
+    return {name: x for name, x in vars(obj).items() if name != skip}
 
 
 def subspace_json(S):
@@ -345,7 +339,7 @@ def decomposition_json(rep):
     if rep.aborted:
         return {"aborted": True, "axioms": rep.axioms}
     holds, counterexamples = rep.orthogonality
-    return {**_fields(rep), "orthogonality": {
+    return {**vars(rep), "orthogonality": {
         "holds": holds, "counterexamples": counterexamples}}
 
 
@@ -358,13 +352,13 @@ _SHAPES = {
     SupportSets: lambda s: {"sigma1": sorted(s.sigma1),
                             "lambda1": sorted(s.lambda1)},
     ConnectionClass: lambda c: {
-        **_fields(c), "members": sorted(c.members),
+        **vars(c), "members": sorted(c.members),
         "witnesses": {json.dumps(h.coords): w
                       for h, w in c.witnesses.items()}},
     IdealCandidate: lambda I: {**_fields(I, "source_class"),
                                "class": I.source_class.representative},
-    PairingReport: lambda p: {**_fields(p), "mapping": {
+    PairingReport: lambda p: {**vars(p), "mapping": {
         json.dumps(k): v for k, v in p.mapping.items()}},
-    TightnessReport: lambda t: {**_fields(t), "tight": t.tight},
+    TightnessReport: lambda t: {**vars(t), "tight": t.tight},
     DecompositionReport: decomposition_json,
 }

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from g3lr.axioms import (ALL_AXIOMS, RINEHART, VIOLATION_CAP, Violation,
 from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
                      main)
+from g3lr.connections import SupportSets
+from g3lr.decompose import check_gr_simple_A, check_gr_simple_L, decompose
 from g3lr.instio import (MAX_DIGITS, ParseError, canonical_json,
                          instance_digest, instance_from_dict,
                          instance_to_dict, load_instance, save_instance)
@@ -765,6 +768,29 @@ def test_decompose_text_names_unattempted_verdicts(tmp_path):
     assert "fine decomposition attempted: True" in text
 
 
+@pytest.mark.parametrize("name, failing", [
+    ("a4", "A1_generation"),
+    ("gl2-trace", "L1_generation, A1_generation"),
+    ("tight-pair", None)])
+def test_decompose_text_names_failing_tightness_clauses(tmp_path, name,
+                                                        failing):
+    """The clauses of a tightness report that fail, in field order, on a
+    line of their own; a tight instance prints no such line."""
+    code, text = _run("decompose", str(_emit(tmp_path, name)))
+    assert code == EXIT_OK
+    lines = [ln for ln in text.splitlines()
+             if ln.startswith("tightness clauses failing: ")]
+    assert lines == ([] if failing is None
+                     else ["tightness clauses failing: " + failing])
+
+
+def test_decompose_text_counts_the_components_of_both_sides(tmp_path):
+    code, text = _run("decompose", str(_emit(tmp_path, "tight-pair")))
+    assert code == EXIT_OK
+    assert ("fine decomposition attempted: True (2 L and 2 A component(s))"
+            in text.splitlines())
+
+
 def test_runtime_is_standard_library_only():
     """A fresh interpreter without site-packages imports g3lr and its CLI
     and writes a report; every module it then holds is the standard
@@ -973,6 +999,48 @@ def test_axiom_report_of_a_mutation_is_json_dumps_of_its_plain_form():
     assert any(type(c) is Fraction for vs in plain["violations"].values()
                for v in vs for c in v["lhs"])
     assert canonical_json(report) == _dumps(plain)
+
+
+def _dataclass_values(value):
+    """Every dataclass value inside `value`, through dicts, lists, tuples
+    and the fields of each dataclass value."""
+    if is_dataclass(value):
+        yield value
+        value = [getattr(value, f.name) for f in fields(value)]
+    elif type(value) is dict:
+        value = value.values()
+    elif type(value) not in (list, tuple):
+        return
+    for x in value:
+        yield from _dataclass_values(x)
+
+
+def test_report_dataclasses_hold_exactly_their_fields():
+    """The writer reads a report dataclass through `vars`, so each one
+    must hold its fields and nothing else, or a stray attribute would
+    reach the report: every dataclass value inside `decompose` of each
+    builtin, the `g3lr simple` verdicts and the axiom report of a seeded
+    failing mutation.  `SupportSets`, whose cached properties land in its
+    `__dict__`, is written by its `_SHAPES` entry instead."""
+    values = [decompose(builtin(name)) for name in BUILTIN_NAMES]
+    values += [check(builtin(name)) for name in BUILTIN_NAMES
+               for check in (check_gr_simple_L, check_gr_simple_A)]
+    doc = instance_to_dict(builtin("a4-dual-numbers"))
+    entry = random.Random(34).choice(doc["action"])
+    label = next(iter(entry["value"]))
+    entry["value"][label] = str(2 * Fraction(entry["value"][label]))
+    report = run_all(instance_from_dict(doc))
+    assert not report.passed
+    values.append(report)
+    seen = set()
+    for x in _dataclass_values(values):
+        seen.add(type(x).__name__)
+        if type(x) is not SupportSets:
+            assert vars(x).keys() == {f.name for f in fields(x)}, x
+    assert seen >= {"DecompositionReport", "ConnectionClass",
+                    "IdealCandidate", "StructureIdeals", "TightnessReport",
+                    "PairingReport", "FineComponent", "SimplicityVerdict",
+                    "AxiomReport", "Violation"}, seen
 
 
 # the items of a violation's sides: the shared zero `ZERO` of `zero_vec`
