@@ -5,7 +5,7 @@ coarse and fine decompositions, with a JSON instance format and CLI.
 
 from .groups import GroupElem, GroupSpec
 from .linalg import (Subspace, complement, full_subspace,
-                     intersect_subspaces, span)
+                     intersect_subspaces)
 from .model import Algebra3LR, GradedBasis
 from .axioms import AxiomReport, Violation, run_all
 from .connections import (ConnectionClass, SupportSets, compute_supports,
@@ -18,8 +18,8 @@ from .decompose import (DecompositionReport, IdealCandidate, PairingReport,
                         check_maximal_length, check_tight, ideal_generated_by,
                         pair_ideals, structure_ideals, verify_ideal,
                         verify_triple_orthogonality)
-from .catalog import (FactorEmbedding, LieRinehartSeed, builtin,
-                      direct_sum, from_lie_trace, BUILTIN_NAMES)
+from .catalog import (LieRinehartSeed, builtin, direct_sum, from_lie_trace,
+                      BUILTIN_NAMES)
 from .instio import (ParseError, canonical_json, instance_digest,
                      instance_from_dict, instance_to_dict, load_instance,
                      save_instance)

@@ -55,10 +55,6 @@ RHO_DERIVATION = "rho-derivation"
 A_ALGEBRA = "A-algebra"
 GRADING = "grading"
 
-ALL_AXIOMS = (FUNDAMENTAL, REPRESENTATION, RINEHART, RHO_DERIVATION,
-              A_ALGEBRA, GRADING)
-
-
 @dataclass
 class Violation:
     axiom: str

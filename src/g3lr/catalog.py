@@ -33,12 +33,6 @@ class LieRinehartSeed:
     tau: tuple
 
 
-@dataclass(frozen=True)
-class FactorEmbedding:
-    l_indices: tuple
-    a_indices: tuple
-
-
 def from_lie_trace(seed):
     """Ternary bracket and two-argument representation induced by a
     trace functional tau:
@@ -97,8 +91,8 @@ def from_lie_trace(seed):
 
 def direct_sum(x, y):
     """External direct sum: product grading group, disjointly embedded
-    supports, all cross tables zero.  The factor embeddings are attached
-    as ground truth and the result is re-validated."""
+    supports, all cross tables zero: x's indices first in each space,
+    then y's.  The result is re-validated."""
     group = GroupSpec(x.group.moduli + y.group.moduli)
     pad_x, pad_y = (0,) * len(y.group.moduli), (0,) * len(x.group.moduli)
 
@@ -120,16 +114,11 @@ def direct_sum(x, y):
                                                   for m, c in e.items()}
         tables.append(table)
 
-    oL, oA = x.dim_L, x.dim_A
     alg = Algebra3LR(group, summed("L"), summed("A"), *tables)
     report = run_all(alg)
     if not report.passed:
         raise ValueError("direct sum produced an invalid instance: %r"
                          % report.counts)
-    alg.factors = (
-        FactorEmbedding(tuple(range(oL)), tuple(range(oA))),
-        FactorEmbedding(tuple(range(oL, oL + y.dim_L)),
-                        tuple(range(oA, oA + y.dim_A))))
     return alg
 
 

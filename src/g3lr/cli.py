@@ -93,8 +93,15 @@ def _cmd_decompose(alg, report, args, out):
 
 def _cmd_simple(alg, report, args, out):
     vL, vA = check_gr_simple_L(alg), check_gr_simple_A(alg)
-    print("L graded-simple: %s" % vL.verdict, file=out)
-    print("A graded-simple: %s" % vA.verdict, file=out)
+    for side, v in (("L", vL), ("A", vA)):
+        line = "%s graded-simple: %s" % (side, v.verdict)
+        if v.verdict == "undetermined":
+            # the whole space's fibers are the basis fibers; name the wide ones
+            fibers = alg.basis(side).fibers
+            line += " (fibers over one dimension at %s)" % ", ".join(
+                str(list(g.coords)) for g in sorted(fibers)
+                if len(fibers[g]) > 1 and not g.is_identity())
+        print(line, file=out)
     print(canonical_json({"L": vL, "A": vA}), file=out)
     return EXIT_OK
 

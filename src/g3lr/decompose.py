@@ -22,7 +22,7 @@ from .axioms import run_all
 from .connections import compute_supports, lambda_classes, sigma_classes
 from .linalg import (Subspace, _echelon, _extend, _from_echelon, _insert,
                      _null_space, _reduce, complement, dense_vec,
-                     full_subspace, intersect_subspaces, span, sparse_sum)
+                     full_subspace, intersect_subspaces, sparse_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def _L1_span(alg, degrees, supports):
             if dl in degrees and dl in supports.lambda1]
     rows += [e for ds, e in idx.one["bracket"]
              if sum(d in degrees for d in ds) >= 2]
-    return span(rows, alg.dim_L)
+    return Subspace(alg.dim_L, rows)
 
 
 def _A1_span(alg, degrees, supports):
@@ -161,7 +161,7 @@ def _A1_span(alg, degrees, supports):
             if di in degrees or dj in degrees]
     rows += [e for (di, dj, _), e in idx.one["rho"]
              if di in sig and dj in sig]
-    return span(rows, alg.dim_A)
+    return Subspace(alg.dim_A, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +181,9 @@ def _class_ideal(alg, cls, kind, supports):
                               else ("A", supports.lambda1, _A1_span))
     if not cls.members <= pool:
         raise ValueError("class does not come from this instance")
+    fibers = alg.basis(side).fibers
     sub = _extend(degree_one(alg, cls.members, supports),
-                  [{i: 1} for g in sorted(cls.members)
-                   for i in alg.fiber_indices(side, g)])
+                  [{i: 1} for g in sorted(cls.members) for i in fibers[g]])
     return IdealCandidate(sub, cls, side, *verify_ideal(alg, side, sub))
 
 
@@ -301,7 +301,7 @@ def verify_ideal(alg, side, S):
     if S.ambient_dim != n:
         raise ValueError("ambient mismatch")
     for tag, v in _ideal_products(alg, side, (), S.rows):
-        if _reduce(S.rows, S._pivots, dict(v)):
+        if _reduce(S.rows, S.pivots, dict(v)):
             return False, tuple(dense_vec(x, n) if type(x) is dict else x
                                 for x in tag + (v,))
     return True, None
@@ -442,8 +442,8 @@ def check_tight(alg, structure=None, spans=None):
         spans = _degree_one_spans(alg, compute_supports(alg))
     one = alg.group.identity()
     nL, nA = alg.dim_L, alg.dim_A
-    AA = span(alg.amul.values(), nA)     # only nonzero entries are stored
-    AL = span(alg.action.values(), nL)
+    AA = Subspace(nA, alg.amul.values())   # only nonzero entries are stored
+    AL = Subspace(nL, alg.action.values())
 
     return TightnessReport(
         center_zero=structure.center.dim == 0,
@@ -542,7 +542,7 @@ def ideal_generated_by(alg, side, v):
     """Least ideal of `side` containing the homogeneous vector v: closed
     under bracketing with L, the A-action and rho-derived actions on "L",
     under multiplication by A on "A"."""
-    S = span([v], len(alg.basis(side)))
+    S = Subspace(len(alg.basis(side)), [v])
     _homogeneous_generators(alg, side, S)     # raises unless homogeneous
     return _ideal_closure(alg, side, S.rows[0]) if S.rows else S
 

@@ -69,25 +69,22 @@ class GroupSpec:
         return "GroupSpec(%r)" % (self.moduli,)
 
     def elem(self, coords):
-        return GroupElem(self, coords)
+        coords = tuple(map(int, coords))
+        if len(coords) != len(self.moduli):
+            raise ValueError(
+                "coordinate length %d does not match group arity %d"
+                % (len(coords), len(self.moduli)))
+        return _elem(self, coords)
 
     def identity(self):
         return _elem(self, (0,) * len(self.moduli))
 
 
 class GroupElem:
-    """A normalized element of a GroupSpec, interned by its spec.
-    Immutable and hashable."""
+    """A normalized element of a GroupSpec, interned by its spec and
+    made by `GroupSpec.elem`.  Immutable and hashable."""
 
     __slots__ = ("spec", "coords", "_hash", "_products")
-
-    def __new__(cls, spec, coords):
-        coords = tuple(map(int, coords))
-        if len(coords) != len(spec.moduli):
-            raise ValueError(
-                "coordinate length %d does not match group arity %d"
-                % (len(coords), len(spec.moduli)))
-        return _elem(spec, coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElem is immutable")
@@ -129,11 +126,10 @@ _set = object.__setattr__
 
 def _elem(spec, coords):
     """The interned element of spec with the int coordinates `coords`
-    (any iterable), which have the spec's arity, reduced into range;
-    made on first use.  `mul`, `inv` and `identity` build their
-    arguments from normalised operands, and the parser checks a file's
-    degrees itself, so the conversion and the arity check of
-    `GroupElem(spec, coords)` are skipped."""
+    (any iterable), which have the spec's arity, reduced into range; made
+    on first use.  `mul`, `inv` and `identity` build their arguments from
+    normalised operands, and the parser checks a file's degrees itself,
+    so `GroupSpec.elem`'s conversion and arity check are skipped."""
     moduli = spec.moduli
     if spec._free:
         coords = tuple(c % m if m else c for c, m in zip(coords, moduli))

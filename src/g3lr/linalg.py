@@ -138,29 +138,29 @@ def _echelon(rows, n, basis=(), pivots=()):
 def _from_echelon(n, basis, pivots):
     """The Subspace of F^n on reduced echelon `basis` and `pivots`."""
     S = Subspace.__new__(Subspace)
-    S.ambient_dim, S.rows, S._pivots = n, tuple(basis), tuple(pivots)
+    S.ambient_dim, S.rows, S.pivots = n, tuple(basis), tuple(pivots)
     return S
 
 
 def _extend(S, rows):
-    """S + span(rows), rows dense or sparse, each brought into the view
+    """S plus the span of `rows`, dense or sparse, each brought into the view
     and reduced once; S is unchanged, and is the result if it has them."""
     n = S.ambient_dim
     out = _from_echelon(n, *_echelon([sparse_row(r, n) for r in rows], n,
-                                     S.rows, S._pivots))
+                                     S.rows, S.pivots))
     return S if out.dim == S.dim else out
 
 
 class Subspace:
     """A subspace of F^n held as its canonical reduced-echelon basis of
-    sparse rows, `rows`; these are shared and must not be modified.  Two
-    subspaces are equal iff their rows are equal."""
+    sparse rows, `rows`, with their `pivots`; both are shared and must
+    not be modified.  Subspaces are equal iff their rows are equal."""
 
-    __slots__ = ("ambient_dim", "rows", "_pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
     def __init__(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
-        self.rows, self._pivots = _echelon(
+        self.rows, self.pivots = _echelon(
             [sparse_row(r, ambient_dim) for r in rows], ambient_dim)
 
     @property
@@ -172,11 +172,8 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def pivots(self):
-        return self._pivots
-
     def contains(self, v):
-        return not _reduce(self.rows, self._pivots,
+        return not _reduce(self.rows, self.pivots,
                            sparse_row(v, self.ambient_dim))
 
     def contains_subspace(self, other):
@@ -193,10 +190,6 @@ class Subspace:
         return hash((self.ambient_dim, self.basis))
 
 
-def span(vectors, ambient_dim):
-    return Subspace(ambient_dim, vectors)
-
-
 def full_subspace(ambient_dim):
     return _from_echelon(ambient_dim, [{i: 1} for i in range(ambient_dim)],
                          range(ambient_dim))
@@ -207,11 +200,11 @@ def _null_space(c):
     column f, e_f minus the rows' coordinates at f on their pivots.  When
     every row is a unit row the solutions are the unit rows e_f, already
     a reduced echelon basis, and are taken as they are."""
-    n, pivots = c.ambient_dim, set(c.pivots())
+    n, pivots = c.ambient_dim, set(c.pivots)
     sols = {f: {f: 1} for f in range(n) if f not in pivots}
     if all(len(row) == 1 for row in c.rows):
         return _from_echelon(n, sols.values(), sols)
-    for row, p in zip(c.rows, c.pivots()):
+    for row, p in zip(c.rows, c.pivots):
         for f, x in row.items():
             if f != p:
                 sols[f][p] = -x
@@ -238,11 +231,11 @@ def complement(s, within=None):
         raise ValueError("ambient mismatch")
     if not within.contains_subspace(s):
         raise ValueError("complement requested outside the enclosing space")
-    pivots = set(s.pivots())
+    pivots = set(s.pivots)
     candidates = [{j: 1} for j in range(n)
                   if j not in pivots and within.contains({j: 1})]
     candidates += within.rows
-    basis, pivots, picked = list(s.rows), list(s._pivots), []
+    basis, pivots, picked = list(s.rows), list(s.pivots), []
     for v in candidates:
         if len(basis) == within.dim:
             break

@@ -296,13 +296,7 @@ class Algebra3LR:
     # ---- degree fibers ----
 
     def fiber(self, space, g):
-        """Span of the basis vectors of the given degree; `space` is
-        "L" or "A"."""
-        return Subspace(len(self.basis(space)),
-                        [{i: 1} for i in self.fiber_indices(space, g)])
-
-    def fiber_indices(self, space, g):
-        """Indices of the basis vectors of degree g, from the index the
-        basis builds once."""
-        return list(self.basis(space).fibers.get(g, ()))
+        """Span of the basis vectors of degree g in `space`, "L" or "A"."""
+        basis = self.basis(space)
+        return Subspace(len(basis), [{i: 1} for i in basis.fibers.get(g, ())])
 

@@ -261,3 +261,6 @@ DENSE_CHECKS = (
     (A_ALGEBRA, check_A_algebra),
     (GRADING, check_grading),
 )
+
+# every axiom group, in the order of both suites and of their reports
+ALL_AXIOMS = tuple(axiom for axiom, _ in DENSE_CHECKS)

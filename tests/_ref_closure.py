@@ -17,7 +17,7 @@ them before it read them off the rows of C.
 from collections import Counter
 
 from g3lr import decompose as D
-from g3lr.linalg import Subspace, _null_space, span, sparse_sum
+from g3lr.linalg import Subspace, _null_space, sparse_sum
 
 
 def homogeneous_generators(alg, space, C):
@@ -40,8 +40,8 @@ def homogeneous_generators(alg, space, C):
         # combination of them lies in F_d
         if all(degrees[t] != d for t in cols):
             continue
-        lams = _null_space(span(
-            [col for t, col in cols.items() if degrees[t] != d], C.dim))
+        lams = _null_space(Subspace(
+            C.dim, [col for t, col in cols.items() if degrees[t] != d]))
         B = Subspace(C.ambient_dim, [
             sparse_sum((c, C.rows[r]) for r, c in lam.items())
             for lam in lams.rows])
@@ -54,7 +54,7 @@ def ideal_closure(alg, side, v):
     Worklist closure: each round multiplies only the rows added in the
     round before, so every product is formed once."""
     degrees = alg.L.degrees if side == "L" else alg.A.degrees
-    S = span([v], alg.dim_L if side == "L" else alg.dim_A)
+    S = Subspace(alg.dim_L if side == "L" else alg.dim_A, [v])
     if len({degrees[i] for r in S.rows for i in r}) > 1:
         raise ValueError("vector is not homogeneous")
     old, new = (), S.rows

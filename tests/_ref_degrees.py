@@ -17,14 +17,14 @@ from itertools import combinations, combinations_with_replacement, product, \
 import _dense_model as dm
 from _ref_linalg import is_zero_vec
 from g3lr.connections import compute_supports
-from g3lr.linalg import span
+from g3lr.linalg import Subspace
 
 
 def _images(alg, basis, spaces, degrees):
     """The nonzero dense images under the `_dense_model` basis product
     `basis` of the basis tuples whose i-th index runs over the fiber of
     degrees[i] in spaces[i] ("L" or "A"), in lexicographic order."""
-    fibers = [alg.fiber_indices(s, d) for s, d in zip(spaces, degrees)]
+    fibers = [alg.basis(s).fibers.get(d, ()) for s, d in zip(spaces, degrees)]
     return [e for e in starmap(partial(basis, alg), product(*fibers))
             if not is_zero_vec(e)]
 
@@ -44,7 +44,7 @@ def L1_span(alg, degrees, supports):
     for h, k in product(degrees, repeat=2):
         rows += _images(alg, dm.bracket_basis, "LLL",
                         (h, k, h.mul(k).inv()))
-    return span(rows, alg.dim_L)
+    return Subspace(alg.dim_L, rows)
 
 
 def A1_span(alg, degrees, supports):
@@ -58,7 +58,7 @@ def A1_span(alg, degrees, supports):
         if h in supports.sigma1 and k in supports.sigma1:
             rows += _images(alg, dm.rho_basis, "LLA",
                             (h, k, h.mul(k).inv()))
-    return span(rows, alg.dim_A)
+    return Subspace(alg.dim_A, rows)
 
 
 def check_G_multiplicative(alg):

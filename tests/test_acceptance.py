@@ -16,7 +16,8 @@ from _cases import (failing_instances, rational_seed, rational_seed_mutant,
                     rho_seed_square, rho_square_overflow)
 from test_connections import _check_equivalence, _random_supports
 
-from g3lr.axioms import ALL_AXIOMS, REPRESENTATION, VIOLATION_CAP, run_all
+from _dense_axioms import ALL_AXIOMS
+from g3lr.axioms import REPRESENTATION, VIOLATION_CAP, run_all
 from g3lr.catalog import BUILTIN_NAMES, builtin, direct_sum
 from g3lr.cli import EXIT_OK, EXIT_VIOLATIONS, main
 from g3lr.connections import compute_supports, lambda_classes, sigma_classes
@@ -183,7 +184,7 @@ def test_criterion_8_closure_oracle():
         alg = builtin(rng.choice(names))
         deg = rng.choice(sorted(set(alg.L.degrees),
                                 key=lambda e: e.coords))
-        idx = alg.fiber_indices("L", deg)
+        idx = alg.L.fibers[deg]
         v = list(zero_vec(alg.dim_L))
         for i in idx:
             v[i] = rng.randint(-3, 3)

@@ -13,7 +13,7 @@ from test_acceptance import _perturb
 from test_decompose import _non_integral_instances, _random_graded
 
 from g3lr import axioms
-from g3lr.axioms import (A_ALGEBRA, ALL_AXIOMS, FUNDAMENTAL, GRADING,
+from g3lr.axioms import (A_ALGEBRA, FUNDAMENTAL, GRADING,
                          REPRESENTATION, RHO_DERIVATION, RINEHART,
                          VIOLATION_CAP, Violation, check_A_algebra,
                          check_fundamental_identity, check_grading,
@@ -277,8 +277,19 @@ def _rows(violations):
     return [repr((v.axiom, v.witness, v.lhs, v.rhs)) for v in violations]
 
 
+def test_report_lists_the_axiom_groups_in_suite_order():
+    """`run_all` fills its counts and violations in the order of the
+    axiom groups, passing or failing."""
+    mutant = _perturb(builtin("a4-dual-numbers"), random.Random(40))
+    assert not run_all(mutant).passed
+    for alg in (builtin("a4"), mutant):
+        report = run_all(alg)
+        assert list(report.counts) == list(dense.ALL_AXIOMS)
+        assert list(report.violations) == list(dense.ALL_AXIOMS)
+
+
 def test_sparse_checks_match_dense_reference():
-    seen = dict.fromkeys(ALL_AXIOMS, 0)
+    seen = dict.fromkeys(dense.ALL_AXIOMS, 0)
     for alg in _differential_cases():
         for axiom, reference in dense.DENSE_CHECKS:
             want = reference(alg)
@@ -294,7 +305,7 @@ def test_sparse_checks_match_dense_reference_on_non_integral_tables():
     the incidence keeps as Fractions among the int coefficients."""
     cases = _non_integral_instances(9321) + [rational_seed_mutant()]
     cases += _single_entry_mutants(rational_seed())
-    seen = dict.fromkeys(ALL_AXIOMS, 0)
+    seen = dict.fromkeys(dense.ALL_AXIOMS, 0)
     for alg in cases:
         for axiom, reference in dense.DENSE_CHECKS:
             want = reference(alg)

@@ -89,13 +89,14 @@ def test_direct_sum_shape_and_supports():
     assert alg.dim_L == x.dim_L + y.dim_L
     assert alg.dim_A == x.dim_A + y.dim_A
     assert run_all(alg).passed
-    f1, f2 = alg.factors
-    assert f1.l_indices == (0, 1, 2, 3)
-    assert f2.l_indices == (4, 5, 6, 7)
+    # x's indices come first in each space, then y's
+    f1, f2 = range(x.dim_L), range(x.dim_L, alg.dim_L)
+    assert [alg.L.labels[i] for i in f1] == ["%s.1" % l for l in x.L.labels]
+    assert [alg.L.labels[i] for i in f2] == ["%s.2" % l for l in y.L.labels]
     # cross products vanish
-    for i in f1.l_indices:
-        for j in f1.l_indices:
-            for k in f2.l_indices:
+    for i in f1:
+        for j in f1:
+            for k in f2:
                 assert all(c == 0 for c in dm.eval_bracket(
                     alg, unit_vec(8, i), unit_vec(8, j), unit_vec(8, k)))
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from _cases import rho_not_antisymmetric
 from _ref_linalg import zero_vec
 from g3lr import cli
-from g3lr.axioms import (ALL_AXIOMS, RINEHART, VIOLATION_CAP, Violation,
-                         run_all)
+from _dense_axioms import ALL_AXIOMS
+from g3lr.axioms import RINEHART, VIOLATION_CAP, Violation, run_all
 from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_VIOLATIONS,
                      main)
@@ -821,6 +821,29 @@ def test_simple_command(tmp_path):
     assert code == EXIT_OK
     assert "L graded-simple: yes" in text
     assert "A graded-simple: yes" in text
+
+
+def test_simple_names_the_wide_fibers_when_undetermined(tmp_path):
+    """`a4` regraded over Z/2, e1 and e2 of degree (1) and e3 and e4 of
+    degree (0): L is undetermined and names the one non-identity fiber
+    over one dimension; A is yes, with no reason.  The JSON after the
+    two lines is that of the two verdicts."""
+    doc = _a4_doc()
+    doc["group"]["moduli"] = [2]
+    doc["L"]["degrees"] = [[1], [1], [0], [0]]
+    doc["A"]["degrees"] = [[0]]
+    path = tmp_path / "a4-z2.json"
+    path.write_text(json.dumps(doc))
+    alg = load_instance(str(path))
+    assert run_all(alg).passed
+    code, text = _run("simple", str(path))
+    assert code == EXIT_OK
+    lines = text.splitlines()
+    assert lines[:2] == [
+        "L graded-simple: undetermined (fibers over one dimension at [1])",
+        "A graded-simple: yes"]
+    verdicts = {"L": check_gr_simple_L(alg), "A": check_gr_simple_A(alg)}
+    assert "\n".join(lines[2:]) == canonical_json(verdicts)
 
 
 def test_report_deterministic(tmp_path):

@@ -28,8 +28,8 @@ from g3lr.groups import GroupSpec
 from g3lr.instio import canonical_json
 import _ref_linalg
 from _ref_linalg import is_zero_vec, unit_vec, vec, zero_vec
-from g3lr.linalg import (_null_space, dense_vec, full_subspace,
-                         intersect_subspaces, span, sparse_row)
+from g3lr.linalg import (Subspace, _null_space, dense_vec, full_subspace,
+                         intersect_subspaces, sparse_row)
 from g3lr.model import TABLES, Algebra3LR, GradedBasis
 
 BUILTINS = ("trivial", "a4", "gl2-trace", "a4-dual-numbers", "tight-pair")
@@ -92,7 +92,7 @@ def _single_class(alg, kind="sigma"):
 def test_L1_class_of_a4_is_identity_fiber():
     alg = builtin("a4")
     sub = _L1_span(alg, _single_class(alg).members, compute_supports(alg))
-    assert sub == span([unit_vec(4, 3)], 4)
+    assert sub == Subspace(4, [unit_vec(4, 3)])
 
 
 def test_L1_class_zero_without_products():
@@ -110,11 +110,13 @@ def test_I_of_a4_is_everything():
 
 
 def test_I_recovers_direct_sum_factors():
-    alg = direct_sum(builtin("a4"), builtin("a4"))
+    a4 = builtin("a4")
+    alg = direct_sum(a4, a4)
     classes = sigma_classes(compute_supports(alg))
     assert len(classes) == 2
-    factor_spans = [span([unit_vec(alg.dim_L, i) for i in f.l_indices],
-                         alg.dim_L) for f in alg.factors]
+    factors = (range(a4.dim_L), range(a4.dim_L, alg.dim_L))
+    factor_spans = [Subspace(alg.dim_L, [unit_vec(alg.dim_L, i) for i in f])
+                    for f in factors]
     got = [build_I(alg, c).subspace for c in classes]
     assert {s.basis for s in got} == {s.basis for s in factor_spans}
 
@@ -134,7 +136,7 @@ def test_A1_class_of_truncated_polynomials():
     assert cls.members == {alg.group.elem((1,)), alg.group.elem((2,))}
     assert _A1_span(alg, cls.members, compute_supports(alg)).dim == 0
     cand = build_A_ideal(alg, cls)
-    assert cand.subspace == span([unit_vec(3, 1), unit_vec(3, 2)], 3)
+    assert cand.subspace == Subspace(3, [unit_vec(3, 1), unit_vec(3, 2)])
     assert cand.is_graded_ideal
 
 
@@ -145,7 +147,7 @@ def test_A1_class_of_truncated_polynomials():
 def test_verify_ideal_full_and_proper():
     alg = builtin("a4")
     assert verify_ideal(alg, "L", full_subspace(4)) == (True, None)
-    ok, cert = verify_ideal(alg, "L", span([unit_vec(4, 0)], 4))
+    ok, cert = verify_ideal(alg, "L", Subspace(4, [unit_vec(4, 0)]))
     assert not ok and cert[0] == "bracket"
 
 
@@ -158,8 +160,9 @@ def test_center_is_always_an_ideal():
 
 def test_verify_ideal_A():
     alg = _truncated_poly()
-    assert verify_ideal(alg, "A", span([unit_vec(3, 1), unit_vec(3, 2)], 3))[0]
-    ok, cert = verify_ideal(alg, "A", span([unit_vec(3, 0)], 3))
+    assert verify_ideal(alg, "A",
+                        Subspace(3, [unit_vec(3, 1), unit_vec(3, 2)]))[0]
+    ok, cert = verify_ideal(alg, "A", Subspace(3, [unit_vec(3, 0)]))
     assert not ok and cert[0] == "amul"
 
 
@@ -237,7 +240,7 @@ def test_structure_ideals_of_truncated_polynomials():
     s = structure_ideals(alg)
     assert s.z_L == full_subspace(1)          # zero bracket
     assert s.ann_A.dim == 0                   # unital
-    assert s.ann_A_on_L == span([unit_vec(3, 1), unit_vec(3, 2)], 3)
+    assert s.ann_A_on_L == Subspace(3, [unit_vec(3, 1), unit_vec(3, 2)])
 
 
 def _rho_bearing(seed):
@@ -403,7 +406,7 @@ def test_closure_idempotent_and_ideal():
 def test_A_closure():
     alg = _truncated_poly()
     assert ideal_generated_by(alg, "A", unit_vec(3, 1)) \
-        == span([unit_vec(3, 1), unit_vec(3, 2)], 3)
+        == Subspace(3, [unit_vec(3, 1), unit_vec(3, 2)])
     assert ideal_generated_by(alg, "A", unit_vec(3, 0)) == full_subspace(3)
 
 
@@ -437,7 +440,7 @@ def test_gr_simple_L_undetermined_on_a_two_dimensional_fiber():
 
 def test_gr_simple_L_within_non_ideal_rejected():
     alg = builtin("a4")
-    bad = span([unit_vec(4, 0), unit_vec(4, 1), unit_vec(4, 2)], 4)
+    bad = Subspace(4, [unit_vec(4, 0), unit_vec(4, 1), unit_vec(4, 2)])
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=bad)
     # a factor of a direct sum plus one basis vector of the other factor:
@@ -445,13 +448,14 @@ def test_gr_simple_L_within_non_ideal_rejected():
     # inside it, so the verdict must not rest on the generator order
     two = direct_sum(builtin("a4"), builtin("a4"))
     for j in range(4, 8):
-        bad = span([unit_vec(8, i) for i in range(4)] + [unit_vec(8, j)], 8)
+        bad = Subspace(
+            8, [unit_vec(8, i) for i in range(4)] + [unit_vec(8, j)])
         assert not verify_ideal(two, "L", bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_L(two, within=bad)
     # rows with a zero bracket: the check must come before the bracket
     # test, which would answer "no" on its own
-    bad = span([unit_vec(4, 0), unit_vec(4, 1)], 4)
+    bad = Subspace(4, [unit_vec(4, 0), unit_vec(4, 1)])
     assert not verify_ideal(alg, "L", bad)[0]
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=bad)
@@ -463,7 +467,8 @@ def test_gr_simple_A_within_non_ideal_rejected():
     for alg, j in ((direct_sum(dual, dual), 2),
                    (direct_sum(builtin("a4"), dual), 1)):
         n = alg.dim_A
-        bad = span([unit_vec(n, i) for i in range(j)] + [unit_vec(n, j)], n)
+        bad = Subspace(
+            n, [unit_vec(n, i) for i in range(j)] + [unit_vec(n, j)])
         assert not verify_ideal(alg, "A", bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_A(alg, within=bad)
@@ -477,9 +482,9 @@ def test_gr_simple_A_within_non_ideal_rejected():
     amul = {(0, i): {i: 1} for i in range(4)}
     amul[(1, 2)] = {3: 1}
     for alg, bad in (
-            (direct_sum(dual, dual), span([{1: 1, 3: 1}], 4)),
+            (direct_sum(dual, dual), Subspace(4, [{1: 1, 3: 1}])),
             (Algebra3LR(G, L, A, {}, amul, {(0, 0): {0: 1}}, {}),
-             span([unit_vec(4, 1)], 4))):
+             Subspace(4, [unit_vec(4, 1)]))):
         assert not verify_ideal(alg, "A", bad)[0]
         with pytest.raises(ValueError):
             check_gr_simple_A(alg, within=bad)
@@ -497,7 +502,7 @@ def test_gr_simple_within_non_graded_ideal_rejected():
     amul[(1, 2)] = {3: 1}
     alg = Algebra3LR(G, GradedBasis(("x",), (G.identity(),)), A, {}, amul,
                      {(0, 0): {0: 1}}, {})
-    C = span([{1: 1, 2: 1}, {3: 1}], 4)
+    C = Subspace(4, [{1: 1, 2: 1}, {3: 1}])
     assert verify_ideal(alg, "A", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_A(alg, within=C)
@@ -505,7 +510,7 @@ def test_gr_simple_within_non_graded_ideal_rejected():
     A = GradedBasis(("one", "s", "u"), A.degrees[:3])
     alg = Algebra3LR(G, alg.L, A, {}, {(0, i): {i: 1} for i in range(3)},
                      {(0, 0): {0: 1}}, {})
-    C = span([{1: 1, 2: 1}], 3)
+    C = Subspace(3, [{1: 1, 2: 1}])
     assert verify_ideal(alg, "A", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_A(alg, within=C)
@@ -516,12 +521,12 @@ def test_gr_simple_within_non_graded_ideal_rejected():
                     a4.L.degrees + (G.elem((1, 0)), G.elem((0, 1))))
     alg = Algebra3LR(G, L, one, a4.bracket, {(0, 0): {0: 1}},
                      {(0, i): {i: 1} for i in range(6)}, {})
-    C = span([unit_vec(6, i) for i in range(4)] + [{4: 1, 5: 1}], 6)
+    C = Subspace(6, [unit_vec(6, i) for i in range(4)] + [{4: 1, 5: 1}])
     assert verify_ideal(alg, "L", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=C)
     # span{z1 + z2} there: an ideal with a zero bracket
-    C = span([{4: 1, 5: 1}], 6)
+    C = Subspace(6, [{4: 1, 5: 1}])
     assert verify_ideal(alg, "L", C)[0]
     with pytest.raises(ValueError):
         check_gr_simple_L(alg, within=C)
@@ -534,7 +539,7 @@ def test_gr_simple_A_verdicts():
     dual = builtin("a4-dual-numbers")
     assert check_gr_simple_A(dual).verdict == "no"
     # t^2 = 0, so the A-ideal spanned by t has a zero product
-    v = check_gr_simple_A(dual, span([{1: 1}], 2))
+    v = check_gr_simple_A(dual, Subspace(2, [{1: 1}]))
     assert (v.verdict, v.product_nonzero, v.witness) \
         == ("no", False, "zero-product")
 
@@ -588,8 +593,11 @@ def test_decompose_tight_pair_fine():
     assert r.pairing.applicable and r.pairing.unique
     # fine components are the factor blocks
     alg = builtin("tight-pair")
-    factor_spans = {span([unit_vec(alg.dim_L, i) for i in f.l_indices],
-                         alg.dim_L).basis for f in alg.factors}
+    half = alg.dim_L // 2           # the direct sum of two equal factors
+    factors = (range(half), range(half, alg.dim_L))
+    factor_spans = {Subspace(alg.dim_L,
+                             [unit_vec(alg.dim_L, i) for i in f]).basis
+                    for f in factors}
     assert {c.subspace.basis for c in r.fine_components} == factor_spans
 
 
@@ -649,7 +657,7 @@ def _ref_verify_A(alg, T):
 
 def _ref_closure_L(alg, v):
     nL, nA = alg.dim_L, alg.dim_A
-    S = span([v], nL)
+    S = Subspace(nL, [v])
     while True:
         rows = list(S.basis)
         for s in S.basis:
@@ -668,20 +676,20 @@ def _ref_closure_L(alg, v):
                         for lj in range(nL):
                             rows.append(
                                 dm.eval_action(alg, ra, unit_vec(nL, lj)))
-        nxt = span(rows, nL)
+        nxt = Subspace(nL, rows)
         if nxt == S:
             return S
         S = nxt
 
 
 def _ref_closure_A(alg, v):
-    T = span([v], alg.dim_A)
+    T = Subspace(alg.dim_A, [v])
     while True:
         rows = list(T.basis)
         for t in T.basis:
             for ai in range(alg.dim_A):
                 rows.append(dm.eval_amul(alg, unit_vec(alg.dim_A, ai), t))
-        nxt = span(rows, alg.dim_A)
+        nxt = Subspace(alg.dim_A, rows)
         if nxt == T:
             return T
         T = nxt
@@ -691,8 +699,8 @@ def _ref_null(dim, image):
     """Null space of the linear map x -> image(x) on F^dim, read off the
     images of the unit vectors."""
     cols = [image(unit_vec(dim, m)) for m in range(dim)]
-    return span(_ref_linalg.solve_homogeneous(
-        [tuple(c[t] for c in cols) for t in range(len(cols[0]))], dim), dim)
+    return Subspace(dim, _ref_linalg.solve_homogeneous(
+        [tuple(c[t] for c in cols) for t in range(len(cols[0]))], dim))
 
 
 def _ref_structure(alg):
@@ -776,16 +784,16 @@ def _check_closure_engine(alg, rng):
     no_rho = Algebra3LR(alg.group, alg.L, alg.A, alg.bracket, alg.amul,
                         alg.action, {})
     nL, nA = alg.dim_L, alg.dim_A
-    L_tests = [span([_random_homogeneous(rng, alg, "L")], nL),
-               span([_random_homogeneous(rng, alg, "L")
-                     for _ in range(2)], nL)]
+    L_tests = [Subspace(nL, [_random_homogeneous(rng, alg, "L")]),
+               Subspace(nL, [_random_homogeneous(rng, alg, "L")
+                             for _ in range(2)])]
     for _ in range(3):
         v = _random_homogeneous(rng, alg, "L")
         closure = ideal_generated_by(alg, "L", v)
         assert closure == _ref_closure_L(alg, v)
         # closed under brackets and actions, perhaps not under rho
         L_tests += [closure, _ref_closure_L(no_rho, v)]
-    A_tests = [span([_random_homogeneous(rng, alg, "A")], nA)]
+    A_tests = [Subspace(nA, [_random_homogeneous(rng, alg, "A")])]
     for _ in range(2):
         v = _random_homogeneous(rng, alg, "A")
         closure = ideal_generated_by(alg, "A", v)
@@ -939,7 +947,7 @@ def _orthogonality_cases(alg, rng):
         alg, "L", _random_homogeneous(rng, alg, "L")) for _ in range(3)]
     A_closures = [ideal_generated_by(
         alg, "A", _random_homogeneous(rng, alg, "A")) for _ in range(2)]
-    X = span([_random_vec(rng, alg.dim_L) for _ in range(2)], alg.dim_L)
+    X = Subspace(alg.dim_L, [_random_vec(rng, alg.dim_L) for _ in range(2)])
     return [(fibers("L"), fibers("A")), (closures, A_closures),
             ([X, X], A_closures[:1] * 2), ([X] + fibers("L")[:2] + [X], [])]
 
@@ -1092,10 +1100,10 @@ def _check_fiber_meets(alg, rng):
     graded = ungraded = 0
     for space, n in (("L", alg.dim_L), ("A", alg.dim_A)):
         basis = alg.L if space == "L" else alg.A
-        spaces = [full_subspace(n), span([], n)]
-        spaces += [span([r for d in rng.choices(basis.degrees, k=2)
-                         for r in alg.fiber(space, d).rows], n)]
-        spaces += [span([_random_vec(rng, n) for _ in range(k)], n)
+        spaces = [full_subspace(n), Subspace(n, [])]
+        spaces += [Subspace(n, [r for d in rng.choices(basis.degrees, k=2)
+                                for r in alg.fiber(space, d).rows])]
+        spaces += [Subspace(n, [_random_vec(rng, n) for _ in range(k)])
                    for k in (1, max(n - 1, 1), n)]
         spaces.append(ideal_generated_by(
             alg, space, _random_homogeneous(rng, alg, space)))

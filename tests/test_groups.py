@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import g3lr.groups as groups
 from _ref_connections import product_many
-from g3lr.groups import GroupElem, GroupSpec
+from g3lr.groups import GroupSpec
 
 
 def test_doctests():
@@ -89,7 +89,7 @@ def test_interned_elements_and_memoised_products(spec_elems):
     spec, (a, b, c) = spec_elems
     # equal normal forms give the same object, whichever way they are made
     shifted = [x + 3 * m for x, m in zip(a.coords, spec.moduli)]
-    assert GroupElem(spec, shifted) is spec.elem(a.coords) is a
+    assert spec.elem(shifted) is spec.elem(a.coords) is a
     assert a.mul(b) is a.mul(b) is b.mul(a)
     assert a.mul(a.inv()) is spec.identity()
     assert a.mul(b).mul(c) is a.mul(b.mul(c))
@@ -98,8 +98,8 @@ def test_interned_elements_and_memoised_products(spec_elems):
     a2 = twin.elem(a.coords)
     assert a2 is not a and a2 == a and hash(a2) == hash(a)
     assert a2.mul(b) == a.mul(b) and b.mul(a2) == b.mul(a)
-    with pytest.raises(ValueError):
-        GroupElem(spec, a.coords + (0,))
+    with pytest.raises(ValueError, match="does not match group arity"):
+        spec.elem(a.coords + (0,))
     for name in ("spec", "coords", "_hash", "_products"):
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))

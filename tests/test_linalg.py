@@ -8,7 +8,7 @@ from _ref_linalg import (is_zero_vec, unit_vec, vec, vec_add, vec_scale,
                          zero_vec)
 from g3lr.linalg import (ZERO, Subspace, _extend, _null_space, _reduce,
                          complement, dense_vec, full_subspace,
-                         intersect_subspaces, span, sparse_row, sparse_sum)
+                         intersect_subspaces, sparse_row, sparse_sum)
 
 _scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -87,10 +87,10 @@ def test_span_invariant_under_shuffle(rows):
 
 def test_contains_ambient_mismatch():
     with pytest.raises(ValueError):
-        span([vec((1, 0))], 2).contains(vec((1, 0, 0)))
+        Subspace(2, [vec((1, 0))]).contains(vec((1, 0, 0)))
     with pytest.raises(ValueError):
-        span([vec((1, 0))], 2).contains({2: Fraction(1)})
-    s, t = span([vec((1, 0))], 2), span([vec((1, 0, 0))], 3)
+        Subspace(2, [vec((1, 0))]).contains({2: Fraction(1)})
+    s, t = Subspace(2, [vec((1, 0))]), Subspace(3, [vec((1, 0, 0))])
     for op in (Subspace.contains_subspace, intersect_subspaces):
         for a, b in ((s, t), (t, s)):
             with pytest.raises(ValueError, match="ambient mismatch"):
@@ -147,8 +147,8 @@ def test_complement_within(rows_s, rows_w):
 
 
 def test_complement_outside_rejected():
-    s = span([vec((1, 0))], 2)
-    w = span([vec((0, 1))], 2)
+    s = Subspace(2, [vec((1, 0))])
+    w = Subspace(2, [vec((0, 1))])
     with pytest.raises(ValueError):
         complement(s, within=w)
 
@@ -183,7 +183,7 @@ def test_null_space_of_unit_rows_is_the_free_unit_rows(case):
     assert list(null.basis) == ref.solve_homogeneous(rows, n)
     free = tuple(j for j in range(n) if j not in columns)
     assert null.rows == tuple({j: 1} for j in free)
-    assert null.pivots() == free == Subspace(n, null.basis).pivots()
+    assert null.pivots == free == Subspace(n, null.basis).pivots
 
 
 def test_zero_and_unit_vectors():
@@ -195,7 +195,7 @@ def test_zero_and_unit_vectors():
 
 
 def test_subspace_hash_consistency():
-    a = span([vec((2, 0)), vec((0, 3))], 2)
+    a = Subspace(2, [vec((2, 0)), vec((0, 3))])
     b = full_subspace(2)
     assert a == b and hash(a) == hash(b)
 
@@ -373,7 +373,7 @@ def test_extend_by_one_row_matches_rebuild(case, form, sparse, rnd):
         assert T is S
         return
     want = Subspace(n, S.rows + (v,))
-    assert T.rows == want.rows and T.pivots() == want.pivots()
+    assert T.rows == want.rows and T.pivots == want.pivots
     assert T.dim == S.dim + 1 and T.contains(v) and T.contains_subspace(S)
     assert all(type(c) is type(_view_of(c)) for r in T.rows
                for c in r.values())
@@ -395,7 +395,7 @@ def test_reduce_by_pivot_lookup_matches_sequential_scan(case, form, rnd):
         rows_s = [tuple(_view_of(c) if form == "view" or rnd.random() < 0.5
                         else c for c in r) for r in rows_s]
     S = Subspace(n, rows_s)
-    pivots, shared = S.pivots(), S.rows
+    pivots, shared = S.pivots, S.rows
     before = [[(j, c, type(c)) for j, c in r.items()] for r in S.rows]
 
     def picked(columns, share):
@@ -420,7 +420,7 @@ def test_full_subspace_is_the_unit_row_span():
     for n in range(7):
         F, want = full_subspace(n), Subspace(n, [{i: 1} for i in range(n)])
         assert F.rows == want.rows and F.basis == want.basis
-        assert F.pivots() == want.pivots() == tuple(range(n))
+        assert F.pivots == want.pivots == tuple(range(n))
         assert [type(c) for r in F.rows for c in r.values()] == [int] * n
         assert all(type(c) is Fraction for b in F.basis for c in b)
 

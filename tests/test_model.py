@@ -12,13 +12,13 @@ from _ref_linalg import is_zero_vec, unit_vec, vec, vec_add, vec_scale
 from test_decompose import NON_INTEGRAL, _non_integral_instances, \
     _random_graded
 from g3lr.axioms import run_all
-from g3lr.catalog import builtin
+from g3lr.catalog import BUILTIN_NAMES, builtin
 from g3lr.decompose import (_bracket, _product, check_gr_simple_A,
                             check_gr_simple_L, decompose,
                             ideal_generated_by, structure_ideals,
                             verify_ideal)
 from g3lr.groups import GroupSpec
-from g3lr.linalg import Subspace, complement, dense_vec, span, sparse_row
+from g3lr.linalg import Subspace, complement, dense_vec, sparse_row
 from g3lr.model import Algebra3LR, GradedBasis
 
 _scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -180,12 +180,31 @@ def test_fibers_partition_dimensions():
             assert total == dim
 
 
-def test_fiber_indices_match_fiber():
-    alg = builtin("a4")
-    g = alg.group.elem((1, 0))
-    assert alg.fiber_indices("L", g) == [0]
-    assert alg.fiber("L", g).dim == 1
-    assert alg.fiber("A", g).dim == 0
+def _absent_degree(group, fibers):
+    """The first degree of `group` in coordinate order that is no key of
+    `fibers`, or None when every degree is; a free factor is searched
+    over more values than `fibers` has keys."""
+    ranges = [range(m or len(fibers) + 1) for m in group.moduli]
+    return next((g for c in product(*ranges)
+                 if (g := group.elem(c)) not in fibers), None)
+
+
+def test_fiber_is_the_span_of_its_basis_fiber():
+    absent = 0
+    for name in BUILTIN_NAMES:
+        alg = builtin(name)
+        for space in ("L", "A"):
+            basis = alg.basis(space)
+            degrees = list(basis.fibers)
+            g = _absent_degree(alg.group, basis.fibers)
+            if g is not None:
+                degrees.append(g)
+                absent += 1
+            for g in degrees:
+                want = Subspace(len(basis),
+                                [{i: 1} for i in basis.fibers.get(g, [])])
+                assert alg.fiber(space, g) == want
+    assert absent
 
 
 def _flat(by_index, key, n):
@@ -339,7 +358,7 @@ def test_public_surface_stays_fraction():
             v = F.basis[0] if F.dim else unit_vec(alg.dim_L, 0)
             closure = ideal_generated_by(alg, "L", v)
             spaces += [F, closure,
-                       complement(span([v], alg.dim_L), within=closure)]
+                       complement(Subspace(alg.dim_L, [v]), within=closure)]
         for check in (check_gr_simple_L, check_gr_simple_A):
             witness = check(alg).witness
             if isinstance(witness, Subspace):
