@@ -14,7 +14,8 @@ from functools import cache
 from .axioms import run_all
 from .catalog import BUILTIN_NAMES, builtin
 from .connections import compute_supports, lambda_classes, sigma_classes
-from .decompose import check_gr_simple_A, check_gr_simple_L, decompose
+from .decompose import (check_gr_simple_A, check_gr_simple_L, decompose,
+                        wide_fibers)
 from .instio import (ParseError, canonical_json, instance_digest,
                      instance_to_dict, load_instance, REPORT_SCHEMA)
 
@@ -97,10 +98,9 @@ def _cmd_simple(alg, report, args, out):
         line = "%s graded-simple: %s" % (side, v.verdict)
         if v.verdict == "undetermined":
             # the whole space's fibers are the basis fibers; name the wide ones
-            fibers = alg.basis(side).fibers
             line += " (fibers over one dimension at %s)" % ", ".join(
-                str(list(g.coords)) for g in sorted(fibers)
-                if len(fibers[g]) > 1 and not g.is_identity())
+                str(list(g.coords))
+                for g in wide_fibers(alg.basis(side).degrees))
         print(line, file=out)
     print(canonical_json({"L": vL, "A": vA}), file=out)
     return EXIT_OK

@@ -527,11 +527,17 @@ def check_G_multiplicative(alg, supports=None):
     return not bad, bad
 
 
+def wide_fibers(degrees):
+    """The degrees that occur more than once in `degrees`, sorted: the wide
+    fibers of a basis, or of an ideal by its homogeneous generators."""
+    return sorted(d for d, n in Counter(degrees).items() if n > 1)
+
+
 def check_maximal_length(alg):
     """Every support fiber, on both sides, is one-dimensional: the
     supports are the non-identity degrees of the basis vectors."""
-    return all(len(fiber) == 1 for basis in (alg.L, alg.A)
-               for d, fiber in basis.fibers.items() if not d.is_identity())
+    return all(d.is_identity() for basis in (alg.L, alg.A)
+               for d in wide_fibers(basis.degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +575,13 @@ def _homogeneous_generators(alg, space, C):
 def _close_generators(alg, side, C, gens, allowed=None):
     """Close the generators `gens` of the ideal C (`_homogeneous_generators`):
     ("no", ideal) for the first proper ideal inside C other than `allowed`,
-    else "yes", or "undetermined" with no witness when a non-identity fiber
-    of C has dimension over one.  The generators whose closure is C are
-    kept by degree and handed to every later closure, which returns C
-    once it has dim C or contains one of them (`_ideal_closure`).  Proof:
-    a closure of v that contains such a generator g contains the closure
-    of g, which is C, and lies in C.  So a closure stops early only when
-    it is C, and a proper one runs to the end: the first proper closure
-    is the same witness."""
+    else "yes", or "undetermined", no witness, when C has a wide fiber, the
+    identity's too (`wide_fibers`).  The generators whose closure is C are
+    kept by degree and handed to every later closure, which returns C once
+    it has dim C or contains one of them (`_ideal_closure`).  Proof: a
+    closure of v that contains such a generator g contains the closure of
+    g, which is C, and lies in C.  So a closure stops early only when it
+    is C, and a proper one runs to the end: the same first witness."""
     full = {}
     for d, v in gens:
         closure = _ideal_closure(alg, side, v, C, full)
@@ -584,8 +589,7 @@ def _close_generators(alg, side, C, gens, allowed=None):
             full.setdefault(d, []).append(v)
         elif closure != allowed:
             return "no", closure
-    fiber_dims = Counter(d for d, v in gens if not d.is_identity())
-    if max(fiber_dims.values(), default=0) > 1:
+    if wide_fibers(d for d, v in gens):
         return "undetermined", None
     return "yes", None
 
@@ -594,10 +598,10 @@ def check_gr_simple_L(alg, within=None, structure=None):
     """Graded simplicity by generator closure: the bracket on the
     (sub)algebra is nonzero and every ideal generated by a homogeneous
     vector is the whole thing or the kernel part.  The test is conclusive
-    only when all support fibers met are one-dimensional; otherwise a
-    passing run yields "undetermined".  `within` must be a graded ideal:
-    another ambient dimension, a non-homogeneous row, or a failed ideal
-    check unless it is the whole space, raises ValueError before any test."""
+    only when all fibers met, the identity's too, are one-dimensional;
+    else a passing run yields "undetermined".  `within` must be a graded
+    ideal: another ambient dimension, a non-homogeneous row, or a failed
+    ideal check unless it is the whole space, raises ValueError first."""
     return _gr_simple(alg, "L", within, structure=structure)
 
 

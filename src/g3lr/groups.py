@@ -47,15 +47,18 @@ from operator import add, mod
 
 
 class GroupSpec:
-    """Moduli of the cyclic factors.  No modulus may equal 1; the empty
-    sequence is the trivial group."""
+    """Moduli of the cyclic factors, ints or their decimal text; any other
+    type, a float or a bool too, is rejected, not truncated.  No modulus
+    may equal 1; the empty sequence is the trivial group."""
 
     def __init__(self, moduli):
-        moduli = tuple(int(m) for m in moduli)
+        moduli = tuple(moduli)
+        if {*map(type, moduli)} - {int, str}:   # int() reads text exactly
+            raise ValueError("moduli must be ints, got %r" % (moduli,))
+        self.moduli = moduli = tuple(map(int, moduli))
         for m in moduli:
             if m < 0 or m == 1:
                 raise ValueError("modulus must be 0 or >= 2, got %r" % (m,))
-        self.moduli = moduli
         self._free = 0 in moduli       # some factor is infinite cyclic
         self._elems = {}               # normal form -> its element
 
@@ -69,7 +72,9 @@ class GroupSpec:
         return "GroupSpec(%r)" % (self.moduli,)
 
     def elem(self, coords):
-        coords = tuple(map(int, coords))
+        coords = tuple(coords)
+        if {*map(type, coords)} - {int}:
+            raise ValueError("coordinates must be ints, got %r" % (coords,))
         if len(coords) != len(self.moduli):
             raise ValueError(
                 "coordinate length %d does not match group arity %d"
@@ -125,11 +130,10 @@ _set = object.__setattr__
 
 
 def _elem(spec, coords):
-    """The interned element of spec with the int coordinates `coords`
-    (any iterable), which have the spec's arity, reduced into range; made
-    on first use.  `mul`, `inv` and `identity` build their arguments from
-    normalised operands, and the parser checks a file's degrees itself,
-    so `GroupSpec.elem`'s conversion and arity check are skipped."""
+    """The interned element of spec with the int coordinates `coords` (any
+    iterable) of the spec's arity, reduced into range; made on first use.
+    `mul`, `inv` and `identity` pass normalised operands and the parser
+    checks degrees itself, so they skip `GroupSpec.elem`'s checks."""
     moduli = spec.moduli
     if spec._free:
         coords = tuple(c % m if m else c for c, m in zip(coords, moduli))

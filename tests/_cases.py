@@ -1,10 +1,13 @@
 """Shared test instances: two valid instances with a nonzero rho, the
 trace seed and one whose rho is not antisymmetric, invalid instances
 that together fail every axiom group, all but one a single-entry change
-of a valid instance, and an invalid instance with a fully dense rho."""
+of a valid instance, an invalid instance with a fully dense rho, and two
+direct sums with an ideal in an identity fiber that no basis vector
+spans once the fiber is in a mixed basis."""
 
 from fractions import Fraction
 
+from _transport import transport
 from g3lr.catalog import LieRinehartSeed, builtin, direct_sum, from_lie_trace
 from g3lr.groups import GroupSpec
 from g3lr.model import TABLES, Algebra3LR, GradedBasis
@@ -15,6 +18,45 @@ def rebuild(alg, **overrides):
     parts = {name: getattr(alg, name) for name in TABLES}
     parts.update(overrides)
     return Algebra3LR(alg.group, alg.L, alg.A, **parts)
+
+
+def over_trivial_group(alg):
+    """`alg` with every basis vector of degree the identity of the
+    trivial group: one fiber per side, which holds the whole space."""
+    G = GroupSpec(())
+
+    def basis(b):
+        return GradedBasis(b.labels, [G.identity()] * len(b))
+    return Algebra3LR(G, basis(alg.L), basis(alg.A),
+                      **{name: getattr(alg, name) for name in TABLES})
+
+
+# the basis u + v, u - v of a two-dimensional fiber with basis u, v
+_PLUS_MINUS = [[1, 1], [1, -1]]
+
+
+def a4_plus_gl2(mixed=False):
+    """direct_sum(a4, gl2-trace), whose A is F x F in its identity fiber;
+    with `mixed`, that fiber in the basis one.1 + one.2, one.1 - one.2
+    under the old labels, where no basis vector spans either ideal F of
+    A.  The mixed one is docs/examples/direct_sum_mixed_basis.json."""
+    alg = direct_sum(builtin("a4"), builtin("gl2-trace"))
+    if not mixed:
+        return alg
+    return transport(alg, {("A", alg.group.identity()): _PLUS_MINUS})
+
+
+def a4_squared_over_trivial_group(mixed=False):
+    """direct_sum(a4, a4) over the trivial group; with `mixed`, L in the
+    basis x.1 + x.2 then x.1 - x.2 over the basis vectors x of a4, and A
+    in one.1 + one.2, one.1 - one.2, the labels kept."""
+    alg = over_trivial_group(direct_sum(builtin("a4"), builtin("a4")))
+    if not mixed:
+        return alg
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    L = [r + r for r in eye] + [r + [-c for c in r] for r in eye]
+    one = alg.group.identity()
+    return transport(alg, {("L", one): L, ("A", one): _PLUS_MINUS})
 
 
 def with_entry(alg, table, key, entry):

@@ -71,8 +71,8 @@ def ideal_closure(alg, side, v):
 def close_generators(alg, side, C, allowed=None):
     """Close every homogeneous generator of C.  Returns ("no", ideal)
     for the first proper ideal found inside C other than `allowed`;
-    else "yes", or "undetermined" when a non-identity fiber of C has
-    dimension greater than one, with no witness."""
+    else "yes", or "undetermined" when a fiber of C, the identity's
+    included, has dimension greater than one, with no witness."""
     gens = homogeneous_generators(alg, side, C)
     for d, v in gens:
         closure = ideal_closure(alg, side, v)
@@ -82,7 +82,7 @@ def close_generators(alg, side, C, allowed=None):
             return "no", closure
         # generator escapes: `within` was not an ideal to begin with
         raise ValueError("subspace is not an ideal, simplicity undefined")
-    fiber_dims = Counter(d for d, v in gens if not d.is_identity())
+    fiber_dims = Counter(d for d, v in gens)
     if max(fiber_dims.values(), default=0) > 1:
         return "undetermined", None
     return "yes", None

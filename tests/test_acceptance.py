@@ -215,6 +215,8 @@ GOLDEN_REPORTS = {
         "5ff96546ff2e8e289bf45c14a72da8dbc6a75ab231073111d7da9f63ffc7184c",
     "trivial":
         "0b2de5d4fccc9a9f35b737720a00635fed80522fe32ef1f8cdeaa55c0bfab37b",
+    "direct_sum_mixed_basis.json":
+        "ba7aa3f5529578caac9729581954189e7003a245f642e62f66189ce45d335455",
     "simple_four_dim.json":
         "9dad905c90ac5ac646fe3e6990f6048605b64efe519c89b8619a9c4dc44d219a",
     "trace_induced_gl2.json":
@@ -301,6 +303,10 @@ GOLDEN_CLI_OUTPUTS = {
         "52532f8ba34d03b76ec9854d3d8a19f3b403e6a087fee425d775eee22734f827",
         "70f6d6183bcd812a71c31ddf7cd066110f2c61f498982ee1ad7c6714ba19aab5",
         "87da00f820340143d62faa2447d98053da0cabe46ad0ec8714df5759e1cefe94"),
+    "direct_sum_mixed_basis.json": (
+        "4672b09fef9af9e5b7c81b67a8bb7f32288aff94901408051c1a4bdd3e3de6c1",
+        "d31b31e3b9c3de4132b6f7254586f55b30af77db6f4c2afe29eafb85c96e66fb",
+        "3fb95c27d3d7f887899cfb32c36002838da8f676388578a0e80fd8e38c64c336"),
     "simple_four_dim.json": (
         "46e632529e01b91131aac0c882c23754b7dd97ff65d14cd37ecc1cd03f92b19a",
         "bf4065b2d57b30aeaab78a0e86cf388c52a681457cc7025bb1b430a1471d1813",

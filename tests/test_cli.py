@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _cases import rho_not_antisymmetric
+from _cases import (a4_plus_gl2, a4_squared_over_trivial_group,
+                    over_trivial_group, rho_not_antisymmetric)
 from _ref_linalg import zero_vec
 from g3lr import cli
 from _dense_axioms import ALL_AXIOMS
@@ -825,9 +826,9 @@ def test_simple_command(tmp_path):
 
 def test_simple_names_the_wide_fibers_when_undetermined(tmp_path):
     """`a4` regraded over Z/2, e1 and e2 of degree (1) and e3 and e4 of
-    degree (0): L is undetermined and names the one non-identity fiber
-    over one dimension; A is yes, with no reason.  The JSON after the
-    two lines is that of the two verdicts."""
+    degree (0): L is undetermined and names both fibers over one
+    dimension, the identity's included; A is yes, with no reason.  The
+    JSON after the two lines is that of the two verdicts."""
     doc = _a4_doc()
     doc["group"]["moduli"] = [2]
     doc["L"]["degrees"] = [[1], [1], [0], [0]]
@@ -840,10 +841,42 @@ def test_simple_names_the_wide_fibers_when_undetermined(tmp_path):
     assert code == EXIT_OK
     lines = text.splitlines()
     assert lines[:2] == [
-        "L graded-simple: undetermined (fibers over one dimension at [1])",
+        "L graded-simple: undetermined (fibers over one dimension at [0], "
+        "[1])",
         "A graded-simple: yes"]
     verdicts = {"L": check_gr_simple_L(alg), "A": check_gr_simple_A(alg)}
     assert "\n".join(lines[2:]) == canonical_json(verdicts)
+
+
+@pytest.mark.parametrize("build, lines", [
+    (lambda: over_trivial_group(builtin("a4")),
+     ["L graded-simple: undetermined (fibers over one dimension at [])",
+      "A graded-simple: yes"]),
+    (lambda: a4_squared_over_trivial_group(mixed=True),
+     ["L graded-simple: undetermined (fibers over one dimension at [])",
+      "A graded-simple: undetermined (fibers over one dimension at [])"]),
+])
+def test_simple_names_the_fiber_of_the_trivial_group(tmp_path, build, lines):
+    """Over the trivial group the one fiber is the identity's, which has
+    no coordinates."""
+    path = tmp_path / "instance.json"
+    save_instance(build(), str(path))
+    code, text = _run("simple", str(path))
+    assert code == EXIT_OK and text.splitlines()[:2] == lines
+
+
+def test_simple_on_the_mixed_basis_example():
+    """The example is `a4_plus_gl2(mixed=True)`; its A is F x F, which the
+    closure test cannot split in that basis, so A is undetermined and
+    names the identity fiber."""
+    path = EXAMPLES / "direct_sum_mixed_basis.json"
+    assert instance_digest(load_instance(str(path))) \
+        == instance_digest(a4_plus_gl2(mixed=True))
+    code, text = _run("simple", str(path))
+    assert code == EXIT_OK and text.splitlines()[:2] == [
+        "L graded-simple: no",
+        "A graded-simple: undetermined (fibers over one dimension at "
+        "[0, 0, 0])"]
 
 
 def test_report_deterministic(tmp_path):
@@ -910,6 +943,34 @@ def test_closed_output_is_an_output_error(tmp_path, capsys, valid):
     capsys.readouterr()
     assert main(["report", str(path)], out=_ClosedPipe()) == EXIT_PARSE
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_closed_pipe_in_a_fresh_process_is_an_output_error(tmp_path, valid):
+    """`g3lr report F` in a new interpreter, its stdout a pipe whose read
+    end is closed before the child writes: the null device takes what
+    standard output still holds, so the exit is 3 and no internal error,
+    on a4 and on a4 with its first action coefficient doubled.  Standard
+    output is buffered, as in a shell without PYTHONUNBUFFERED: unbuffered,
+    nothing is left for the flush at interpreter exit to fail on."""
+    path = _emit(tmp_path, "a4")
+    if not valid:
+        doc = _a4_doc()
+        value = doc["action"][0]["value"]
+        label = next(iter(value))
+        value[label] = str(2 * Fraction(value[label]))
+        path.write_text(json.dumps(doc))
+        assert _run("report", str(path))[0] == EXIT_VIOLATIONS
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "g3lr.cli", "report",
+                             str(path)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_PARSE, err
+    assert "internal error" not in err
 
 
 def _fresh_process(*argv):

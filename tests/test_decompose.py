@@ -12,7 +12,11 @@ import pytest
 
 import _dense_model as dm
 import _ref_degrees as ref_degrees
-from _cases import rational_seed, rebuild, rho_trace_seed
+from _cases import (a4_plus_gl2, a4_squared_over_trivial_group,
+                    over_trivial_group, rational_seed, rebuild,
+                    rho_trace_seed)
+from _transport import random_transport
+from g3lr.axioms import run_all
 from g3lr.catalog import builtin, direct_sum
 from g3lr.connections import (compute_supports, connected, lambda_classes,
                               replay_chain, sigma_classes)
@@ -542,6 +546,75 @@ def test_gr_simple_A_verdicts():
     v = check_gr_simple_A(dual, Subspace(2, [{1: 1}]))
     assert (v.verdict, v.product_nonzero, v.witness) \
         == ("no", False, "zero-product")
+
+
+# ---------------------------------------------------------------------------
+# fiber-preserving changes of basis: a graded isomorphism keeps every
+# verdict, and a proper ideal inside an identity fiber that no basis
+# vector spans leaves the closure test undetermined, never yes
+
+
+def _decompose_values(alg):
+    """The values of `decompose` that no graded isomorphism may change."""
+    r = decompose(alg)
+    return (len(r.sigma_classes), len(r.lambda_classes),
+            [I.subspace.dim for I in r.L_ideals],
+            [J.subspace.dim for J in r.A_ideals],
+            r.L_covers, r.L_direct, r.A_covers, r.A_direct,
+            vars(r.tightness), r.maximal_length, r.g_multiplicative,
+            r.supports_symmetric, r.fine_attempted,
+            [c.simplicity.verdict
+             for c in r.fine_components + r.fine_components_A])
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_random_transport_keeps_the_decomposition(name):
+    alg = builtin(name)
+    moved = random_transport(alg, 1)
+    assert run_all(moved).passed
+    assert _decompose_values(moved) == _decompose_values(alg)
+
+
+def _verdicts(alg):
+    return check_gr_simple_L(alg).verdict, check_gr_simple_A(alg).verdict
+
+
+def test_a_product_of_fields_in_a_mixed_basis_is_undetermined():
+    """A of a4 + gl2-trace is F x F in its identity fiber.  In the catalog
+    basis the closure of one.1 is a proper ideal: no.  In the basis
+    u = one.1 + one.2, w = one.1 - one.2 both generators are units and
+    close to A, so the closure test sees no proper ideal: undetermined,
+    where a test that skipped the identity fiber said yes."""
+    moved = a4_plus_gl2(mixed=True)
+    assert run_all(moved).passed
+    # u is the unit, w^2 = u and uw = w
+    assert moved.amul == {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: 1}}
+    assert _verdicts(a4_plus_gl2()) == ("no", "no")
+    assert _verdicts(moved) == ("no", "undetermined")
+
+
+def test_a4_squared_over_the_trivial_group_in_a_mixed_basis():
+    alg = a4_squared_over_trivial_group()
+    moved = a4_squared_over_trivial_group(mixed=True)
+    assert run_all(alg).passed and run_all(moved).passed
+    assert _verdicts(alg) == ("no", "no")
+    assert _verdicts(moved) == ("undetermined", "undetermined")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_transports_of_direct_sums_are_never_called_simple(seed):
+    for alg in (a4_plus_gl2(), a4_squared_over_trivial_group()):
+        moved = random_transport(alg, seed)
+        assert run_all(moved).passed
+        assert "yes" not in _verdicts(moved)
+
+
+def test_a4_over_the_trivial_group():
+    """L is simple, but its one fiber is four-dimensional, so the closure
+    test cannot tell; A = F is one-dimensional and simple."""
+    alg = over_trivial_group(builtin("a4"))
+    assert run_all(alg).passed
+    assert _verdicts(alg) == ("undetermined", "yes")
 
 
 # ---------------------------------------------------------------------------

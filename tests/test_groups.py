@@ -1,4 +1,6 @@
 import doctest
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,26 @@ def test_moduli_validation():
         GroupSpec((1,))
     with pytest.raises(ValueError):
         GroupSpec((-2,))
+
+
+@pytest.mark.parametrize("moduli", [(2.7,), (True,), (2, 0.0),
+                                    (Fraction(5, 2),)])
+def test_moduli_that_are_not_ints_are_rejected(moduli):
+    """A float, a bool or a Fraction is named, not truncated or read as
+    the int it converts to; decimal text is read exactly."""
+    with pytest.raises(ValueError, match="moduli must be ints, got %s"
+                       % re.escape(repr(moduli))):
+        GroupSpec(moduli)
+
+
+@pytest.mark.parametrize("coords", [(1.5, 2.9), (True, 3), (1, 2.0),
+                                    ("1", 2)])
+def test_coordinates_that_are_not_ints_are_rejected(coords):
+    G = GroupSpec((2, 0))
+    with pytest.raises(ValueError, match="coordinates must be ints, got %s"
+                       % re.escape(repr(coords))):
+        G.elem(coords)
+    assert G.elem(iter([3, -1])).coords == (1, -1)
 
 
 def test_normalization_and_equality():
